@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
 from .expansions import ConditionConstants
-from .numkit import BlockSplit, MetricTensor
+from .numkit import BlockSplit, MetricTensor, psd_power
 from .objective import SmoothObjective, SolveReport, coordinate_descent_minimize, newton_minimize
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "mle_exists",
     "fit_penalized_mle",
     "btl_condition_constants",
-    "L2ConstantsReport",
     "read_observations",
     "write_observations",
     "read_scores",
@@ -462,14 +461,6 @@ def fit_penalized_mle(
     return report
 
 
-@dataclass(frozen=True)
-class L2ConstantsReport:
-    """Euclidean-geometry condition constants: rigorous envelope and MC floor."""
-
-    upper: ConditionConstants
-    mc_lower: ConditionConstants
-
-
 _SCAN_COARSE_FACTOR = 20
 
 
@@ -561,9 +552,9 @@ def _linf_constants(graph, center, radius, d_scales) -> ConditionConstants:
 
 
 def _block_l2_constants(
-    obj: BtlObjective, center, split, d_metric, h_metric, radii, seed
-) -> L2ConstantsReport:
-    """Envelope and Monte Carlo floor for the Euclidean block constants."""
+    obj: BtlObjective, center, split, d_metric, h_metric, radii
+) -> ConditionConstants:
+    """Rigorous envelope of the Euclidean block constants."""
     center = np.asarray(center, dtype=float)
     g = obj.graph
     in_target = np.zeros(g.n, dtype=bool)
@@ -574,15 +565,14 @@ def _block_l2_constants(
     f_nn = fisher[np.ix_(split.nuisance_idx, split.nuisance_idx)]
 
     def block_geometry(block_mat, metric):
-        eigs = np.linalg.eigvalsh(block_mat)
         m = metric.matrix()
         mid = np.linalg.solve(m, np.linalg.solve(m, block_mat).T)
         mu = float(np.linalg.eigvalsh(0.5 * (mid + mid.T)).max())
         sigma_min = float(np.sqrt(np.linalg.eigvalsh(m @ m).min()))
-        return float(eigs.min()), mu, sigma_min
+        return mu, sigma_min
 
-    _, mu_t, smin_t = block_geometry(f_tt, d_metric)
-    _, mu_n, smin_n = block_geometry(f_nn, h_metric)
+    mu_t, smin_t = block_geometry(f_tt, d_metric)
+    mu_n, smin_n = block_geometry(f_nn, h_metric)
 
     r_theta, r_nui = float(radii[0]), float(radii[1])
     w_theta = r_theta / smin_t
@@ -598,30 +588,10 @@ def _block_l2_constants(
     tau3_env = 2.0 * kappa_max * max(mu_t / smin_t, mu_n / smin_n)
     d12_env = 2.0 * kappa_max * mu_n / smin_t
     d21_env = 2.0 * kappa_max * mu_t / smin_n
-    upper = ConditionConstants(
+    return ConditionConstants(
         tau3=tau3_env, d12=d12_env, d21=d21_env, norm_tag="l2",
         radii=(r_theta, r_nui), method="sup_envelope",
     )
-
-    rng = np.random.default_rng(seed)
-    tau3_mc = d12_mc = d21_mc = 0.0
-    for _ in range(tol.MC_DIRECTIONS):
-        zt = np.zeros(g.n)
-        zt[split.target_idx] = rng.standard_normal(split.p)
-        zn = np.zeros(g.n)
-        zn[split.nuisance_idx] = rng.standard_normal(split.q)
-        nd = d_metric.norm(zt[split.target_idx])
-        nh = h_metric.norm(zn[split.nuisance_idx])
-        t_ttt = abs(obj.third_directional(center, zt, zt, zt)) / nd**3
-        t_nnn = abs(obj.third_directional(center, zn, zn, zn)) / nh**3
-        tau3_mc = max(tau3_mc, t_ttt, t_nnn)
-        d21_mc = max(d21_mc, abs(obj.third_directional(center, zt, zt, zn)) / (nd**2 * nh))
-        d12_mc = max(d12_mc, abs(obj.third_directional(center, zt, zn, zn)) / (nd * nh**2))
-    lower = ConditionConstants(
-        tau3=tau3_mc, d12=d12_mc, d21=d21_mc, norm_tag="l2",
-        radii=(r_theta, r_nui), method="mc_lower",
-    )
-    return L2ConstantsReport(upper=upper, mc_lower=lower)
 
 
 def btl_condition_constants(
@@ -634,15 +604,13 @@ def btl_condition_constants(
     split: Optional[BlockSplit] = None,
     radii=None,
     h_metric: Optional[MetricTensor] = None,
-    seed: int = 0,
 ):
     """Smoothness constants of the likelihood around ``center``.
 
     norm="linf": per-coordinate constants of the sup-norm theory, exact up
     to a dense scalar scan; the metric defaults to the penalized Hessian
     diagonal.  norm="l2": block constants for a target/nuisance split,
-    returned as a rigorous envelope together with a Monte Carlo lower
-    estimate over random unit directions.
+    returned as their rigorous envelope only.
     """
     center = np.asarray(center, dtype=float)
     if center.shape[0] != graph.n:
@@ -663,18 +631,14 @@ def btl_condition_constants(
             raise ValueError("block constants need a split and radii (r_theta, r_nui)")
         fisher = obj.hessian(center)
         if metric is None:
-            from .numkit import psd_power
-
             metric = MetricTensor.full(
                 psd_power(fisher[np.ix_(split.target_idx, split.target_idx)], 0.5)
             )
         if h_metric is None:
-            from .numkit import psd_power
-
             h_metric = MetricTensor.full(
                 psd_power(fisher[np.ix_(split.nuisance_idx, split.nuisance_idx)], 0.5)
             )
-        return _block_l2_constants(obj, center, split, metric, h_metric, radii, seed)
+        return _block_l2_constants(obj, center, split, metric, h_metric, radii)
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -732,8 +696,18 @@ def write_scores(path, scores) -> None:
 
 
 def read_scores(path) -> np.ndarray:
+    """Read a scores CSV; the item ids must be exactly 1..k, in any order."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = [(int(r["item"]), float(r["score"])) for r in reader]
     rows.sort()
+    expected = range(1, len(rows) + 1)
+    if [i for i, _ in rows] != list(expected):
+        ids = Counter(i for i, _ in rows)
+        raise ValueError(
+            f"{path}: item ids must be exactly 1..{len(rows)}; "
+            f"duplicated {sorted(i for i, c in ids.items() if c > 1)}, "
+            f"missing {sorted(set(expected) - ids.keys())}, "
+            f"out of range {sorted(ids.keys() - set(expected))}"
+        )
     return np.array([s for _, s in rows])

@@ -20,18 +20,16 @@ from .ao import trace_to_csv
 from .btl import (
     BtlObservation,
     PenaltySpec,
-    btl_condition_constants,
-    btl_objective,
     fit_penalized_mle,
-    noise_gradient,
     read_observations,
     read_scores,
     write_scores,
 )
-from .expansions import check_linear_sup_expansion, reports_to_csv, rho_dual
+from .expansions import reports_to_csv
 from .experiments import (
     ExperimentConfig,
     ao_replication,
+    diagnose_expansion,
     emit,
     run_ao_study,
     run_expansion_study,
@@ -225,27 +223,13 @@ def _cmd_diagnose(args) -> int:
         _setting(args, config, "penalty", DEFAULTS["penalty"]),
         float(_setting(args, config, "gsq", DEFAULTS["gsq"])),
     )
-    expected = btl_objective(obs.graph, penalty, mode="expected", truth=truth)
-    # measure against the exact minimizer of the expected objective (equals the
-    # supplied scores when they are centered; the polish solve verifies it)
-    from perturbopt.objective import newton_minimize
-
-    ups_star = newton_minimize(expected, truth, tol_grad=1e-12).argmin
-    fisher = expected.hessian(ups_star)
-    d = np.sqrt(np.diag(fisher))
-    rho_exact, rho_l2 = rho_dual(fisher, d)
-    noise = noise_gradient(obs, truth)
-    a_norm = float(np.abs(noise / d).max())
-    radius = (np.sqrt(2.0) * a_norm / (1.0 - rho_exact)) if rho_exact < 1 else 0.0
-    constants = btl_condition_constants(obs.graph, penalty, ups_star, radius=radius,
-                                        norm="linf")
-    diagnostics, reports = check_linear_sup_expansion(expected, noise, constants,
-                                                      upsilon_star=ups_star)
+    constants, diagnostics, reports = diagnose_expansion(obs, truth, penalty)
+    rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2
     reports_to_csv(reports, args.out)
     with open(f"{args.out}.meta.json", "w") as fh:
         json.dump(
             {
-                "rho_dual": diagnostics.rho_dual,
+                "rho_dual": rho_exact,
                 "rho_dual_l2": rho_l2,
                 "dual_exceeds_l2": rho_exact > rho_l2,
                 "r_infty": diagnostics.r_infty,

@@ -52,7 +52,7 @@ class ConditionConstants:
 
     ``tau3`` bounds the pure third derivative, ``d12``/``d21`` the mixed
     ones (one/two target slots).  ``radii`` records the local set the
-    constants were measured on; ``kappa`` the optional metric-slack factor.
+    constants were measured on.
     """
 
     tau3: float
@@ -60,14 +60,11 @@ class ConditionConstants:
     d21: float
     norm_tag: str = "l2"  # "l2" | "linf"
     radii: tuple = ()
-    kappa: float = 1.0
     method: str = ""
 
     def __post_init__(self):
         if min(self.tau3, self.d12, self.d21) < 0:
             raise ValueError("condition constants must be nonnegative")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
 
     @classmethod
     def zeros(cls, norm_tag: str = "l2", radii: tuple = ()) -> "ConditionConstants":

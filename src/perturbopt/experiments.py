@@ -23,6 +23,8 @@ import numpy as np
 from . import tolerances as tol
 from .ao import AoCertificate, AoTrace, ao_run, certify_convergence, estimate_rate, fixed_point_radii
 from .btl import (
+    BtlObjective,
+    BtlObservation,
     PenaltySpec,
     btl_condition_constants,
     btl_objective,
@@ -33,7 +35,13 @@ from .btl import (
     sample_outcomes,
 )
 from .errors import HessianNotPD, InnerSolveFailed
-from .expansions import ExpansionDiagnostics, check_linear_sup_expansion
+from .expansions import (
+    ConditionConstants,
+    ExpansionDiagnostics,
+    ResidualReport,
+    check_linear_sup_expansion,
+    rho_dual,
+)
 from .numkit import BlockHessian, BlockSplit, MetricTensor, contraction_matrix, psd_power, spd_solve
 from .objective import QuadraticObjective, newton_minimize
 
@@ -47,6 +55,7 @@ __all__ = [
     "run_ao_study",
     "rho_replication",
     "expansion_replication",
+    "diagnose_expansion",
     "ao_replication",
     "ExpansionRepResult",
     "AoRepResult",
@@ -78,13 +87,10 @@ class ExperimentConfig:
     penalty_kind: str = "mean_shift"
     reps: int = 20
     seed: int = 1
-    which_rho: str = "both"  # informational; the fixed schema records both values
     # alternating-run knobs
     gap: float = 0.02
     steps: int = 8
     surrogate: bool = False
-    split_rule: str = "half"
-    start_direction: str = "top"
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -137,8 +143,6 @@ def rho_replication(cfg: ExperimentConfig, n: int, rep: int) -> dict:
     tracks 1/(n p) on these designs (the unsquared root is available from
     :func:`perturbopt.expansions.rho_dual`).
     """
-    from .expansions import rho_dual
-
     graph, truth, _ = _sample_instance(cfg, n, rep)
     fisher = btl_objective(graph, cfg.penalty, mode="expected", truth=truth).hessian(truth)
     d = np.sqrt(np.diag(fisher))
@@ -195,11 +199,7 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
         fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
     except HessianNotPD:
         return ExpansionRepResult(record=record)
-    expected = btl_objective(graph, cfg.penalty, mode="expected", truth=truth)
-    # centered scores are the exact minimizer of the expected objective;
-    # the polish solve verifies that before any residual is measured
-    ups_star = newton_minimize(expected, truth, tol_grad=tol.JOINT_SOLVE_TOL).argmin
-    fisher = expected.hessian(ups_star)
+    expected, ups_star, fisher = _expected_minimizer(graph, cfg.penalty, truth)
     noise = noise_gradient(obs, truth)
     fish_lead = spd_solve(fisher, noise)
     diag_lead = noise / np.diag(fisher)
@@ -213,20 +213,48 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
     )
     if not with_bounds or not fit.converged:
         return ExpansionRepResult(record=record)
-
-    d = np.sqrt(np.diag(fisher))
-    a_norm = float(np.abs(noise / d).max())
-    from .expansions import rho_dual as _rho_dual
-
-    rho_exact, _ = _rho_dual(fisher, d)
-    r_inf = math.sqrt(2.0) * a_norm / (1.0 - rho_exact) if rho_exact < 1.0 else float("inf")
-    radius = r_inf if np.isfinite(r_inf) else 0.0
-    constants = btl_condition_constants(graph, cfg.penalty, ups_star, radius=radius,
-                                        norm="linf")
-    diagnostics, reports = check_linear_sup_expansion(
-        expected, noise, constants, upsilon_star=ups_star
-    )
+    _, diagnostics, reports = _sup_expansion_bounds(expected, ups_star, fisher, noise)
     return ExpansionRepResult(record=record, diagnostics=diagnostics, reports=tuple(reports))
+
+
+def _expected_minimizer(graph, penalty: PenaltySpec, truth):
+    """Expected-count objective, its exact minimizer and the Fisher matrix there."""
+    expected = btl_objective(graph, penalty, mode="expected", truth=truth)
+    # centered scores are the exact minimizer of the expected objective;
+    # the polish solve verifies that before any residual is measured
+    ups_star = newton_minimize(expected, truth, tol_grad=tol.JOINT_SOLVE_TOL).argmin
+    return expected, ups_star, expected.hessian(ups_star)
+
+
+def _sup_expansion_bounds(
+    expected: BtlObjective, ups_star, fisher, noise
+) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
+    """Sup-norm constants on the radius sqrt(2) a / (1 - rho_dual), then the residual check.
+
+    The radius is 0 when rho_dual >= 1: the bounds are void there and the
+    constants are taken at the center only.
+    """
+    d = np.sqrt(np.diag(fisher))
+    rho_exact, _ = rho_dual(fisher, d)
+    a_norm = float(np.abs(noise / d).max())
+    radius = math.sqrt(2.0) * a_norm / (1.0 - rho_exact) if rho_exact < 1.0 else 0.0
+    constants = btl_condition_constants(expected.graph, expected.penalty, ups_star,
+                                        radius=radius, norm="linf")
+    diagnostics, reports = check_linear_sup_expansion(expected, noise, constants,
+                                                      upsilon_star=ups_star)
+    return constants, diagnostics, reports
+
+
+def diagnose_expansion(
+    obs: BtlObservation, truth, penalty: PenaltySpec
+) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
+    """Linear sup-norm expansion diagnostics of observed outcomes around ``truth``.
+
+    The residuals are measured against the exact minimizer of the expected
+    objective, which equals ``truth`` when the scores are centered.
+    """
+    expected, ups_star, fisher = _expected_minimizer(obs.graph, penalty, truth)
+    return _sup_expansion_bounds(expected, ups_star, fisher, noise_gradient(obs, truth))
 
 
 def _expansion_record(cfg: ExperimentConfig, n: int, rep: int) -> dict:
@@ -273,19 +301,14 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     if cfg.surrogate:
         f = QuadraticObjective(ups_star, f.hessian(ups_star))
 
-    if cfg.split_rule != "half":
-        raise ValueError(f"unknown split rule {cfg.split_rule!r}")
     split = BlockSplit.half(n)
     bh = BlockHessian.from_full(f.hessian(ups_star), split)
     contraction = contraction_matrix(bh)
     d_metric = MetricTensor.full(psd_power(bh.f_tt, 0.5))
     h_metric = MetricTensor.full(psd_power(bh.f_nn, 0.5))
 
-    if cfg.start_direction == "top":
-        _, vecs = np.linalg.eigh(contraction.p @ contraction.p.T)
-        direction = psd_power(bh.f_tt, -0.5) @ vecs[:, -1]
-    else:
-        direction = replication_rng(cfg.seed, n, rep + 10_000).standard_normal(split.p)
+    _, vecs = np.linalg.eigh(contraction.p @ contraction.p.T)
+    direction = psd_power(bh.f_tt, -0.5) @ vecs[:, -1]
     direction = direction / np.abs(direction).max() * cfg.gap
     theta_star = ups_star[split.target_idx]
     theta0 = theta_star + direction
@@ -295,20 +318,20 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     provisional = btl_condition_constants(
         graph, cfg.penalty, ups_star, norm="l2", split=split,
         metric=d_metric, h_metric=h_metric, radii=(0.0, 0.0),
-    ).upper
+    )
     radii = fixed_point_radii(provisional, rho_star_value, d_gap)
     if radii is None:
         radii = (float("inf"), float("inf"))
     constants = btl_condition_constants(
         graph, cfg.penalty, ups_star, norm="l2", split=split,
         metric=d_metric, h_metric=h_metric, radii=radii,
-    ).upper
+    )
     refined = fixed_point_radii(constants, rho_star_value, d_gap)
     if refined is not None:
         constants = btl_condition_constants(
             graph, cfg.penalty, ups_star, norm="l2", split=split,
             metric=d_metric, h_metric=h_metric, radii=refined,
-        ).upper
+        )
     certificate = certify_convergence(bh, constants, d_gap, d_metric, h_metric)
 
     try:

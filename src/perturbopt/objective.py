@@ -27,8 +27,6 @@ __all__ = [
     "RestrictedObjective",
     "SolveReport",
     "ridge_spec",
-    "linear_perturb",
-    "separable_perturb",
     "newton_minimize",
     "coordinate_descent_minimize",
     "partial_minimize",
@@ -158,14 +156,6 @@ class SeparablePerturbation(SmoothObjective):
         c = np.asarray(c, dtype=float)
         extra = float(np.sum(self.spec.t3(x) * a * b * c))
         return self.base.third_directional(x, a, b, c) + extra
-
-
-def linear_perturb(f: SmoothObjective, a) -> LinearPerturbation:
-    return LinearPerturbation(f, a)
-
-
-def separable_perturb(f: SmoothObjective, spec: SeparableSpec) -> SeparablePerturbation:
-    return SeparablePerturbation(f, spec)
 
 
 class RestrictedObjective(SmoothObjective):

@@ -8,9 +8,6 @@ expectations and runtime behavior stay in sync.
 SYMMETRY_RTOL = 1e-12
 
 # dense linear algebra
-SPD_SOLVE_RESIDUAL = 1e-10
-EIG_RECONSTRUCTION_RTOL = 1e-9
-PSD_POWER_SANDWICH_RTOL = 1e-9
 SINGULAR_EIG_RTOL = 1e-12          # relative floor below which a negative power refuses
 
 # power iteration for the largest singular value; the iteration count needed

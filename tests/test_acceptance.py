@@ -220,7 +220,7 @@ def test_criterion_9_quadratic_remainder_scaling():
         d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
         h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         block_consts = btl_condition_constants(graph, penalty, ups_star, norm="l2",
-                                               split=split, radii=(0.5, 0.5)).upper
+                                               split=split, radii=(0.5, 0.5))
         sup_consts = btl_condition_constants(graph, penalty, ups_star, radius=0.5,
                                              norm="linf")
         nui_star = ups_star[split.nuisance_idx]

@@ -206,7 +206,7 @@ class TestEpsAlphaResiduals:
         consts = btl_condition_constants(
             graph, f.penalty, ups_star, norm="l2", split=split,
             radii=(0.3, 0.3),
-        ).upper
+        )
         gap_dir = np.full(split.p, 0.02)
         theta0 = ups_star[split.target_idx] + gap_dir
         cert = certify_convergence(

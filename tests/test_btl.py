@@ -27,7 +27,8 @@ from perturbopt.btl import (
     write_observations,
     write_scores,
 )
-from perturbopt.numkit import BlockSplit, finite_diff_check
+from perturbopt import tolerances as tol
+from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
 
 
 def _complete_graph(n, L=1):
@@ -314,14 +315,33 @@ class TestConditionConstants:
         g = _complete_graph(8, L=3)
         center = rng.uniform(0, 2, 8)
         center -= center.mean()
-        report = btl_condition_constants(
-            g, PenaltySpec.mean_shift(1.0), center, norm="l2",
-            split=BlockSplit.half(8), radii=(0.3, 0.3),
+        penalty = PenaltySpec.mean_shift(1.0)
+        split = BlockSplit.half(8)
+        envelope = btl_condition_constants(
+            g, penalty, center, norm="l2", split=split, radii=(0.3, 0.3),
         )
-        assert report.mc_lower.tau3 <= report.upper.tau3
-        assert report.mc_lower.d12 <= report.upper.d12
-        assert report.mc_lower.d21 <= report.upper.d21
-        assert report.mc_lower.tau3 > 0.0
+        # Monte Carlo floor: scaled third derivatives at the center along random
+        # directions, in the square-root Fisher block metrics the envelope uses
+        obj = btl_objective(g, penalty, mode="expected", truth=center)
+        fisher = obj.hessian(center)
+        t_idx, n_idx = split.target_idx, split.nuisance_idx
+        d_metric = MetricTensor.full(psd_power(fisher[np.ix_(t_idx, t_idx)], 0.5))
+        h_metric = MetricTensor.full(psd_power(fisher[np.ix_(n_idx, n_idx)], 0.5))
+        mc = np.random.default_rng(0)
+        tau3 = d12 = d21 = 0.0
+        for _ in range(tol.MC_DIRECTIONS):
+            zt = split.embed(mc.standard_normal(split.p), np.zeros(split.q))
+            zn = split.embed(np.zeros(split.p), mc.standard_normal(split.q))
+            nd = d_metric.norm(zt[t_idx])
+            nh = h_metric.norm(zn[n_idx])
+            tau3 = max(tau3, abs(obj.third_directional(center, zt, zt, zt)) / nd**3,
+                       abs(obj.third_directional(center, zn, zn, zn)) / nh**3)
+            d21 = max(d21, abs(obj.third_directional(center, zt, zt, zn)) / (nd**2 * nh))
+            d12 = max(d12, abs(obj.third_directional(center, zt, zn, zn)) / (nd * nh**2))
+        assert tau3 <= envelope.tau3
+        assert d12 <= envelope.d12
+        assert d21 <= envelope.d21
+        assert tau3 > 0.0
 
 
 class TestFileFormats:
@@ -348,3 +368,15 @@ class TestFileFormats:
         scores = np.array([0.25, -1.5, 1.25])
         write_scores(path, scores)
         np.testing.assert_array_equal(read_scores(path), scores)
+
+    @pytest.mark.parametrize("ids, bad", [
+        ((1, 1, 2), "duplicated [1], missing [3]"),
+        ((1, 2, 4), "missing [3], out of range [4]"),
+        ((0, 1, 2), "missing [3], out of range [0]"),
+    ], ids=["duplicate", "gap", "zero_based"])
+    def test_scores_ids_must_be_one_to_k(self, tmp_path, ids, bad):
+        path = tmp_path / "scores.csv"
+        path.write_text("item,score\n" + "".join(f"{i},0.5\n" for i in ids))
+        with pytest.raises(ValueError, match="scores.csv") as exc:
+            read_scores(path)
+        assert bad in str(exc.value)

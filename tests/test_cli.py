@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, flags, reproducibility, exit codes."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObservation,
     ComparisonGraph,
+    btl_condition_constants,
+    btl_objective,
     read_scores,
     sample_er_graph,
     sample_outcomes,
@@ -15,6 +19,8 @@ from perturbopt.btl import (
     write_scores,
 )
 from perturbopt.cli import dispatch
+from perturbopt.experiments import ExperimentConfig, _sample_instance, expansion_replication
+from perturbopt.objective import newton_minimize
 
 
 @pytest.fixture()
@@ -91,6 +97,44 @@ class TestDiagnose:
         meta = json.loads((tmp_path / "report.csv.meta.json").read_text())
         assert {"rho_dual", "rho_dual_l2", "delta_nano", "prerequisites"} <= meta.keys()
         capsys.readouterr()
+
+    def test_matches_expansion_replication(self, tmp_path, capsys):
+        # ridge penalty keeps rho_dual well below one, so every bound is finite
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
+        result = expansion_replication(cfg, 30, 0, with_bounds=True)
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        obs_path, truth_path = tmp_path / "obs.csv", tmp_path / "truth.csv"
+        write_observations(obs_path, obs)
+        write_scores(truth_path, truth)
+        out = tmp_path / "report.csv"
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(out), "--penalty", "ridge", "--gsq", "20"]) == 0
+        capsys.readouterr()
+
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["variant"], float(r["leading"]), float(r["remainder"]), float(r["bound"]),
+                 r["holds"] == "True") for r in rows] == [
+            (r.variant, r.leading, r.remainder, r.bound, r.holds) for r in result.reports
+        ]
+        diag = result.diagnostics
+        assert diag.all_prerequisites_hold
+        meta = json.loads((tmp_path / "report.csv.meta.json").read_text())
+        assert meta["rho_dual"] == diag.rho_dual
+        assert meta["rho_dual_l2"] == diag.rho_dual_l2
+        assert meta["r_infty"] == diag.r_infty
+        assert meta["dltwb"] == diag.dltwb
+        assert meta["delta_nano"] == diag.delta_nano
+        assert meta["delta_infty"] == diag.delta_infty
+        assert meta["scaled_noise_supnorm"] == diag.a_norm
+        assert meta["prerequisites"] == diag.prerequisites_hold
+        # the constants are the sup-norm ones on the radius the diagnostics used
+        expected = btl_objective(obs.graph, cfg.penalty, mode="expected", truth=truth)
+        ups_star = newton_minimize(expected, truth, tol_grad=tol.JOINT_SOLVE_TOL).argmin
+        constants = btl_condition_constants(obs.graph, cfg.penalty, ups_star,
+                                            radius=diag.r_infty, norm="linf")
+        assert meta["constants"] == {"tau3": constants.tau3, "d12": constants.d12,
+                                     "d21": constants.d21}
 
 
 class TestAoCommand:

@@ -224,7 +224,7 @@ class TestPartialBias:
         d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
         h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.5, 0.5)).upper
+                                         split=split, radii=(0.5, 0.5))
         rng = np.random.default_rng(43)
         direction = rng.standard_normal(split.q)
         direction /= np.linalg.norm(direction)
@@ -248,7 +248,7 @@ class TestPartialBias:
         d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
         h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.5, 0.5)).upper
+                                         split=split, radii=(0.5, 0.5))
         rng = np.random.default_rng(9)
         direction = rng.standard_normal(split.q)
         direction /= np.linalg.norm(direction)
@@ -395,7 +395,7 @@ class TestPerturbedPartial:
         d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
         h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.4, 0.4)).upper
+                                         split=split, radii=(0.4, 0.4))
         nus = [ups_star[split.nuisance_idx] + 0.05 * rng.standard_normal(split.q)]
         with_zero = check_perturbed_partial(f, split, np.zeros(split.p), nus, d, h,
                                             consts, upsilon_star=ups_star)
@@ -412,7 +412,7 @@ class TestPerturbedPartial:
         d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
         h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.5, 0.5)).upper
+                                         split=split, radii=(0.5, 0.5))
         rng = np.random.default_rng(23)
         a_dir = rng.standard_normal(split.p)
         nu_dir = rng.standard_normal(split.q)

@@ -8,13 +8,13 @@ from perturbopt.btl import PenaltySpec, btl_objective, sample_er_graph, sample_o
 from perturbopt.errors import DimensionMismatch, HessianNotPD
 from perturbopt.numkit import BlockSplit, finite_diff_check
 from perturbopt.objective import (
+    LinearPerturbation,
     QuadraticObjective,
+    SeparablePerturbation,
     coordinate_descent_minimize,
-    linear_perturb,
     newton_minimize,
     partial_minimize,
     ridge_spec,
-    separable_perturb,
 )
 
 
@@ -31,7 +31,7 @@ class TestLinearPerturb:
     def test_zero_vector_is_identity(self):
         rng = np.random.default_rng(0)
         quad = QuadraticObjective(rng.standard_normal(3), random_spd(rng, 3))
-        g = linear_perturb(quad, np.zeros(3))
+        g = LinearPerturbation(quad, np.zeros(3))
         x = rng.standard_normal(3)
         assert g.value(x) == quad.value(x)
         np.testing.assert_array_equal(g.gradient(x), quad.gradient(x))
@@ -41,7 +41,7 @@ class TestLinearPerturb:
         curv = random_spd(rng, 4)
         quad = QuadraticObjective(rng.standard_normal(4), curv)
         a = rng.standard_normal(4)
-        sol = newton_minimize(linear_perturb(quad, a), np.zeros(4), tol_grad=1e-12)
+        sol = newton_minimize(LinearPerturbation(quad, a), np.zeros(4), tol_grad=1e-12)
         expected = quad.minimizer - np.linalg.solve(curv, a)
         np.testing.assert_allclose(sol.argmin, expected, atol=1e-11)
 
@@ -49,7 +49,7 @@ class TestLinearPerturb:
         obj = _btl_instance(4, 3, seed=2)
         rng = np.random.default_rng(3)
         a = rng.standard_normal(4)
-        g = linear_perturb(obj, a)
+        g = LinearPerturbation(obj, a)
         for _ in range(5):
             x = rng.uniform(-1, 1, 4)
             np.testing.assert_allclose(g.gradient(x) - obj.gradient(x), a, atol=1e-12)
@@ -57,14 +57,14 @@ class TestLinearPerturb:
     def test_dimension_mismatch(self):
         quad = QuadraticObjective(np.zeros(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            linear_perturb(quad, np.zeros(3))
+            LinearPerturbation(quad, np.zeros(3))
 
 
 class TestSeparablePerturb:
     def test_zero_spec_is_identity(self):
         rng = np.random.default_rng(4)
         quad = QuadraticObjective(rng.standard_normal(3), random_spd(rng, 3))
-        g = separable_perturb(quad, ridge_spec(0.0))
+        g = SeparablePerturbation(quad, ridge_spec(0.0))
         x = rng.standard_normal(3)
         assert g.value(x) == pytest.approx(quad.value(x))
         np.testing.assert_allclose(g.hessian(x), quad.hessian(x))
@@ -74,14 +74,14 @@ class TestSeparablePerturb:
         curv = random_spd(rng, 4)
         quad = QuadraticObjective(rng.standard_normal(4), curv)
         lam = 0.3
-        sol = newton_minimize(separable_perturb(quad, ridge_spec(lam)), np.zeros(4),
+        sol = newton_minimize(SeparablePerturbation(quad, ridge_spec(lam)), np.zeros(4),
                               tol_grad=1e-13)
         expected = np.linalg.solve(curv + lam * np.eye(4), curv @ quad.minimizer)
         np.testing.assert_allclose(sol.argmin, expected, atol=1e-11)
 
     def test_cross_derivatives_unchanged_on_btl(self):
         obj = _btl_instance(5, 2, seed=6)
-        g = separable_perturb(obj, ridge_spec(0.1))
+        g = SeparablePerturbation(obj, ridge_spec(0.1))
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, 5)
         h_base, h_pert = obj.hessian(x), g.hessian(x)
@@ -99,7 +99,7 @@ class TestSeparablePerturb:
         )
         rng = np.random.default_rng(8)
         quad = QuadraticObjective(np.zeros(3), random_spd(rng, 3))
-        g = separable_perturb(quad, cubic)
+        g = SeparablePerturbation(quad, cubic)
         x = rng.standard_normal(3)
         a, b, c = rng.standard_normal((3, 3))
         assert g.third_directional(x, a, b, c) == pytest.approx(float(np.sum(a * b * c)))
@@ -225,8 +225,8 @@ class TestDerivativeContracts:
         objectives = [
             QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4)),
             _btl_instance(5, 2, seed=17),
-            linear_perturb(_btl_instance(4, 3, seed=18), rng.standard_normal(4)),
-            separable_perturb(_btl_instance(4, 3, seed=19), ridge_spec(0.2)),
+            LinearPerturbation(_btl_instance(4, 3, seed=18), rng.standard_normal(4)),
+            SeparablePerturbation(_btl_instance(4, 3, seed=19), ridge_spec(0.2)),
             LogisticSymmetric(4),
         ]
         for obj in objectives:
@@ -241,7 +241,7 @@ class TestDerivativeContracts:
             QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4)),
             LogisticSymmetric(3),
             _btl_instance(4, 5, seed=23),
-            separable_perturb(_btl_instance(5, 3, seed=24), ridge_spec(0.3)),
+            SeparablePerturbation(_btl_instance(5, 3, seed=24), ridge_spec(0.3)),
         ]
         for obj in objectives:
             x0 = rng.uniform(-0.5, 0.5, obj.dim)
