@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, deque
-from dataclasses import dataclass
+from array import array
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
@@ -85,16 +88,18 @@ def _abs_phi3(t):
 
 _PSI_STEP = 2.5e-4
 _PSI_CUTOFF = 45.0  # |phi'''| < 3e-20 beyond this
-_PSI_X = np.arange(0.0, _PSI_CUTOFF + _PSI_STEP, _PSI_STEP)
-_PSI_Y = _abs_phi3(_PSI_X)
+_PSI_Y = np.arange(0.0, _PSI_CUTOFF + _PSI_STEP, _PSI_STEP)
+# filled in blocks: whole-table temporaries leave ~3.5 MB of freed heap resident
+for _block in np.split(_PSI_Y, range(8192, _PSI_Y.size, 8192)):
+    _block[:] = _abs_phi3(_block)
 
 
 def _abs_phi3_table(t):
     """Tabulated |phi'''| on a uniform grid; error ~1e-9, below the scan resolution."""
     u = np.abs(t) * (1.0 / _PSI_STEP)
     idx = u.astype(np.int64)
-    inside = idx < _PSI_X.size - 1
-    np.clip(idx, 0, _PSI_X.size - 2, out=idx)
+    inside = idx < _PSI_Y.size - 1
+    np.clip(idx, 0, _PSI_Y.size - 2, out=idx)
     frac = u - idx
     vals = _PSI_Y[idx] * (1.0 - frac) + _PSI_Y[idx + 1] * frac
     return np.where(inside, vals, 0.0)
@@ -114,29 +119,15 @@ def _sup_abs_phi3(lo, hi):
     return np.maximum(_abs_phi3(cand1), _abs_phi3(cand2))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class ComparisonGraph:
     """Items as vertices, compared pairs as edges with multiplicities.
 
-    Edges are stored as parallel arrays with j < m (0-based).  The
-    connectivity flag is computed on construction; disconnected graphs are
-    representable but flagged.
+    Edges are stored as parallel arrays with j < m (0-based), each pair at
+    most once.  The edges at item v are ``row_edge[row_ptr[v]:row_ptr[v + 1]]``
+    in edge order, their other endpoints ``row_other`` at the same positions.
+    ``component_labels`` numbers the connected components 0..k-1;
+    disconnected graphs are representable but flagged by ``connected``.
     """
 
     n: int
@@ -145,6 +136,9 @@ class ComparisonGraph:
     counts: np.ndarray
     connected: bool
     component_labels: np.ndarray
+    row_ptr: np.ndarray = field(repr=False)
+    row_other: np.ndarray = field(repr=False)
+    row_edge: np.ndarray = field(repr=False)
 
     @classmethod
     def from_edges(cls, n: int, j, m, counts) -> "ComparisonGraph":
@@ -162,15 +156,20 @@ class ComparisonGraph:
                 raise ValueError("edge endpoints out of range")
             if np.any(counts < 1):
                 raise ValueError("edge multiplicities must be >= 1")
-            pairs = set(zip(j.tolist(), m.tolist()))
-            if len(pairs) != j.size:
+            if np.unique(j * n + m).size != j.size:
                 raise ValueError("duplicate edges")
-        uf = _UnionFind(n)
-        for a, b in zip(j.tolist(), m.tolist()):
-            uf.union(a, b)
-        labels = np.array([uf.find(v) for v in range(n)])
-        connected = bool(np.unique(labels).size == 1)
-        return cls(n=n, j=j, m=m, counts=counts, connected=connected, component_labels=labels)
+        # a stable sort of the interleaved endpoints [j0, m0, j1, m1, ...] lists
+        # each item's edges in edge order, keeping the edge list's summation order
+        ends = np.column_stack((j, m)).ravel()
+        order = np.argsort(ends, kind="stable")
+        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+        row_other = np.column_stack((m, j)).ravel()[order]
+        adjacency = csr_matrix((np.ones(order.size), row_other, row_ptr), shape=(n, n))
+        k, labels = connected_components(adjacency, directed=False)
+        return cls(
+            n=n, j=j, m=m, counts=counts, connected=bool(k == 1), component_labels=labels,
+            row_ptr=row_ptr, row_other=row_other, row_edge=order // 2,
+        )
 
     @property
     def n_edges(self) -> int:
@@ -179,6 +178,16 @@ class ComparisonGraph:
     @property
     def total_games(self) -> float:
         return float(self.counts.sum())
+
+
+def _edge_scatter(graph: ComparisonGraph, at_j, at_m) -> np.ndarray:
+    """Per-item sums of ``at_j`` over the j endpoints plus ``at_m`` over the m endpoints.
+
+    Accumulates in edge order, j endpoints first.
+    """
+    sums = np.bincount(np.concatenate((graph.j, graph.m)), np.concatenate((at_j, at_m)),
+                       minlength=graph.n)
+    return sums.astype(float, copy=False)  # bincount returns integers when there are no edges
 
 
 @dataclass(frozen=True)
@@ -283,21 +292,16 @@ class BtlObjective(SmoothObjective):
         x = np.asarray(x, dtype=float)
         d = self._diffs(x)
         base = self.graph.counts * sigmoid(d) - self.wins
-        g = np.zeros(self.dim)
-        np.add.at(g, self.graph.j, base)
-        np.add.at(g, self.graph.m, -base)
-        return g + self.penalty.grad(x)
+        return _edge_scatter(self.graph, base, -base) + self.penalty.grad(x)
 
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         w = self.graph.counts * phi2(self._diffs(x))
         h = self.penalty.matrix(self.dim)
-        np.add.at(h, (self.graph.j, self.graph.m), -w)
-        np.add.at(h, (self.graph.m, self.graph.j), -w)
-        diag = np.zeros(self.dim)
-        np.add.at(diag, self.graph.j, w)
-        np.add.at(diag, self.graph.m, w)
-        h[np.diag_indices(self.dim)] += diag
+        gj, gm = self.graph.j, self.graph.m
+        h[gj, gm] -= w  # pairs are unique, so no entry is written twice
+        h[gm, gj] -= w
+        h[np.diag_indices(self.dim)] += _edge_scatter(self.graph, w, w)
         return h
 
     def unpenalized_hessian(self, x) -> np.ndarray:
@@ -371,55 +375,28 @@ def noise_gradient(obs: BtlObservation, truth) -> np.ndarray:
     if truth.shape[0] != g.n:
         raise DimensionMismatch("truth length differs from item count")
     r = obs.wins - g.counts * sigmoid(truth[g.j] - truth[g.m])
-    a = np.zeros(g.n)
-    np.add.at(a, g.j, -r)
-    np.add.at(a, g.m, r)
-    return a
-
-
-def _strongly_connected(nodes, forward, backward) -> bool:
-    """Both-direction reachability from an arbitrary root over a node subset."""
-    nodes = list(nodes)
-    if len(nodes) <= 1:
-        return True
-    node_set = set(nodes)
-    for adj in (forward, backward):
-        seen = {nodes[0]}
-        queue = deque([nodes[0]])
-        while queue:
-            v = queue.popleft()
-            for w in adj.get(v, ()):
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(nodes):
-            return False
-    return True
+    return _edge_scatter(g, -r, r)
 
 
 def mle_exists(obs: BtlObservation) -> bool:
     """Finite-minimizer check for shift-penalty-only fits.
 
-    The likelihood has a finite minimizer on a component exactly when the
-    beats digraph (an arc for every realized win direction) is strongly
-    connected there; a perfect overall record for any group of items pushes
-    the fitted gap to infinity.
+    The likelihood has a finite minimizer exactly when each connected
+    component of the design is strongly connected in the beats digraph, with
+    an arc j -> m when j won a game against m (Ford 1957); a perfect overall
+    record for any group of items pushes the fitted gap to infinity.  Every
+    compared pair carries an arc, so this holds exactly when the digraph has
+    as many strong components as the design has components.
     """
     g = obs.graph
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    for a, b, n_games, s in zip(g.j.tolist(), g.m.tolist(), g.counts.tolist(), obs.wins.tolist()):
-        if s > 0:  # a beat b at least once
-            forward.setdefault(a, []).append(b)
-            backward.setdefault(b, []).append(a)
-        if s < n_games:  # b beat a at least once
-            forward.setdefault(b, []).append(a)
-            backward.setdefault(a, []).append(b)
-    for label in np.unique(g.component_labels):
-        nodes = np.nonzero(g.component_labels == label)[0].tolist()
-        if not _strongly_connected(nodes, forward, backward):
-            return False
-    return True
+    j_won = obs.wins > 0
+    m_won = obs.wins < g.counts
+    tail = np.concatenate((g.j[j_won], g.m[m_won]))
+    head = np.concatenate((g.m[j_won], g.j[m_won]))
+    beats = csr_matrix((np.ones(tail.size), (tail, head)), shape=(g.n, g.n))
+    n_strong = connected_components(beats, directed=True, connection="strong",
+                                    return_labels=False)
+    return bool(n_strong == g.component_labels.max() + 1)
 
 
 def fit_penalized_mle(
@@ -501,33 +478,19 @@ def _scan_row_max(diffs, counts, half: float) -> float:
     return best
 
 
-def _row_adjacency(graph: ComparisonGraph):
-    """Per-vertex arrays of (other endpoint, multiplicity)."""
-    other = [[] for _ in range(graph.n)]
-    mult = [[] for _ in range(graph.n)]
-    for a, b, c in zip(graph.j.tolist(), graph.m.tolist(), graph.counts.tolist()):
-        other[a].append(b)
-        mult[a].append(c)
-        other[b].append(a)
-        mult[b].append(c)
-    return (
-        [np.asarray(o, dtype=int) for o in other],
-        [np.asarray(c, dtype=float) for c in mult],
-    )
-
-
 def _linf_constants(graph, center, radius, d_scales) -> ConditionConstants:
     """Exact per-coordinate sup-norm constants via the separable tensor structure."""
     center = np.asarray(center, dtype=float)
     d = np.asarray(d_scales, dtype=float)
-    other, mult = _row_adjacency(graph)
     tau3 = d21 = d12 = 0.0
     for v in range(graph.n):
-        if other[v].size == 0:
+        row = slice(graph.row_ptr[v], graph.row_ptr[v + 1])
+        if row.start == row.stop:
             continue
-        diffs = center[v] - center[other[v]]
-        counts = mult[v]
-        dm = d[other[v]]
+        other = graph.row_other[row]
+        diffs = center[v] - center[other]
+        counts = graph.counts[graph.row_edge[row]]
+        dm = d[other]
 
         # pure third derivative: shared offset of the v-th coordinate, dense scan.
         # Every term decays monotonically once the offset pushes all arguments
@@ -552,15 +515,12 @@ def _linf_constants(graph, center, radius, d_scales) -> ConditionConstants:
 
 
 def _block_l2_constants(
-    obj: BtlObjective, center, split, d_metric, h_metric, radii
+    g: ComparisonGraph, fisher, center, split, d_metric, h_metric, radii
 ) -> ConditionConstants:
-    """Rigorous envelope of the Euclidean block constants."""
-    center = np.asarray(center, dtype=float)
-    g = obj.graph
+    """Rigorous envelope of the Euclidean block constants from the Fisher matrix at ``center``."""
     in_target = np.zeros(g.n, dtype=bool)
     in_target[split.target_idx] = True
 
-    fisher = obj.hessian(center)
     f_tt = fisher[np.ix_(split.target_idx, split.target_idx)]
     f_nn = fisher[np.ix_(split.nuisance_idx, split.nuisance_idx)]
 
@@ -638,7 +598,7 @@ def btl_condition_constants(
             h_metric = MetricTensor.full(
                 psd_power(fisher[np.ix_(split.nuisance_idx, split.nuisance_idx)], 0.5)
             )
-        return _block_l2_constants(obj, center, split, metric, h_metric, radii)
+        return _block_l2_constants(graph, fisher, center, split, metric, h_metric, radii)
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -659,29 +619,58 @@ def write_observations(path, obs: BtlObservation) -> None:
 def read_observations(path, n: Optional[int] = None):
     """Read an observation CSV; graph-only files (no S column) yield the graph.
 
-    The item count defaults to the largest index present.
+    The item count defaults to the largest index present.  A malformed row
+    raises a ValueError that names the file and the row's line number (the
+    header is line 1).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        fields = [name.strip() for name in reader.fieldnames]
-        missing = {"j", "m", "N"} - set(fields)
+        reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        missing = {"j", "m", "N"} - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        has_wins = "S" in fields
-        j, m, counts, wins = [], [], [], []
+        has_wins = "S" in reader.fieldnames
+        # typed arrays hold no per-value Python objects
+        j, m, lines, counts, wins = array("q"), array("q"), array("q"), array("d"), array("d")
         for row in reader:
-            j.append(int(row["j"]) - 1)
-            m.append(int(row["m"]) - 1)
-            counts.append(float(row["N"]))
-            if has_wins:
-                wins.append(float(row["S"]))
+            try:
+                j.append(int(row["j"]))
+                m.append(int(row["m"]))
+                counts.append(float(row["N"]))
+                if has_wins:
+                    wins.append(float(row["S"]))
+            except (TypeError, ValueError):
+                got = ", ".join(f"{k}={row[k]!r}" for k in ("j", "m", "N", "S") if k in row)
+                raise ValueError(f"{path}, line {reader.line_num}: j and m must be integers "
+                                 f"and the other fields numbers; got {got}") from None
+            lines.append(reader.line_num)
+    j, m = np.array(j, dtype=int), np.array(m, dtype=int)
+    counts, wins = np.array(counts), np.array(wins)
     if n is None:
-        n = max(m, default=0) + 1
-    graph = ComparisonGraph.from_edges(n, j, m, counts)
+        n = int(m.max(initial=1))
+    _, first, inverse = np.unique(j * (n + 1) + m, return_index=True, return_inverse=True)
+    first = first[inverse]
+    checks = [
+        (np.minimum(j, m) >= 1, "item indices start at 1"),
+        (j < m, "need j < m"),
+        (m <= n, f"indices must not exceed the item count {n}"),
+        (np.isfinite(counts) & (counts >= 1), "N must be a finite number >= 1"),
+        (first == np.arange(j.size), "the pair is already on line {first}"),
+    ]
     if has_wins:
-        return BtlObservation(graph=graph, wins=np.asarray(wins))
+        checks.append(((wins >= 0) & (wins <= counts), "S must lie in [0, N]"))
+    failures = [(np.argmin(ok), reason) for ok, reason in checks if not ok.all()]
+    if failures:
+        k, reason = min(failures, key=lambda failure: failure[0])
+        got = f"j={j[k]}, m={m[k]}, N={counts[k]:g}" + (f", S={wins[k]:g}" if has_wins else "")
+        raise ValueError(
+            f"{path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; got {got}"
+        )
+    graph = ComparisonGraph.from_edges(n, j - 1, m - 1, counts)
+    if has_wins:
+        return BtlObservation(graph=graph, wins=wins)
     return graph
 
 

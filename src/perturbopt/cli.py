@@ -184,11 +184,19 @@ def _study_config(args, config: dict) -> tuple[ExperimentConfig, int]:
     return cfg, threads
 
 
+def _read_outcomes(path) -> BtlObservation:
+    obs = read_observations(path)
+    if not isinstance(obs, BtlObservation):
+        raise ValueError(f"{path}: no outcome column S")
+    return obs
+
+
 def _cmd_fit(args) -> int:
     config = _load_config(args)
-    obs = read_observations(args.input)
-    if not isinstance(obs, BtlObservation):
-        print("error: input file has no outcome column S", file=sys.stderr)
+    try:
+        obs = _read_outcomes(args.input)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     penalty = PenaltySpec(
         _setting(args, config, "penalty", DEFAULTS["penalty"]),
@@ -211,11 +219,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     config = _load_config(args)
-    obs = read_observations(args.input)
-    if not isinstance(obs, BtlObservation):
-        print("error: input file has no outcome column S", file=sys.stderr)
+    try:
+        obs = _read_outcomes(args.input)
+        truth = read_scores(args.truth)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    truth = read_scores(args.truth)
     if truth.shape[0] != obs.graph.n:
         print("error: truth length differs from the item count", file=sys.stderr)
         return 1

@@ -71,6 +71,87 @@ class TestSampling:
             BtlObservation(graph=g, wins=np.array([2.0, 0.0, 0.0]))
 
 
+def _closure(adj):
+    """Reflexive transitive closure of a boolean adjacency matrix (Warshall)."""
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    for k in range(adj.shape[0]):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return reach
+
+
+@st.composite
+def _observations(draw):
+    """Random designs on n <= 8 items: any edge subset, multiplicity and win count."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    counts = [draw(st.integers(1, 3)) for _ in chosen]
+    # one-sided records (S = 0 or S = N) are the cases that decide existence
+    wins = [draw(st.sampled_from([0, c, draw(st.integers(0, c))])) for c in counts]
+    graph = ComparisonGraph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen],
+                                       np.array(counts, dtype=float))
+    return BtlObservation(graph=graph, wins=np.array(wins, dtype=float))
+
+
+class TestGraphOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_observations())
+    def test_components_and_existence_against_closure(self, obs):
+        g = obs.graph
+        undirected = np.zeros((g.n, g.n), dtype=bool)
+        undirected[g.j, g.m] = undirected[g.m, g.j] = True
+        weak = _closure(undirected)
+        n_components = len({tuple(row) for row in weak})
+        assert g.connected == bool(weak.all())
+        assert sorted(set(g.component_labels.tolist())) == list(range(n_components))
+        assert np.array_equal(weak, g.component_labels[:, None] == g.component_labels[None, :])
+
+        beats = np.zeros((g.n, g.n), dtype=bool)
+        beats[g.j[obs.wins > 0], g.m[obs.wins > 0]] = True
+        beats[g.m[obs.wins < g.counts], g.j[obs.wins < g.counts]] = True
+        strong = _closure(beats)
+        assert mle_exists(obs) == bool(np.all(~weak | (strong & strong.T)))
+
+    def test_scatter_matches_add_at_reference(self):
+        rng = np.random.default_rng(14)
+        graphs = [ComparisonGraph.from_edges(1, [], [], []), sample_er_graph(5, 0.0, 3, rng)]
+        for n, p in ((30, 0.4), (60, 0.1)):
+            g = sample_er_graph(n, p, 3, rng)
+            perm = rng.permutation(g.n_edges)  # unsorted edge lists change summation order
+            graphs += [g, ComparisonGraph.from_edges(n, g.j[perm], g.m[perm], g.counts[perm])]
+        for g in graphs:
+            n = g.n
+            truth = rng.uniform(0, 2, n)
+            obs = sample_outcomes(g, truth, rng)
+            x = rng.uniform(-1, 1, n)
+            d = x[g.j] - x[g.m]
+            for penalty in (PenaltySpec.none(), PenaltySpec.mean_shift(2.0),
+                            PenaltySpec.ridge(0.5)):
+                obj = btl_objective(obs, penalty)
+                base_grad = g.counts * sigmoid(d) - obs.wins
+                grad = np.zeros(n)
+                np.add.at(grad, g.j, base_grad)
+                np.add.at(grad, g.m, -base_grad)
+                assert np.array_equal(obj.gradient(x), grad + penalty.grad(x))
+
+                w = g.counts * phi2(d)
+                hess = penalty.matrix(n)
+                np.add.at(hess, (g.j, g.m), -w)
+                np.add.at(hess, (g.m, g.j), -w)
+                diag = np.zeros(n)
+                np.add.at(diag, g.j, w)
+                np.add.at(diag, g.m, w)
+                hess[np.diag_indices(n)] += diag
+                assert np.array_equal(obj.hessian(x), hess)
+
+            r = obs.wins - g.counts * sigmoid(truth[g.j] - truth[g.m])
+            noise = np.zeros(n)
+            np.add.at(noise, g.j, -r)
+            np.add.at(noise, g.m, r)
+            got = noise_gradient(obs, truth)
+            assert got.dtype == noise.dtype and np.array_equal(got, noise)
+
+
 class TestGraphValidation:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -363,6 +444,12 @@ class TestFileFormats:
         assert isinstance(g, ComparisonGraph)
         assert g.n == 3 and g.n_edges == 2
 
+    def test_header_names_may_be_padded(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("j, m, N, S\n1,2,3,1\n")
+        obs = read_observations(path)
+        assert obs.graph.n == 2 and obs.wins.tolist() == [1.0]
+
     def test_scores_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
         scores = np.array([0.25, -1.5, 1.25])
@@ -380,3 +467,32 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="scores.csv") as exc:
             read_scores(path)
         assert bad in str(exc.value)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,3,1\n2,x,3,1\n", "line 3: j and m must be integers and the other fields "
+                               "numbers; got j='2', m='x', N='3', S='1'"),
+        ("1,2,3,1\n2,3,three,1\n", "line 3: j and m must be integers"),
+        ("1,2,3,1\n2,2,3,1\n", "line 3: need j < m; got j=2, m=2, N=3, S=1"),
+        ("0,2,3,1\n", "line 2: item indices start at 1; got j=0, m=2"),
+        ("1,2,0,0\n", "line 2: N must be a finite number >= 1; got j=1, m=2, N=0"),
+        ("1,2,nan,0\n", "line 2: N must be a finite number >= 1"),
+        ("1,3,3,1\n2,3,3,4\n", "line 3: S must lie in [0, N]; got j=2, m=3, N=3, S=4"),
+        ("1,2,3,-1\n", "line 2: S must lie in [0, N]"),
+        ("1,2,3,1\n2,3,3,1\n1,2,1,0\n", "line 4: the pair is already on line 2"),
+        ("1,2,3,1\n\n2,3,3,9\n", "line 4: S must lie in [0, N]"),
+    ], ids=["non_integer_index", "non_numeric_count", "j_not_below_m", "index_below_one",
+            "count_below_one", "count_nan", "wins_above_count", "wins_negative",
+            "duplicate_pair", "blank_line_counted"])
+    def test_malformed_observations_name_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "obs.csv"
+        path.write_text("j,m,N,S\n" + body)
+        with pytest.raises(ValueError) as exc:
+            read_observations(path)
+        assert str(exc.value).startswith(f"{path}, line ")
+        assert message in str(exc.value)
+
+    def test_index_above_given_item_count(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("j,m,N\n1,2,1\n2,5,1\n")
+        with pytest.raises(ValueError, match="line 3: indices must not exceed the item count 4"):
+            read_observations(path, n=4)

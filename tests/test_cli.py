@@ -82,6 +82,32 @@ class TestFit:
         capsys.readouterr()
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize("text, message", [
+        ("j,m,N,S\n1,2,3,1\n1,2,3,2\n", ", line 3: the pair is already on line 2"),
+        ("j,m,N\n1,2,3\n", ": no outcome column S"),
+    ], ids=["duplicate_pair", "graph_only"])
+    def test_malformed_observations_exit_1(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        truth = tmp_path / "truth.csv"
+        write_scores(truth, np.zeros(2))
+        argv = [command, "--input", str(path), "--out", str(tmp_path / "out.csv")]
+        if command == "diagnose":
+            argv += ["--truth", str(truth)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_malformed_truth_exit_1(self, sampled_instance, tmp_path, capsys):
+        obs_path, truth_path = sampled_instance
+        truth_path.write_text("item,score\n1,0.0\n1,0.5\n")
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {truth_path}: item ids")
+
+
 class TestDiagnose:
     def test_writes_reports_and_meta(self, sampled_instance, tmp_path, capsys):
         obs_path, truth_path = sampled_instance
