@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -609,11 +609,37 @@ def btl_condition_constants(
 def write_observations(path, obs: BtlObservation) -> None:
     """CSV with header j,m,N,S; indices are 1-based and j < m."""
     g = obs.graph
+    rows = zip(g.j.tolist(), g.m.tolist(), g.counts.tolist(), obs.wins.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "m", "N", "S"])
-        for a, b, c, s in zip(g.j, g.m, g.counts, obs.wins):
-            writer.writerow([int(a) + 1, int(b) + 1, format(c, "g"), format(s, "g")])
+        fh.write("j,m,N,S\r\n")
+        fh.write("".join([f"{a + 1},{b + 1},{c:g},{s:g}\r\n" for a, b, c, s in rows]))
+
+
+_OBSERVATION_TYPES = {"j": np.int64, "m": np.int64, "N": np.float64, "S": np.float64}
+
+
+def _parse_observation_rows(lines, columns: dict) -> np.ndarray:
+    """Parse CSV data lines into a record array; ``columns`` maps names to positions."""
+    with warnings.catch_warnings():
+        # a header-only file has no rows, and that is not worth a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy from 1.23 until the fallback was removed parses an integer field like "3.0"
+        # or "1e3" via a float and only warns; raised inside the converter, the warning
+        # becomes loadtxt's ValueError for that row
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        return np.loadtxt(
+            lines, dtype=[(name, _OBSERVATION_TYPES[name]) for name in columns],
+            delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()), ndmin=1,
+        )
+
+
+def _data_lines(path) -> list:
+    """(line number, text) of each non-blank line after the header; the header is line 1."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [(number, line) for number, line in enumerate(fh, reader.line_num + 1)
+                if line.strip("\r\n")]
 
 
 def read_observations(path, n: Optional[int] = None):
@@ -624,30 +650,31 @@ def read_observations(path, n: Optional[int] = None):
     header is line 1).
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        reader.fieldnames = [name.strip() for name in reader.fieldnames]
-        missing = {"j", "m", "N"} - set(reader.fieldnames)
+        position = {name.strip(): i for i, name in enumerate(header)}
+        missing = {"j", "m", "N"} - position.keys()
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        has_wins = "S" in reader.fieldnames
-        # typed arrays hold no per-value Python objects
-        j, m, lines, counts, wins = array("q"), array("q"), array("q"), array("d"), array("d")
-        for row in reader:
-            try:
-                j.append(int(row["j"]))
-                m.append(int(row["m"]))
-                counts.append(float(row["N"]))
-                if has_wins:
-                    wins.append(float(row["S"]))
-            except (TypeError, ValueError):
-                got = ", ".join(f"{k}={row[k]!r}" for k in ("j", "m", "N", "S") if k in row)
-                raise ValueError(f"{path}, line {reader.line_num}: j and m must be integers "
-                                 f"and the other fields numbers; got {got}") from None
-            lines.append(reader.line_num)
-    j, m = np.array(j, dtype=int), np.array(m, dtype=int)
-    counts, wins = np.array(counts), np.array(wins)
+        has_wins = "S" in position
+        columns = {name: position[name] for name in ("j", "m", "N", "S") if name in position}
+        try:
+            rows = _parse_observation_rows(fh, columns)
+        except ValueError as exc:
+            # only now look for the line: the first one that does not parse on its own
+            for number, line in _data_lines(path):
+                try:
+                    _parse_observation_rows([line], columns)
+                except ValueError:
+                    fields = next(csv.reader([line]))
+                    got = ", ".join(f"{name}={fields[i] if i < len(fields) else None!r}"
+                                    for name, i in columns.items())
+                    raise ValueError(f"{path}, line {number}: j and m must be integers "
+                                     f"and the other fields numbers; got {got}") from None
+            raise ValueError(f"{path}: {exc}") from None
+    j, m, counts = rows["j"], rows["m"], rows["N"].copy()
+    wins = rows["S"].copy() if has_wins else None
     if n is None:
         n = int(m.max(initial=1))
     _, first, inverse = np.unique(j * (n + 1) + m, return_index=True, return_inverse=True)
@@ -664,6 +691,7 @@ def read_observations(path, n: Optional[int] = None):
     failures = [(np.argmin(ok), reason) for ok, reason in checks if not ok.all()]
     if failures:
         k, reason = min(failures, key=lambda failure: failure[0])
+        lines = [number for number, _ in _data_lines(path)]
         got = f"j={j[k]}, m={m[k]}, N={counts[k]:g}" + (f", S={wins[k]:g}" if has_wins else "")
         raise ValueError(
             f"{path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; got {got}"
@@ -685,10 +713,25 @@ def write_scores(path, scores) -> None:
 
 
 def read_scores(path) -> np.ndarray:
-    """Read a scores CSV; the item ids must be exactly 1..k, in any order."""
+    """Read a scores CSV; the item ids must be exactly 1..k, in any order.
+
+    A row whose id is not an integer or whose score is not a number raises a
+    ValueError that names the file and the row's line number (the header is
+    line 1).
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [(int(r["item"]), float(r["score"])) for r in reader]
+        missing = {"item", "score"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        rows = []
+        for r in reader:
+            try:
+                rows.append((int(r["item"]), float(r["score"])))
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num}: item must be an integer and "
+                                 f"score a number; got item={r['item']!r}, "
+                                 f"score={r['score']!r}") from None
     rows.sort()
     expected = range(1, len(rows) + 1)
     if [i for i, _ in rows] != list(expected):

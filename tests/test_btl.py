@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,27 @@ def _observations(draw):
     graph = ComparisonGraph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen],
                                        np.array(counts, dtype=float))
     return BtlObservation(graph=graph, wins=np.array(wins, dtype=float))
+
+
+@st.composite
+def _file_observations(draw):
+    """Random designs on n <= 30 items with counts and wins that survive the CSV's %g."""
+    pairs = list(itertools.combinations(range(30), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40))
+    tenths = [draw(st.integers(10, 99_999)) for _ in chosen]  # N = 1.0 .. 9999.9
+    wins = [draw(st.sampled_from([0, k, draw(st.integers(0, k))])) / 10 for k in tenths]
+    n = max((b + 1 for _, b in chosen), default=1)  # the reader takes n from the largest index
+    graph = ComparisonGraph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen],
+                                       np.array(tenths) / 10)
+    return BtlObservation(graph=graph, wins=np.array(wins))
+
+
+def _observation_layout(header, rows, order, columns, newline="\n", pad=False, blank=False,
+                        extra=False):
+    """CSV text of the same observations with rows and columns rearranged."""
+    header = [f" {header[c]} " if pad else header[c] for c in columns] + (["note"] * extra)
+    lines = [header] + [[rows[r][c] for c in columns] + (["x"] * extra) for r in order]
+    return (newline * (1 + blank)).join(",".join(fields) for fields in lines) + newline
 
 
 class TestGraphOracle:
@@ -456,6 +478,29 @@ class TestFileFormats:
         write_scores(path, scores)
         np.testing.assert_array_equal(read_scores(path), scores)
 
+    @pytest.mark.parametrize("body, message", [
+        ("1,0.5\nx,0.1\n", "line 3: item must be an integer and score a number; "
+                           "got item='x', score='0.1'"),
+        ("1,0.5\n2.0,0.1\n", "line 3: item must be an integer"),
+        ("1,0.5\n\n2,high\n", "line 4: item must be an integer and score a number; "
+                               "got item='2', score='high'"),
+        ("1\n", "line 2: item must be an integer and score a number; "
+                "got item='1', score=None"),
+    ], ids=["non_integer_id", "float_id", "non_numeric_score", "short_row"])
+    def test_malformed_scores_name_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("item,score\n" + body)
+        with pytest.raises(ValueError) as exc:
+            read_scores(path)
+        assert str(exc.value).startswith(f"{path}, line ")
+        assert message in str(exc.value)
+
+    def test_scores_missing_column(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,score\n1,0.5\n")
+        with pytest.raises(ValueError, match=r"scores.csv: missing columns \['item'\]"):
+            read_scores(path)
+
     @pytest.mark.parametrize("ids, bad", [
         ((1, 1, 2), "duplicated [1], missing [3]"),
         ((1, 2, 4), "missing [3], out of range [4]"),
@@ -480,9 +525,20 @@ class TestFileFormats:
         ("1,2,3,-1\n", "line 2: S must lie in [0, N]"),
         ("1,2,3,1\n2,3,3,1\n1,2,1,0\n", "line 4: the pair is already on line 2"),
         ("1,2,3,1\n\n2,3,3,9\n", "line 4: S must lie in [0, N]"),
+        ("1,2,3,1\n2,3\n", "line 3: j and m must be integers and the other fields "
+                           "numbers; got j='2', m='3', N=None, S=None"),
+        ("1,2,3,1\n  \n", "line 3: j and m must be integers and the other fields "
+                          "numbers; got j='  ', m=None, N=None, S=None"),
+        (",,,\n", "line 2: j and m must be integers and the other fields "
+                  "numbers; got j='', m='', N='', S=''"),
+        ("3.0,4,1,1\n", "line 2: j and m must be integers and the other fields "
+                        "numbers; got j='3.0', m='4', N='1', S='1'"),
+        ("1,2,3,1\n\n2,x,3,1\n", "line 4: j and m must be integers"),
+        ("1,2,3,1\n1_0,20,1,1\n", "line 3: j and m must be integers"),
     ], ids=["non_integer_index", "non_numeric_count", "j_not_below_m", "index_below_one",
             "count_below_one", "count_nan", "wins_above_count", "wins_negative",
-            "duplicate_pair", "blank_line_counted"])
+            "duplicate_pair", "blank_line_counted", "short_row", "whitespace_line",
+            "empty_fields", "float_index", "bad_field_after_blank_line", "underscore_index"])
     def test_malformed_observations_name_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "obs.csv"
         path.write_text("j,m,N,S\n" + body)
@@ -496,3 +552,52 @@ class TestFileFormats:
         path.write_text("j,m,N\n1,2,1\n2,5,1\n")
         with pytest.raises(ValueError, match="line 3: indices must not exceed the item count 4"):
             read_observations(path, n=4)
+
+    def test_quoted_fields(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text('"j","m","N","S"\n"1","2","3.5","1"\n2,"3",1,"0"\n')
+        obs = read_observations(path)
+        assert obs.graph.j.tolist() == [0, 1] and obs.graph.m.tolist() == [1, 2]
+        assert obs.graph.counts.tolist() == [3.5, 1.0] and obs.wins.tolist() == [1.0, 0.0]
+
+    def test_header_only_file_has_no_edges(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("j,m,N,S\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = read_observations(path)
+        assert obs.graph.n == 1 and obs.graph.n_edges == 0 and obs.wins.size == 0
+
+    def test_write_observations_bytes(self, tmp_path):
+        graph = ComparisonGraph.from_edges(4, [1, 0, 0], [3, 1, 2], [2.5, 3.0, 1e6])
+        path = tmp_path / "obs.csv"
+        write_observations(path, BtlObservation(graph=graph, wins=np.array([1.25, 0.0, 1e6])))
+        assert path.read_bytes() == (b"j,m,N,S\r\n2,4,2.5,1.25\r\n1,2,3,0\r\n"
+                                     b"1,3,1e+06,1e+06\r\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(obs=_file_observations(), data=st.data())
+    def test_round_trip_survives_layout_changes(self, obs, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("round_trip") / "obs.csv"
+        write_observations(path, obs)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        g = obs.graph
+        order = data.draw(st.permutations(range(g.n_edges)))
+        columns = data.draw(st.permutations(range(4)))
+        same = dict(order=range(g.n_edges), columns=range(4))
+        layouts = [None, dict(same, newline="\r\n"), dict(same, order=order),
+                   dict(same, columns=columns), dict(same, pad=True), dict(same, blank=True),
+                   dict(same, extra=True),
+                   dict(order=order, columns=columns, newline="\r\n", pad=True, blank=True,
+                        extra=True)]
+        for layout in layouts:
+            if layout is not None:  # None reads the file as written
+                with open(path, "w", newline="") as fh:
+                    fh.write(_observation_layout(header, rows, **layout))
+            back = read_observations(path)
+            perm = list(layout["order"]) if layout else list(range(g.n_edges))
+            assert back.graph.n == g.n
+            assert back.graph.j.tolist() == g.j[perm].tolist()
+            assert back.graph.m.tolist() == g.m[perm].tolist()
+            assert back.graph.counts.tolist() == g.counts[perm].tolist()
+            assert back.wins.tolist() == obs.wins[perm].tolist()

@@ -107,6 +107,14 @@ class TestInputErrors:
                          "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {truth_path}: item ids")
 
+    def test_non_numeric_truth_exit_1(self, sampled_instance, tmp_path, capsys):
+        obs_path, truth_path = sampled_instance
+        truth_path.write_text("item,score\n1,0.0\nx,0.5\n")
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {truth_path}, line 3: item must be")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestDiagnose:
     def test_writes_reports_and_meta(self, sampled_instance, tmp_path, capsys):
