@@ -17,14 +17,13 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InnerSolveFailed, InsufficientSteps, MetricDominanceViolated
-from .expansions import ConditionConstants, derived_constants
+from .expansions import ConditionConstants, derived_constants, rho_star
 from .numkit import (
     BlockHessian,
     BlockSplit,
     MetricTensor,
     contraction_matrix,
     psd_power,
-    spectral_norm,
 )
 from .objective import QuadraticObjective, SmoothObjective, newton_minimize, partial_minimize
 
@@ -48,8 +47,8 @@ class AoTrace:
     nui_iterates: list
     theta_err_norms: np.ndarray  # index 0 is the start gap
     nui_err_norms: np.ndarray
-    eps_vectors: Optional[list]
-    alpha_vectors: Optional[list]
+    eps_vectors: list
+    alpha_vectors: list
     ppt_norm: float
     upsilon_star: np.ndarray
     split: BlockSplit
@@ -69,14 +68,10 @@ class AoTrace:
 
     @property
     def eps_norms(self) -> np.ndarray:
-        if self.eps_vectors is None:
-            return np.array([])
         return np.array([float(np.linalg.norm(e)) for e in self.eps_vectors])
 
     @property
     def alpha_norms(self) -> np.ndarray:
-        if self.alpha_vectors is None:
-            return np.array([])
         return np.array([float(np.linalg.norm(a)) for a in self.alpha_vectors])
 
 
@@ -87,7 +82,6 @@ def ao_run(
     n_steps: int,
     inner_tol: float = tol.JOINT_SOLVE_TOL,
     upsilon_star=None,
-    record_eps_alpha: bool = True,
 ) -> AoTrace:
     """Alternate the two partial minimizations for ``n_steps`` full steps.
 
@@ -120,8 +114,8 @@ def ao_run(
     nuis: list = []
     theta_errs = [float(np.linalg.norm(tt_half @ (theta - theta_star)))]
     nui_errs: list = []
-    eps_vecs: Optional[list] = [] if record_eps_alpha else None
-    alpha_vecs: Optional[list] = [] if record_eps_alpha else None
+    eps_vecs: list = []
+    alpha_vecs: list = []
 
     for step in range(1, n_steps + 1):
         sol_n = partial_minimize(f, split, "target", theta, warm_start=nui_guess,
@@ -141,11 +135,10 @@ def ao_run(
         e_theta = tt_half @ (theta - theta_star)
         theta_errs.append(float(np.linalg.norm(e_theta)))
         nui_errs.append(float(np.linalg.norm(e_nui)))
-        if record_eps_alpha:
-            # step residuals relative to the exact quadratic alternation map;
-            # both vanish identically when the objective is quadratic
-            eps_vecs.append(e_theta + contraction.p @ e_nui)
-            alpha_vecs.append(e_nui + contraction.p.T @ e_prev)
+        # step residuals relative to the exact quadratic alternation map;
+        # both vanish identically when the objective is quadratic
+        eps_vecs.append(e_theta + contraction.p @ e_nui)
+        alpha_vecs.append(e_nui + contraction.p.T @ e_prev)
 
     return AoTrace(
         theta_iterates=thetas,
@@ -239,9 +232,7 @@ def certify_convergence(
         raise ValueError("certificate needs radii (r_theta, r_nui)")
     r_theta, r_nui = float(constants.radii[0]), float(constants.radii[1])
 
-    cross = d_metric.apply_inv(bh.f_tn)
-    cross = (h_metric.apply_inv(cross.T)).T
-    rho_star_value = spectral_norm(cross) / kappa
+    rho_star_value = rho_star(bh.f_tn, d_metric, h_metric, "l2")[0] / kappa
 
     scaled = ConditionConstants(
         tau3=constants.tau3 * kappa**3,
@@ -348,7 +339,7 @@ def trace_to_csv(trace: AoTrace, path) -> None:
                     t,
                     format(trace.theta_err_norms[t], ".17g"),
                     format(trace.nui_err_norms[t - 1], ".17g"),
-                    format(eps[t - 1], ".17g") if eps.size else "",
-                    format(alpha[t - 1], ".17g") if alpha.size else "",
+                    format(eps[t - 1], ".17g"),
+                    format(alpha[t - 1], ".17g"),
                 ]
             )

@@ -606,13 +606,21 @@ def btl_condition_constants(
 # file formats
 
 
+def _exact_text(values: np.ndarray) -> list:
+    """Each value as %g, or as repr where %g does not read back equal."""
+    text = [f"{v:g}" for v in values.tolist()]
+    for i in np.flatnonzero(np.array(text, dtype=float) != values):
+        text[i] = repr(float(values[i]))
+    return text
+
+
 def write_observations(path, obs: BtlObservation) -> None:
     """CSV with header j,m,N,S; indices are 1-based and j < m."""
     g = obs.graph
-    rows = zip(g.j.tolist(), g.m.tolist(), g.counts.tolist(), obs.wins.tolist())
+    rows = zip(g.j.tolist(), g.m.tolist(), _exact_text(g.counts), _exact_text(obs.wins))
     with open(path, "w", newline="") as fh:
         fh.write("j,m,N,S\r\n")
-        fh.write("".join([f"{a + 1},{b + 1},{c:g},{s:g}\r\n" for a, b, c, s in rows]))
+        fh.write("".join([f"{a + 1},{b + 1},{c},{s}\r\n" for a, b, c, s in rows]))
 
 
 _OBSERVATION_TYPES = {"j": np.int64, "m": np.int64, "N": np.float64, "S": np.float64}

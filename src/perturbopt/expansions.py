@@ -3,21 +3,23 @@
 The checkers compare measured expansion errors of perturbed minimizers
 against the theory's bounds.  Bounds are reported, not asserted: the
 prerequisite flags can genuinely fail at finite sample sizes, and a report
-then carries informational value only.
+then carries informational value only.  A row never holds when the solve it
+measures did not converge or the given unperturbed minimizer is not
+stationary to the joint-solve tolerance.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, DltwbTooLarge
-from .numkit import BlockHessian, BlockSplit, MetricTensor, psd_power, spd_solve, spectral_norm
+from .numkit import BlockHessian, BlockSplit, MetricTensor, spd_solve, spectral_norm
 from .objective import (
     LinearPerturbation,
     SeparablePerturbation,
@@ -111,7 +113,7 @@ class ResidualReport:
     @classmethod
     def build(cls, variant, leading, remainder, bound, flags) -> "ResidualReport":
         # a non-finite bound means the regime is invalid and nothing is claimed
-        holds = bool(np.isfinite(bound)) and remainder <= bound
+        holds = bool(np.isfinite(bound) and remainder <= bound)
         return cls(
             variant=variant,
             leading=float(leading),
@@ -277,22 +279,38 @@ def derived_constants(
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _q_norm_factor(q, f_tt, d_metric: MetricTensor) -> tuple:
-    """Return (apply, ||Q F^{-1} D||) for Q given as None, 'f_half', or a matrix."""
-    d_mat = d_metric.matrix()
-    f_inv_d = np.linalg.solve(f_tt, d_mat)
-    if q is None:
-        return (lambda v: v), spectral_norm(f_inv_d)
-    if isinstance(q, str) and q == "f_half":
-        f_half = psd_power(f_tt, 0.5)
-        # ||F^{1/2} F^{-1} D|| = ||F^{-1/2} D||
-        return (lambda v: f_half @ v), spectral_norm(psd_power(f_tt, -0.5) @ d_mat)
-    q_mat = np.atleast_2d(np.asarray(q, dtype=float))
-    return (lambda v: q_mat @ v), spectral_norm(q_mat @ f_inv_d)
-
-
 def _circ_norm(v, tag: str) -> float:
     return float(np.abs(v).max()) if tag == "linf" else float(np.linalg.norm(v))
+
+
+def _stationary(f: SmoothObjective, upsilon_star) -> bool:
+    """Whether ``upsilon_star`` minimizes f to the joint-solve tolerance."""
+    return float(np.abs(f.gradient(upsilon_star)).max()) <= tol.JOINT_SOLVE_TOL
+
+
+def _report(variant, leading, remainder, bound, flags, solved: bool) -> ResidualReport:
+    """A residual report; it claims nothing when the solve it measures is not trusted."""
+    report = ResidualReport.build(variant, leading, remainder, bound, flags)
+    return report if solved else replace(report, holds=False)
+
+
+def _marginal_setup(f, split, nui_values, d_metric, h_metric, constants, upsilon_star):
+    """Set-up shared by the partial checkers, all at the joint minimizer.
+
+    Returns the block Hessian, ||F_tt^{-1} D||, the offsets ||H (nu - nu*)||
+    of the nuisance values, the "marginal" diagnostics and whether
+    ``upsilon_star`` is stationary.
+    """
+    bh = BlockHessian.from_full(f.hessian(upsilon_star), split)
+    f_inv_d_norm = spectral_norm(np.linalg.solve(bh.f_tt, d_metric.matrix()))
+    nui_star = upsilon_star[split.nuisance_idx]
+    h_norms = [_circ_norm(h_metric.apply(np.asarray(nu, dtype=float) - nui_star),
+                          constants.norm_tag) for nu in nui_values]
+    r_circ = constants.radii[0] if constants.radii else (max(h_norms) if h_norms else 0.0)
+    rho_star_value, _ = rho_star(bh.f_tn, d_metric, h_metric, norm_tag=constants.norm_tag)
+    diag = derived_constants(replace(constants, radii=(r_circ,)), "marginal",
+                             rho_star_value=rho_star_value)
+    return bh, f_inv_d_norm, h_norms, diag, _stationary(f, upsilon_star)
 
 
 def check_partial_bias(
@@ -302,48 +320,33 @@ def check_partial_bias(
     d_metric: MetricTensor,
     h_metric: MetricTensor,
     constants: ConditionConstants,
-    q=None,
-    upsilon_star=None,
-    norm_tag: Optional[str] = None,
-    solver_tol: float = tol.JOINT_SOLVE_TOL,
+    upsilon_star,
 ) -> list[ResidualReport]:
     """Measure the bias of partial solutions against the linear-term expansion.
 
     For each nuisance value, solves the partial problem, subtracts the
     closed-form linear term, and compares the remainder with
-    ||Q F^{-1} D|| * delta_nano * ||H (nui - nui*)||^2.  Also records the
+    ||F^{-1} D|| * delta_nano * ||H (nui - nui*)||^2.  Also records the
     optimal-value expansion defect with its cubic bound.
     """
-    norm_tag = norm_tag or constants.norm_tag
-    if upsilon_star is None:
-        upsilon_star = newton_minimize(f, np.zeros(f.dim), tol_grad=solver_tol).argmin
+    bh, f_inv_d_norm, h_norms, diag, stationary = _marginal_setup(
+        f, split, nui_values, d_metric, h_metric, constants, upsilon_star)
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
-    bh = BlockHessian.from_full(f.hessian(upsilon_star), split)
-    q_apply, q_factor = _q_norm_factor(q, bh.f_tt, d_metric)
-
-    h_norms = [_circ_norm(h_metric.apply(np.asarray(nu, dtype=float) - nui_star), norm_tag)
-               for nu in nui_values]
-    r_circ = constants.radii[0] if constants.radii else (max(h_norms) if h_norms else 0.0)
-    working = ConditionConstants(
-        constants.tau3, constants.d12, constants.d21,
-        norm_tag=norm_tag, radii=(r_circ,), method=constants.method,
-    )
-    rho_star_value, _ = rho_star(bh.f_tn, d_metric, h_metric, norm_tag=norm_tag)
-    diag = derived_constants(working, "marginal", rho_star_value=rho_star_value)
+    flags = diag.prerequisites_hold
 
     reports = []
     for nu, h_norm in zip(nui_values, h_norms):
         nu = np.asarray(nu, dtype=float)
-        sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star, tol_grad=solver_tol)
+        sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
+                               tol_grad=tol.JOINT_SOLVE_TOL)
+        solved = stationary and sol.converged
         theta_nu = sol.argmin
         linear_term = spd_solve(bh.f_tt, bh.f_tn @ (nu - nui_star))
-        remainder = float(np.linalg.norm(q_apply(theta_nu - theta_star + linear_term)))
-        leading = float(np.linalg.norm(q_apply(linear_term)))
-        bound = q_factor * diag.delta_nano * h_norm**2
-        reports.append(
-            ResidualReport.build("partial_bias", leading, remainder, bound, diag.prerequisites_hold)
-        )
+        remainder = float(np.linalg.norm(theta_nu - theta_star + linear_term))
+        leading = float(np.linalg.norm(linear_term))
+        bound = f_inv_d_norm * diag.delta_nano * h_norm**2
+        reports.append(_report("partial_bias", leading, remainder, bound, flags, solved))
 
         # optimal-value expansion defect
         x_at = split.embed(theta_star, nu)
@@ -353,15 +356,8 @@ def check_partial_bias(
         quad = float(a_nu @ f_nu_inv_a)  # ||F_nu^{-1/2} A_nu||^2
         val_gap = 2.0 * f.value(split.embed(theta_nu, nu)) - 2.0 * f.value(x_at) + quad
         cube = float(np.linalg.norm(d_metric.apply(f_nu_inv_a))) ** 3
-        reports.append(
-            ResidualReport.build(
-                "value_expansion",
-                quad,
-                abs(val_gap),
-                2.5 * constants.tau3 * cube,
-                diag.prerequisites_hold,
-            )
-        )
+        reports.append(_report("value_expansion", quad, abs(val_gap),
+                               2.5 * constants.tau3 * cube, flags, solved))
     return reports
 
 
@@ -369,13 +365,10 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
     """Derived sup-norm constants; non-finite bounds when the regime is invalid."""
     if rho_exact < 1.0 and a_norm > 0.0:
         r_inf = SQRT2 * a_norm / (1.0 - rho_exact)
-        working = ConditionConstants(
-            constants.tau3, constants.d12, constants.d21,
-            norm_tag="linf", radii=(r_inf,), method=constants.method,
-        )
         try:
             return derived_constants(
-                working, "sup_norm", rho=rho_exact, a_norm=a_norm, rho_dual_l2=rho_l2
+                replace(constants, norm_tag="linf", radii=(r_inf,)), "sup_norm",
+                rho=rho_exact, a_norm=a_norm, rho_dual_l2=rho_l2,
             )
         except DltwbTooLarge:
             pass
@@ -407,178 +400,93 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
     )
 
 
+def _sup_norm_reports(prefix, fisher, d, shift, v, constants, solved):
+    """Sup-norm displays (i)-(iv) of one perturbed minimizer, variants ``prefix_*``.
+
+    ``shift`` is the perturbed minus the unperturbed minimizer, ``v`` the
+    perturbation gradient at the unperturbed one, ``fisher`` the Hessian
+    there and ``d`` the diagonal metric.  Bounds are computed whenever the
+    dual value is below one; the three prerequisite flags gate their
+    interpretation.
+    """
+    rho_exact, rho_l2 = rho_dual(fisher, d)
+    d_inv_v = v / d
+    v_norm = float(np.abs(d_inv_v).max())
+    diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, v_norm)
+
+    f_inv_v = spd_solve(fisher, v)
+    eye = np.eye(d.shape[0])
+    delta_mat = eye - fisher / np.outer(d, d)
+    flags, dinf, rho = diag.prerequisites_hold, diag.delta_infty, diag.rho_dual
+
+    def over_gap(numerator: float) -> float:
+        return numerator / (1.0 - rho) if rho < 1 else float("inf")
+
+    rows = [
+        ("i", v_norm, np.abs(d * shift).max(), diag.r_infty),
+        ("ii", v_norm, np.abs((fisher @ shift + v) / d).max(), dinf * v_norm**2),
+        # divided before the product, not via over_gap: the lin_iii bound's stored rounding
+        ("iii", np.abs(d * f_inv_v).max(), np.abs(d * (shift + f_inv_v)).max(),
+         dinf / (1.0 - rho) * v_norm**2 if rho < 1 else float("inf")),
+        ("iv_a", v_norm, np.abs(d * shift + d_inv_v).max(),
+         over_gap(dinf * v_norm**2 + rho * v_norm)),
+        ("iv_b", v_norm, np.abs(d * shift + (eye + delta_mat) @ d_inv_v).max(),
+         over_gap(dinf * v_norm**2 + rho**2 * v_norm)),
+    ]
+    return diag, [_report(f"{prefix}_{name}", *row, flags, solved) for name, *row in rows]
+
+
 def check_linear_sup_expansion(
     f: SmoothObjective,
     a_vec,
     constants: ConditionConstants,
-    upsilon_star=None,
-    solver_tol: float = tol.JOINT_SOLVE_TOL,
+    upsilon_star,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
-    unperturbed minimizer.  Bounds are computed whenever the dual value is
-    below one; the three prerequisite flags gate their interpretation.
+    unperturbed minimizer.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
-    if upsilon_star is None:
-        upsilon_star = newton_minimize(f, np.zeros(f.dim), tol_grad=solver_tol).argmin
     fisher = f.hessian(upsilon_star)
-    d = np.sqrt(np.diag(fisher))
-    rho_exact, rho_l2 = rho_dual(fisher, d)
-
-    g = LinearPerturbation(f, a_vec)
-    sol = newton_minimize(g, upsilon_star, tol_grad=solver_tol)
-    ups_circ = sol.argmin
-
-    d_inv_a = a_vec / d
-    a_norm = float(np.abs(d_inv_a).max())
-    diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm)
-
-    shift = ups_circ - upsilon_star
-    f_inv_a = spd_solve(fisher, a_vec)
-    delta_mat = np.eye(f.dim) - fisher / np.outer(d, d)
-
-    flags = diag.prerequisites_hold
-    dinf = diag.delta_infty
-    reports = [
-        ResidualReport.build(
-            "lin_i",
-            a_norm,
-            float(np.abs(d * shift).max()),
-            diag.r_infty,
-            flags,
-        ),
-        ResidualReport.build(
-            "lin_ii",
-            a_norm,
-            float(np.abs((fisher @ shift + a_vec) / d).max()),
-            dinf * a_norm**2,
-            flags,
-        ),
-        ResidualReport.build(
-            "lin_iii",
-            float(np.abs(d * f_inv_a).max()),
-            float(np.abs(d * (shift + f_inv_a)).max()),
-            dinf / (1.0 - diag.rho_dual) * a_norm**2 if diag.rho_dual < 1 else float("inf"),
-            flags,
-        ),
-        ResidualReport.build(
-            "lin_iv_a",
-            a_norm,
-            float(np.abs(d * shift + d_inv_a).max()),
-            (dinf * a_norm**2 + diag.rho_dual * a_norm) / (1.0 - diag.rho_dual)
-            if diag.rho_dual < 1
-            else float("inf"),
-            flags,
-        ),
-        ResidualReport.build(
-            "lin_iv_b",
-            a_norm,
-            float(np.abs(d * shift + (np.eye(f.dim) + delta_mat) @ d_inv_a).max()),
-            (dinf * a_norm**2 + diag.rho_dual**2 * a_norm) / (1.0 - diag.rho_dual)
-            if diag.rho_dual < 1
-            else float("inf"),
-            flags,
-        ),
-    ]
-    return diag, reports
+    sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star,
+                          tol_grad=tol.JOINT_SOLVE_TOL)
+    solved = sol.converged and _stationary(f, upsilon_star)
+    return _sup_norm_reports("lin", fisher, np.sqrt(np.diag(fisher)), sol.argmin - upsilon_star,
+                             a_vec, constants, solved)
 
 
 def check_separable_sup_expansion(
     f: SmoothObjective,
     spec: SeparableSpec,
     constants: ConditionConstants,
-    upsilon_star=None,
-    solver_tol: float = tol.JOINT_SOLVE_TOL,
+    upsilon_star,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Check the sup-norm displays for a coordinate-wise smooth perturbation.
 
     The metric diagonal is refreshed at the perturbed argmin:
-    D_j^2 = F_jj(perturbed) + t_j''(perturbed_j).  Each display is evaluated
-    in both printed sign conventions: variants suffixed ``_printed`` subtract
-    the gradient-of-perturbation vector where the source display does, while
-    the unsuffixed variants carry the sign under which the remainder is
-    second order (these are the ones that contract quadratically).
+    D_j^2 = F_jj(perturbed) + t_j''(perturbed_j).  Displays (ii) and (iii)
+    are evaluated in both printed sign conventions: variants suffixed
+    ``_printed`` subtract the gradient-of-perturbation vector where the
+    source display does, while the unsuffixed variants carry the sign under
+    which the remainder is second order (these are the ones that contract
+    quadratically).
     """
-    if upsilon_star is None:
-        upsilon_star = newton_minimize(f, np.zeros(f.dim), tol_grad=solver_tol).argmin
-    g = SeparablePerturbation(f, spec)
-    sol = newton_minimize(g, upsilon_star, tol_grad=solver_tol)
+    sol = newton_minimize(SeparablePerturbation(f, spec), upsilon_star,
+                          tol_grad=tol.JOINT_SOLVE_TOL)
     ups_circ = sol.argmin
-
     fisher = f.hessian(upsilon_star)
-    m_vec = spec.t1(upsilon_star)
     d = np.sqrt(np.diag(f.hessian(ups_circ)) + spec.t2(ups_circ))
-    rho_exact, rho_l2 = rho_dual(fisher, d)
-
-    d_inv_m = m_vec / d
-    m_norm = float(np.abs(d_inv_m).max())
-    diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, m_norm)
-
+    m_vec = spec.t1(upsilon_star)
     shift = ups_circ - upsilon_star
-    f_inv_m = spd_solve(fisher, m_vec)
-    delta_mat = np.eye(f.dim) - fisher / np.outer(d, d)
-    flags = diag.prerequisites_hold
-    dinf = diag.delta_infty
-    inv_gap = (1.0 - diag.rho_dual) if diag.rho_dual < 1 else float("nan")
-
-    def bound(extra_rho_power: Optional[int] = None) -> float:
-        if not np.isfinite(inv_gap):
-            return float("inf")
-        base = dinf / inv_gap * m_norm**2
-        if extra_rho_power is None:
-            return base
-        return base + diag.rho_dual**extra_rho_power / inv_gap * m_norm
-
-    reports = [
-        ResidualReport.build("sep_i", m_norm, float(np.abs(d * shift).max()), diag.r_infty, flags),
-        ResidualReport.build(
-            "sep_ii_printed",
-            m_norm,
-            float(np.abs((fisher @ shift - m_vec) / d).max()),
-            dinf * m_norm**2,
-            flags,
-        ),
-        ResidualReport.build(
-            "sep_ii",
-            m_norm,
-            float(np.abs((fisher @ shift + m_vec) / d).max()),
-            dinf * m_norm**2,
-            flags,
-        ),
-        ResidualReport.build(
-            "sep_iii_printed",
-            float(np.abs(d * f_inv_m).max()),
-            float(np.abs(d * (shift - f_inv_m)).max()),
-            bound(),
-            flags,
-        ),
-        ResidualReport.build(
-            "sep_iii",
-            float(np.abs(d * f_inv_m).max()),
-            float(np.abs(d * (shift + f_inv_m)).max()),
-            bound(),
-            flags,
-        ),
-        ResidualReport.build(
-            "sep_iv_a",
-            m_norm,
-            float(np.abs(d * shift + d_inv_m).max()),
-            bound(1),
-            flags,
-        ),
-        ResidualReport.build(
-            "sep_iv_b",
-            m_norm,
-            float(np.abs(d * shift + (np.eye(f.dim) + delta_mat) @ d_inv_m).max()),
-            bound(2),
-            flags,
-        ),
-    ]
-    return diag, reports
+    solved = sol.converged and _stationary(f, upsilon_star)
+    diag, reports = _sup_norm_reports("sep", fisher, d, shift, m_vec, constants, solved)
+    # the printed convention is the same display with the sign of m flipped
+    _, flipped = _sup_norm_reports("sep", fisher, d, shift, -m_vec, constants, solved)
+    ii_printed, iii_printed = (replace(r, variant=r.variant + "_printed") for r in flipped[1:3])
+    return diag, [reports[0], ii_printed, reports[1], iii_printed, *reports[2:]]
 
 
 def check_perturbed_partial(
@@ -589,10 +497,7 @@ def check_perturbed_partial(
     d_metric: MetricTensor,
     h_metric: MetricTensor,
     constants: ConditionConstants,
-    q=None,
-    upsilon_star=None,
-    norm_tag: Optional[str] = None,
-    solver_tol: float = tol.JOINT_SOLVE_TOL,
+    upsilon_star,
 ) -> list[ResidualReport]:
     """Partial solutions of a target-block linear perturbation vs their expansion.
 
@@ -600,30 +505,16 @@ def check_perturbed_partial(
     f + <a, theta>, subtracts both linear terms, and checks the combined
     quadratic bound plus the localization display.
     """
-    norm_tag = norm_tag or constants.norm_tag
     a_target = np.asarray(a_target, dtype=float)
     if a_target.shape[0] != split.p:
         raise DimensionMismatch("target perturbation length differs from target block size")
-    if upsilon_star is None:
-        upsilon_star = newton_minimize(f, np.zeros(f.dim), tol_grad=solver_tol).argmin
+    bh, f_inv_d_norm, h_norms, diag, stationary = _marginal_setup(
+        f, split, nui_values, d_metric, h_metric, constants, upsilon_star)
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
-    bh = BlockHessian.from_full(f.hessian(upsilon_star), split)
-    q_apply, q_factor = _q_norm_factor(q, bh.f_tt, d_metric)
-
     a_full = np.zeros(f.dim)
     a_full[split.target_idx] = a_target
     g = LinearPerturbation(f, a_full)
-
-    h_norms = [_circ_norm(h_metric.apply(np.asarray(nu, dtype=float) - nui_star), norm_tag)
-               for nu in nui_values]
-    r_circ = constants.radii[0] if constants.radii else (max(h_norms) if h_norms else 0.0)
-    working = ConditionConstants(
-        constants.tau3, constants.d12, constants.d21,
-        norm_tag=norm_tag, radii=(r_circ,), method=constants.method,
-    )
-    rho_star_value, _ = rho_star(bh.f_tn, d_metric, h_metric, norm_tag=norm_tag)
-    diag = derived_constants(working, "marginal", rho_star_value=rho_star_value)
 
     f_inv_a = spd_solve(bh.f_tt, a_target)
     d_f_inv_a = float(np.linalg.norm(d_metric.apply(f_inv_a)))
@@ -635,24 +526,22 @@ def check_perturbed_partial(
         dltwb_local = constants.d21 * h_norm
         flags = dict(diag.prerequisites_hold)
         flags["dltwb_le_quarter"] = dltwb_local <= 0.25
-        sol = partial_minimize(g, split, "nuisance", nu, warm_start=theta_star, tol_grad=solver_tol)
+        sol = partial_minimize(g, split, "nuisance", nu, warm_start=theta_star,
+                               tol_grad=tol.JOINT_SOLVE_TOL)
+        solved = stationary and sol.converged
         theta_circ = sol.argmin
         linear_term = spd_solve(bh.f_tt, bh.f_tn @ (nu - nui_star))
-        resid = theta_circ - theta_star + linear_term + f_inv_a
-        remainder = float(np.linalg.norm(q_apply(resid)))
-        leading = float(np.linalg.norm(q_apply(linear_term + f_inv_a)))
-        bound = q_factor * (
+        remainder = float(np.linalg.norm(theta_circ - theta_star + linear_term + f_inv_a))
+        leading = float(np.linalg.norm(linear_term + f_inv_a))
+        bound = f_inv_d_norm * (
             (diag.delta_nano + constants.d21) * h_norm**2
             + (2.0 * constants.tau3 + constants.d21 / 2.0) * d_f_inv_a**2
         )
-        reports.append(
-            ResidualReport.build("pp_expansion", leading, remainder, bound, flags)
-        )
+        reports.append(_report("pp_expansion", leading, remainder, bound, flags, solved))
         loc_left = float(np.linalg.norm(d_metric.apply(theta_circ - theta_star)))
         loc_bound = diag.rho2 * h_norm + 1.5 / (1.0 - min(dltwb_local, 0.999)) * d_inv_a
-        reports.append(
-            ResidualReport.build("pp_localization", diag.rho2 * h_norm, loc_left, loc_bound, flags)
-        )
+        reports.append(_report("pp_localization", diag.rho2 * h_norm, loc_left, loc_bound,
+                               flags, solved))
     return reports
 
 
@@ -674,13 +563,10 @@ def semi_orthogonality_probe(
     f: SmoothObjective,
     split: BlockSplit,
     nui_values: Sequence,
+    upsilon_star,
     d_metric: Optional[MetricTensor] = None,
-    upsilon_star=None,
-    solver_tol: float = tol.JOINT_SOLVE_TOL,
 ) -> SemiOrthogonalityReport:
     """Measure the cross Hessian block at fixed target and the induced bias."""
-    if upsilon_star is None:
-        upsilon_star = newton_minimize(f, np.zeros(f.dim), tol_grad=solver_tol).argmin
     theta_star = upsilon_star[split.target_idx]
     if d_metric is None:
         d_metric = MetricTensor.diagonal(np.ones(split.p))
@@ -690,7 +576,8 @@ def semi_orthogonality_probe(
         x_at = split.embed(theta_star, nu)
         cross = f.hessian(x_at)[np.ix_(split.target_idx, split.nuisance_idx)]
         cross_vals.append(float(np.abs(cross).max()))
-        sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star, tol_grad=solver_tol)
+        sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
+                               tol_grad=tol.JOINT_SOLVE_TOL)
         bias_vals.append(float(np.linalg.norm(d_metric.apply(sol.argmin - theta_star))))
     return SemiOrthogonalityReport(
         max_cross_inf=max(cross_vals) if cross_vals else 0.0,

@@ -96,14 +96,15 @@ def _observations(draw):
 
 @st.composite
 def _file_observations(draw):
-    """Random designs on n <= 30 items with counts and wins that survive the CSV's %g."""
+    """Random designs on n <= 30 items with any finite counts N >= 1 and wins S in [0, N]."""
     pairs = list(itertools.combinations(range(30), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40))
-    tenths = [draw(st.integers(10, 99_999)) for _ in chosen]  # N = 1.0 .. 9999.9
-    wins = [draw(st.sampled_from([0, k, draw(st.integers(0, k))])) / 10 for k in tenths]
+    counts = [draw(st.floats(min_value=1.0, allow_infinity=False)) for _ in chosen]
+    wins = [draw(st.sampled_from([0.0, c, draw(st.floats(min_value=0.0, max_value=c))]))
+            for c in counts]
     n = max((b + 1 for _, b in chosen), default=1)  # the reader takes n from the largest index
     graph = ComparisonGraph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen],
-                                       np.array(tenths) / 10)
+                                       np.array(counts))
     return BtlObservation(graph=graph, wins=np.array(wins))
 
 

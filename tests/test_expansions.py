@@ -1,5 +1,6 @@
 """Scalar diagnostics and residual checkers for perturbed minimizers."""
 
+import functools
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from perturbopt.btl import (
     btl_objective,
     sample_er_graph,
 )
+from perturbopt import expansions
 from perturbopt.errors import DltwbTooLarge
 from perturbopt.expansions import (
     ConditionConstants,
@@ -27,7 +29,13 @@ from perturbopt.expansions import (
     semi_orthogonality_probe,
 )
 from perturbopt.numkit import BlockHessian, BlockSplit, MetricTensor, psd_power
-from perturbopt.objective import QuadraticObjective, newton_minimize, ridge_spec
+from perturbopt.objective import (
+    QuadraticObjective,
+    SeparableSpec,
+    newton_minimize,
+    partial_minimize,
+    ridge_spec,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -371,6 +379,35 @@ class TestSeparableSupExpansion:
         assert slope >= 1.9
 
 
+    @pytest.mark.parametrize("instance", ["quadratic", "btl"])
+    def test_affine_spec_matches_linear_checker(self, instance):
+        # t_j(x) = c_j x_j is the linear perturbation by c, so both checkers build
+        # the same displays; on BTL, c is constant: the likelihood depends on score
+        # differences only, so the metric refreshed at the shifted argmin is unchanged
+        rng = np.random.default_rng(28)
+        if instance == "quadratic":
+            f = QuadraticObjective(rng.standard_normal(5), random_spd(rng, 5) + 5.0 * np.eye(5))
+            ups_star, c = f.minimizer, 0.1 * rng.standard_normal(5)
+            consts = ConditionConstants.zeros(norm_tag="linf")
+        else:
+            graph, truth, f = _btl_expected(8, 30, seed=14, gsq=8.0)
+            ups_star, c = newton_minimize(f, truth, tol_grad=1e-13).argmin, np.full(8, 0.05)
+            consts = btl_condition_constants(graph, f.penalty, ups_star, radius=0.1, norm="linf")
+        spec = SeparableSpec(t=lambda v: c * v, t1=lambda v: c + 0.0 * v,
+                             t2=np.zeros_like, t3=np.zeros_like)
+        lin_diag, lin = check_linear_sup_expansion(f, c, consts, upsilon_star=ups_star)
+        sep_diag, sep = check_separable_sup_expansion(f, spec, consts, upsilon_star=ups_star)
+        sep = [r for r in sep if not r.variant.endswith("_printed")]
+        assert lin_diag.rho_dual < 1 and all(np.isfinite(r.bound) for r in lin)
+        fields = ("rho_dual", "rho_dual_l2", "r_infty", "delta_infty", "a_norm",
+                  "prerequisites_hold")
+        assert [getattr(sep_diag, k) for k in fields] == [getattr(lin_diag, k) for k in fields]
+        assert [r.variant[4:] for r in sep] == [r.variant[4:] for r in lin]
+        for s, r in zip(sep, lin):
+            assert (s.leading, s.remainder, s.holds) == (r.leading, r.remainder, r.holds), s
+            assert s.bound == pytest.approx(r.bound, rel=1e-15, abs=0.0), s
+
+
 class TestPerturbedPartial:
     def test_quadratic_zero_remainder(self):
         rng = np.random.default_rng(19)
@@ -482,3 +519,59 @@ class TestReportExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "variant,leading,remainder,bound,holds,flag_dltwb,flag_d12r,flag_dinf"
         assert len(lines) == 1 + len(reports)
+
+
+class TestConvergenceGate:
+    """A row built from a solve that is not trusted never reads holds=True."""
+
+    @staticmethod
+    def _checkers():
+        # a well-conditioned instance on which each checker has rows that hold
+        graph, truth, f = _btl_expected(8, 30, seed=14, gsq=8.0)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        rng = np.random.default_rng(15)
+        a = 0.02 * rng.standard_normal(8)
+        fisher = f.hessian(ups_star)
+        scales = np.sqrt(np.diag(fisher))
+        r_inf = SQRT2 * float(np.abs(a / scales).max()) / (1 - rho_dual(fisher, scales)[0])
+        sup = btl_condition_constants(graph, f.penalty, ups_star, radius=r_inf, norm="linf")
+        split = BlockSplit.half(8)
+        bh = BlockHessian.from_full(fisher, split)
+        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
+        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
+        block = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
+                                        radii=(0.5, 0.5))
+        nus = [ups_star[split.nuisance_idx] + 0.1 * rng.standard_normal(split.q)]
+        a_target = 0.05 * rng.standard_normal(split.p)
+        checkers = {
+            "linear": lambda u: check_linear_sup_expansion(f, a, sup, upsilon_star=u)[1],
+            "separable": lambda u: check_separable_sup_expansion(f, ridge_spec(0.002), sup,
+                                                                 upsilon_star=u)[1],
+            "partial_bias": lambda u: check_partial_bias(f, split, nus, d, h, block,
+                                                         upsilon_star=u),
+            "perturbed_partial": lambda u: check_perturbed_partial(f, split, a_target, nus, d, h,
+                                                                   block, upsilon_star=u),
+        }
+        return ups_star, checkers
+
+    def test_unconverged_solve_never_holds(self, monkeypatch):
+        ups_star, checkers = self._checkers()
+        trusted = {name: run(ups_star) for name, run in checkers.items()}
+        monkeypatch.setattr(expansions, "newton_minimize",
+                            functools.partial(newton_minimize, max_iter=1))
+        monkeypatch.setattr(expansions, "partial_minimize",
+                            functools.partial(partial_minimize, max_iter=1))
+        for name, run in checkers.items():
+            reports = run(ups_star)
+            assert any(r.holds for r in trusted[name]), name
+            assert not any(r.holds for r in reports), name
+            # only holds is forced; the prerequisite flags are those of the trusted run
+            assert ([r.prerequisite_flags for r in reports]
+                    == [r.prerequisite_flags for r in trusted[name]]), name
+
+    def test_non_stationary_upsilon_star_never_holds(self):
+        ups_star, checkers = self._checkers()
+        shifted = ups_star + 1e-6 * np.random.default_rng(16).standard_normal(ups_star.size)
+        for name, run in checkers.items():
+            assert any(r.holds for r in run(ups_star)), name
+            assert not any(r.holds for r in run(shifted)), name
