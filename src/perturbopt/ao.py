@@ -18,13 +18,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import InnerSolveFailed, InsufficientSteps, MetricDominanceViolated
 from .expansions import ConditionConstants, derived_constants, rho_star
-from .numkit import (
-    BlockHessian,
-    BlockSplit,
-    MetricTensor,
-    contraction_matrix,
-    psd_power,
-)
+from .numkit import BlockGeometry, BlockHessian, BlockSplit, MetricTensor, contraction_matrix
 from .objective import QuadraticObjective, SmoothObjective, newton_minimize, partial_minimize
 
 __all__ = [
@@ -82,12 +76,14 @@ def ao_run(
     n_steps: int,
     inner_tol: float = tol.JOINT_SOLVE_TOL,
     upsilon_star=None,
+    geometry: Optional[BlockGeometry] = None,
 ) -> AoTrace:
     """Alternate the two partial minimizations for ``n_steps`` full steps.
 
     The joint minimizer is computed to high tolerance when not supplied;
     the convergence statements measure distances to it, not to the last
-    iterate.
+    iterate.  ``geometry`` is that of the Hessian at the joint minimizer,
+    built from it when not supplied.
     """
     if n_steps < 1:
         raise ValueError("need at least one alternation step")
@@ -103,10 +99,9 @@ def ao_run(
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
 
-    bh = BlockHessian.from_full(f.hessian(upsilon_star), split)
-    tt_half = psd_power(bh.f_tt, 0.5)
-    nn_half = psd_power(bh.f_nn, 0.5)
-    contraction = contraction_matrix(bh)
+    if geometry is None:
+        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(upsilon_star), split))
+    tt_half, nn_half, p = geometry.tt_half, geometry.nn_half, geometry.p
 
     theta = theta0.copy()
     nui_guess = nui_star.copy()
@@ -137,8 +132,8 @@ def ao_run(
         nui_errs.append(float(np.linalg.norm(e_nui)))
         # step residuals relative to the exact quadratic alternation map;
         # both vanish identically when the objective is quadratic
-        eps_vecs.append(e_theta + contraction.p @ e_nui)
-        alpha_vecs.append(e_nui + contraction.p.T @ e_prev)
+        eps_vecs.append(e_theta + p @ e_nui)
+        alpha_vecs.append(e_nui + p.T @ e_prev)
 
     return AoTrace(
         theta_iterates=thetas,
@@ -147,7 +142,7 @@ def ao_run(
         nui_err_norms=np.asarray(nui_errs),
         eps_vectors=eps_vecs,
         alpha_vectors=alpha_vecs,
-        ppt_norm=contraction.ppt_norm,
+        ppt_norm=geometry.ppt_norm,
         upsilon_star=upsilon_star,
         split=split,
     )
@@ -161,16 +156,14 @@ def quad_ao_identity_check(
     On a strictly convex quadratic, the curvature-weighted target error is
     mapped by P P' at every step, exactly.
     """
-    trace = ao_run(quad, split, theta0, n_steps, upsilon_star=quad.minimizer)
-    bh = BlockHessian.from_full(quad.curvature, split)
-    tt_half = psd_power(bh.f_tt, 0.5)
-    p = contraction_matrix(bh).p
-    ppt = p @ p.T
+    geometry = contraction_matrix(BlockHessian.from_full(quad.curvature, split))
+    trace = ao_run(quad, split, theta0, n_steps, upsilon_star=quad.minimizer, geometry=geometry)
+    ppt = geometry.p @ geometry.p.T
     theta_star = quad.minimizer[split.target_idx]
     worst = 0.0
-    prev = tt_half @ (trace.theta_iterates[0] - theta_star)
+    prev = geometry.tt_half @ (trace.theta_iterates[0] - theta_star)
     for theta in trace.theta_iterates[1:]:
-        cur = tt_half @ (theta - theta_star)
+        cur = geometry.tt_half @ (theta - theta_star)
         worst = max(worst, float(np.abs(cur - ppt @ prev).max()))
         prev = cur
     return worst
@@ -210,7 +203,7 @@ def _check_dominance(block: np.ndarray, metric: MetricTensor, label: str) -> Non
 
 
 def certify_convergence(
-    bh: BlockHessian,
+    geometry: BlockGeometry | BlockHessian,
     constants: ConditionConstants,
     theta0_gap: float,
     d_metric: MetricTensor,
@@ -224,8 +217,12 @@ def certify_convergence(
     against the start gap rather than searching for feasible values.  A
     ``kappa`` > 1 rescales (tau3, d12, d21, rho_star) by
     (kappa^3, kappa, kappa^2, 1/kappa) before the checks, covering metrics
-    that only dominate up to a factor.
+    that only dominate up to a factor.  A block Hessian is first turned into
+    its geometry.
     """
+    if isinstance(geometry, BlockHessian):
+        geometry = contraction_matrix(geometry)
+    bh = geometry.blocks
     _check_dominance(bh.f_tt, d_metric, "target")
     _check_dominance(bh.f_nn, h_metric, "nuisance")
     if len(constants.radii) < 2:
@@ -244,7 +241,6 @@ def certify_convergence(
     )
     d_eff = scaled.d_effective
     dltwb = d_eff * max(r_theta, r_nui)
-    contraction = contraction_matrix(bh)
 
     if dltwb >= 1.0:
         conditions = {"dltwb_lt_1": False}
@@ -254,7 +250,7 @@ def certify_convergence(
             dltwb=dltwb,
             radii=(r_theta, r_nui),
             start_gap=float(theta0_gap),
-            ppt_norm=contraction.ppt_norm,
+            ppt_norm=geometry.ppt_norm,
             rho_star=rho_star_value,
             conditions_hold=conditions,
         )
@@ -264,11 +260,11 @@ def certify_convergence(
     gap = float(theta0_gap)
     conditions = {
         "dltwb_lt_1": True,
-        "ppt_lt_1": contraction.ppt_norm < 1.0,
+        "ppt_lt_1": geometry.ppt_norm < 1.0,
         "r_theta_big_enough": r_theta >= rho2**2 * gap,
         "r_nui_big_enough": r_nui >= rho2 * gap,
         "rho2_t3_r_small": rho2 * scaled.tau3 * max(r_theta, r_nui) <= 2.0 / 3.0,
-        "start_gap_small": (1.0 + rho2**2) * delta_nano * gap < 1.0 - contraction.ppt_norm,
+        "start_gap_small": (1.0 + rho2**2) * delta_nano * gap < 1.0 - geometry.ppt_norm,
     }
     return AoCertificate(
         rho2=rho2,
@@ -276,7 +272,7 @@ def certify_convergence(
         dltwb=dltwb,
         radii=(r_theta, r_nui),
         start_gap=gap,
-        ppt_norm=contraction.ppt_norm,
+        ppt_norm=geometry.ppt_norm,
         rho_star=rho_star_value,
         conditions_hold=conditions,
     )

@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
 from .expansions import ConditionConstants
-from .numkit import BlockSplit, MetricTensor, psd_power
+from .numkit import BlockGeometry, BlockHessian, BlockSplit, MetricTensor, contraction_matrix
 from .objective import SmoothObjective, SolveReport, coordinate_descent_minimize, newton_minimize
 
 __all__ = [
@@ -58,17 +58,25 @@ def log1pexp(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
+def _sigmoid_from(t, e):
+    """sigma(t) from e = exp(-|t|)."""
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _phi2_from(e):
+    """phi''(t) from e = exp(-|t|)."""
+    return e / (1.0 + e) ** 2
+
+
 def sigmoid(t):
     t = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _sigmoid_from(t, np.exp(-np.abs(t)))
 
 
 def phi2(t):
     """Second derivative of log(1 + e^t); symmetric, peaks at 1/4."""
     t = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(t))
-    return e / (1.0 + e) ** 2
+    return _phi2_from(np.exp(-np.abs(t)))
 
 
 def phi3(t):
@@ -175,10 +183,6 @@ class ComparisonGraph:
     def n_edges(self) -> int:
         return int(self.j.size)
 
-    @property
-    def total_games(self) -> float:
-        return float(self.counts.sum())
-
 
 def _edge_scatter(graph: ComparisonGraph, at_j, at_m) -> np.ndarray:
     """Per-item sums of ``at_j`` over the j endpoints plus ``at_m`` over the m endpoints.
@@ -235,12 +239,14 @@ class PenaltySpec:
     def ridge(cls, gsq: float = 1.0) -> "PenaltySpec":
         return cls("ridge", gsq)
 
-    def matrix(self, n: int) -> np.ndarray:
+    def matrix(self, n: int, size: Optional[int] = None) -> np.ndarray:
+        """G^2 for n items, or its principal block on ``size`` of them (all are equal)."""
+        size = n if size is None else size
         if self.kind == "mean_shift":
-            return np.full((n, n), self.gsq / n)
+            return np.full((size, size), self.gsq / n)
         if self.kind == "ridge":
-            return self.gsq * np.eye(n)
-        return np.zeros((n, n))
+            return self.gsq * np.eye(size)
+        return np.zeros((size, size))
 
     def diag(self, n: int) -> np.ndarray:
         if self.kind == "mean_shift":
@@ -262,6 +268,19 @@ class PenaltySpec:
         if self.kind == "ridge":
             return 0.5 * self.gsq * float(v @ v)
         return 0.0
+
+
+@dataclass(frozen=True)
+class _EdgeBlock:
+    """A coordinate block of a BTL objective and the edges with both ends in it.
+
+    ``rows``/``cols`` are those edges' endpoints as positions in ``idx``.
+    """
+
+    idx: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    edges: np.ndarray
 
 
 class BtlObjective(SmoothObjective):
@@ -288,24 +307,53 @@ class BtlObjective(SmoothObjective):
         ll = float(np.sum(d * self.wins - self.graph.counts * log1pexp(d)))
         return -ll + self.penalty.quad(x)
 
+    def _gradient(self, x, d, e) -> np.ndarray:
+        base = self.graph.counts * _sigmoid_from(d, e) - self.wins
+        return _edge_scatter(self.graph, base, -base) + self.penalty.grad(x)
+
+    def _curvature(self, e, block: Optional[_EdgeBlock]) -> np.ndarray:
+        """The Hessian, or its ``block``, from e = exp(-|d|) on the edges."""
+        w = self.graph.counts * _phi2_from(e)
+        degree = _edge_scatter(self.graph, w, w)
+        if block is None:
+            h = self.penalty.matrix(self.dim)
+            rows, cols = self.graph.j, self.graph.m
+        else:
+            h = self.penalty.matrix(self.dim, block.idx.size)
+            rows, cols, w, degree = block.rows, block.cols, w[block.edges], degree[block.idx]
+        h[rows, cols] -= w  # pairs are unique, so no entry is written twice
+        h[cols, rows] -= w
+        h.reshape(-1)[:: h.shape[0] + 1] += degree  # the diagonal, as a view of h
+        return h
+
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         d = self._diffs(x)
-        base = self.graph.counts * sigmoid(d) - self.wins
-        return _edge_scatter(self.graph, base, -base) + self.penalty.grad(x)
+        return self._gradient(x, d, np.exp(-np.abs(d)))
 
     def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        w = self.graph.counts * phi2(self._diffs(x))
-        h = self.penalty.matrix(self.dim)
-        gj, gm = self.graph.j, self.graph.m
-        h[gj, gm] -= w  # pairs are unique, so no entry is written twice
-        h[gm, gj] -= w
-        h[np.diag_indices(self.dim)] += _edge_scatter(self.graph, w, w)
-        return h
+        d = self._diffs(np.asarray(x, dtype=float))
+        return self._curvature(np.exp(-np.abs(d)), None)
 
-    def unpenalized_hessian(self, x) -> np.ndarray:
-        return BtlObjective(self.graph, self.wins, PenaltySpec.none()).hessian(x)
+    def block_index(self, idx) -> _EdgeBlock:
+        idx = np.asarray(idx, dtype=int)
+        position = np.full(self.dim, -1)
+        position[idx] = np.arange(idx.size)
+        rows, cols = position[self.graph.j], position[self.graph.m]
+        edges = np.flatnonzero((rows >= 0) & (cols >= 0))
+        return _EdgeBlock(idx=idx, rows=rows[edges], cols=cols[edges], edges=edges)
+
+    def derivatives(self, x, block: Optional[_EdgeBlock] = None):
+        """Gradient and Hessian (block) from one pass over the edges.
+
+        The block is the sub-Laplacian of the edges inside it, plus the
+        degrees over all edges on its diagonal, plus the penalty block: the
+        same bits as slicing the full Hessian.
+        """
+        x = np.asarray(x, dtype=float)
+        d = self._diffs(x)
+        e = np.exp(-np.abs(d))
+        return self._gradient(x, d, e), self._curvature(e, block)
 
     def third_directional(self, x, a, b, c) -> float:
         x = np.asarray(x, dtype=float)
@@ -515,24 +563,13 @@ def _linf_constants(graph, center, radius, d_scales) -> ConditionConstants:
 
 
 def _block_l2_constants(
-    g: ComparisonGraph, fisher, center, split, d_metric, h_metric, radii
+    g: ComparisonGraph, geometry: BlockGeometry, center, split, radii
 ) -> ConditionConstants:
-    """Rigorous envelope of the Euclidean block constants from the Fisher matrix at ``center``."""
+    """Rigorous envelope of the Euclidean block constants in the square-root Fisher metrics."""
     in_target = np.zeros(g.n, dtype=bool)
     in_target[split.target_idx] = True
-
-    f_tt = fisher[np.ix_(split.target_idx, split.target_idx)]
-    f_nn = fisher[np.ix_(split.nuisance_idx, split.nuisance_idx)]
-
-    def block_geometry(block_mat, metric):
-        m = metric.matrix()
-        mid = np.linalg.solve(m, np.linalg.solve(m, block_mat).T)
-        mu = float(np.linalg.eigvalsh(0.5 * (mid + mid.T)).max())
-        sigma_min = float(np.sqrt(np.linalg.eigvalsh(m @ m).min()))
-        return mu, sigma_min
-
-    mu_t, smin_t = block_geometry(f_tt, d_metric)
-    mu_n, smin_n = block_geometry(f_nn, h_metric)
+    mu_t, smin_t = geometry.target_scales
+    mu_n, smin_n = geometry.nuisance_scales
 
     r_theta, r_nui = float(radii[0]), float(radii[1])
     w_theta = r_theta / smin_t
@@ -563,23 +600,25 @@ def btl_condition_constants(
     norm: str = "linf",
     split: Optional[BlockSplit] = None,
     radii=None,
-    h_metric: Optional[MetricTensor] = None,
+    geometry: Optional[BlockGeometry] = None,
 ):
     """Smoothness constants of the likelihood around ``center``.
 
     norm="linf": per-coordinate constants of the sup-norm theory, exact up
     to a dense scalar scan; the metric defaults to the penalized Hessian
-    diagonal.  norm="l2": block constants for a target/nuisance split,
-    returned as their rigorous envelope only.
+    diagonal.  norm="l2": block constants for a target/nuisance split in the
+    square-root Fisher block metrics, returned as their rigorous envelope
+    only; pass the ``geometry`` of the Fisher matrix at ``center`` (from
+    ``contraction_matrix``) to reuse it, which leaves O(edges) work per call.
     """
     center = np.asarray(center, dtype=float)
     if center.shape[0] != graph.n:
         raise DimensionMismatch("center length differs from item count")
-    obj = btl_objective(graph, penalty, mode="expected", truth=center)
     if norm == "linf":
         if radius is None:
             raise ValueError("sup-norm constants need a radius")
         if metric is None:
+            obj = btl_objective(graph, penalty, mode="expected", truth=center)
             d_scales = np.sqrt(np.diag(obj.hessian(center)))
         else:
             if metric.kind != "diagonal":
@@ -589,16 +628,12 @@ def btl_condition_constants(
     if norm == "l2":
         if split is None or radii is None:
             raise ValueError("block constants need a split and radii (r_theta, r_nui)")
-        fisher = obj.hessian(center)
-        if metric is None:
-            metric = MetricTensor.full(
-                psd_power(fisher[np.ix_(split.target_idx, split.target_idx)], 0.5)
-            )
-        if h_metric is None:
-            h_metric = MetricTensor.full(
-                psd_power(fisher[np.ix_(split.nuisance_idx, split.nuisance_idx)], 0.5)
-            )
-        return _block_l2_constants(graph, fisher, center, split, metric, h_metric, radii)
+        if metric is not None:
+            raise ValueError("block constants use the square-root Fisher block metrics")
+        if geometry is None:
+            obj = btl_objective(graph, penalty, mode="expected", truth=center)
+            geometry = contraction_matrix(BlockHessian.from_full(obj.hessian(center), split))
+        return _block_l2_constants(graph, geometry, center, split, radii)
     raise ValueError(f"unknown norm {norm!r}")
 
 

@@ -553,6 +553,7 @@ class SemiOrthogonalityReport:
     max_bias: float
     cross_values: tuple
     bias_values: tuple
+    converged: bool  # every partial solve behind ``bias_values`` converged
 
     @property
     def semi_orthogonal(self) -> bool:
@@ -571,6 +572,7 @@ def semi_orthogonality_probe(
     if d_metric is None:
         d_metric = MetricTensor.diagonal(np.ones(split.p))
     cross_vals, bias_vals = [], []
+    converged = True
     for nu in nui_values:
         nu = np.asarray(nu, dtype=float)
         x_at = split.embed(theta_star, nu)
@@ -579,11 +581,13 @@ def semi_orthogonality_probe(
         sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
                                tol_grad=tol.JOINT_SOLVE_TOL)
         bias_vals.append(float(np.linalg.norm(d_metric.apply(sol.argmin - theta_star))))
+        converged = converged and sol.converged
     return SemiOrthogonalityReport(
         max_cross_inf=max(cross_vals) if cross_vals else 0.0,
         max_bias=max(bias_vals) if bias_vals else 0.0,
         cross_values=tuple(cross_vals),
         bias_values=tuple(bias_vals),
+        converged=converged,
     )
 
 

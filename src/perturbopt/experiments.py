@@ -42,7 +42,7 @@ from .expansions import (
     check_linear_sup_expansion,
     rho_dual,
 )
-from .numkit import BlockHessian, BlockSplit, MetricTensor, contraction_matrix, psd_power, spd_solve
+from .numkit import BlockHessian, BlockSplit, contraction_matrix, spd_solve
 from .objective import QuadraticObjective, newton_minimize
 
 __all__ = [
@@ -298,49 +298,40 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     if not joint.converged:
         return AoRepResult(record=record)
     ups_star = joint.argmin
+    fisher = f.hessian(ups_star)
     if cfg.surrogate:
-        f = QuadraticObjective(ups_star, f.hessian(ups_star))
+        f = QuadraticObjective(ups_star, fisher)
 
     split = BlockSplit.half(n)
-    bh = BlockHessian.from_full(f.hessian(ups_star), split)
-    contraction = contraction_matrix(bh)
-    d_metric = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-    h_metric = MetricTensor.full(psd_power(bh.f_nn, 0.5))
-
-    _, vecs = np.linalg.eigh(contraction.p @ contraction.p.T)
-    direction = psd_power(bh.f_tt, -0.5) @ vecs[:, -1]
+    geometry = contraction_matrix(BlockHessian.from_full(fisher, split))
+    direction = geometry.tt_inv_half @ geometry.top_direction
     direction = direction / np.abs(direction).max() * cfg.gap
     theta_star = ups_star[split.target_idx]
     theta0 = theta_star + direction
-    d_gap = d_metric.norm(direction)
+    d_gap = geometry.d_metric.norm(direction)
 
-    rho_star_value = contraction.ppt_norm**0.5  # full square-root metrics make these equal
-    provisional = btl_condition_constants(
-        graph, cfg.penalty, ups_star, norm="l2", split=split,
-        metric=d_metric, h_metric=h_metric, radii=(0.0, 0.0),
-    )
-    radii = fixed_point_radii(provisional, rho_star_value, d_gap)
+    def constants_on(radii):
+        return btl_condition_constants(graph, cfg.penalty, ups_star, norm="l2", split=split,
+                                       radii=radii, geometry=geometry)
+
+    rho_star_value = geometry.ppt_norm**0.5  # full square-root metrics make these equal
+    radii = fixed_point_radii(constants_on((0.0, 0.0)), rho_star_value, d_gap)
     if radii is None:
         radii = (float("inf"), float("inf"))
-    constants = btl_condition_constants(
-        graph, cfg.penalty, ups_star, norm="l2", split=split,
-        metric=d_metric, h_metric=h_metric, radii=radii,
-    )
+    constants = constants_on(radii)
     refined = fixed_point_radii(constants, rho_star_value, d_gap)
     if refined is not None:
-        constants = btl_condition_constants(
-            graph, cfg.penalty, ups_star, norm="l2", split=split,
-            metric=d_metric, h_metric=h_metric, radii=refined,
-        )
-    certificate = certify_convergence(bh, constants, d_gap, d_metric, h_metric)
+        constants = constants_on(refined)
+    certificate = certify_convergence(geometry, constants, d_gap, geometry.d_metric,
+                                      geometry.h_metric)
 
     try:
         trace = ao_run(f, split, theta0, cfg.steps, inner_tol=tol.JOINT_SOLVE_TOL,
-                       upsilon_star=ups_star)
+                       upsilon_star=ups_star, geometry=geometry)
     except InnerSolveFailed:
         return AoRepResult(record=record, certificate=certificate)
     rate = estimate_rate(trace.theta_err_norms, burn_in=tol.AO_BURN_IN)
-    record.update(ppT=contraction.ppt_norm, rate=rate, cert_ok=certificate.holds)
+    record.update(ppT=geometry.ppt_norm, rate=rate, cert_ok=certificate.holds)
     return AoRepResult(record=record, trace=trace, certificate=certificate)
 
 

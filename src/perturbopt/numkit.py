@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import tolerances as tol
 from .errors import (
@@ -26,7 +26,7 @@ __all__ = [
     "BlockSplit",
     "BlockHessian",
     "MetricTensor",
-    "ContractionReport",
+    "BlockGeometry",
     "NeumannReport",
     "DerivativeCheck",
     "spd_solve",
@@ -50,6 +50,8 @@ def check_symmetric(a, rtol: float = tol.SYMMETRY_RTOL) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DimensionMismatch("dimension must be >= 1")
+    if a.tobytes() == a.T.tobytes():  # already symmetric, bit for bit
+        return a.copy()
     scale = max(1.0, float(np.abs(a).max()))
     gap = float(np.abs(a - a.T).max())
     if gap > rtol * scale:
@@ -201,18 +203,20 @@ class MetricTensor:
 
 
 def spd_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky."""
+    """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK potrf/potrs)."""
     a = check_symmetric(a)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != dimension {a.shape[0]}")
-    try:
-        c, low = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - alias on most scipy versions
-        raise NotPositiveDefinite(str(exc)) from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    # a is an exactly symmetric fresh copy, so its transpose is the Fortran-ordered
+    # matrix itself and the factorisation may overwrite it
+    c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    x, info = lapack.dpotrs(c, b, lower=1)
+    if info != 0:  # pragma: no cover - only for malformed arguments
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 def sym_eig(a):
@@ -225,11 +229,8 @@ def sym_eig(a):
     return w, v
 
 
-def psd_power(a, exponent: float) -> np.ndarray:
-    """Matrix power of a positive (semi)definite matrix, exponent in {1/2, -1/2, -1}."""
-    if exponent not in (0.5, -0.5, -1.0):
-        raise ValueError("exponent must be one of +1/2, -1/2, -1")
-    w, v = sym_eig(a)
+def _powered(w, v, exponent: float) -> np.ndarray:
+    """v diag(w**exponent) v' from an eigendecomposition, exponent in {1/2, -1/2, -1}."""
     if exponent < 0:
         floor = tol.SINGULAR_EIG_RTOL * max(abs(w[-1]), 1.0)
         if w[0] <= floor:
@@ -242,61 +243,93 @@ def psd_power(a, exponent: float) -> np.ndarray:
     return (v * powered) @ v.T
 
 
-def spectral_norm(m, rtol: float = tol.SPECTRAL_NORM_RTOL, seed: int = 0) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
+def psd_power(a, exponent: float) -> np.ndarray:
+    """Matrix power of a positive (semi)definite matrix, exponent in {1/2, -1/2, -1}."""
+    if exponent not in (0.5, -0.5, -1.0):
+        raise ValueError("exponent must be one of +1/2, -1/2, -1")
+    return _powered(*sym_eig(a), exponent)
 
-    Deterministically seeded start vector; convergence is declared when the
-    Rayleigh estimate changes by at most ``rtol`` relatively, which also copes
-    with tied or near-tied top singular values.
+
+def spectral_norm(m) -> float:
+    """Largest singular value: the root of the top eigenvalue of the smaller Gram matrix.
+
+    A dense symmetric eigensolver gives it to rounding, where a power
+    iteration stops short of it when the top singular values are close.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     if m.size == 0:
         return 0.0
-    # iterate on the smaller Gram side
     g = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    dim = g.shape[0]
-    scale = float(np.abs(g).max())
-    if scale == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = float("inf")
-    cap = tol.SPECTRAL_NORM_CAP(dim)
-    for _ in range(cap):
-        gv = g @ v
-        norm_gv = np.linalg.norm(gv)
-        if norm_gv == 0.0:
-            return 0.0
-        lam_new = float(v @ gv)
-        v = gv / norm_gv
-        if abs(lam_new - lam) <= rtol * max(abs(lam_new), scale * 1e-14):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise NoConvergence(f"power iteration did not converge within {cap} iterations")
+    return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
+
+
+def _metric_scales(block, metric: MetricTensor) -> tuple[float, float]:
+    """(mu, smin): the top eigenvalue of M^{-1} F M^{-1} and the smallest singular value of M.
+
+    These convert the sup-envelope of the scaled third derivatives of a block
+    F into the block constants in the metric M.
+    """
+    m = metric.matrix()
+    mid = np.linalg.solve(m, np.linalg.solve(m, block).T)
+    mu = float(np.linalg.eigvalsh(0.5 * (mid + mid.T)).max())
+    smin = float(np.sqrt(np.linalg.eigvalsh(m @ m).min()))
+    return mu, smin
 
 
 @dataclass(frozen=True)
-class ContractionReport:
-    """Normalized cross-curvature of a block Hessian and its squared norm."""
+class BlockGeometry:
+    """What the alternating-minimization theory reads off one block Hessian.
 
+    ``p`` is P = f_tt^{-1/2} f_tn f_nn^{-1/2}.  ``ppt_norm`` = ||PP'|| is the
+    largest eigenvalue of PP' and ``top_direction`` a unit eigenvector for
+    it.  ``d_metric``/``h_metric`` are the square-root metrics f_tt^{1/2} and
+    f_nn^{1/2}; ``target_scales``/``nuisance_scales`` are their
+    ``_metric_scales`` (mu, smin).
+    """
+
+    blocks: BlockHessian
+    tt_half: np.ndarray
+    tt_inv_half: np.ndarray
+    nn_half: np.ndarray
+    nn_inv_half: np.ndarray
     p: np.ndarray
     ppt_norm: float
-    certifiable: bool  # false when ppt_norm >= 1
+    top_direction: np.ndarray
+    d_metric: MetricTensor
+    h_metric: MetricTensor
+    target_scales: tuple
+    nuisance_scales: tuple
+
+    @property
+    def certifiable(self) -> bool:
+        """False when ||PP'|| >= 1: the alternation is not certified to contract."""
+        return bool(self.ppt_norm < 1.0)
 
 
-def contraction_matrix(bh: BlockHessian, seed: int = 0) -> ContractionReport:
-    """P = f_tt^{-1/2} f_tn f_nn^{-1/2} and the squared spectral norm ||P||^2."""
-    try:
-        tt = psd_power(bh.f_tt, -0.5)
-        nn = psd_power(bh.f_nn, -0.5)
-    except SingularMatrix as exc:
-        raise SingularBlock(str(exc)) from exc
-    p = tt @ bh.f_tn @ nn
-    ppt = spectral_norm(p, seed=seed) ** 2
-    return ContractionReport(p=p, ppt_norm=float(ppt), certifiable=bool(ppt < 1.0))
+def contraction_matrix(bh: BlockHessian) -> BlockGeometry:
+    """The block geometry of ``bh``: one eigendecomposition per diagonal block and one of PP'.
+
+    The block powers equal ``psd_power`` of the blocks bit for bit.
+    """
+    halves = []
+    for block in (bh.f_tt, bh.f_nn):
+        w, v = sym_eig(block)
+        try:
+            halves.append((_powered(w, v, 0.5), _powered(w, v, -0.5)))
+        except SingularMatrix as exc:
+            raise SingularBlock(str(exc)) from exc
+    (tt_half, tt_inv_half), (nn_half, nn_inv_half) = halves
+    p = tt_inv_half @ bh.f_tn @ nn_inv_half
+    w, v = np.linalg.eigh(p @ p.T)
+    d_metric, h_metric = MetricTensor.full(tt_half), MetricTensor.full(nn_half)
+    return BlockGeometry(
+        blocks=bh, tt_half=tt_half, tt_inv_half=tt_inv_half, nn_half=nn_half,
+        nn_inv_half=nn_inv_half, p=p, ppt_norm=max(float(w[-1]), 0.0), top_direction=v[:, -1],
+        d_metric=d_metric, h_metric=h_metric, target_scales=_metric_scales(bh.f_tt, d_metric),
+        nuisance_scales=_metric_scales(bh.f_nn, h_metric),
+    )
 
 
 @dataclass(frozen=True)

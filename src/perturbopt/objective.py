@@ -51,6 +51,19 @@ class SmoothObjective:
         """<third derivative tensor at x, a ⊗ b ⊗ c>."""
         raise NotImplementedError
 
+    def block_index(self, idx):
+        """Index data for ``derivatives`` on the block ``idx``, built once per block."""
+        return np.asarray(idx, dtype=int)
+
+    def derivatives(self, x, block=None) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian at ``x``; with a ``block_index``, only that Hessian block.
+
+        Newton steps ask for both at every iterate.  This default slices the
+        full Hessian; objectives that can share work between the two override it.
+        """
+        h = self.hessian(x)
+        return self.gradient(x), h if block is None else h[np.ix_(block, block)]
+
 
 class QuadraticObjective(SmoothObjective):
     """f(x) = 0.5 (x - x*)' F (x - x*) with positive definite curvature F."""
@@ -101,6 +114,13 @@ class LinearPerturbation(SmoothObjective):
 
     def third_directional(self, x, a, b, c):
         return self.base.third_directional(x, a, b, c)
+
+    def block_index(self, idx):
+        return self.base.block_index(idx)
+
+    def derivatives(self, x, block=None):
+        grad, hess = self.base.derivatives(x, block)
+        return grad + self.a, hess
 
 
 @dataclass(frozen=True)
@@ -169,6 +189,7 @@ class RestrictedObjective(SmoothObjective):
         if self.fixed_values.shape[0] != self.fixed_idx.shape[0]:
             raise DimensionMismatch("fixed values do not match fixed index count")
         self.dim = self.free_idx.shape[0]
+        self._free_block = base.block_index(self.free_idx)
 
     def embed(self, z) -> np.ndarray:
         x = np.empty(self.base.dim)
@@ -188,13 +209,16 @@ class RestrictedObjective(SmoothObjective):
         return self.base.gradient(self.embed(z))[self.free_idx]
 
     def hessian(self, z):
-        h = self.base.hessian(self.embed(z))
-        return h[np.ix_(self.free_idx, self.free_idx)]
+        return self.base.derivatives(self.embed(z), self._free_block)[1]
 
     def third_directional(self, z, a, b, c):
         return self.base.third_directional(
             self.embed(z), self._embed_dir(a), self._embed_dir(b), self._embed_dir(c)
         )
+
+    def derivatives(self, z, block=None):
+        grad, hess = self.base.derivatives(self.embed(z), self._free_block)
+        return grad[self.free_idx], hess if block is None else hess[np.ix_(block, block)]
 
 
 @dataclass
@@ -219,29 +243,34 @@ def newton_minimize(
 ) -> SolveReport:
     """Damped Newton with fixed backtracking (step halving, Armijo 1e-4).
 
-    Converged means the gradient sup-norm fell to ``tol_grad``.  A
+    Each iterate takes one ``derivatives`` call, and the value the line
+    search accepted is reused at the new iterate.  Converged means the
+    gradient sup-norm fell to ``tol_grad``.  A
     non-positive-definite Hessian at an iterate raises HessianNotPD; running
     out of iterations returns a report with ``converged=False``.
     """
     x = np.asarray(x0, dtype=float).copy()
     traj = [x.copy()] if record_trajectory else None
-    grad = f.gradient(x)
+    grad, hess = f.derivatives(x)
     gnorm = float(np.abs(grad).max())
+    fx = None
     iterations = 0
     note = ""
     for it in range(1, max_iter + 1):
         if gnorm <= tol_grad:
             break
         try:
-            step = spd_solve(f.hessian(x), grad)
+            step = spd_solve(hess, grad)
         except NotPositiveDefinite as exc:
             raise HessianNotPD(it, f"iterate {it}: {exc}") from exc
-        fx = f.value(x)
+        del hess  # not held while the next iterate's Hessian is built
+        if fx is None:
+            fx = f.value(x)
         slope = float(grad @ step)  # >= 0 for an SPD Hessian
         # the required decrease can fall below float resolution near the optimum
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(fx))
         t = 1.0
-        while f.value(x - t * step) > fx - tol.ARMIJO_C * t * slope + noise:
+        while (f_trial := f.value(x - t * step)) > fx - tol.ARMIJO_C * t * slope + noise:
             t *= tol.BACKTRACK_FACTOR
             if t < 1e-16:
                 note = "backtracking stalled"
@@ -249,10 +278,11 @@ def newton_minimize(
         if note:
             break
         x = x - t * step
+        fx = f_trial
         iterations = it
         if traj is not None:
             traj.append(x.copy())
-        grad = f.gradient(x)
+        grad, hess = f.derivatives(x)
         gnorm = float(np.abs(grad).max())
     converged = gnorm <= tol_grad
     if not converged and not note:

@@ -10,11 +10,6 @@ SYMMETRY_RTOL = 1e-12
 # dense linear algebra
 SINGULAR_EIG_RTOL = 1e-12          # relative floor below which a negative power refuses
 
-# power iteration for the largest singular value; the iteration count needed
-# depends on the spectral gap, not the dimension, so the cap has a large floor
-SPECTRAL_NORM_RTOL = 1e-10
-SPECTRAL_NORM_CAP = lambda dim: max(10 * dim + 100, 5000)  # noqa: E731
-
 # finite differences
 FD_STEP_SCALE = 1e-5               # h = FD_STEP_SCALE * (1 + sup-norm of x)
 FD_DIRECTIONS = 3

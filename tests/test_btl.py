@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturbopt.btl import (
+    BtlObjective,
     BtlObservation,
     ComparisonGraph,
     PenaltySpec,
@@ -30,6 +31,7 @@ from perturbopt.btl import (
 )
 from perturbopt import tolerances as tol
 from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
+from perturbopt.objective import LinearPerturbation, RestrictedObjective
 
 
 def _complete_graph(n, L=1):
@@ -250,6 +252,74 @@ class TestFisherStructure:
         x = rng.uniform(-1, 1, 4)
         v0, v1 = obj.value(x), obj.value(x + shift)
         assert abs(v1 - v0) <= 1e-10 * max(1.0, abs(v0), abs(v1))
+
+
+@st.composite
+def _objective_point_block(draw):
+    """A BTL objective on a random design (any penalty), a point, and a coordinate block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 14))
+    graph = sample_er_graph(n, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+                            draw(st.integers(1, 4)), rng)
+    wins = rng.integers(0, graph.counts.astype(int) + 1).astype(float)
+    kind = draw(st.sampled_from(["none", "mean_shift", "ridge"]))
+    gsq = 0.0 if kind == "none" else draw(st.floats(0.01, 20.0))
+    x = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.01, 1.0, 40.0]))
+    idx = rng.permutation(n)[:draw(st.integers(1, n))]
+    return BtlObjective(graph, wins, PenaltySpec(kind, gsq)), x, idx
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDerivativeExactness:
+    """The fused and block derivatives are the separate ones, bit for bit."""
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.none(), PenaltySpec.mean_shift(2.0),
+                                         PenaltySpec.ridge(0.5)])
+    def test_hessians_exactly_symmetric(self, penalty):
+        rng = np.random.default_rng(13)
+        g = sample_er_graph(12, 0.6, 3, rng)
+        obj = BtlObjective(g, rng.integers(0, 4, g.n_edges).astype(float), penalty)
+        x = rng.uniform(-2, 2, 12)
+        blocks = [obj.hessian(x), obj.derivatives(x)[1]]
+        blocks += [obj.derivatives(x, obj.block_index(idx))[1]
+                   for idx in (np.arange(6), np.arange(6, 12), rng.permutation(12)[:7])]
+        for h in blocks:
+            assert np.array_equal(h, h.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_objective_point_block())
+    def test_free_block_is_the_slice(self, case):
+        obj, x, idx = case
+        grad, block = obj.derivatives(x, obj.block_index(idx))
+        assert _same_bits(block, obj.hessian(x)[np.ix_(idx, idx)])
+        assert _same_bits(grad, obj.gradient(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_objective_point_block())
+    def test_fused_derivatives_are_the_separate_ones(self, case):
+        obj, x, _ = case
+        grad, hess = obj.derivatives(x)
+        assert _same_bits(grad, obj.gradient(x))
+        assert _same_bits(hess, obj.hessian(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_objective_point_block())
+    def test_restricted_and_perturbed_objectives(self, case):
+        obj, x, idx = case
+        fixed = np.setdiff1d(np.arange(obj.dim), idx)
+        restricted = RestrictedObjective(obj, idx, fixed, x[fixed])
+        z = x[idx]
+        grad, hess = restricted.derivatives(z)
+        assert _same_bits(hess, obj.hessian(x)[np.ix_(idx, idx)])
+        assert _same_bits(restricted.hessian(z), hess)
+        assert _same_bits(grad, restricted.gradient(z))
+        shifted = LinearPerturbation(obj, np.linspace(-1.0, 1.0, obj.dim))
+        grad, block = shifted.derivatives(x, shifted.block_index(idx))
+        assert _same_bits(grad, shifted.gradient(x))
+        assert _same_bits(block, shifted.hessian(x)[np.ix_(idx, idx)])
 
 
 class TestNoiseGradient:

@@ -505,6 +505,22 @@ class TestSemiOrthogonality:
         expected = np.linalg.norm(np.linalg.solve(bh.f_tt, bh.f_tn @ offset))
         assert rep.max_bias == pytest.approx(expected, rel=1e-8)
         assert not rep.semi_orthogonal
+        assert rep.converged
+
+    def test_unconverged_solve_reported(self, monkeypatch):
+        graph, truth, f = _btl_expected(8, 30, seed=14, gsq=8.0)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        split = BlockSplit.half(8)
+        rng = np.random.default_rng(15)
+        nus = [ups_star[split.nuisance_idx] + 0.5 * rng.standard_normal(split.q)
+               for _ in range(2)]
+        trusted = semi_orthogonality_probe(f, split, nus, upsilon_star=ups_star)
+        assert trusted.converged
+        monkeypatch.setattr(expansions, "partial_minimize",
+                            functools.partial(partial_minimize, max_iter=1))
+        capped = semi_orthogonality_probe(f, split, nus, upsilon_star=ups_star)
+        assert capped.converged is False
+        assert capped.bias_values != trusted.bias_values
 
 
 class TestReportExport:

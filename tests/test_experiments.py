@@ -1,5 +1,6 @@
 """Seeded studies: determinism, schemas, substream independence."""
 
+import collections
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from perturbopt import btl, expansions, numkit
 from perturbopt.btl import BtlObservation, ComparisonGraph, PenaltySpec, noise_gradient, sigmoid
 from perturbopt.experiments import (
     SCHEMAS,
@@ -154,6 +156,34 @@ class TestAoStudy:
         assert res.trace is not None
         assert not res.record["cert_ok"]
         assert np.isfinite(res.record["rate"])
+
+    def test_one_fisher_matrix_and_one_geometry_per_replication(self, monkeypatch):
+        calls = collections.defaultdict(list)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(btl.BtlObjective, "hessian",
+                            counted("hessian", btl.BtlObjective.hessian))
+        monkeypatch.setattr(numkit.BlockGeometry, "__init__",
+                            counted("geometry", numkit.BlockGeometry.__init__))
+        for module in (numkit, expansions):
+            monkeypatch.setattr(module, "spectral_norm",
+                                counted("spectral_norm", module.spectral_norm))
+        cfg = ExperimentConfig(n_list=(50,), reps=1, seed=1, L=3, gsq=5.0, gap=0.02, steps=8)
+        result = ao_replication(cfg, 50, 0)
+        assert result.trace is not None and np.isfinite(result.record["ppT"])
+        ups_star = result.trace.upsilon_star
+        assert len(calls["hessian"]) == 1
+        assert np.array_equal(calls["hessian"][0][1], ups_star)
+        assert len(calls["geometry"]) == 1
+        # ppT is the top eigenvalue of PP'; the one spectral norm is rho_star of the
+        # certificate, on D^{-1} F_tn H^{-1}
+        assert len(calls["spectral_norm"]) == 1
+        assert result.certificate.ppt_norm == result.record["ppT"]
 
     def test_study_schema(self):
         cfg = ExperimentConfig(n_list=(10,), reps=2, seed=8, L=3, gsq=5.0, steps=5)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from perturbopt.errors import (
     SingularMatrix,
 )
 from perturbopt.numkit import (
+    BlockGeometry,
     BlockHessian,
     BlockSplit,
     MetricTensor,
@@ -63,6 +65,64 @@ class TestSpdSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             spd_solve(np.eye(2), [1.0, 2.0, 3.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_same_bits_as_cho_factor_and_cho_solve(self, n, rhs_cols, seed):
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, n)
+        b = rng.standard_normal(n) if rhs_cols == 0 else rng.standard_normal((n, rhs_cols))
+        oracle = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(a, lower=True, check_finite=False), b, check_finite=False
+        )
+        x = spd_solve(a, b)
+        assert x.shape == oracle.shape
+        assert x.tobytes() == oracle.tobytes()
+
+    def test_indefinite_raises(self):
+        rng = np.random.default_rng(3)
+        a = random_spd(rng, 6)
+        a[4, 4] = -1.0
+        with pytest.raises(NotPositiveDefinite):
+            spd_solve(a, np.ones(6))
+
+    def test_input_untouched(self):
+        rng = np.random.default_rng(4)
+        a = random_spd(rng, 5)
+        b = rng.standard_normal(5)
+        a0, b0 = a.copy(), b.copy()
+        spd_solve(a, b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+class TestCheckSymmetric:
+    def test_quadratic_curvature_exactly_symmetric(self):
+        rng = np.random.default_rng(5)
+        r = rng.standard_normal((5, 5))
+        quad = QuadraticObjective(np.zeros(5), r @ r.T + 5.0 * np.eye(5))
+        h = quad.hessian(np.ones(5))
+        assert np.array_equal(h, h.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_symmetric_input_gives_symmetrized_bits(self, n, seed):
+        r = np.random.default_rng(seed).standard_normal((n, n))
+        a = r + r.T  # exactly symmetric: both triangles are the same sums
+        out = check_symmetric(a)
+        assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert out is not a and not np.shares_memory(out, a)
+
+    def test_asymmetric_input_still_checked(self):
+        a = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
+        with pytest.raises(ValueError):
+            check_symmetric(a)
+        within = np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]])
+        out = check_symmetric(within)
+        assert out.tobytes() == (0.5 * (within + within.T)).tobytes()
+
+    def test_signed_zero_asymmetry_symmetrized(self):
+        a = np.array([[1.0, -0.0], [0.0, 1.0]])
+        assert check_symmetric(a).tobytes() == (0.5 * (a + a.T)).tobytes()
 
 
 class TestSymEig:
@@ -131,6 +191,17 @@ class TestSpectralNorm:
             oracle = np.linalg.svd(m, compute_uv=False)[0]
             assert abs(spectral_norm(m) - oracle) <= 1e-8
 
+    def test_near_tied_top_singular_values(self):
+        # a 1e-6 relative gap between the top two: a stopping rule on the change of a
+        # Rayleigh quotient would stop well short of the top value here
+        rng = np.random.default_rng(6)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        sigma = np.array([2.0, 2.0 * (1.0 - 1e-6), 0.5, 0.1])
+        m = u[:, :4] @ np.diag(sigma) @ v.T
+        assert spectral_norm(m) == pytest.approx(2.0, rel=1e-13)
+        assert spectral_norm(m.T) == pytest.approx(2.0, rel=1e-13)
+
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
 
@@ -194,6 +265,45 @@ class TestContractionMatrix:
         scaled = contraction_matrix(BlockHessian.from_full(3.7 * full, split))
         np.testing.assert_allclose(scaled.p, base.p, atol=1e-10)
         assert scaled.ppt_norm == pytest.approx(base.ppt_norm, abs=1e-10)
+
+    def test_returns_the_geometry(self):
+        rng = np.random.default_rng(9)
+        bh = BlockHessian.from_full(random_spd(rng, 5), BlockSplit.half(5))
+        geometry = contraction_matrix(bh)
+        assert isinstance(geometry, BlockGeometry)
+        assert geometry.blocks is bh
+        np.testing.assert_allclose(geometry.d_metric.matrix() @ geometry.d_metric.matrix(),
+                                   bh.f_tt, atol=1e-12)
+        ppt = geometry.p @ geometry.p.T
+        direction = geometry.top_direction
+        assert np.linalg.norm(direction) == pytest.approx(1.0)
+        np.testing.assert_allclose(ppt @ direction, geometry.ppt_norm * direction, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+    def test_geometry_halves_are_psd_power_bits(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        full = random_spd(rng, dim)
+        p = int(rng.integers(1, dim))
+        perm = rng.permutation(dim)
+        bh = BlockHessian.from_full(full, BlockSplit(perm[:p], perm[p:]))
+        geometry = contraction_matrix(bh)
+        for got, block, exponent in (
+            (geometry.tt_half, bh.f_tt, 0.5), (geometry.tt_inv_half, bh.f_tt, -0.5),
+            (geometry.nn_half, bh.f_nn, 0.5), (geometry.nn_inv_half, bh.f_nn, -0.5),
+        ):
+            assert got.tobytes() == psd_power(block, exponent).tobytes()
+        p_matrix = psd_power(bh.f_tt, -0.5) @ bh.f_tn @ psd_power(bh.f_nn, -0.5)
+        assert geometry.p.tobytes() == p_matrix.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+    def test_ppt_norm_is_squared_spectral_norm(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        split = BlockSplit.half(dim)
+        geometry = contraction_matrix(BlockHessian.from_full(random_spd(rng, dim), split))
+        expected = spectral_norm(geometry.p) ** 2
+        assert abs(geometry.ppt_norm - expected) <= 1e-12 * max(expected, 1e-300)
 
     def test_norm_is_squared_spectral(self):
         rng = np.random.default_rng(8)

@@ -133,6 +133,15 @@ class TestNewtonMinimize:
         with pytest.raises(HessianNotPD):
             newton_minimize(indefinite, np.ones(2))
 
+    def test_value_never_evaluated_twice_at_one_point(self):
+        f = _btl_instance(12, 2, seed=3)
+        points = []
+        value = f.value
+        f.value = lambda x: points.append(np.asarray(x).tobytes()) or value(x)
+        rep = newton_minimize(f, np.zeros(12), tol_grad=1e-12)
+        assert rep.converged and rep.iterations >= 3
+        assert len(points) == len(set(points))
+
     def test_trajectory_recorded(self):
         rng = np.random.default_rng(10)
         quad = QuadraticObjective(rng.standard_normal(3), random_spd(rng, 3))
