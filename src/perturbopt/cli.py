@@ -9,6 +9,7 @@ failure (e.g. a non-converged fit under ``--strict``), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,6 +67,7 @@ def _fallback_seed() -> int:
     return DEFAULTS["seed"]
 
 
+@functools.cache  # built once per process: nothing in it depends on the environment
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perturbopt",

@@ -29,6 +29,7 @@ from perturbopt.btl import (
     write_observations,
     write_scores,
 )
+from perturbopt.btl import _T3_PEAK, _scan_row_max, _sup_abs_phi3
 from perturbopt import tolerances as tol
 from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
 from perturbopt.objective import LinearPerturbation, RestrictedObjective
@@ -181,6 +182,14 @@ class TestGraphValidation:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ComparisonGraph.from_edges(3, [0, 0], [1, 1], [1.0, 1.0])
+
+    def test_rejects_duplicates_out_of_order(self):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            ComparisonGraph.from_edges(3, [0, 1, 0], [2, 2, 2], [1.0, 1.0, 1.0])
+
+    def test_accepts_unsorted_unique_edges(self):
+        g = ComparisonGraph.from_edges(4, [2, 0, 1, 0], [3, 2, 3, 1], [1.0, 2.0, 3.0, 4.0])
+        assert g.n_edges == 4 and g.connected
 
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError):
@@ -443,7 +452,68 @@ class TestFit:
         assert not mle_exists(dominant)
 
 
+@st.composite
+def _linf_instances(draw):
+    """Designs on n <= 12 items, isolated items common, with a point, radius and penalty."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20) if pairs
+                  else st.just([]))
+    counts = [draw(st.integers(1, 3)) for _ in chosen]
+    graph = ComparisonGraph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen],
+                                       np.array(counts, dtype=float))
+    center = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    radius = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+    penalty = draw(st.sampled_from(
+        [PenaltySpec.none(), PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(0.5)]))
+    return graph, center, radius, penalty
+
+
+def _linf_reference(g, center, radius, d):
+    """The sup-norm constants item by item: each row's sums taken over its own edges."""
+    tau3 = d12 = d21 = 0.0
+    for v in range(g.n):
+        row = slice(g.row_ptr[v], g.row_ptr[v + 1])
+        if row.start == row.stop:
+            continue
+        other = g.row_other[row]
+        diffs = center[v] - center[other]
+        counts = g.counts[g.row_edge[row]]
+        half = min(2.0 * radius / d[v], float(np.abs(diffs).max()) + _T3_PEAK)
+        pure = (np.sum(counts * np.abs(phi3(diffs))) if half == 0.0
+                else _scan_row_max(diffs, counts, half))
+        tau3 = max(tau3, pure / d[v] ** 3)
+        width = radius / d[other]
+        sup = _sup_abs_phi3(diffs - width, diffs + width)
+        d21 = max(d21, np.sum(counts * sup / d[other]) / d[v] ** 2)
+        d12 = max(d12, np.sum(counts * sup / d[other] ** 2) / d[v])
+    return tau3, d12, d21
+
+
 class TestConditionConstants:
+    @given(_linf_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_linf_matches_row_by_row_reference(self, instance):
+        graph, center, radius, penalty = instance
+        consts = btl_condition_constants(graph, penalty, center, radius=radius, norm="linf")
+        fisher = btl_objective(graph, penalty, mode="expected", truth=center).hessian(center)
+        ref = _linf_reference(graph, center, radius, np.sqrt(np.diag(fisher)))
+        got = (consts.tau3, consts.d12, consts.d21)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert consts.method == "separable_exact" and consts.radii == (radius,)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.2])
+    def test_isolated_item_without_penalty(self, radius):
+        # item 3 has no edges, so its scale is 0 under no penalty
+        g = ComparisonGraph.from_edges(4, [0, 1], [1, 2], [2.0, 1.0])
+        center = np.array([0.3, -0.2, 0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            consts = btl_condition_constants(g, PenaltySpec.none(), center, radius=radius,
+                                             norm="linf")
+        values = np.array([consts.tau3, consts.d12, consts.d21])
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+
     def test_equal_scores_radius_zero(self):
         g = _complete_graph(4, L=2)
         consts = btl_condition_constants(g, PenaltySpec.none(), np.zeros(4),

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from perturbopt import cli
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObservation,
@@ -60,6 +61,24 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "--penalty" in out and "--gsq" in out and "--seed" in out
         assert "mean_shift" in out
+
+    def test_shared_parser_keeps_no_values_between_calls(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        for name in ("_cmd_fit", "_cmd_ao"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        assert dispatch(["fit", "--input", "a.csv", "--out", "b.csv", "--penalty", "ridge",
+                         "--gsq", "2", "--solver", "coord", "--tol", "1e-3", "--strict",
+                         "--seed", "5", "--config", "c.json"]) == 0
+        assert dispatch(["ao", "--n", "7", "--L", "2", "--surrogate", "--out", "t.csv"]) == 0
+        assert dispatch(["fit", "--input", "d.csv", "--out", "e.csv"]) == 0
+        assert seen[1] == {"subcommand": "ao", "n": 7, "gap": None, "steps": None, "L": 2,
+                           "gsq": None, "surrogate": True, "out": "t.csv", "seed": None,
+                           "config": None}
+        assert seen[2] == {"subcommand": "fit", "input": "d.csv", "out": "e.csv",
+                           "penalty": None, "gsq": None, "solver": None, "tol": None,
+                           "strict": False, "seed": None, "config": None}
+        assert seen[0]["gsq"] == 2.0 and seen[0]["strict"] and seen[0]["seed"] == 5
 
 
 class TestFit:

@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from perturbopt import btl, expansions, numkit
+from perturbopt import btl, expansions, experiments, numkit
 from perturbopt.btl import BtlObservation, ComparisonGraph, PenaltySpec, noise_gradient, sigmoid
 from perturbopt.experiments import (
     SCHEMAS,
     ExperimentConfig,
+    _sample_instance,
     ao_replication,
+    diagnose_expansion,
     edge_probability,
     emit,
     expansion_replication,
@@ -140,6 +142,22 @@ class TestExpansionStudy:
         lead = np.linalg.solve(fisher, noise)
         assert rec["lead_fish"] == pytest.approx(np.abs(lead).max(), rel=1e-10)
         assert rec["rem_fish"] == pytest.approx(np.abs(x - truth + lead).max(), rel=1e-6)
+
+    def test_sup_norm_constants_reuse_the_fisher_diagonal(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs))
+            return btl.btl_condition_constants(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "btl_condition_constants", spy)
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        constants, _, _ = diagnose_expansion(obs, truth, cfg.penalty)
+        (args, kwargs), = seen
+        assert kwargs.pop("metric").kind == "diagonal"
+        # the default metric, rebuilt from the expected objective, gives the same bits
+        assert btl.btl_condition_constants(*args, **kwargs) == constants
 
 
 class TestAoStudy:
