@@ -571,11 +571,18 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
 def _block_l2_constants(
     g: ComparisonGraph, geometry: BlockGeometry, center, split, radii
 ) -> ConditionConstants:
-    """Rigorous envelope of the Euclidean block constants in the square-root Fisher metrics."""
+    """Rigorous envelope of the Euclidean block constants in the square-root Fisher metrics.
+
+    In the metric M = F^{1/2} of a block F, M^{-1} F M^{-1} = I, and the
+    smallest singular value of M is sqrt(lambda_min(F)).  So with kappa_max
+    the largest ratio over the edges of sup |phi'''| on the edge's radius
+    window to phi'' at the center, each constant is
+    2 kappa_max / sqrt(lambda_min) of one block: d12 that of F_tt, d21 that of
+    F_nn, and tau3 the larger of the two.
+    """
     in_target = np.zeros(g.n, dtype=bool)
     in_target[split.target_idx] = True
-    mu_t, smin_t = geometry.target_scales
-    mu_n, smin_n = geometry.nuisance_scales
+    smin_t, smin_n = geometry.tt_smin, geometry.nn_smin
 
     r_theta, r_nui = float(radii[0]), float(radii[1])
     w_theta = r_theta / smin_t
@@ -588,11 +595,10 @@ def _block_l2_constants(
     curv = phi2(diffs)
     kappa_max = float((sup3 / curv).max()) if diffs.size else 0.0
 
-    tau3_env = 2.0 * kappa_max * max(mu_t / smin_t, mu_n / smin_n)
-    d12_env = 2.0 * kappa_max * mu_n / smin_t
-    d21_env = 2.0 * kappa_max * mu_t / smin_n
+    d12_env = 2.0 * kappa_max / smin_t
+    d21_env = 2.0 * kappa_max / smin_n
     return ConditionConstants(
-        tau3=tau3_env, d12=d12_env, d21=d21_env, norm_tag="l2",
+        tau3=max(d12_env, d21_env), d12=d12_env, d21=d21_env, norm_tag="l2",
         radii=(r_theta, r_nui), method="sup_envelope",
     )
 

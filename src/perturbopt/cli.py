@@ -1,22 +1,25 @@
 """Command-line entry point: fitting, diagnostics, traced runs, and studies.
 
-Every subcommand honors ``--seed`` (falling back to the PERTURBOPT_SEED
-environment variable) and is reproducible.  A JSON config file supplies
-defaults that explicit flags override.  Exit codes: 0 success, 1 structured
-failure (e.g. a non-converged fit under ``--strict``), 2 usage error.
+Each setting comes from, in order: its flag, the ``--config`` JSON file, the
+PERTURBOPT_SEED environment variable (the seed only), and the library's own
+default.  A config key is a flag name with ``_`` for ``-``.  Every subcommand
+is reproducible.  Exit codes: 0 success, 1 bad input (a config file, the
+seed variable or a data file) or a non-converged fit under ``--strict``,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import tolerances as tol
 from .ao import trace_to_csv
 from .btl import (
     BtlObservation,
@@ -38,33 +41,55 @@ from .experiments import (
     summarize_by_n,
 )
 
-DEFAULTS = {
-    "seed": 1,
-    "penalty": "mean_shift",
-    "gsq": 1.0,
-    "tol": tol.SOLVER_GRAD_TOL,
-    "solver": "newton",
-    "n_list": "100",
-    "reps": 20,
-    "L": 1,
-    "p_rule": "logcube",
-    "score_range": "0,2",
-    "format": "csv",
-    "threads": os.cpu_count() or 1,
-    "n": 20,
-    "gap": 0.02,
-    "steps": 8,
+# the settings with no home in the library; every other default is the library's
+DEFAULTS = {"format": "csv", "threads": os.cpu_count() or 1, "n": 20}
+
+_FIT = inspect.signature(fit_penalized_mle).parameters
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _float_pair(text: str) -> tuple:
+    lo, hi = (float(v) for v in text.split(","))
+    return lo, hi
+
+
+def _p_rule(text: str):
+    return text if text == "logcube" else float(text)
+
+
+# every flag that a config file may set, with how its value is read
+_FLAGS = {
+    "--seed": dict(type=int, help=f"master seed (default {ExperimentConfig.seed}, "
+                   "or PERTURBOPT_SEED)"),
+    "--penalty": dict(choices=["mean_shift", "ridge"],
+                      help=f"penalty kind (default {PenaltySpec.kind})"),
+    "--gsq": dict(type=float, help=f"penalty strength (default {PenaltySpec.gsq})"),
+    "--solver": dict(choices=["newton", "coord"],
+                     help=f"inner solver (default {_FIT['solver'].default})"),
+    "--tol": dict(type=float, help="gradient sup-norm tolerance "
+                  f"(default {_FIT['tol_grad'].default:g})"),
+    "--strict": dict(action="store_true", help="exit 1 when the fit does not converge"),
+    "--n": dict(type=int, help=f"items (default {DEFAULTS['n']})"),
+    "--n-list": dict(type=_int_list, help="comma-separated item counts "
+                     f"(default {','.join(map(str, ExperimentConfig.n_list))})"),
+    "--reps": dict(type=int, help=f"replications per n (default {ExperimentConfig.reps})"),
+    "--p-rule": dict(type=_p_rule, help="'logcube' for min(1, log(n)^3/n) or a fixed "
+                     f"probability (default {ExperimentConfig.p_rule})"),
+    "--L": dict(type=int, help=f"games per compared pair (default {ExperimentConfig.L})"),
+    "--score-range": dict(type=_float_pair, help="comma pair of generative score bounds "
+                          "(default {:g},{:g})".format(*ExperimentConfig.score_range)),
+    "--gap": dict(type=float, help=f"start offset sup-norm (default {ExperimentConfig.gap})"),
+    "--steps": dict(type=int, help=f"alternation steps (default {ExperimentConfig.steps})"),
+    "--surrogate": dict(action="store_true",
+                        help="freeze the curvature at the optimum (quadratic surrogate)"),
+    "--format": dict(choices=["csv", "json"],
+                     help=f"records format (default {DEFAULTS['format']})"),
+    "--threads": dict(type=int, help="parallel replications (default: machine parallelism)"),
 }
-
-
-def _fallback_seed() -> int:
-    env = os.environ.get("PERTURBOPT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULTS["seed"]
+_KEYS = {flag[2:].replace("-", "_"): flag for flag in _FLAGS}
 
 
 @functools.cache  # built once per process: nothing in it depends on the environment
@@ -75,115 +100,120 @@ def build_parser() -> argparse.ArgumentParser:
         "alternating-minimization runs, and seeded studies.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed (default {DEFAULTS['seed']}, or PERTURBOPT_SEED)")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file with flag defaults; explicit flags win")
-
-    p_fit = sub.add_parser("fit", help="fit penalized scores from an observation CSV")
-    p_fit.add_argument("--input", required=True, help="observation CSV with columns j,m,N,S")
-    p_fit.add_argument("--out", required=True, help="output CSV with columns item,score")
-    p_fit.add_argument("--penalty", choices=["mean_shift", "ridge"], default=None,
-                       help=f"penalty kind (default {DEFAULTS['penalty']})")
-    p_fit.add_argument("--gsq", type=float, default=None,
-                       help=f"penalty strength (default {DEFAULTS['gsq']})")
-    p_fit.add_argument("--solver", choices=["newton", "coord"], default=None,
-                       help=f"inner solver (default {DEFAULTS['solver']})")
-    p_fit.add_argument("--tol", type=float, default=None,
-                       help=f"gradient sup-norm tolerance (default {DEFAULTS['tol']:g})")
-    p_fit.add_argument("--strict", action="store_true",
-                       help="exit 1 when the fit does not converge")
-    add_common(p_fit)
-
-    p_diag = sub.add_parser("diagnose", help="expansion diagnostics for observed outcomes")
-    p_diag.add_argument("--input", required=True, help="observation CSV with columns j,m,N,S")
-    p_diag.add_argument("--truth", required=True, help="generative scores CSV (item,score)")
-    p_diag.add_argument("--out", required=True, help="residual-report CSV path")
-    p_diag.add_argument("--penalty", choices=["mean_shift", "ridge"], default=None)
-    p_diag.add_argument("--gsq", type=float, default=None)
-    add_common(p_diag)
-
-    p_ao = sub.add_parser("ao", help="one traced alternating-minimization instance")
-    p_ao.add_argument("--n", type=int, default=None, help=f"items (default {DEFAULTS['n']})")
-    p_ao.add_argument("--gap", type=float, default=None,
-                      help=f"start offset sup-norm (default {DEFAULTS['gap']})")
-    p_ao.add_argument("--steps", type=int, default=None,
-                      help=f"alternation steps (default {DEFAULTS['steps']})")
-    p_ao.add_argument("--L", type=int, default=None,
-                      help=f"games per compared pair (default {DEFAULTS['L']})")
-    p_ao.add_argument("--gsq", type=float, default=None)
-    p_ao.add_argument("--surrogate", action="store_true",
-                      help="freeze the curvature at the optimum (quadratic surrogate)")
-    p_ao.add_argument("--out", default=None, help="trace CSV path")
-    add_common(p_ao)
-
-    for study in ("study-rho", "study-expansion", "study-ao"):
-        p_study = sub.add_parser(study, help=f"run the {study.split('-', 1)[1]} study")
-        p_study.add_argument("--n-list", default=None,
-                             help=f"comma-separated item counts (default {DEFAULTS['n_list']})")
-        p_study.add_argument("--reps", type=int, default=None,
-                             help=f"replications per n (default {DEFAULTS['reps']})")
-        p_study.add_argument("--out", required=True, help="output path")
-        p_study.add_argument("--format", choices=["csv", "json"], default=None)
-        p_study.add_argument("--p-rule", default=None,
-                             help="'logcube' for min(1, log(n)^3/n) or a fixed probability")
-        p_study.add_argument("--L", type=int, default=None)
-        p_study.add_argument("--gsq", type=float, default=None)
-        p_study.add_argument("--penalty", choices=["mean_shift", "ridge"], default=None)
-        p_study.add_argument("--score-range", default=None, help="comma pair, e.g. 0,2")
-        p_study.add_argument("--threads", type=int, default=None,
-                             help="parallel replications (default: machine parallelism)")
-        if study == "study-ao":
-            p_study.add_argument("--gap", type=float, default=None)
-            p_study.add_argument("--steps", type=int, default=None)
-            p_study.add_argument("--surrogate", action="store_true")
-        add_common(p_study)
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant suite")
-    add_common(p_self)
+    study = ["--n-list", "--reps", "--format", "--p-rule", "--L", "--gsq", "--penalty",
+             "--score-range", "--threads"]
+    observations = {"--input": "observation CSV with columns j,m,N,S"}
+    commands = {  # name: (help, file flags with their help, setting flags)
+        "fit": ("fit penalized scores from an observation CSV",
+                observations | {"--out": "output CSV with columns item,score"},
+                ["--penalty", "--gsq", "--solver", "--tol", "--strict"]),
+        "diagnose": ("expansion diagnostics for observed outcomes",
+                     observations | {"--truth": "generative scores CSV (item,score)",
+                                     "--out": "residual-report CSV path"},
+                     ["--penalty", "--gsq"]),
+        "ao": ("one traced alternating-minimization instance", {"--out": "trace CSV path"},
+               ["--n", "--gap", "--steps", "--L", "--gsq", "--surrogate"]),
+        "study-rho": ("run the rho study", {"--out": "output path"}, study),
+        "study-expansion": ("run the expansion study", {"--out": "output path"}, study),
+        "study-ao": ("run the ao study", {"--out": "output path"},
+                     study + ["--gap", "--steps", "--surrogate"]),
+        "selftest": ("run the built-in invariant suite", {}, []),
+    }
+    for name, (text, files, flags) in commands.items():
+        p = sub.add_parser(name, help=text)
+        for flag, file_help in files.items():
+            p.add_argument(flag, required=name != "ao", help=file_help)
+        for flag in flags + ["--seed"]:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--config", help="JSON file of settings, keyed by flag name with _ "
+                       "for -; explicit flags win")
     return parser
 
 
-def _setting(args, config: dict, name: str, fallback):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return fallback
+class InputError(Exception):
+    """Bad input from outside the program: ``dispatch`` prints it as one error line, exit 1."""
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return json.load(fh)
-    return {}
+def _checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with the error it raises on bad input as an InputError."""
+    try:
+        return fn(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from None
 
 
-def _study_config(args, config: dict) -> tuple[ExperimentConfig, int]:
-    n_list = tuple(int(v) for v in str(_setting(args, config, "n_list", DEFAULTS["n_list"])).split(","))
-    p_rule = _setting(args, config, "p_rule", DEFAULTS["p_rule"])
-    if p_rule != "logcube":
-        p_rule = float(p_rule)
-    rng_pair = str(_setting(args, config, "score_range", DEFAULTS["score_range"])).split(",")
-    seed = _setting(args, config, "seed", _fallback_seed())
-    cfg = ExperimentConfig(
-        n_list=n_list,
-        p_rule=p_rule,
-        L=int(_setting(args, config, "L", DEFAULTS["L"])),
-        score_range=(float(rng_pair[0]), float(rng_pair[1])),
-        gsq=float(_setting(args, config, "gsq", DEFAULTS["gsq"])),
-        penalty_kind=_setting(args, config, "penalty", DEFAULTS["penalty"]),
-        reps=int(_setting(args, config, "reps", DEFAULTS["reps"])),
-        seed=int(seed),
-        gap=float(_setting(args, config, "gap", DEFAULTS["gap"])),
-        steps=int(_setting(args, config, "steps", DEFAULTS["steps"])),
-        surrogate=bool(getattr(args, "surrogate", False)),
-    )
-    threads = int(_setting(args, config, "threads", DEFAULTS["threads"]))
-    return cfg, threads
+def _from_json(path, key: str, value):
+    """A config value read as its flag reads text; a JSON list is its items joined by commas."""
+    spec = _FLAGS[_KEYS[key]]
+    if spec.get("action") == "store_true":
+        if isinstance(value, bool):
+            return value
+    else:
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            read = spec.get("type", str)(text)
+        except ValueError:
+            pass
+        else:
+            if read in spec.get("choices", [read]):
+                return read
+    raise InputError(f"{path}: {key}: invalid value {value!r} for {_KEYS[key]}")
+
+
+def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    unknown = sorted(config.keys() - _KEYS.keys())
+    if unknown:
+        raise InputError(f"{path}: no subcommand reads {', '.join(map(repr, unknown))}")
+    return {key: _from_json(path, key, value) for key, value in config.items()}
+
+
+def _settings(args) -> dict:
+    """This subcommand's settings, each from the first of: its flag, the config file,
+    PERTURBOPT_SEED (the seed only) and ``DEFAULTS``.  A setting found in none of
+    them is left out, so the library's own default applies."""
+    config = _read_config(args.config) if args.config else {}
+    settings = {}
+    for key, value in vars(args).items():
+        if key not in _KEYS:
+            continue
+        if value is not None and value is not False:  # False: a store_true flag not given
+            settings[key] = value
+        elif key in config:
+            settings[key] = config[key]
+        elif key == "seed" and "PERTURBOPT_SEED" in os.environ:
+            env = os.environ["PERTURBOPT_SEED"]
+            try:
+                settings[key] = int(env)
+            except ValueError:
+                raise InputError(f"PERTURBOPT_SEED={env!r} is not an integer") from None
+        elif key in DEFAULTS:
+            settings[key] = DEFAULTS[key]
+    return settings
+
+
+def _pick(settings: dict, names: dict) -> dict:
+    """``{parameter: settings[key]}`` over the ``names`` items whose key is set."""
+    return {param: settings[key] for param, key in names.items() if key in settings}
+
+
+def _experiment_config(settings: dict, **fixed) -> ExperimentConfig:
+    """The one builder of a run's ExperimentConfig: the settings naming a field, and ``fixed``."""
+    fields = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields["penalty_kind"] = "penalty"
+    return _checked(ExperimentConfig, **_pick(settings, fields), **fixed)
+
+
+def _penalty(settings: dict) -> PenaltySpec:
+    return _checked(PenaltySpec, **_pick(settings, {"kind": "penalty", "gsq": "gsq"}))
 
 
 def _read_outcomes(path) -> BtlObservation:
@@ -194,47 +224,26 @@ def _read_outcomes(path) -> BtlObservation:
 
 
 def _cmd_fit(args) -> int:
-    config = _load_config(args)
-    try:
-        obs = _read_outcomes(args.input)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    penalty = PenaltySpec(
-        _setting(args, config, "penalty", DEFAULTS["penalty"]),
-        float(_setting(args, config, "gsq", DEFAULTS["gsq"])),
-    )
-    report = fit_penalized_mle(
-        obs,
-        penalty,
-        solver=_setting(args, config, "solver", DEFAULTS["solver"]),
-        tol_grad=float(_setting(args, config, "tol", DEFAULTS["tol"])),
-    )
+    settings = _settings(args)
+    obs = _checked(_read_outcomes, args.input)
+    report = fit_penalized_mle(obs, _penalty(settings),
+                               **_pick(settings, {"solver": "solver", "tol_grad": "tol"}))
     write_scores(args.out, report.argmin)
     status = "converged" if report.converged else f"NOT converged ({report.note})"
     print(f"fit: {obs.graph.n} items, {obs.graph.n_edges} edges, "
           f"{report.iterations} iterations, {status}")
-    if args.strict and not report.converged:
+    if settings.get("strict") and not report.converged:
         return 1
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    config = _load_config(args)
-    try:
-        obs = _read_outcomes(args.input)
-        truth = read_scores(args.truth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    settings = _settings(args)
+    obs = _checked(_read_outcomes, args.input)
+    truth = _checked(read_scores, args.truth)
     if truth.shape[0] != obs.graph.n:
-        print("error: truth length differs from the item count", file=sys.stderr)
-        return 1
-    penalty = PenaltySpec(
-        _setting(args, config, "penalty", DEFAULTS["penalty"]),
-        float(_setting(args, config, "gsq", DEFAULTS["gsq"])),
-    )
-    constants, diagnostics, reports = diagnose_expansion(obs, truth, penalty)
+        raise InputError("truth length differs from the item count")
+    constants, diagnostics, reports = diagnose_expansion(obs, truth, _penalty(settings))
     rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2
     reports_to_csv(reports, args.out)
     with open(f"{args.out}.meta.json", "w") as fh:
@@ -263,18 +272,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_ao(args) -> int:
-    config = _load_config(args)
-    seed = int(_setting(args, config, "seed", _fallback_seed()))
-    cfg = ExperimentConfig(
-        n_list=(int(_setting(args, config, "n", DEFAULTS["n"])),),
-        reps=1,
-        seed=seed,
-        L=int(_setting(args, config, "L", DEFAULTS["L"])),
-        gsq=float(_setting(args, config, "gsq", DEFAULTS["gsq"])),
-        gap=float(_setting(args, config, "gap", DEFAULTS["gap"])),
-        steps=int(_setting(args, config, "steps", DEFAULTS["steps"])),
-        surrogate=bool(getattr(args, "surrogate", False)),
-    )
+    settings = _settings(args)
+    cfg = _experiment_config(settings, n_list=(settings["n"],), reps=1)
     result = ao_replication(cfg, cfg.n_list[0], 0)
     rec = result.record
     if result.trace is None:
@@ -294,18 +293,15 @@ def _cmd_ao(args) -> int:
 
 
 def _cmd_study(args, kind: str) -> int:
-    config = _load_config(args)
-    cfg, threads = _study_config(args, config)
-    runner = {"rho": run_rho_study, "expansion": run_expansion_study, "ao": run_ao_study}[kind]
-    records = runner(cfg, threads=threads)
-    fmt = _setting(args, config, "format", DEFAULTS["format"])
-    emit(records, fmt, args.out, config=cfg)
-    value_key = {"rho": "rho_dual_l2", "expansion": "rem_fish", "ao": "rate"}[kind]
-    keep = {
-        "rho": lambda r: r["connected"],
-        "expansion": lambda r: r["converged"],
-        "ao": lambda r: not np.isnan(r["rate"]),
+    settings = _settings(args)
+    cfg = _experiment_config(settings)
+    runner, value_key, keep = {  # the runner, the summarised column, the records kept
+        "rho": (run_rho_study, "rho_dual_l2", lambda r: r["connected"]),
+        "expansion": (run_expansion_study, "rem_fish", lambda r: r["converged"]),
+        "ao": (run_ao_study, "rate", lambda r: not np.isnan(r["rate"])),
     }[kind]
+    records = runner(cfg, threads=settings["threads"])
+    emit(records, settings["format"], args.out, config=cfg)
     summary = summarize_by_n(records, value_key, keep=keep)
     for n, stats in summary.items():
         print(
@@ -319,8 +315,7 @@ def _cmd_study(args, kind: str) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    seed = int(_setting(args, _load_config(args), "seed", _fallback_seed()))
-    return run_selftest(seed=seed)
+    return run_selftest(**_pick(_settings(args), {"seed": "seed"}))
 
 
 def dispatch(argv) -> int:
@@ -338,7 +333,11 @@ def dispatch(argv) -> int:
         "study-ao": lambda a: _cmd_study(a, "ao"),
         "selftest": _cmd_selftest,
     }
-    return handlers[args.subcommand](args)
+    try:
+        return handlers[args.subcommand](args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

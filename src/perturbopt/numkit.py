@@ -265,19 +265,6 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
 
 
-def _metric_scales(block, metric: MetricTensor) -> tuple[float, float]:
-    """(mu, smin): the top eigenvalue of M^{-1} F M^{-1} and the smallest singular value of M.
-
-    These convert the sup-envelope of the scaled third derivatives of a block
-    F into the block constants in the metric M.
-    """
-    m = metric.matrix()
-    mid = np.linalg.solve(m, np.linalg.solve(m, block).T)
-    mu = float(np.linalg.eigvalsh(0.5 * (mid + mid.T)).max())
-    smin = float(np.sqrt(np.linalg.eigvalsh(m @ m).min()))
-    return mu, smin
-
-
 @dataclass(frozen=True)
 class BlockGeometry:
     """What the alternating-minimization theory reads off one block Hessian.
@@ -285,8 +272,8 @@ class BlockGeometry:
     ``p`` is P = f_tt^{-1/2} f_tn f_nn^{-1/2}.  ``ppt_norm`` = ||PP'|| is the
     largest eigenvalue of PP' and ``top_direction`` a unit eigenvector for
     it.  ``d_metric``/``h_metric`` are the square-root metrics f_tt^{1/2} and
-    f_nn^{1/2}; ``target_scales``/``nuisance_scales`` are their
-    ``_metric_scales`` (mu, smin).
+    f_nn^{1/2}; ``tt_smin``/``nn_smin`` are their smallest singular values,
+    the roots of the smallest eigenvalues of f_tt and f_nn.
     """
 
     blocks: BlockHessian
@@ -299,8 +286,8 @@ class BlockGeometry:
     top_direction: np.ndarray
     d_metric: MetricTensor
     h_metric: MetricTensor
-    target_scales: tuple
-    nuisance_scales: tuple
+    tt_smin: float
+    nn_smin: float
 
     @property
     def certifiable(self) -> bool:
@@ -317,18 +304,18 @@ def contraction_matrix(bh: BlockHessian) -> BlockGeometry:
     for block in (bh.f_tt, bh.f_nn):
         w, v = sym_eig(block)
         try:
-            halves.append((_powered(w, v, 0.5), _powered(w, v, -0.5)))
+            # the inverse root refuses a w[0] at or below its positive floor
+            halves.append((_powered(w, v, 0.5), _powered(w, v, -0.5), float(np.sqrt(w[0]))))
         except SingularMatrix as exc:
             raise SingularBlock(str(exc)) from exc
-    (tt_half, tt_inv_half), (nn_half, nn_inv_half) = halves
+    (tt_half, tt_inv_half, tt_smin), (nn_half, nn_inv_half, nn_smin) = halves
     p = tt_inv_half @ bh.f_tn @ nn_inv_half
     w, v = np.linalg.eigh(p @ p.T)
-    d_metric, h_metric = MetricTensor.full(tt_half), MetricTensor.full(nn_half)
     return BlockGeometry(
         blocks=bh, tt_half=tt_half, tt_inv_half=tt_inv_half, nn_half=nn_half,
         nn_inv_half=nn_inv_half, p=p, ppt_norm=max(float(w[-1]), 0.0), top_direction=v[:, -1],
-        d_metric=d_metric, h_metric=h_metric, target_scales=_metric_scales(bh.f_tt, d_metric),
-        nuisance_scales=_metric_scales(bh.f_nn, h_metric),
+        d_metric=MetricTensor.full(tt_half), h_metric=MetricTensor.full(nn_half),
+        tt_smin=tt_smin, nn_smin=nn_smin,
     )
 
 

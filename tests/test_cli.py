@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags, reproducibility, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestUsage:
         assert "--penalty" in out and "--gsq" in out and "--seed" in out
         assert "mean_shift" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-list", "20,x"), ("--score-range", "0,1,2"), ("--p-rule", "often"),
+    ])
+    def test_malformed_flag_value_exits_2(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "rho.csv"
+        assert dispatch(["study-rho", flag, value, "--out", str(out)]) == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shared_parser_keeps_no_values_between_calls(self, monkeypatch):
         assert cli.build_parser() is cli.build_parser()
         seen = []
@@ -117,6 +127,17 @@ class TestInputErrors:
             argv += ["--truth", str(truth)]
         assert dispatch(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--input", "--truth"])
+    def test_missing_file_exit_1(self, flag, sampled_instance, tmp_path, capsys):
+        obs_path, truth_path = sampled_instance
+        missing = tmp_path / "missing.csv"
+        paths = {"--input": str(obs_path), "--truth": str(truth_path), flag: str(missing)}
+        assert dispatch(["diagnose", *[v for item in paths.items() for v in item],
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
     def test_malformed_truth_exit_1(self, sampled_instance, tmp_path, capsys):
@@ -231,6 +252,20 @@ class TestStudyCommands:
         assert out1.read_bytes() == out2.read_bytes()
         capsys.readouterr()
 
+    def test_non_integer_env_seed_exits_1(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "rho.csv"
+        monkeypatch.setenv("PERTURBOPT_SEED", "abc")
+        assert dispatch(["study-rho", "--n-list", "20", "--reps", "1", "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: PERTURBOPT_SEED='abc' is not an integer\n"
+        assert not out.exists()
+
+    def test_invalid_study_setting_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "rho.csv"
+        assert dispatch(["study-rho", "--n-list", "20", "--reps", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need at least one replication\n"
+        assert not out.exists()
+
     def test_config_file_layering(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"reps": 2, "seed": 3, "n_list": "20"}))
@@ -264,6 +299,88 @@ class TestStudyCommands:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+        capsys.readouterr()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text, message", [
+        (None, ": No such file or directory"),
+        ('{"reps": 2,', ": not valid JSON: "),
+        ('[{"reps": 2}]', ": the top level must be a JSON object"),
+        ('{"rep": 2}', ": no subcommand reads 'rep'"),
+        ('{"reps": "many"}', ": reps: invalid value 'many' for --reps"),
+        ('{"penalty": "lasso"}', ": penalty: invalid value 'lasso' for --penalty"),
+        ('{"surrogate": "yes"}', ": surrogate: invalid value 'yes' for --surrogate"),
+    ], ids=["missing", "malformed", "not_an_object", "unknown_key", "bad_number",
+            "bad_choice", "bad_boolean"])
+    def test_bad_config_exits_1(self, text, message, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "rho.csv"
+        # the flags alone make a valid run, so the file is the only fault
+        assert dispatch(["study-rho", "--config", str(config), "--n-list", "20", "--reps", "1",
+                         "--threads", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}{message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_study_from_config_matches_flags(self, tmp_path, capsys):
+        settings = {"n_list": [10, 12], "reps": 2, "seed": 7, "p_rule": 0.9, "L": 2,
+                    "score_range": [0, 1.5], "gsq": 3, "penalty": "ridge", "gap": 0.03,
+                    "steps": 4, "surrogate": True, "format": "json", "threads": 1}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields == settings.keys() - {"penalty", "format", "threads"} | {"penalty_kind"}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        flags = ["--n-list", "10,12", "--reps", "2", "--seed", "7", "--p-rule", "0.9",
+                 "--L", "2", "--score-range", "0,1.5", "--gsq", "3", "--penalty", "ridge",
+                 "--gap", "0.03", "--steps", "4", "--surrogate", "--format", "json",
+                 "--threads", "1"]
+        from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        assert dispatch(["study-ao", "--config", str(config), "--out", str(from_config)]) == 0
+        assert dispatch(["study-ao", *flags, "--out", str(from_flags)]) == 0
+        capsys.readouterr()
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        sidecars = [json.loads((tmp_path / f"{p.name}.meta.json").read_text())["config"]
+                    for p in (from_config, from_flags)]
+        assert sidecars[0] == sidecars[1]
+        assert sidecars[0]["n_list"] == [10, 12] and sidecars[0]["surrogate"] is True
+
+    def test_booleans_from_config(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"surrogate": true, "strict": true}')
+        ao = ["ao", "--n", "12", "--seed", "7", "--L", "3", "--gsq", "5"]
+        assert dispatch(ao) == 0
+        plain = capsys.readouterr().out
+        assert dispatch(ao + ["--surrogate"]) == 0
+        surrogate = capsys.readouterr().out
+        assert surrogate != plain
+        assert dispatch(ao + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out == surrogate
+
+        graph = ComparisonGraph.from_edges(2, [0], [1], [1.0])
+        obs = tmp_path / "one_sided.csv"
+        write_observations(obs, BtlObservation(graph=graph, wins=np.array([1.0])))
+        fit = ["fit", "--input", str(obs), "--out", str(tmp_path / "scores.csv")]
+        assert dispatch(fit) == 0
+        assert dispatch(fit + ["--config", str(config)]) == 1
+        capsys.readouterr()
+
+    def test_one_file_serves_fit_and_study(self, symmetric_obs, tmp_path, capsys):
+        # each subcommand reads the keys that name its own flags
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"solver": "coord", "tol": 1e-9, "n_list": [20],
+                                      "reps": 2, "threads": 1}))
+        scores = [tmp_path / "config.csv", tmp_path / "flags.csv"]
+        assert dispatch(["fit", "--config", str(config), "--input", str(symmetric_obs),
+                         "--out", str(scores[0])]) == 0
+        assert dispatch(["fit", "--solver", "coord", "--tol", "1e-9",
+                         "--input", str(symmetric_obs), "--out", str(scores[1])]) == 0
+        assert scores[0].read_bytes() == scores[1].read_bytes()
+        out = tmp_path / "rho.csv"
+        assert dispatch(["study-rho", "--config", str(config), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 3
         capsys.readouterr()
 
 

@@ -305,6 +305,22 @@ class TestContractionMatrix:
         expected = spectral_norm(geometry.p) ** 2
         assert abs(geometry.ppt_norm - expected) <= 1e-12 * max(expected, 1e-300)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+    def test_smallest_singular_values_of_the_metrics(self, dim, seed):
+        # in M = F^{1/2}, M^{-1} F M^{-1} = I: the l2 constants need only smin(M)
+        rng = np.random.default_rng(seed)
+        bh = BlockHessian.from_full(random_spd(rng, dim), BlockSplit.half(dim))
+        geometry = contraction_matrix(bh)
+        for smin, half, inv_half, block in (
+            (geometry.tt_smin, geometry.tt_half, geometry.tt_inv_half, bh.f_tt),
+            (geometry.nn_smin, geometry.nn_half, geometry.nn_inv_half, bh.f_nn),
+        ):
+            singular = np.linalg.svd(half, compute_uv=False)
+            assert smin == pytest.approx(singular.min(), rel=1e-12)
+            np.testing.assert_allclose(inv_half @ block @ inv_half, np.eye(len(block)),
+                                       atol=1e-12)
+
     def test_norm_is_squared_spectral(self):
         rng = np.random.default_rng(8)
         full = random_spd(rng, 6)
