@@ -28,8 +28,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--reps", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    parser.add_argument("--reps", type=int, default=ExperimentConfig.reps)
     parser.add_argument("--n-list", default="100,200,500",
                         help="item counts for the rho study sweep")
     parser.add_argument("--expansion-n", type=int, default=100)
@@ -41,8 +41,12 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     n_list = tuple(int(v) for v in args.n_list.split(","))
 
+    def config(items, seed_offset, reps=args.reps, **knobs) -> ExperimentConfig:
+        """A study's config: the library's defaults but for the given knobs."""
+        return ExperimentConfig(n_list=items, reps=reps, seed=args.seed + seed_offset, **knobs)
+
     t0 = time.time()
-    rho_cfg = ExperimentConfig(n_list=n_list, reps=args.reps, seed=args.seed)
+    rho_cfg = config(n_list, 0)
     rho_records = run_rho_study(rho_cfg, threads=args.threads)
     emit(rho_records, "csv", outdir / "rho_study.csv", config=rho_cfg)
     for n, stats in summarize_by_n(rho_records, "rho_dual_l2",
@@ -50,8 +54,7 @@ def main() -> None:
         print(f"rho study n={n}: mean={stats['mean']:.6g} "
               f"+/- 3sd={3 * stats['std']:.2g} (count {stats['count']})")
 
-    exp_cfg = ExperimentConfig(n_list=(args.expansion_n,), reps=args.expansion_reps,
-                               seed=args.seed + 10)
+    exp_cfg = config((args.expansion_n,), 10, reps=args.expansion_reps)
     exp_records = run_expansion_study(exp_cfg, threads=args.threads)
     emit(exp_records, "csv", outdir / "expansion_study.csv", config=exp_cfg)
     lead = summarize_by_n(exp_records, "lead_fish", keep=lambda r: r["converged"])
@@ -60,8 +63,7 @@ def main() -> None:
         print(f"expansion study n={n}: leading mean={lead[n]['mean']:.4g} "
               f"remainder mean={rem[n]['mean']:.4g}")
 
-    ao_cfg = ExperimentConfig(n_list=(20,), reps=args.reps, seed=args.seed + 20,
-                              L=3, gsq=5.0, gap=0.02, steps=8)
+    ao_cfg = config((20,), 20, L=3, gsq=5.0)
     ao_records = run_ao_study(ao_cfg, threads=args.threads)
     emit(ao_records, "csv", outdir / "ao_study.csv", config=ao_cfg)
     certified = sum(r["cert_ok"] for r in ao_records)

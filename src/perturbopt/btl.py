@@ -14,6 +14,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -24,7 +25,13 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
 from .expansions import ConditionConstants
 from .numkit import BlockGeometry, BlockHessian, BlockSplit, MetricTensor, contraction_matrix
-from .objective import SmoothObjective, SolveReport, coordinate_descent_minimize, newton_minimize
+from .objective import (
+    BlockIndex,
+    SmoothObjective,
+    SolveReport,
+    coordinate_descent_minimize,
+    newton_minimize,
+)
 
 __all__ = [
     "sigmoid",
@@ -60,7 +67,8 @@ def log1pexp(t):
 
 def _sigmoid_from(t, e):
     """sigma(t) from e = exp(-|t|)."""
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    one_e = 1.0 + e
+    return np.where(t >= 0, 1.0 / one_e, e / one_e)
 
 
 def _phi2_from(e):
@@ -184,14 +192,21 @@ class ComparisonGraph:
         return int(self.j.size)
 
 
+def _scatter(ends, at_j, at_m, size: int) -> np.ndarray:
+    """Per-item sums of ``at_j`` then ``at_m`` over the item numbers ``ends`` below ``size``.
+
+    Accumulates in input order; ends at ``size`` or above are dropped.
+    """
+    sums = np.bincount(ends, np.concatenate((at_j, at_m)), minlength=size + 1)[:size]
+    return sums.astype(float, copy=False)  # bincount returns integers when there are no edges
+
+
 def _edge_scatter(graph: ComparisonGraph, at_j, at_m) -> np.ndarray:
     """Per-item sums of ``at_j`` over the j endpoints plus ``at_m`` over the m endpoints.
 
     Accumulates in edge order, j endpoints first.
     """
-    sums = np.bincount(np.concatenate((graph.j, graph.m)), np.concatenate((at_j, at_m)),
-                       minlength=graph.n)
-    return sums.astype(float, copy=False)  # bincount returns integers when there are no edges
+    return _scatter(np.concatenate((graph.j, graph.m)), at_j, at_m, graph.n)
 
 
 @dataclass(frozen=True)
@@ -271,16 +286,31 @@ class PenaltySpec:
 
 
 @dataclass(frozen=True)
-class _EdgeBlock:
-    """A coordinate block of a BTL objective and the edges with both ends in it.
+class _EdgeBlock(BlockIndex):
+    """A coordinate block of a BTL objective and the edges with an end in it.
 
-    ``rows``/``cols`` are those edges' endpoints as positions in ``idx``.
+    The edges keep their edge-list order: endpoints ``j``/``m``, ``counts``
+    and ``wins``.  ``ends`` holds each edge's j end, then each m end, as a
+    position in ``idx``; a held end is at ``idx.size``.  ``inner`` picks the
+    edges with both ends in the block, whose ends are ``rows``/``cols``.
+    ``held`` numbers the other edges of the graph, those between held items.
     """
 
-    idx: np.ndarray
+    j: np.ndarray
+    m: np.ndarray
+    counts: np.ndarray
+    wins: np.ndarray
+    ends: np.ndarray
+    inner: Union[np.ndarray, slice]
     rows: np.ndarray
     cols: np.ndarray
-    edges: np.ndarray
+    held: np.ndarray
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of the inner edges' (j, m) and (m, j) entries in the Hessian block."""
+        size = self.idx.size
+        return self.rows * size + self.cols, self.cols * size + self.rows
 
 
 class BtlObjective(SmoothObjective):
@@ -297,71 +327,109 @@ class BtlObjective(SmoothObjective):
             raise DimensionMismatch("wins must align with the edge list")
         self.penalty = penalty
         self.dim = graph.n
+        self._blocks: dict[bytes, _EdgeBlock] = {}
 
-    def _diffs(self, x: np.ndarray) -> np.ndarray:
-        return x[self.graph.j] - x[self.graph.m]
+    @staticmethod
+    def _edge_value(d, e, counts, wins) -> float:
+        """Minus the log-likelihood of edges with differences d and e = exp(-|d|)."""
+        return -float((d * wins - counts * (np.maximum(d, 0.0) + np.log1p(e))).sum())
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        d = self._diffs(x)
-        ll = float(np.sum(d * self.wins - self.graph.counts * log1pexp(d)))
-        return -ll + self.penalty.quad(x)
+        d = x[self.graph.j] - x[self.graph.m]
+        return (self._edge_value(d, np.exp(-np.abs(d)), self.graph.counts, self.wins)
+                + self.penalty.quad(x))
 
-    def _gradient(self, x, d, e) -> np.ndarray:
-        base = self.graph.counts * _sigmoid_from(d, e) - self.wins
-        return _edge_scatter(self.graph, base, -base) + self.penalty.grad(x)
+    def held_value(self, x, block: _EdgeBlock) -> float:
+        """The edges between held items, which a block evaluation leaves out."""
+        x = np.asarray(x, dtype=float)
+        g, held = self.graph, block.held
+        d = x[g.j[held]] - x[g.m[held]]
+        return self._edge_value(d, np.exp(-np.abs(d)), g.counts[held], self.wins[held])
 
-    def _curvature(self, e, block: Optional[_EdgeBlock]) -> np.ndarray:
-        """The Hessian, or its ``block``, from e = exp(-|d|) on the edges."""
-        w = self.graph.counts * _phi2_from(e)
-        degree = _edge_scatter(self.graph, w, w)
-        if block is None:
-            h = self.penalty.matrix(self.dim)
-            rows, cols = self.graph.j, self.graph.m
-        else:
-            h = self.penalty.matrix(self.dim, block.idx.size)
-            rows, cols, w, degree = block.rows, block.cols, w[block.edges], degree[block.idx]
-        h[rows, cols] -= w  # pairs are unique, so no entry is written twice
-        h[cols, rows] -= w
-        h.reshape(-1)[:: h.shape[0] + 1] += degree  # the diagonal, as a view of h
+    def _whole(self) -> _EdgeBlock:
+        """Every edge, as the block of all items; made per call, so no graph-sized array is kept."""
+        g = self.graph
+        return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
+                          ends=np.concatenate((g.j, g.m)), inner=slice(None), rows=g.j, cols=g.m,
+                          held=np.arange(0))
+
+    def _pass(self, x, block: _EdgeBlock):
+        """``x`` as floats, and d and e = exp(-|d|) on the block's edges."""
+        x = np.asarray(x, dtype=float)
+        d = x[block.j] - x[block.m]
+        return x, d, np.exp(-np.abs(d))
+
+    def _gradient(self, x, block: _EdgeBlock, d, e) -> np.ndarray:
+        base = block.counts * _sigmoid_from(d, e) - block.wins
+        return _scatter(block.ends, base, -base, block.idx.size) + self.penalty.grad(x)[block.idx]
+
+    def _hessian(self, block: _EdgeBlock, e) -> np.ndarray:
+        """The Hessian block from e = exp(-|d|) on the block's edges.
+
+        The sub-Laplacian of the inner edges, plus each item's degree over
+        all its edges on the diagonal, plus the penalty block.
+        """
+        size = block.idx.size
+        w = block.counts * _phi2_from(e)
+        h = self.penalty.matrix(self.dim, size)
+        flat = h.reshape(-1)  # a view of h
+        inner = w[block.inner]
+        upper, lower = block.entries
+        flat[upper] -= inner  # pairs are unique, so no entry is written twice
+        flat[lower] -= inner
+        flat[:: size + 1] += _scatter(block.ends, w, w, size)  # the diagonal
         return h
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = self._diffs(x)
-        return self._gradient(x, d, np.exp(-np.abs(d)))
+        block = self._whole()
+        x, d, e = self._pass(x, block)
+        return self._gradient(x, block, d, e)
 
     def hessian(self, x) -> np.ndarray:
-        d = self._diffs(np.asarray(x, dtype=float))
-        return self._curvature(np.exp(-np.abs(d)), None)
+        block = self._whole()
+        return self._hessian(block, self._pass(x, block)[2])
 
     def block_index(self, idx) -> _EdgeBlock:
+        """The block ``idx`` and the edges with an end in it, built once per index set."""
         idx = np.asarray(idx, dtype=int)
-        position = np.full(self.dim, -1)
-        position[idx] = np.arange(idx.size)
-        rows, cols = position[self.graph.j], position[self.graph.m]
-        edges = np.flatnonzero((rows >= 0) & (cols >= 0))
-        return _EdgeBlock(idx=idx, rows=rows[edges], cols=cols[edges], edges=edges)
+        key = idx.tobytes()
+        if key not in self._blocks:
+            g = self.graph
+            position = np.full(self.dim, idx.size)
+            position[idx] = np.arange(idx.size)
+            pj, pm = position[g.j], position[g.m]
+            touches = (pj < idx.size) | (pm < idx.size)
+            edges = np.flatnonzero(touches)
+            pj, pm = pj[edges], pm[edges]
+            inner = np.flatnonzero((pj < idx.size) & (pm < idx.size))
+            self._blocks[key] = _EdgeBlock(
+                idx=idx, j=g.j[edges], m=g.m[edges], counts=g.counts[edges],
+                wins=self.wins[edges], ends=np.concatenate((pj, pm)), inner=inner,
+                rows=pj[inner], cols=pm[inner], held=np.flatnonzero(~touches),
+            )
+        return self._blocks[key]
 
-    def derivatives(self, x, block: Optional[_EdgeBlock] = None):
-        """Gradient and Hessian (block) from one pass over the edges.
+    def evaluate(self, x, block: Optional[_EdgeBlock] = None):
+        """Value, gradient and Hessian thunk from one pass over the block's edges.
 
-        The block is the sub-Laplacian of the edges inside it, plus the
-        degrees over all edges on its diagonal, plus the penalty block: the
-        same bits as slicing the full Hessian.
+        Without a block that is every edge.  On a block the value leaves out
+        ``held_value``, the edges between held items, and each free item sums
+        its own edges in edge order, so the gradient and the Hessian block are
+        the bits of the full ones' slices.
         """
-        x = np.asarray(x, dtype=float)
-        d = self._diffs(x)
-        e = np.exp(-np.abs(d))
-        return self._gradient(x, d, e), self._curvature(e, block)
+        block = self._whole() if block is None else block
+        x, d, e = self._pass(x, block)
+        value = self._edge_value(d, e, block.counts, block.wins) + self.penalty.quad(x)
+        return value, self._gradient(x, block, d, e), lambda: self._hessian(block, e)
 
     def third_directional(self, x, a, b, c) -> float:
         x = np.asarray(x, dtype=float)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
-        w3 = self.graph.counts * phi3(self._diffs(x))
         gj, gm = self.graph.j, self.graph.m
+        w3 = self.graph.counts * phi3(x[gj] - x[gm])
         return float(np.sum(w3 * (a[gj] - a[gm]) * (b[gj] - b[gm]) * (c[gj] - c[gm])))
 
 

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     study = ["--n-list", "--reps", "--format", "--p-rule", "--L", "--gsq", "--penalty",
-             "--score-range", "--threads"]
+             "--score-range", "--threads", "--seed"]
     observations = {"--input": "observation CSV with columns j,m,N,S"}
     commands = {  # name: (help, file flags with their help, setting flags)
         "fit": ("fit penalized scores from an observation CSV",
@@ -112,18 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      "--out": "residual-report CSV path"},
                      ["--penalty", "--gsq"]),
         "ao": ("one traced alternating-minimization instance", {"--out": "trace CSV path"},
-               ["--n", "--gap", "--steps", "--L", "--gsq", "--surrogate"]),
+               ["--n", "--gap", "--steps", "--L", "--gsq", "--surrogate", "--seed"]),
         "study-rho": ("run the rho study", {"--out": "output path"}, study),
         "study-expansion": ("run the expansion study", {"--out": "output path"}, study),
         "study-ao": ("run the ao study", {"--out": "output path"},
                      study + ["--gap", "--steps", "--surrogate"]),
-        "selftest": ("run the built-in invariant suite", {}, []),
+        "selftest": ("run the built-in invariant suite", {}, ["--seed"]),
     }
     for name, (text, files, flags) in commands.items():
         p = sub.add_parser(name, help=text)
         for flag, file_help in files.items():
             p.add_argument(flag, required=name != "ao", help=file_help)
-        for flag in flags + ["--seed"]:
+        for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--config", help="JSON file of settings, keyed by flag name with _ "
                        "for -; explicit flags win")

@@ -441,16 +441,18 @@ def check_linear_sup_expansion(
     a_vec,
     constants: ConditionConstants,
     upsilon_star,
+    fisher=None,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
-    unperturbed minimizer.
+    unperturbed minimizer; ``fisher`` is that Hessian when the caller holds it.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
-    fisher = f.hessian(upsilon_star)
+    if fisher is None:
+        fisher = f.hessian(upsilon_star)
     sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star,
                           tol_grad=tol.JOINT_SOLVE_TOL)
     solved = sol.converged and _stationary(f, upsilon_star)

@@ -83,8 +83,8 @@ class ExperimentConfig:
     p_rule: object = "logcube"  # "logcube" -> min(1, log(n)^3 / n); or a fixed float
     L: int = 1
     score_range: tuple = (0.0, 2.0)
-    gsq: float = 1.0
-    penalty_kind: str = "mean_shift"
+    gsq: float = PenaltySpec.gsq
+    penalty_kind: str = PenaltySpec.kind
     reps: int = 20
     seed: int = 1
     # alternating-run knobs
@@ -243,7 +243,7 @@ def _sup_expansion_bounds(
                                         radius=radius, metric=MetricTensor.diagonal(d),
                                         norm="linf")
     diagnostics, reports = check_linear_sup_expansion(expected, noise, constants,
-                                                      upsilon_star=ups_star)
+                                                      upsilon_star=ups_star, fisher=fisher)
     return constants, diagnostics, reports
 
 

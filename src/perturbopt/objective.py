@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, HessianNotPD, NotPositiveDefinite
 from .numkit import BlockSplit, check_symmetric, spd_solve
 
 __all__ = [
+    "BlockIndex",
     "SmoothObjective",
     "QuadraticObjective",
     "LinearPerturbation",
@@ -31,6 +32,13 @@ __all__ = [
     "coordinate_descent_minimize",
     "partial_minimize",
 ]
+
+
+@dataclass(frozen=True)
+class BlockIndex:
+    """A coordinate block ``idx`` of an objective, with any index data the objective keeps."""
+
+    idx: np.ndarray
 
 
 class SmoothObjective:
@@ -51,18 +59,29 @@ class SmoothObjective:
         """<third derivative tensor at x, a ⊗ b ⊗ c>."""
         raise NotImplementedError
 
-    def block_index(self, idx):
-        """Index data for ``derivatives`` on the block ``idx``, built once per block."""
-        return np.asarray(idx, dtype=int)
+    def block_index(self, idx) -> BlockIndex:
+        """Index data for ``evaluate`` on the block ``idx``."""
+        return BlockIndex(np.asarray(idx, dtype=int))
 
-    def derivatives(self, x, block=None) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian at ``x``; with a ``block_index``, only that Hessian block.
+    def evaluate(self, x, block: Optional[BlockIndex] = None):
+        """Value, gradient and a thunk that builds the Hessian, at ``x``.
 
-        Newton steps ask for both at every iterate.  This default slices the
-        full Hessian; objectives that can share work between the two override it.
+        With a ``block_index``, the gradient and the Hessian are the block's
+        slices, and the value may leave out ``held_value``, a term that does
+        not depend on the block's coordinates.  Newton steps evaluate every
+        point once and run the thunk only where they need a step.  This
+        default takes the full derivatives and slices them; objectives that
+        can share work override it.
         """
-        h = self.hessian(x)
-        return self.gradient(x), h if block is None else h[np.ix_(block, block)]
+        grad = self.gradient(x)
+        if block is None:
+            return self.value(x), grad, lambda: self.hessian(x)
+        idx = block.idx
+        return self.value(x), grad[idx], lambda: self.hessian(x)[np.ix_(idx, idx)]
+
+    def held_value(self, x, block: BlockIndex) -> float:
+        """The term of ``value(x)`` that ``evaluate(x, block)`` leaves out (none here)."""
+        return 0.0
 
 
 class QuadraticObjective(SmoothObjective):
@@ -118,9 +137,13 @@ class LinearPerturbation(SmoothObjective):
     def block_index(self, idx):
         return self.base.block_index(idx)
 
-    def derivatives(self, x, block=None):
-        grad, hess = self.base.derivatives(x, block)
-        return grad + self.a, hess
+    def evaluate(self, x, block=None):
+        value, grad, hessian = self.base.evaluate(x, block)
+        shift = self.a if block is None else self.a[block.idx]
+        return value + float(self.a @ np.asarray(x, dtype=float)), grad + shift, hessian
+
+    def held_value(self, x, block):
+        return self.base.held_value(x, block)
 
 
 @dataclass(frozen=True)
@@ -190,6 +213,8 @@ class RestrictedObjective(SmoothObjective):
             raise DimensionMismatch("fixed values do not match fixed index count")
         self.dim = self.free_idx.shape[0]
         self._free_block = base.block_index(self.free_idx)
+        # what the base's block evaluations leave out depends on the held values only
+        self._held = base.held_value(self.embed(np.zeros(self.dim)), self._free_block)
 
     def embed(self, z) -> np.ndarray:
         x = np.empty(self.base.dim)
@@ -209,16 +234,18 @@ class RestrictedObjective(SmoothObjective):
         return self.base.gradient(self.embed(z))[self.free_idx]
 
     def hessian(self, z):
-        return self.base.derivatives(self.embed(z), self._free_block)[1]
+        return self.base.evaluate(self.embed(z), self._free_block)[2]()
 
     def third_directional(self, z, a, b, c):
         return self.base.third_directional(
             self.embed(z), self._embed_dir(a), self._embed_dir(b), self._embed_dir(c)
         )
 
-    def derivatives(self, z, block=None):
-        grad, hess = self.base.derivatives(self.embed(z), self._free_block)
-        return grad[self.free_idx], hess if block is None else hess[np.ix_(block, block)]
+    def evaluate(self, z, block=None):
+        if block is not None:
+            return super().evaluate(z, block)
+        value, grad, hessian = self.base.evaluate(self.embed(z), self._free_block)
+        return value + self._held, grad, hessian
 
 
 @dataclass
@@ -243,34 +270,31 @@ def newton_minimize(
 ) -> SolveReport:
     """Damped Newton with fixed backtracking (step halving, Armijo 1e-4).
 
-    Each iterate takes one ``derivatives`` call, and the value the line
-    search accepted is reused at the new iterate.  Converged means the
-    gradient sup-norm fell to ``tol_grad``.  A
+    Each point takes one ``evaluate`` call: the line search's accepted
+    evaluation is the next iterate's, and the Hessian is built only at
+    iterates that fail the gradient test, so a solve builds ``iterations``
+    Hessians.  Converged means the gradient sup-norm fell to ``tol_grad``.  A
     non-positive-definite Hessian at an iterate raises HessianNotPD; running
     out of iterations returns a report with ``converged=False``.
     """
     x = np.asarray(x0, dtype=float).copy()
     traj = [x.copy()] if record_trajectory else None
-    grad, hess = f.derivatives(x)
+    fx, grad, hessian = f.evaluate(x)
     gnorm = float(np.abs(grad).max())
-    fx = None
     iterations = 0
     note = ""
     for it in range(1, max_iter + 1):
         if gnorm <= tol_grad:
             break
         try:
-            step = spd_solve(hess, grad)
+            step = spd_solve(hessian(), grad)
         except NotPositiveDefinite as exc:
             raise HessianNotPD(it, f"iterate {it}: {exc}") from exc
-        del hess  # not held while the next iterate's Hessian is built
-        if fx is None:
-            fx = f.value(x)
         slope = float(grad @ step)  # >= 0 for an SPD Hessian
         # the required decrease can fall below float resolution near the optimum
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(fx))
         t = 1.0
-        while (f_trial := f.value(x - t * step)) > fx - tol.ARMIJO_C * t * slope + noise:
+        while (trial := f.evaluate(x - t * step))[0] > fx - tol.ARMIJO_C * t * slope + noise:
             t *= tol.BACKTRACK_FACTOR
             if t < 1e-16:
                 note = "backtracking stalled"
@@ -278,11 +302,10 @@ def newton_minimize(
         if note:
             break
         x = x - t * step
-        fx = f_trial
+        fx, grad, hessian = trial
         iterations = it
         if traj is not None:
             traj.append(x.copy())
-        grad, hess = f.derivatives(x)
         gnorm = float(np.abs(grad).max())
     converged = gnorm <= tol_grad
     if not converged and not note:

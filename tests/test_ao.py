@@ -16,7 +16,7 @@ from perturbopt.btl import PenaltySpec, btl_objective, sample_er_graph, sample_o
 from perturbopt.errors import InsufficientSteps, MetricDominanceViolated
 from perturbopt.expansions import ConditionConstants
 from perturbopt.numkit import BlockHessian, BlockSplit, MetricTensor, psd_power
-from perturbopt.objective import QuadraticObjective, newton_minimize
+from perturbopt.objective import QuadraticObjective, SmoothObjective, newton_minimize
 
 
 def _coupled_quadratic():
@@ -77,6 +77,20 @@ class TestAoRun:
                 prev_pair = f.value(split.embed(theta_prev, trace.nui_iterates[step - 1]))
                 assert before <= prev_pair + slack
             theta_prev = theta
+
+    def test_btl_block_evaluation_leaves_the_trace_unchanged(self):
+        f, ups_star = _btl_setup(n=14, seed=5)
+
+        class Plain(SmoothObjective):  # the default evaluate, from the three derivatives
+            dim = f.dim
+            value, gradient, hessian = f.value, f.gradient, f.hessian
+
+        split = BlockSplit(np.array([9, 2, 5, 12, 0, 7]), np.array([1, 3, 4, 6, 8, 10, 11, 13]))
+        theta0 = ups_star[split.target_idx] + 0.3
+        traces = [ao_run(g, split, theta0, 5, upsilon_star=ups_star) for g in (f, Plain())]
+        for a, b in zip(*(t.theta_iterates + t.nui_iterates for t in traces)):
+            assert a.tobytes() == b.tobytes()
+        assert traces[0].theta_err_norms.tobytes() == traces[1].theta_err_norms.tobytes()
 
     def test_internal_joint_solve(self):
         quad = _coupled_quadratic()

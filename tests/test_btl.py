@@ -282,8 +282,16 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _close(value, reference, scale=None) -> bool:
+    """Within 1e-13 of ``scale``, by default ``|reference|``.
+
+    Every term of a BTL value is nonnegative, so its rounding is relative to it.
+    """
+    return abs(value - reference) <= 1e-13 * abs(reference if scale is None else scale)
+
+
 class TestDerivativeExactness:
-    """The fused and block derivatives are the separate ones, bit for bit."""
+    """Block and full evaluations give the separate derivatives, bit for bit."""
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.none(), PenaltySpec.mean_shift(2.0),
                                          PenaltySpec.ridge(0.5)])
@@ -292,8 +300,8 @@ class TestDerivativeExactness:
         g = sample_er_graph(12, 0.6, 3, rng)
         obj = BtlObjective(g, rng.integers(0, 4, g.n_edges).astype(float), penalty)
         x = rng.uniform(-2, 2, 12)
-        blocks = [obj.hessian(x), obj.derivatives(x)[1]]
-        blocks += [obj.derivatives(x, obj.block_index(idx))[1]
+        blocks = [obj.hessian(x), obj.evaluate(x)[2]()]
+        blocks += [obj.evaluate(x, obj.block_index(idx))[2]()
                    for idx in (np.arange(6), np.arange(6, 12), rng.permutation(12)[:7])]
         for h in blocks:
             assert np.array_equal(h, h.T)
@@ -302,33 +310,49 @@ class TestDerivativeExactness:
     @given(_objective_point_block())
     def test_free_block_is_the_slice(self, case):
         obj, x, idx = case
-        grad, block = obj.derivatives(x, obj.block_index(idx))
-        assert _same_bits(block, obj.hessian(x)[np.ix_(idx, idx)])
-        assert _same_bits(grad, obj.gradient(x))
+        block = obj.block_index(idx)
+        assert obj.block_index(idx.copy()) is block
+        value, grad, hessian = obj.evaluate(x, block)
+        assert _same_bits(hessian(), obj.hessian(x)[np.ix_(idx, idx)])
+        assert _same_bits(grad, obj.gradient(x)[idx])
+        # the block value leaves out exactly the edges between held items
+        g = obj.graph
+        held = ~np.isin(g.j, idx) & ~np.isin(g.m, idx)
+        held_graph = ComparisonGraph.from_edges(g.n, g.j[held], g.m[held], g.counts[held])
+        held_value = BtlObjective(held_graph, obj.wins[held], PenaltySpec.none()).value(x)
+        assert obj.held_value(x, block) == held_value
+        assert _close(value + held_value, obj.value(x))
 
     @settings(max_examples=200, deadline=None)
     @given(_objective_point_block())
     def test_fused_derivatives_are_the_separate_ones(self, case):
         obj, x, _ = case
-        grad, hess = obj.derivatives(x)
+        value, grad, hessian = obj.evaluate(x)
+        assert value == obj.value(x)
         assert _same_bits(grad, obj.gradient(x))
-        assert _same_bits(hess, obj.hessian(x))
+        assert _same_bits(hessian(), obj.hessian(x))
 
     @settings(max_examples=100, deadline=None)
     @given(_objective_point_block())
     def test_restricted_and_perturbed_objectives(self, case):
         obj, x, idx = case
         fixed = np.setdiff1d(np.arange(obj.dim), idx)
-        restricted = RestrictedObjective(obj, idx, fixed, x[fixed])
-        z = x[idx]
-        grad, hess = restricted.derivatives(z)
-        assert _same_bits(hess, obj.hessian(x)[np.ix_(idx, idx)])
-        assert _same_bits(restricted.hessian(z), hess)
-        assert _same_bits(grad, restricted.gradient(z))
         shifted = LinearPerturbation(obj, np.linspace(-1.0, 1.0, obj.dim))
-        grad, block = shifted.derivatives(x, shifted.block_index(idx))
-        assert _same_bits(grad, shifted.gradient(x))
-        assert _same_bits(block, shifted.hessian(x)[np.ix_(idx, idx)])
+        _, grad, hessian = shifted.evaluate(x, shifted.block_index(idx))
+        assert _same_bits(grad, shifted.gradient(x)[idx])
+        assert _same_bits(hessian(), shifted.hessian(x)[np.ix_(idx, idx)])
+        for base in (obj, shifted):
+            restricted = RestrictedObjective(base, idx, fixed, x[fixed])
+            for z in (x[idx], 0.5 * x[idx] + 0.25):
+                value, grad, hessian = restricted.evaluate(z)
+                hess = hessian()
+                assert _same_bits(hess, base.hessian(restricted.embed(z))[np.ix_(idx, idx)])
+                assert _same_bits(restricted.hessian(z), hess)
+                assert _same_bits(grad, restricted.gradient(z))
+                xz = restricted.embed(z)
+                # the linear term can cancel the likelihood: measure against both
+                scale = obj.value(xz) + (np.abs(shifted.a) @ np.abs(xz) if base is shifted else 0)
+                assert _close(value, restricted.value(z), scale)
 
 
 class TestNoiseGradient:

@@ -60,8 +60,10 @@ class TestUsage:
     def test_help_lists_defaults(self, capsys):
         assert dispatch(["fit", "--help"]) == 0
         out = capsys.readouterr().out
-        assert "--penalty" in out and "--gsq" in out and "--seed" in out
+        assert "--penalty" in out and "--gsq" in out and "--seed" not in out
         assert "mean_shift" in out
+        assert dispatch(["study-rho", "--help"]) == 0
+        assert "--seed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [
         ("--n-list", "20,x"), ("--score-range", "0,1,2"), ("--p-rule", "often"),
@@ -79,7 +81,7 @@ class TestUsage:
             monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
         assert dispatch(["fit", "--input", "a.csv", "--out", "b.csv", "--penalty", "ridge",
                          "--gsq", "2", "--solver", "coord", "--tol", "1e-3", "--strict",
-                         "--seed", "5", "--config", "c.json"]) == 0
+                         "--config", "c.json"]) == 0
         assert dispatch(["ao", "--n", "7", "--L", "2", "--surrogate", "--out", "t.csv"]) == 0
         assert dispatch(["fit", "--input", "d.csv", "--out", "e.csv"]) == 0
         assert seen[1] == {"subcommand": "ao", "n": 7, "gap": None, "steps": None, "L": 2,
@@ -87,8 +89,8 @@ class TestUsage:
                            "config": None}
         assert seen[2] == {"subcommand": "fit", "input": "d.csv", "out": "e.csv",
                            "penalty": None, "gsq": None, "solver": None, "tol": None,
-                           "strict": False, "seed": None, "config": None}
-        assert seen[0]["gsq"] == 2.0 and seen[0]["strict"] and seen[0]["seed"] == 5
+                           "strict": False, "config": None}
+        assert seen[0]["gsq"] == 2.0 and seen[0]["strict"] and seen[0]["tol"] == 1e-3
 
 
 class TestFit:
@@ -108,6 +110,39 @@ class TestFit:
         out = tmp_path / "scores.csv"
         assert dispatch(["fit", "--input", str(path), "--out", str(out)]) == 0
         assert dispatch(["fit", "--input", str(path), "--out", str(out), "--strict"]) == 1
+        capsys.readouterr()
+
+
+class TestSeed:
+    """``fit`` and ``diagnose`` are deterministic and take no seed."""
+
+    def test_fit_refuses_a_seed_flag(self, symmetric_obs, tmp_path, capsys):
+        out = tmp_path / "scores.csv"
+        assert dispatch(["fit", "--input", str(symmetric_obs), "--seed", "5",
+                         "--out", str(out)]) == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_variable_is_not_read(self, sampled_instance, tmp_path, capsys, monkeypatch):
+        obs_path, truth_path = sampled_instance
+        monkeypatch.setenv("PERTURBOPT_SEED", "abc")
+        assert dispatch(["fit", "--input", str(obs_path), "--out",
+                         str(tmp_path / "scores.csv")]) == 0
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "report.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_config_seed_key_is_accepted(self, sampled_instance, tmp_path, capsys):
+        # one config file may serve the studies and fit alike
+        obs_path, _ = sampled_instance
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 3, "penalty": "ridge"}))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert dispatch(["fit", "--input", str(obs_path), "--config", str(config),
+                         "--out", str(out1)]) == 0
+        assert dispatch(["fit", "--input", str(obs_path), "--penalty", "ridge",
+                         "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
         capsys.readouterr()
 
 

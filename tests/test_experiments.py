@@ -159,6 +159,16 @@ class TestExpansionStudy:
         # the default metric, rebuilt from the expected objective, gives the same bits
         assert btl.btl_condition_constants(*args, **kwargs) == constants
 
+    def test_one_fisher_matrix_per_diagnose(self, monkeypatch):
+        points = []
+        hessian = btl.BtlObjective.hessian
+        monkeypatch.setattr(btl.BtlObjective, "hessian",
+                            lambda self, x: points.append(x) or hessian(self, x))
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3)
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        diagnose_expansion(obs, truth, cfg.penalty)
+        assert len(points) == 1
+
 
 class TestAoStudy:
     def test_surrogate_rate_matches_contraction_norm(self):

@@ -136,11 +136,31 @@ class TestNewtonMinimize:
     def test_value_never_evaluated_twice_at_one_point(self):
         f = _btl_instance(12, 2, seed=3)
         points = []
-        value = f.value
-        f.value = lambda x: points.append(np.asarray(x).tobytes()) or value(x)
+        evaluate = f.evaluate
+        f.evaluate = lambda x, block=None: points.append(x.tobytes()) or evaluate(x, block)
+        f.value = f.gradient = f.hessian = None  # Newton asks evaluate for everything
         rep = newton_minimize(f, np.zeros(12), tol_grad=1e-12)
         assert rep.converged and rep.iterations >= 3
         assert len(points) == len(set(points))
+
+    def test_one_hessian_per_iteration(self):
+        f = _btl_instance(12, 2, seed=3)
+        built = []
+        evaluate = f.evaluate
+
+        def counting(x, block=None):
+            value, grad, hessian = evaluate(x, block)
+            return value, grad, lambda: built.append(x) or hessian()
+
+        f.evaluate = counting
+        rep = newton_minimize(f, np.zeros(12), tol_grad=1e-12)
+        assert rep.converged and rep.iterations >= 3
+        assert len(built) == rep.iterations
+        built.clear()
+        rep = partial_minimize(f, BlockSplit.half(12), "target", np.full(6, 0.3),
+                               tol_grad=1e-12)
+        assert rep.converged and rep.iterations >= 1
+        assert len(built) == rep.iterations
 
     def test_trajectory_recorded(self):
         rng = np.random.default_rng(10)
