@@ -13,8 +13,8 @@ import csv
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -104,20 +104,27 @@ def _abs_phi3(t):
 
 _PSI_STEP = 2.5e-4
 _PSI_CUTOFF = 45.0  # |phi'''| < 3e-20 beyond this
-_PSI_Y = np.arange(0.0, _PSI_CUTOFF + _PSI_STEP, _PSI_STEP)
-# filled in blocks: whole-table temporaries leave ~3.5 MB of freed heap resident
-for _block in np.split(_PSI_Y, range(8192, _PSI_Y.size, 8192)):
-    _block[:] = _abs_phi3(_block)
+
+
+@cache
+def _psi_table() -> np.ndarray:
+    """|phi'''| on the grid 0, _PSI_STEP, ..., _PSI_CUTOFF, built on first use (1.4 MB)."""
+    table = np.arange(0.0, _PSI_CUTOFF + _PSI_STEP, _PSI_STEP)
+    # filled in blocks: whole-table temporaries leave ~3.5 MB of freed heap resident
+    for block in np.split(table, range(8192, table.size, 8192)):
+        block[:] = _abs_phi3(block)
+    return table
 
 
 def _abs_phi3_table(t):
     """Tabulated |phi'''| on a uniform grid; error ~1e-9, below the scan resolution."""
+    table = _psi_table()
     u = np.abs(t) * (1.0 / _PSI_STEP)
     idx = u.astype(np.int64)
-    inside = idx < _PSI_Y.size - 1
-    np.clip(idx, 0, _PSI_Y.size - 2, out=idx)
+    inside = idx < table.size - 1
+    np.clip(idx, 0, table.size - 2, out=idx)
     frac = u - idx
-    vals = _PSI_Y[idx] * (1.0 - frac) + _PSI_Y[idx + 1] * frac
+    vals = table[idx] * (1.0 - frac) + table[idx + 1] * frac
     return np.where(inside, vals, 0.0)
 
 
@@ -135,15 +142,30 @@ def _sup_abs_phi3(lo, hi):
     return np.maximum(_abs_phi3(cand1), _abs_phi3(cand2))
 
 
+def _incidence(n: int, j: np.ndarray, m: np.ndarray):
+    """(row_ptr, row_other, row_edge) of an edge list, each item's edges in edge order.
+
+    A stable sort of the interleaved endpoints [j0, m0, j1, m1, ...] lists
+    each item's edges in edge order, which keeps the edge list's summation
+    order; on the narrowest integer type that holds the items it is a radix
+    sort.
+    """
+    ends = np.column_stack((j, m)).ravel()
+    order = np.argsort(ends.astype(np.min_scalar_type(n)), kind="stable")
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+    return row_ptr, np.column_stack((m, j)).ravel()[order], order // 2
+
+
 @dataclass(frozen=True)
 class ComparisonGraph:
     """Items as vertices, compared pairs as edges with multiplicities.
 
     Edges are stored as parallel arrays with j < m (0-based), each pair at
     most once.  The edges at item v are ``row_edge[row_ptr[v]:row_ptr[v + 1]]``
-    in edge order, their other endpoints ``row_other`` at the same positions.
-    ``component_labels`` numbers the connected components 0..k-1;
-    disconnected graphs are representable but flagged by ``connected``.
+    in edge order, their other endpoints ``row_other`` at the same positions;
+    these rows are built on first read.  ``component_labels`` numbers the
+    connected components 0..k-1; disconnected graphs are representable but
+    flagged by ``connected``.
     """
 
     n: int
@@ -152,9 +174,6 @@ class ComparisonGraph:
     counts: np.ndarray
     connected: bool
     component_labels: np.ndarray
-    row_ptr: np.ndarray = field(repr=False)
-    row_other: np.ndarray = field(repr=False)
-    row_edge: np.ndarray = field(repr=False)
 
     @classmethod
     def from_edges(cls, n: int, j, m, counts) -> "ComparisonGraph":
@@ -170,22 +189,30 @@ class ComparisonGraph:
                 raise ValueError("edges must satisfy j < m")
             if np.any(j < 0) or np.any(m >= n):
                 raise ValueError("edge endpoints out of range")
-            if np.any(counts < 1):
-                raise ValueError("edge multiplicities must be >= 1")
+            if not np.all(np.isfinite(counts) & (counts >= 1)):
+                raise ValueError("edge multiplicities must be finite and >= 1")
             if np.any(np.diff(np.sort(j * n + m)) == 0):
                 raise ValueError("duplicate edges")
-        # a stable sort of the interleaved endpoints [j0, m0, j1, m1, ...] lists
-        # each item's edges in edge order, keeping the edge list's summation order
-        ends = np.column_stack((j, m)).ravel()
-        order = np.argsort(ends, kind="stable")
-        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
-        row_other = np.column_stack((m, j)).ravel()[order]
-        adjacency = csr_matrix((np.ones(order.size), row_other, row_ptr), shape=(n, n))
+        adjacency = csr_matrix((np.ones(j.size), (j, m)), shape=(n, n))
         k, labels = connected_components(adjacency, directed=False)
-        return cls(
-            n=n, j=j, m=m, counts=counts, connected=bool(k == 1), component_labels=labels,
-            row_ptr=row_ptr, row_other=row_other, row_edge=order // 2,
-        )
+        return cls(n=n, j=j, m=m, counts=counts, connected=bool(k == 1),
+                   component_labels=labels)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _incidence(self.n, self.j, self.m)
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def row_other(self) -> np.ndarray:
+        return self._rows[1]
+
+    @property
+    def row_edge(self) -> np.ndarray:
+        return self._rows[2]
 
     @property
     def n_edges(self) -> int:
@@ -221,7 +248,7 @@ class BtlObservation:
         object.__setattr__(self, "wins", wins)
         if wins.shape != self.graph.counts.shape:
             raise DimensionMismatch("wins must align with the edge list")
-        if np.any(wins < 0) or np.any(wins > self.graph.counts):
+        if not np.all((wins >= 0) & (wins <= self.graph.counts)):  # NaN fails both
             raise ValueError("wins must lie in [0, N] per edge")
 
 
@@ -347,8 +374,9 @@ class BtlObjective(SmoothObjective):
         d = x[g.j[held]] - x[g.m[held]]
         return self._edge_value(d, np.exp(-np.abs(d)), g.counts[held], self.wins[held])
 
+    @cached_property
     def _whole(self) -> _EdgeBlock:
-        """Every edge, as the block of all items; made per call, so no graph-sized array is kept."""
+        """Every edge, as the block of all items; built once per objective."""
         g = self.graph
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
                           ends=np.concatenate((g.j, g.m)), inner=slice(None), rows=g.j, cols=g.m,
@@ -382,12 +410,12 @@ class BtlObjective(SmoothObjective):
         return h
 
     def gradient(self, x) -> np.ndarray:
-        block = self._whole()
+        block = self._whole
         x, d, e = self._pass(x, block)
         return self._gradient(x, block, d, e)
 
     def hessian(self, x) -> np.ndarray:
-        block = self._whole()
+        block = self._whole
         return self._hessian(block, self._pass(x, block)[2])
 
     def block_index(self, idx) -> _EdgeBlock:
@@ -418,7 +446,7 @@ class BtlObjective(SmoothObjective):
         its own edges in edge order, so the gradient and the Hessian block are
         the bits of the full ones' slices.
         """
-        block = self._whole() if block is None else block
+        block = self._whole if block is None else block
         x, d, e = self._pass(x, block)
         value = self._edge_value(d, e, block.counts, block.wins) + self.penalty.quad(x)
         return value, self._gradient(x, block, d, e), lambda: self._hessian(block, e)
@@ -606,8 +634,11 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
     diffs = center[g.j] - center[g.m]
 
     # mixed derivatives: each neighbor moves independently in its own interval
-    at_j = g.counts * _sup_abs_phi3(diffs - radius / d[g.m], diffs + radius / d[g.m])
-    at_m = g.counts * _sup_abs_phi3(diffs - radius / d[g.j], diffs + radius / d[g.j])
+    if radius == 0.0:  # both ends' intervals are the point diffs
+        at_j = at_m = g.counts * _abs_phi3(diffs)
+    else:
+        at_j = g.counts * _sup_abs_phi3(diffs - radius / d[g.m], diffs + radius / d[g.m])
+        at_m = g.counts * _sup_abs_phi3(diffs - radius / d[g.j], diffs + radius / d[g.j])
     d21_rows = _edge_scatter(g, at_j / d[g.m], at_m / d[g.j])
     d12_rows = _edge_scatter(g, at_j / d[g.m] ** 2, at_m / d[g.j] ** 2)
 
@@ -615,7 +646,8 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
     # the interval sups above are |phi'''(diffs)|; otherwise a dense scan per row.
     # Every term decays monotonically once the offset pushes all arguments
     # past the |phi'''| peak, so the scan clamps to that window exactly.
-    rows = np.flatnonzero(np.diff(g.row_ptr))
+    degree = np.bincount(g.j, minlength=g.n) + np.bincount(g.m, minlength=g.n)
+    rows = np.flatnonzero(degree)
     if radius == 0.0:
         pure = _edge_scatter(g, at_j, at_m)
     else:
@@ -800,6 +832,17 @@ def read_observations(path, n: Optional[int] = None):
     wins = rows["S"].copy() if has_wins else None
     if n is None:
         n = int(m.max(initial=1))
+    try:
+        graph = ComparisonGraph.from_edges(n, j - 1, m - 1, counts)
+        return BtlObservation(graph=graph, wins=wins) if has_wins else graph
+    except ValueError:
+        # the constructors check every row; only now find the first bad one
+        _raise_bad_row(path, n, j, m, counts, wins)
+        raise
+
+
+def _raise_bad_row(path, n: int, j, m, counts, wins) -> None:
+    """Raise a ValueError naming the file line of the first row that breaks a rule, if any."""
     _, first, inverse = np.unique(j * (n + 1) + m, return_index=True, return_inverse=True)
     first = first[inverse]
     checks = [
@@ -809,20 +852,18 @@ def read_observations(path, n: Optional[int] = None):
         (np.isfinite(counts) & (counts >= 1), "N must be a finite number >= 1"),
         (first == np.arange(j.size), "the pair is already on line {first}"),
     ]
-    if has_wins:
+    if wins is not None:
         checks.append(((wins >= 0) & (wins <= counts), "S must lie in [0, N]"))
     failures = [(np.argmin(ok), reason) for ok, reason in checks if not ok.all()]
     if failures:
         k, reason = min(failures, key=lambda failure: failure[0])
         lines = [number for number, _ in _data_lines(path)]
-        got = f"j={j[k]}, m={m[k]}, N={counts[k]:g}" + (f", S={wins[k]:g}" if has_wins else "")
+        got = f"j={j[k]}, m={m[k]}, N={counts[k]:g}"
+        if wins is not None:
+            got += f", S={wins[k]:g}"
         raise ValueError(
             f"{path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; got {got}"
-        )
-    graph = ComparisonGraph.from_edges(n, j - 1, m - 1, counts)
-    if has_wins:
-        return BtlObservation(graph=graph, wins=wins)
-    return graph
+        ) from None
 
 
 def write_scores(path, scores) -> None:

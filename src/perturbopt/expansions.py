@@ -140,12 +140,10 @@ def rho_dual(f_mat, d_scales) -> tuple[float, float]:
         raise DimensionMismatch("matrix and scale vector dimensions differ")
     if np.any(d <= 0):
         raise ValueError("scales must be positive")
-    scaled = np.abs(f) / np.outer(d, d)
+    scaled = f / np.outer(d, d)  # |f| / dd' is |f / dd'| bit for bit, as dd' > 0
     np.fill_diagonal(scaled, 0.0)
-    exact = float(scaled.sum(axis=1).max())
-    sq = (f / np.outer(d, d)) ** 2
-    np.fill_diagonal(sq, 0.0)
-    l2 = float(np.sqrt(sq.sum(axis=1).max()))
+    l2 = float(np.sqrt((scaled**2).sum(axis=1).max()))
+    exact = float(np.abs(scaled, out=scaled).sum(axis=1).max())
     return exact, l2
 
 
@@ -400,16 +398,16 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
     )
 
 
-def _sup_norm_reports(prefix, fisher, d, shift, v, constants, solved):
+def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved):
     """Sup-norm displays (i)-(iv) of one perturbed minimizer, variants ``prefix_*``.
 
     ``shift`` is the perturbed minus the unperturbed minimizer, ``v`` the
     perturbation gradient at the unperturbed one, ``fisher`` the Hessian
-    there and ``d`` the diagonal metric.  Bounds are computed whenever the
-    dual value is below one; the three prerequisite flags gate their
-    interpretation.
+    there, ``d`` the diagonal metric and ``rho`` the pair ``rho_dual(fisher,
+    d)``.  Bounds are computed whenever the dual value is below one; the
+    three prerequisite flags gate their interpretation.
     """
-    rho_exact, rho_l2 = rho_dual(fisher, d)
+    rho_exact, rho_l2 = rho
     d_inv_v = v / d
     v_norm = float(np.abs(d_inv_v).max())
     diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, v_norm)
@@ -442,11 +440,13 @@ def check_linear_sup_expansion(
     constants: ConditionConstants,
     upsilon_star,
     fisher=None,
+    rho=None,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
-    unperturbed minimizer; ``fisher`` is that Hessian when the caller holds it.
+    unperturbed minimizer; ``fisher`` is that Hessian and ``rho`` its
+    ``rho_dual`` pair in that metric, when the caller holds them.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
@@ -456,8 +456,10 @@ def check_linear_sup_expansion(
     sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star,
                           tol_grad=tol.JOINT_SOLVE_TOL)
     solved = sol.converged and _stationary(f, upsilon_star)
-    return _sup_norm_reports("lin", fisher, np.sqrt(np.diag(fisher)), sol.argmin - upsilon_star,
-                             a_vec, constants, solved)
+    d = np.sqrt(np.diag(fisher))
+    rho = rho_dual(fisher, d) if rho is None else rho
+    return _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec, constants,
+                             solved)
 
 
 def check_separable_sup_expansion(
@@ -484,9 +486,10 @@ def check_separable_sup_expansion(
     m_vec = spec.t1(upsilon_star)
     shift = ups_circ - upsilon_star
     solved = sol.converged and _stationary(f, upsilon_star)
-    diag, reports = _sup_norm_reports("sep", fisher, d, shift, m_vec, constants, solved)
+    rho = rho_dual(fisher, d)
+    diag, reports = _sup_norm_reports("sep", fisher, d, rho, shift, m_vec, constants, solved)
     # the printed convention is the same display with the sign of m flipped
-    _, flipped = _sup_norm_reports("sep", fisher, d, shift, -m_vec, constants, solved)
+    _, flipped = _sup_norm_reports("sep", fisher, d, rho, shift, -m_vec, constants, solved)
     ii_printed, iii_printed = (replace(r, variant=r.variant + "_printed") for r in flipped[1:3])
     return diag, [reports[0], ii_printed, reports[1], iii_printed, *reports[2:]]
 

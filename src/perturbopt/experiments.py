@@ -235,15 +235,15 @@ def _sup_expansion_bounds(
     constants are taken at the center only.
     """
     d = np.sqrt(np.diag(fisher))
-    rho_exact, _ = rho_dual(fisher, d)
+    rho = rho_dual(fisher, d)
     a_norm = float(np.abs(noise / d).max())
-    radius = math.sqrt(2.0) * a_norm / (1.0 - rho_exact) if rho_exact < 1.0 else 0.0
+    radius = math.sqrt(2.0) * a_norm / (1.0 - rho[0]) if rho[0] < 1.0 else 0.0
     # d is the metric the constants would otherwise rebuild (the Hessian holds no outcomes)
     constants = btl_condition_constants(expected.graph, expected.penalty, ups_star,
                                         radius=radius, metric=MetricTensor.diagonal(d),
                                         norm="linf")
-    diagnostics, reports = check_linear_sup_expansion(expected, noise, constants,
-                                                      upsilon_star=ups_star, fisher=fisher)
+    diagnostics, reports = check_linear_sup_expansion(expected, noise, constants, ups_star,
+                                                      fisher=fisher, rho=rho)
     return constants, diagnostics, reports
 
 

@@ -325,33 +325,34 @@ def _scalar_newton(f: SmoothObjective, x: np.ndarray, i: int) -> float:
 
     Brackets the root of the directional derivative starting from
     +/- 64 * (1 + |x_i|), doubling until a sign change, then mixes Newton
-    steps with bisection.  Returns the new coordinate value.
+    steps with bisection.  Returns the new coordinate value.  Each point takes
+    one ``evaluate`` call on the block {i}, whose Hessian thunk gives the
+    curvature there, so an objective that evaluates a block from its own
+    terms (BTL: item i's edges) never builds the full derivatives.
     """
     xi0 = x[i]
+    block = f.block_index([i])
 
-    def deriv(s: float) -> float:
+    def deriv(s: float):
+        """The derivative along coordinate i at s, and a thunk for the curvature there."""
         y = x.copy()
         y[i] = s
-        return float(f.gradient(y)[i])
+        _, grad, hessian = f.evaluate(y, block)
+        return float(grad[0]), lambda: float(hessian()[0, 0])
 
-    def curv(s: float) -> float:
-        y = x.copy()
-        y[i] = s
-        return float(f.hessian(y)[i, i])
-
-    g0 = deriv(xi0)
+    g0, curv = deriv(xi0)
     gtol = 1e-13 * (1.0 + abs(g0))
     if abs(g0) <= gtol:
         return xi0
 
     w = tol.SCALAR_BRACKET_SCALE * (1.0 + abs(xi0))
     lo, hi = xi0 - w, xi0 + w
-    glo, ghi = deriv(lo), deriv(hi)
+    glo, ghi = deriv(lo)[0], deriv(hi)[0]
     doublings = 0
     while (glo > 0.0 or ghi < 0.0) and doublings < tol.SCALAR_BRACKET_DOUBLINGS:
         w *= 2.0
         lo, hi = xi0 - w, xi0 + w
-        glo, ghi = deriv(lo), deriv(hi)
+        glo, ghi = deriv(lo)[0], deriv(hi)[0]
         doublings += 1
     if glo > 0.0 or ghi < 0.0:
         # no interior minimum along this coordinate; move to the better endpoint
@@ -363,12 +364,12 @@ def _scalar_newton(f: SmoothObjective, x: np.ndarray, i: int) -> float:
             hi = s
         else:
             lo = s
-        h = curv(s)
+        h = curv()
         s_new = s - gs / h if h > 0.0 else 0.5 * (lo + hi)
         if not (lo < s_new < hi):
             s_new = 0.5 * (lo + hi)
         s = s_new
-        gs = deriv(s)
+        gs, curv = deriv(s)
         if abs(gs) <= gtol or (hi - lo) <= 1e-15 * (1.0 + abs(s)):
             break
     return s

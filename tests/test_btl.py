@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from perturbopt.btl import (
     BtlObjective,
@@ -29,7 +31,7 @@ from perturbopt.btl import (
     write_observations,
     write_scores,
 )
-from perturbopt.btl import _T3_PEAK, _scan_row_max, _sup_abs_phi3
+from perturbopt.btl import _T3_PEAK, _abs_phi3_table, _psi_table, _scan_row_max, _sup_abs_phi3
 from perturbopt import tolerances as tol
 from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
 from perturbopt.objective import LinearPerturbation, RestrictedObjective
@@ -73,6 +75,12 @@ class TestSampling:
         g = _complete_graph(3)
         with pytest.raises(ValueError):
             BtlObservation(graph=g, wins=np.array([2.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wins_rejected(self, bad):
+        g = ComparisonGraph.from_edges(3, [0, 1], [1, 2], [2.0, 2.0])
+        with pytest.raises(ValueError, match=r"wins must lie in \[0, N\]"):
+            BtlObservation(graph=g, wins=np.array([bad, 1.0]))
 
 
 def _closure(adj):
@@ -199,6 +207,61 @@ class TestGraphValidation:
         g = ComparisonGraph.from_edges(4, [0], [1], [1.0])
         assert not g.connected
         assert np.unique(g.component_labels).size == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_multiplicities(self, bad):
+        with pytest.raises(ValueError, match="multiplicities must be finite"):
+            ComparisonGraph.from_edges(3, [0, 1], [1, 2], [1.0, bad])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edge lists on n <= 300 items in any order, isolated items common."""
+    n = draw(st.integers(1, 300))
+    iu, im = np.triu_indices(n, k=1)
+    codes = draw(st.lists(st.integers(0, max(iu.size - 1, 0)), unique=True, max_size=150)
+                 if iu.size else st.just([]))
+    return n, iu[codes], im[codes]
+
+
+def _rows_reference(n, j, m):
+    """Each item's edges in edge order and their other ends, item by item."""
+    edges = [[] for _ in range(n)]
+    others = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(zip(j.tolist(), m.tolist())):
+        edges[a].append(e)
+        others[a].append(b)
+        edges[b].append(e)
+        others[b].append(a)
+    flat = itertools.chain.from_iterable
+    return (np.cumsum([0] + [len(row) for row in edges]), np.array(list(flat(others)), dtype=int),
+            np.array(list(flat(edges)), dtype=int))
+
+
+class TestGraphRows:
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_lists())
+    def test_rows_list_each_items_edges_in_edge_order(self, edges):
+        n, j, m = edges
+        g = ComparisonGraph.from_edges(n, j, m, np.ones(j.size))
+        row_ptr, row_other, row_edge = _rows_reference(n, j, m)
+        assert np.array_equal(g.row_ptr, row_ptr)
+        assert np.array_equal(g.row_other, row_other)
+        assert np.array_equal(g.row_edge, row_edge)
+        # the components csgraph finds from the rows, a second build of the same adjacency
+        adjacency = csr_matrix((np.ones(row_other.size), row_other, row_ptr), shape=(n, n))
+        k, labels = connected_components(adjacency, directed=False)
+        assert g.connected == (k == 1)
+        assert np.array_equal(g.component_labels, labels)
+
+    def test_rows_beyond_sixteen_bit_item_numbers(self):
+        rng = np.random.default_rng(8)
+        n = 70_000
+        pairs = np.sort(rng.choice(n, size=(40, 2), replace=False), axis=1)
+        j, m = pairs[:, 0], pairs[:, 1]
+        g = ComparisonGraph.from_edges(n, j, m, np.ones(j.size))
+        for got, want in zip((g.row_ptr, g.row_other, g.row_edge), _rows_reference(n, j, m)):
+            assert np.array_equal(got, want)
 
 
 class TestObjectiveValues:
@@ -538,6 +601,23 @@ class TestConditionConstants:
         values = np.array([consts.tau3, consts.d12, consts.d21])
         assert np.all(np.isfinite(values)) and np.all(values > 0.0)
 
+    def test_phi3_table_built_for_the_scan_only(self):
+        rng = np.random.default_rng(21)
+        g = sample_er_graph(12, 0.5, 3, rng)
+        center = rng.uniform(-2, 2, 12)
+        _psi_table.cache_clear()
+        btl_condition_constants(g, PenaltySpec.mean_shift(1.0), center, radius=0.0, norm="linf")
+        assert _psi_table.cache_info().currsize == 0
+        consts = btl_condition_constants(g, PenaltySpec.mean_shift(1.0), center, radius=0.4,
+                                         norm="linf")
+        assert _psi_table.cache_info().currsize == 1
+        # pinned from the table built eagerly: building it on first use changes no bit
+        assert (consts.tau3, consts.d12, consts.d21) == (
+            0.4951227822650353, 0.40558558453661314, 0.42968057849834995)
+        table = _abs_phi3_table(np.array([0.0, 0.3, -1.31695789692482, 1.875e-3, 44.99999, 50.0]))
+        assert table.tolist() == [0.0, 0.03639618395557624, 0.09622504444377704,
+                                  0.00023437472167990182, 2.8625472093136513e-20, 0.0]
+
     def test_equal_scores_radius_zero(self):
         g = _complete_graph(4, L=2)
         consts = btl_condition_constants(g, PenaltySpec.none(), np.zeros(4),
@@ -685,7 +765,9 @@ class TestFileFormats:
         ("1,2,3,1\n2,2,3,1\n", "line 3: need j < m; got j=2, m=2, N=3, S=1"),
         ("0,2,3,1\n", "line 2: item indices start at 1; got j=0, m=2"),
         ("1,2,0,0\n", "line 2: N must be a finite number >= 1; got j=1, m=2, N=0"),
-        ("1,2,nan,0\n", "line 2: N must be a finite number >= 1"),
+        ("1,2,nan,0\n", "line 2: N must be a finite number >= 1; got j=1, m=2, N=nan, S=0"),
+        ("1,2,inf,0\n", "line 2: N must be a finite number >= 1; got j=1, m=2, N=inf, S=0"),
+        ("1,2,3,1\n2,3,3,nan\n", "line 3: S must lie in [0, N]; got j=2, m=3, N=3, S=nan"),
         ("1,3,3,1\n2,3,3,4\n", "line 3: S must lie in [0, N]; got j=2, m=3, N=3, S=4"),
         ("1,2,3,-1\n", "line 2: S must lie in [0, N]"),
         ("1,2,3,1\n2,3,3,1\n1,2,1,0\n", "line 4: the pair is already on line 2"),
@@ -701,8 +783,8 @@ class TestFileFormats:
         ("1,2,3,1\n\n2,x,3,1\n", "line 4: j and m must be integers"),
         ("1,2,3,1\n1_0,20,1,1\n", "line 3: j and m must be integers"),
     ], ids=["non_integer_index", "non_numeric_count", "j_not_below_m", "index_below_one",
-            "count_below_one", "count_nan", "wins_above_count", "wins_negative",
-            "duplicate_pair", "blank_line_counted", "short_row", "whitespace_line",
+            "count_below_one", "count_nan", "count_inf", "wins_nan", "wins_above_count",
+            "wins_negative", "duplicate_pair", "blank_line_counted", "short_row", "whitespace_line",
             "empty_fields", "float_index", "bad_field_after_blank_line", "underscore_index"])
     def test_malformed_observations_name_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "obs.csv"
@@ -711,6 +793,12 @@ class TestFileFormats:
             read_observations(path)
         assert str(exc.value).startswith(f"{path}, line ")
         assert message in str(exc.value)
+
+    def test_constructor_error_without_a_bad_row(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("j,m,N,S\n")
+        with pytest.raises(ValueError, match="^need at least one item$"):
+            read_observations(path, n=0)
 
     def test_index_above_given_item_count(self, tmp_path):
         path = tmp_path / "graph.csv"

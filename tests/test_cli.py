@@ -151,7 +151,10 @@ class TestInputErrors:
     @pytest.mark.parametrize("text, message", [
         ("j,m,N,S\n1,2,3,1\n1,2,3,2\n", ", line 3: the pair is already on line 2"),
         ("j,m,N\n1,2,3\n", ": no outcome column S"),
-    ], ids=["duplicate_pair", "graph_only"])
+        ("j,m,N,S\n1,2,nan,1\n", ", line 2: N must be a finite number >= 1; got j=1, m=2, "
+                                  "N=nan, S=1\n"),
+        ("j,m,N,S\n1,2,3,1\n2,3,3,nan\n", ", line 3: S must lie in [0, N]"),
+    ], ids=["duplicate_pair", "graph_only", "count_nan", "wins_nan"])
     def test_malformed_observations_exit_1(self, command, text, message, tmp_path, capsys):
         path = tmp_path / "obs.csv"
         path.write_text(text)

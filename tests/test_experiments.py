@@ -169,6 +169,31 @@ class TestExpansionStudy:
         diagnose_expansion(obs, truth, cfg.penalty)
         assert len(points) == 1
 
+    @pytest.mark.parametrize("p, gsq, radius_zero", [(0.3, 1.0, True), (1.0, 6.0, False)])
+    def test_rows_only_for_the_scan_and_one_dual_value(self, p, gsq, radius_zero, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(btl, "_incidence")
+        for module in (expansions, experiments):
+            counted(module, "rho_dual")
+        rng = np.random.default_rng(11)
+        graph = btl.sample_er_graph(25, p, 1, rng)
+        truth = rng.uniform(-0.3, 0.3, 25)
+        truth -= truth.mean()
+        _, diagnostics, _ = diagnose_expansion(btl.sample_outcomes(graph, truth, rng), truth,
+                                               PenaltySpec.mean_shift(gsq))
+        # the dual value decides the radius: at radius 0 the per-item scan does not run
+        assert (diagnostics.rho_dual >= 1.0) == radius_zero
+        assert (calls["rho_dual"], calls["_incidence"]) == (1, 0 if radius_zero else 1)
+
 
 class TestAoStudy:
     def test_surrogate_rate_matches_contraction_norm(self):

@@ -11,6 +11,7 @@ from perturbopt.objective import (
     LinearPerturbation,
     QuadraticObjective,
     SeparablePerturbation,
+    SmoothObjective,
     coordinate_descent_minimize,
     newton_minimize,
     partial_minimize,
@@ -193,6 +194,31 @@ class TestCoordinateDescent:
                                           record_trajectory=True)
         vals = np.asarray(sol.objective_values)
         assert np.all(np.diff(vals) <= 1e-10 * np.maximum(1.0, np.abs(vals[:-1])))
+
+    def test_sweeps_evaluate_one_item_at_a_time(self):
+        f = _btl_instance(10, 3, seed=7)
+
+        class Plain(SmoothObjective):  # the default evaluate, from the full derivatives
+            dim = f.dim
+            value, gradient, hessian = f.value, f.gradient, f.hessian
+
+        reference = coordinate_descent_minimize(Plain(), np.zeros(10), tol_grad=1e-11)
+        calls = {"gradient": 0, "hessian": 0}
+
+        def counted(name):
+            full = getattr(f, name)
+
+            def wrapper(x):
+                calls[name] += 1
+                return full(x)
+            return wrapper
+
+        f.gradient, f.hessian = counted("gradient"), counted("hessian")
+        sol = coordinate_descent_minimize(f, np.zeros(10), tol_grad=1e-11)
+        assert sol.converged and sol.iterations >= 3
+        # one full gradient before the first sweep and one after each, for the stopping test
+        assert calls == {"gradient": sol.iterations + 1, "hessian": 0}
+        assert sol.argmin.tobytes() == reference.argmin.tobytes()
 
     def test_agrees_with_newton_on_btl(self):
         for n, seed in ((3, 12), (4, 13)):
