@@ -186,14 +186,6 @@ class AoCertificate:
     def holds(self) -> bool:
         return bool(self.conditions_hold) and all(self.conditions_hold.values())
 
-    @property
-    def rate_bound(self) -> float:
-        return self.ppt_norm
-
-    def contraction_slack(self) -> float:
-        """1 - ||PP'|| - (1 + rho2^2) delta_nano * start_gap (positive iff it certifies)."""
-        return 1.0 - self.ppt_norm - (1.0 + self.rho2**2) * self.delta_nano * self.start_gap
-
 
 def _check_dominance(block: np.ndarray, metric: MetricTensor, label: str) -> None:
     gap = block - metric.matrix() @ metric.matrix()

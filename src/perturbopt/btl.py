@@ -25,13 +25,7 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
 from .expansions import ConditionConstants
 from .numkit import BlockGeometry, BlockHessian, BlockSplit, MetricTensor, contraction_matrix
-from .objective import (
-    BlockIndex,
-    SmoothObjective,
-    SolveReport,
-    coordinate_descent_minimize,
-    newton_minimize,
-)
+from .objective import BlockIndex, SmoothObjective, SolveReport, newton_minimize
 
 __all__ = [
     "sigmoid",
@@ -543,6 +537,66 @@ def mle_exists(obs: BtlObservation) -> bool:
     return bool(n_strong == g.component_labels.max() + 1)
 
 
+def _ridge_mm_step(x, s, wins, gsq: float) -> np.ndarray:
+    """Each item's root y of W - s e^{y - x} - gsq y, by Newton steps from above it.
+
+    The function is concave and decreasing in y, so a Newton step from any
+    point lands at or above the root, and the steps after it fall
+    monotonically to the root.  Where the root lies above x, the first step
+    is capped by a second bound, x + log((W - gsq x) / s): at the root
+    s e^{y - x} = W - gsq y < W - gsq x.  So no step overshoots far enough
+    for the exponential to overflow.
+    """
+    excess = wins - s - gsq * x  # the function at y = x
+    y = x + excess / (s + gsq)
+    up = (excess > 0.0) & (s > 0.0)
+    y[up] = np.minimum(y[up], x[up] + np.log((wins[up] - gsq * x[up]) / s[up]))
+    for _ in range(tol.MM_RIDGE_NEWTON_MAX):
+        t = s * np.exp(y - x)
+        step = (wins - t - gsq * y) / (t + gsq)
+        y += step
+        if np.abs(step).max() <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(y).max()):
+            break
+    return y
+
+
+def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
+                 max_iter: int = tol.MM_MAX_ITER) -> SolveReport:
+    """Minorize-maximize fit of the likelihood (Hunter 2004), one edge pass per iteration.
+
+    With ``s`` the expected wins at x and ``W`` the observed ones (the
+    likelihood gradient is s - W), Hunter's majorizer of the negative
+    log-likelihood at x separates by item: s_i e^{y_i - x_i} - W_i y_i.
+    Unpenalized its minimizer is the Zermelo step x_i + log W_i - log s_i.
+    Under a positive ridge each item also carries gsq y_i^2 / 2, and y_i is
+    the root of
+    W_i - s_i e^{y - x_i} - gsq y (``_ridge_mm_step``), finite for an item
+    with no wins or no edges.  Every step is centred, which leaves the
+    likelihood unchanged and does not raise the penalty, so the objective
+    never increases.  Stops on the gradient sup-norm test of
+    ``newton_minimize``.  Without a positive ridge the caller checks that the
+    design is connected and the MLE finite.
+    """
+    g, block = obj.graph, obj._whole
+    wins = _edge_scatter(g, obj.wins, g.counts - obj.wins)
+    gsq = obj.penalty.gsq if obj.penalty.kind == "ridge" else 0.0
+    x = np.asarray(x0, dtype=float).copy()
+    for iterations in range(max_iter + 1):
+        x, d, e = obj._pass(x, block)
+        gnorm = float(np.abs(obj._gradient(x, block, d, e)).max())
+        if gnorm <= tol_grad or iterations == max_iter:
+            break
+        s = _edge_scatter(g, g.counts * _sigmoid_from(d, e), g.counts * _sigmoid_from(-d, e))
+        if gsq > 0.0:
+            x = _ridge_mm_step(x, s, wins, gsq)
+        else:  # an item without edges (a lone item) keeps its score
+            x = x + np.log(np.divide(wins, s, out=np.ones(g.n), where=s > 0.0))
+        x -= x.mean()
+    converged = gnorm <= tol_grad
+    return SolveReport(argmin=x, iterations=iterations, final_grad_supnorm=gnorm,
+                       converged=converged, note="" if converged else "iteration cap reached")
+
+
 def fit_penalized_mle(
     obs: BtlObservation,
     penalty: PenaltySpec,
@@ -550,32 +604,38 @@ def fit_penalized_mle(
     tol_grad: float = tol.SOLVER_GRAD_TOL,
     x0=None,
 ) -> SolveReport:
-    """Fit the penalized maximum-likelihood scores.
+    """Fit the penalized maximum-likelihood scores with ``solver`` "newton" or "mm".
 
-    A divergent likelihood (some item or group with a perfect win/loss
-    record under a shift-only penalty) is surfaced as a non-converged
-    report, never clamped.
+    Without a positive ridge the penalty pins only the mean score, so the
+    minimizer is finite and unique exactly on a connected design where
+    ``mle_exists``.  A disconnected design returns the start as a singular
+    fit; a divergent likelihood (some item or group with a perfect win/loss
+    record) is surfaced as a non-converged report, never clamped: Newton's
+    report keeps its iterate, the MM fit does not start.
     """
+    if solver not in ("newton", "mm"):
+        raise ValueError(f"unknown solver {solver!r}")
     if penalty.kind == "none" and obs.graph.n_edges > 0:
         raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     obj = btl_objective(obs, penalty, mode="empirical")
     start = np.zeros(obs.graph.n) if x0 is None else np.asarray(x0, dtype=float)
-    finite_minimizer = mle_exists(obs) if penalty.kind in ("none", "mean_shift") else True
-    try:
-        if solver == "newton":
+    pinned = penalty.kind == "ridge" and penalty.gsq > 0.0
+
+    def unsolved(iterations: int = 0, note: str = "") -> SolveReport:
+        return SolveReport(argmin=start, iterations=iterations, final_grad_supnorm=float("nan"),
+                           converged=False, note=note)
+
+    if not (pinned or obs.graph.connected):
+        return unsolved(note="singular fit: the design is disconnected, so the scores of its "
+                        "components are not comparable")
+    finite_minimizer = pinned or mle_exists(obs)
+    if solver == "mm":
+        report = _mm_minimize(obj, start, tol_grad) if finite_minimizer else unsolved()
+    else:
+        try:
             report = newton_minimize(obj, start, tol_grad=tol_grad)
-        elif solver == "coord":
-            report = coordinate_descent_minimize(obj, start, tol_grad=tol_grad)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-    except HessianNotPD as exc:
-        return SolveReport(
-            argmin=start,
-            iterations=exc.iteration,
-            final_grad_supnorm=float("nan"),
-            converged=False,
-            note=f"singular fit: {exc}",
-        )
+        except HessianNotPD as exc:
+            return unsolved(exc.iteration, f"singular fit: {exc}")
     if not finite_minimizer:
         report.converged = False
         report.note = "divergent: a one-sided win/loss pattern has no finite optimum"
@@ -730,8 +790,9 @@ def btl_condition_constants(
         if radius is None:
             raise ValueError("sup-norm constants need a radius")
         if metric is None:
-            obj = btl_objective(graph, penalty, mode="expected", truth=center)
-            d_scales = np.sqrt(np.diag(obj.hessian(center)))
+            # the expected Hessian's diagonal: each item's degree plus the penalty's
+            w = graph.counts * phi2(center[graph.j] - center[graph.m])
+            d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
         else:
             if metric.kind != "diagonal":
                 raise ValueError("the sup-norm theory uses a diagonal metric")

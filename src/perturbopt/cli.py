@@ -67,8 +67,9 @@ _FLAGS = {
     "--penalty": dict(choices=["mean_shift", "ridge"],
                       help=f"penalty kind (default {PenaltySpec.kind})"),
     "--gsq": dict(type=float, help=f"penalty strength (default {PenaltySpec.gsq})"),
-    "--solver": dict(choices=["newton", "coord"],
-                     help=f"inner solver (default {_FIT['solver'].default})"),
+    "--solver": dict(choices=["newton", "mm"],
+                     help="'newton', or 'mm' for the matrix-free minorize-maximize fit "
+                     f"(default {_FIT['solver'].default})"),
     "--tol": dict(type=float, help="gradient sup-norm tolerance "
                   f"(default {_FIT['tol_grad'].default:g})"),
     "--strict": dict(action="store_true", help="exit 1 when the fit does not converge"),
@@ -277,7 +278,7 @@ def _cmd_ao(args) -> int:
     result = ao_replication(cfg, cfg.n_list[0], 0)
     rec = result.record
     if result.trace is None:
-        print("ao: replication failed (disconnected design or divergent fit)")
+        print(f"ao: replication failed ({result.reason})")
         return 1
     if args.out:
         trace_to_csv(result.trace, args.out)

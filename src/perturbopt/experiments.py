@@ -276,9 +276,13 @@ def run_expansion_study(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
 
 @dataclass
 class AoRepResult:
+    """One AO replication.  Without a trace, ``reason`` says why: ``disconnected``,
+    ``divergent_mle``, ``joint_not_converged`` or ``inner_solve_failed``."""
+
     record: dict
     trace: Optional[AoTrace] = None
     certificate: Optional[AoCertificate] = None
+    reason: str = "ok"
 
 
 def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
@@ -293,12 +297,14 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
         "cert_ok": False,
         "steps": cfg.steps,
     }
-    if not graph.connected or not mle_exists(obs):
-        return AoRepResult(record=record)
+    if not graph.connected:
+        return AoRepResult(record=record, reason="disconnected")
+    if not mle_exists(obs):
+        return AoRepResult(record=record, reason="divergent_mle")
     f = btl_objective(obs, cfg.penalty, mode="empirical")
     joint = newton_minimize(f, np.zeros(n), tol_grad=tol.JOINT_SOLVE_TOL)
     if not joint.converged:
-        return AoRepResult(record=record)
+        return AoRepResult(record=record, reason="joint_not_converged")
     ups_star = joint.argmin
     fisher = f.hessian(ups_star)
     if cfg.surrogate:
@@ -331,7 +337,7 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
         trace = ao_run(f, split, theta0, cfg.steps, inner_tol=tol.JOINT_SOLVE_TOL,
                        upsilon_star=ups_star, geometry=geometry)
     except InnerSolveFailed:
-        return AoRepResult(record=record, certificate=certificate)
+        return AoRepResult(record=record, certificate=certificate, reason="inner_solve_failed")
     rate = estimate_rate(trace.theta_err_norms, burn_in=tol.AO_BURN_IN)
     record.update(ppT=geometry.ppt_norm, rate=rate, cert_ok=certificate.holds)
     return AoRepResult(record=record, trace=trace, certificate=certificate)

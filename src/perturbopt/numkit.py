@@ -190,11 +190,6 @@ class MetricTensor:
             return v / self.values[:, None] if v.ndim == 2 else v / self.values
         return np.linalg.solve(self.values, v)
 
-    def inv_matrix(self) -> np.ndarray:
-        if self.kind == "diagonal":
-            return np.diag(1.0 / self.values)
-        return np.linalg.inv(self.values)
-
     def norm(self, v) -> float:
         return float(np.linalg.norm(self.apply(v)))
 

@@ -1,10 +1,10 @@
 """Smooth-objective evaluation contract, perturbation wrappers, and convex solvers.
 
 Objectives are immutable evaluation contracts: ``value``, ``gradient``,
-``hessian`` and the directional third derivative.  The two solvers (damped
-Newton and cyclic coordinate descent) report convergence as data, never as a
-silent failure; the BTL likelihood can genuinely diverge and callers must see
-it.
+``hessian`` and the directional third derivative.  The solvers (damped
+Newton here, and the BTL minorize-maximize fit in ``btl``) report convergence
+as data, never as a silent failure; the BTL likelihood can genuinely diverge
+and callers must see it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "SolveReport",
     "ridge_spec",
     "newton_minimize",
-    "coordinate_descent_minimize",
     "partial_minimize",
 ]
 
@@ -257,7 +256,6 @@ class SolveReport:
     final_grad_supnorm: float
     converged: bool
     trajectory: Optional[list] = None
-    objective_values: Optional[list] = None
     note: str = ""
 
 
@@ -317,101 +315,6 @@ def newton_minimize(
         converged=converged,
         trajectory=traj,
         note="" if converged else note,
-    )
-
-
-def _scalar_newton(f: SmoothObjective, x: np.ndarray, i: int) -> float:
-    """Minimize f along coordinate i with a safeguarded 1-D Newton.
-
-    Brackets the root of the directional derivative starting from
-    +/- 64 * (1 + |x_i|), doubling until a sign change, then mixes Newton
-    steps with bisection.  Returns the new coordinate value.  Each point takes
-    one ``evaluate`` call on the block {i}, whose Hessian thunk gives the
-    curvature there, so an objective that evaluates a block from its own
-    terms (BTL: item i's edges) never builds the full derivatives.
-    """
-    xi0 = x[i]
-    block = f.block_index([i])
-
-    def deriv(s: float):
-        """The derivative along coordinate i at s, and a thunk for the curvature there."""
-        y = x.copy()
-        y[i] = s
-        _, grad, hessian = f.evaluate(y, block)
-        return float(grad[0]), lambda: float(hessian()[0, 0])
-
-    g0, curv = deriv(xi0)
-    gtol = 1e-13 * (1.0 + abs(g0))
-    if abs(g0) <= gtol:
-        return xi0
-
-    w = tol.SCALAR_BRACKET_SCALE * (1.0 + abs(xi0))
-    lo, hi = xi0 - w, xi0 + w
-    glo, ghi = deriv(lo)[0], deriv(hi)[0]
-    doublings = 0
-    while (glo > 0.0 or ghi < 0.0) and doublings < tol.SCALAR_BRACKET_DOUBLINGS:
-        w *= 2.0
-        lo, hi = xi0 - w, xi0 + w
-        glo, ghi = deriv(lo)[0], deriv(hi)[0]
-        doublings += 1
-    if glo > 0.0 or ghi < 0.0:
-        # no interior minimum along this coordinate; move to the better endpoint
-        return lo if glo > 0.0 else hi
-
-    s, gs = xi0, g0
-    for _ in range(tol.SCALAR_MAX_ITER):
-        if gs > 0.0:
-            hi = s
-        else:
-            lo = s
-        h = curv()
-        s_new = s - gs / h if h > 0.0 else 0.5 * (lo + hi)
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        s = s_new
-        gs, curv = deriv(s)
-        if abs(gs) <= gtol or (hi - lo) <= 1e-15 * (1.0 + abs(s)):
-            break
-    return s
-
-
-def coordinate_descent_minimize(
-    f: SmoothObjective,
-    x0,
-    tol_grad: float = tol.SOLVER_GRAD_TOL,
-    max_sweeps: int = tol.COORD_MAX_SWEEPS,
-    record_trajectory: bool = False,
-) -> SolveReport:
-    """Cyclic coordinate descent; each scalar problem solved by safeguarded Newton.
-
-    The objective value is non-increasing across every coordinate update;
-    recorded in ``objective_values`` when a trajectory is requested.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    traj = [x.copy()] if record_trajectory else None
-    obj_vals = [f.value(x)] if record_trajectory else None
-    gnorm = float(np.abs(f.gradient(x)).max())
-    sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
-        if gnorm <= tol_grad:
-            break
-        for i in range(f.dim):
-            x[i] = _scalar_newton(f, x, i)
-            if obj_vals is not None:
-                obj_vals.append(f.value(x))
-        sweeps = sweep
-        if traj is not None:
-            traj.append(x.copy())
-        gnorm = float(np.abs(f.gradient(x)).max())
-    converged = gnorm <= tol_grad
-    return SolveReport(
-        argmin=x,
-        iterations=sweeps,
-        final_grad_supnorm=gnorm,
-        converged=converged,
-        trajectory=traj,
-        objective_values=obj_vals,
-        note="" if converged else "sweep cap reached",
     )
 
 

@@ -17,15 +17,11 @@ FD_DIRECTIONS = 3
 # solvers
 SOLVER_GRAD_TOL = 1e-10            # default sup-norm gradient tolerance
 NEWTON_MAX_ITER = 200
-COORD_MAX_SWEEPS = 10000
+MM_MAX_ITER = 10000                # minorize-maximize BTL fits, one edge pass each
+MM_RIDGE_NEWTON_MAX = 60           # Newton steps per ridge MM update (it stops at rounding)
 ARMIJO_C = 1e-4                    # fixed backtracking slope constant
 BACKTRACK_FACTOR = 0.5             # fixed step halving
 JOINT_SOLVE_TOL = 1e-12            # tolerance for reference joint minimizers
-
-# scalar safeguarded Newton (per-coordinate solves)
-SCALAR_BRACKET_SCALE = 64.0        # initial bracket half-width: 64 * (1 + |x_i|)
-SCALAR_BRACKET_DOUBLINGS = 60
-SCALAR_MAX_ITER = 100
 
 # condition-constant scans
 GRID_RESOLUTION = 1e-3             # step of the dense 1-D scan for the pure third derivative

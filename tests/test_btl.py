@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from perturbopt.btl import (
     write_observations,
     write_scores,
 )
-from perturbopt.btl import _T3_PEAK, _abs_phi3_table, _psi_table, _scan_row_max, _sup_abs_phi3
+from perturbopt import btl
+from perturbopt.btl import _T3_PEAK, _abs_phi3_table, _mm_minimize, _psi_table, _scan_row_max
+from perturbopt.btl import _sup_abs_phi3
 from perturbopt import tolerances as tol
 from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
 from perturbopt.objective import LinearPerturbation, RestrictedObjective
@@ -522,12 +525,62 @@ class TestFit:
             fit_penalized_mle(obs, PenaltySpec.none())
 
     def test_coordinate_solver_route(self):
+        # the per-item route is the minorize-maximize fit
         rng = np.random.default_rng(10)
         g = _complete_graph(4, L=20)
         obs = sample_outcomes(g, rng.uniform(0, 1, 4), rng)
         a = fit_penalized_mle(obs, PenaltySpec.mean_shift(1.0), solver="newton")
-        b = fit_penalized_mle(obs, PenaltySpec.mean_shift(1.0), solver="coord")
+        b = fit_penalized_mle(obs, PenaltySpec.mean_shift(1.0), solver="mm")
+        assert a.converged and b.converged
         assert np.abs(a.argmin - b.argmin).max() <= 1e-7
+        with pytest.raises(ValueError, match="unknown solver 'coord'"):
+            fit_penalized_mle(obs, PenaltySpec.mean_shift(1.0), solver="coord")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_observations(), st.sampled_from(["mean_shift", "ridge"]),
+           st.sampled_from([0.5, 1.0, 5.0]))
+    def test_mm_matches_newton(self, obs, kind, gsq):
+        penalty = PenaltySpec(kind, gsq)
+        a = fit_penalized_mle(obs, penalty, solver="newton", tol_grad=1e-12)
+        b = fit_penalized_mle(obs, penalty, solver="mm", tol_grad=1e-12)
+        identified = kind == "ridge" or (obs.graph.connected and mle_exists(obs))
+        assert a.converged == b.converged == identified
+        if identified:
+            assert np.abs(a.argmin - b.argmin).max() <= 1e-9
+        else:
+            assert b.iterations == 0 and b.argmin.tobytes() == np.zeros(obs.graph.n).tobytes()
+            word = "divergent" if obs.graph.connected else "singular fit"
+            assert a.note.startswith(word) and b.note.startswith(word)
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(0.01),
+                                         PenaltySpec.ridge(20.0)], ids=["mean_shift", "ridge",
+                                                                        "strong_ridge"])
+    def test_mm_objective_never_increases(self, penalty):
+        rng = np.random.default_rng(12)
+        g = sample_er_graph(15, 0.4, 3, rng)
+        obs = sample_outcomes(g, rng.uniform(-2, 2, 15), rng)
+        assert g.connected and mle_exists(obs)
+        pair = BtlObservation(graph=ComparisonGraph.from_edges(2, [0], [1], [10.0]),
+                              wins=np.array([9.0]))
+        # starts far from the optimum and not centred; the pair starts with its
+        # winner 30 below, where an uncapped ridge step would overflow
+        for data, start in ((obs, rng.uniform(-10, 10, 15)), (pair, np.array([-15.0, 15.0]))):
+            obj = btl_objective(data, penalty)
+            values = [obj.value(_mm_minimize(obj, start, 0.0, max_iter=k).argmin)
+                      for k in range(40)]
+            assert np.all(np.diff(values) <= 1e-12 * np.abs(values[1:]))
+            assert values[-1] < values[0]
+
+    def test_mm_ridge_zero_win_and_isolated_items(self):
+        # item 0 loses every game, item 3 plays none
+        g = ComparisonGraph.from_edges(4, [0, 0, 1], [1, 2, 2], [3.0, 2.0, 4.0])
+        obs = BtlObservation(graph=g, wins=np.array([0.0, 0.0, 1.0]))
+        a = fit_penalized_mle(obs, PenaltySpec.ridge(1.0), solver="newton", tol_grad=1e-12)
+        b = fit_penalized_mle(obs, PenaltySpec.ridge(1.0), solver="mm", tol_grad=1e-12)
+        assert a.converged and b.converged
+        assert np.all(np.isfinite(b.argmin)) and b.argmin[0] == b.argmin.min()
+        assert abs(b.argmin[3]) <= 1e-12  # a lone item sits at the ridge's centre
+        assert np.abs(a.argmin - b.argmin).max() <= 1e-10
 
     def test_existence_check_on_cycles(self):
         # a beats b, b beats c, c beats a: strongly connected, finite optimum
@@ -588,6 +641,15 @@ class TestConditionConstants:
         got = (consts.tau3, consts.d12, consts.d21)
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert consts.method == "separable_exact" and consts.radii == (radius,)
+
+    @given(_linf_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_default_metric_is_the_hessian_diagonal(self, instance):
+        graph, center, radius, penalty = instance
+        fisher = btl_objective(graph, penalty, mode="expected", truth=center).hessian(center)
+        with mock.patch.object(btl, "_linf_constants", wraps=btl._linf_constants) as spy:
+            btl_condition_constants(graph, penalty, center, radius=radius, norm="linf")
+        assert spy.call_args.args[3].tobytes() == np.sqrt(np.diag(fisher)).tobytes()
 
     @pytest.mark.parametrize("radius", [0.0, 0.2])
     def test_isolated_item_without_penalty(self, radius):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from perturbopt import cli
+from perturbopt import cli, experiments
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObservation,
@@ -21,6 +21,7 @@ from perturbopt.btl import (
     write_scores,
 )
 from perturbopt.cli import dispatch
+from perturbopt.errors import InnerSolveFailed
 from perturbopt.experiments import ExperimentConfig, _sample_instance, expansion_replication
 from perturbopt.objective import newton_minimize
 
@@ -80,7 +81,7 @@ class TestUsage:
         for name in ("_cmd_fit", "_cmd_ao"):
             monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
         assert dispatch(["fit", "--input", "a.csv", "--out", "b.csv", "--penalty", "ridge",
-                         "--gsq", "2", "--solver", "coord", "--tol", "1e-3", "--strict",
+                         "--gsq", "2", "--solver", "mm", "--tol", "1e-3", "--strict",
                          "--config", "c.json"]) == 0
         assert dispatch(["ao", "--n", "7", "--L", "2", "--surrogate", "--out", "t.csv"]) == 0
         assert dispatch(["fit", "--input", "d.csv", "--out", "e.csv"]) == 0
@@ -101,6 +102,29 @@ class TestFit:
         scores = read_scores(out)
         np.testing.assert_allclose(scores, np.zeros(2), atol=1e-8)
         assert "converged" in capsys.readouterr().out
+
+    def test_solvers_write_the_same_scores(self, sampled_instance, tmp_path, capsys):
+        scores = {}
+        for solver in ("newton", "mm"):
+            out = tmp_path / f"{solver}.csv"
+            assert dispatch(["fit", "--input", str(sampled_instance[0]), "--out", str(out),
+                             "--solver", solver, "--tol", "1e-12", "--strict"]) == 0
+            scores[solver] = read_scores(out)
+        assert np.abs(scores["newton"] - scores["mm"]).max() <= 1e-9
+        capsys.readouterr()
+
+    def test_removed_coordinate_solver_is_refused(self, symmetric_obs, tmp_path, capsys):
+        out = tmp_path / "scores.csv"
+        assert dispatch(["fit", "--input", str(symmetric_obs), "--out", str(out),
+                         "--solver", "coord"]) == 2
+        assert "argument --solver: invalid choice: 'coord'" in capsys.readouterr().err
+        config = tmp_path / "cfg.json"
+        config.write_text('{"solver": "coord"}')
+        assert dispatch(["fit", "--input", str(symmetric_obs), "--out", str(out),
+                         "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: solver: invalid value 'coord' for --solver\n"
+        assert not out.exists()
 
     def test_strict_flags_divergence(self, tmp_path, capsys):
         graph = ComparisonGraph.from_edges(2, [0], [1], [1.0])
@@ -251,10 +275,26 @@ class TestDiagnose:
 
 class TestAoCommand:
     def test_degenerate_instance_exits_1(self, capsys):
-        # one game between two items: the fit diverges, no trace is produced
+        # two items compared with probability 0.17: at this seed they never meet,
+        # and no trace is produced
         assert dispatch(["ao", "--n", "2", "--L", "1", "--seed", "1",
                          "--steps", "3"]) == 1
-        assert "failed" in capsys.readouterr().out
+        assert capsys.readouterr().out == "ao: replication failed (disconnected)\n"
+
+    def test_one_sided_record_named(self, capsys):
+        # at this seed the two items play one game, so the fit diverges
+        assert dispatch(["ao", "--n", "2", "--L", "1", "--seed", "3",
+                         "--steps", "3"]) == 1
+        assert capsys.readouterr().out == "ao: replication failed (divergent_mle)\n"
+
+    def test_failed_inner_solve_named(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise InnerSolveFailed(1, "target")
+
+        monkeypatch.setattr(experiments, "ao_run", fail)
+        assert dispatch(["ao", "--n", "12", "--seed", "7", "--L", "3", "--gsq", "5.0",
+                         "--steps", "3"]) == 1
+        assert capsys.readouterr().out == "ao: replication failed (inner_solve_failed)\n"
 
     def test_trace_export(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -408,12 +448,12 @@ class TestConfigFile:
     def test_one_file_serves_fit_and_study(self, symmetric_obs, tmp_path, capsys):
         # each subcommand reads the keys that name its own flags
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"solver": "coord", "tol": 1e-9, "n_list": [20],
+        config.write_text(json.dumps({"solver": "mm", "tol": 1e-9, "n_list": [20],
                                       "reps": 2, "threads": 1}))
         scores = [tmp_path / "config.csv", tmp_path / "flags.csv"]
         assert dispatch(["fit", "--config", str(config), "--input", str(symmetric_obs),
                          "--out", str(scores[0])]) == 0
-        assert dispatch(["fit", "--solver", "coord", "--tol", "1e-9",
+        assert dispatch(["fit", "--solver", "mm", "--tol", "1e-9",
                          "--input", str(symmetric_obs), "--out", str(scores[1])]) == 0
         assert scores[0].read_bytes() == scores[1].read_bytes()
         out = tmp_path / "rho.csv"

@@ -1,18 +1,22 @@
-"""Objective wrappers and the two convex solvers."""
+"""Objective wrappers, the Newton solver and partial minimization."""
 
 import numpy as np
 import pytest
 
 from conftest import LogisticSymmetric, random_spd
-from perturbopt.btl import PenaltySpec, btl_objective, sample_er_graph, sample_outcomes
+from perturbopt.btl import (
+    PenaltySpec,
+    _mm_minimize,
+    btl_objective,
+    sample_er_graph,
+    sample_outcomes,
+)
 from perturbopt.errors import DimensionMismatch, HessianNotPD
 from perturbopt.numkit import BlockSplit, finite_diff_check
 from perturbopt.objective import (
     LinearPerturbation,
     QuadraticObjective,
     SeparablePerturbation,
-    SmoothObjective,
-    coordinate_descent_minimize,
     newton_minimize,
     partial_minimize,
     ridge_spec,
@@ -170,65 +174,6 @@ class TestNewtonMinimize:
         assert len(sol.trajectory) == sol.iterations + 1
 
 
-class TestCoordinateDescent:
-    def test_separable_one_sweep(self):
-        target = np.array([1.0, -2.0, 0.5])
-        quad = QuadraticObjective(target, 2.0 * np.eye(3))
-        sol = coordinate_descent_minimize(quad, np.zeros(3), tol_grad=1e-12)
-        assert sol.iterations == 1
-        np.testing.assert_allclose(sol.argmin, target, atol=1e-12)
-
-    def test_gauss_seidel_recursion(self):
-        quad = QuadraticObjective(np.zeros(2), np.array([[2.0, 1.0], [1.0, 2.0]]))
-        sol = coordinate_descent_minimize(quad, np.array([1.0, 1.0]), tol_grad=1e-13,
-                                          record_trajectory=True)
-        # after sweep k the first coordinate equals (1/4)^k of its recursion start
-        first = [t[0] for t in sol.trajectory]
-        assert first[1] == pytest.approx(-0.5)        # -x2/2 with x2 = 1
-        assert first[2] == pytest.approx(first[1] / 4.0, abs=1e-12)
-        np.testing.assert_allclose(sol.argmin, np.zeros(2), atol=1e-10)
-
-    def test_objective_monotone_per_coordinate_step(self):
-        obj = _btl_instance(4, 5, seed=11)
-        sol = coordinate_descent_minimize(obj, np.full(4, 0.7), tol_grad=1e-10,
-                                          record_trajectory=True)
-        vals = np.asarray(sol.objective_values)
-        assert np.all(np.diff(vals) <= 1e-10 * np.maximum(1.0, np.abs(vals[:-1])))
-
-    def test_sweeps_evaluate_one_item_at_a_time(self):
-        f = _btl_instance(10, 3, seed=7)
-
-        class Plain(SmoothObjective):  # the default evaluate, from the full derivatives
-            dim = f.dim
-            value, gradient, hessian = f.value, f.gradient, f.hessian
-
-        reference = coordinate_descent_minimize(Plain(), np.zeros(10), tol_grad=1e-11)
-        calls = {"gradient": 0, "hessian": 0}
-
-        def counted(name):
-            full = getattr(f, name)
-
-            def wrapper(x):
-                calls[name] += 1
-                return full(x)
-            return wrapper
-
-        f.gradient, f.hessian = counted("gradient"), counted("hessian")
-        sol = coordinate_descent_minimize(f, np.zeros(10), tol_grad=1e-11)
-        assert sol.converged and sol.iterations >= 3
-        # one full gradient before the first sweep and one after each, for the stopping test
-        assert calls == {"gradient": sol.iterations + 1, "hessian": 0}
-        assert sol.argmin.tobytes() == reference.argmin.tobytes()
-
-    def test_agrees_with_newton_on_btl(self):
-        for n, seed in ((3, 12), (4, 13)):
-            obj = _btl_instance(n, 4, seed=seed)
-            a = newton_minimize(obj, np.zeros(n), tol_grad=1e-11)
-            b = coordinate_descent_minimize(obj, np.zeros(n), tol_grad=1e-11)
-            assert a.converged and b.converged
-            assert np.abs(a.argmin - b.argmin).max() <= 1e-7
-
-
 class TestPartialMinimize:
     def test_quadratic_closed_form(self):
         quad = QuadraticObjective(np.zeros(2), np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -292,18 +237,20 @@ class TestDerivativeContracts:
 
     def test_solvers_agree_on_convex_objectives(self):
         rng = np.random.default_rng(22)
-        objectives = [
-            QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4)),
-            LogisticSymmetric(3),
-            _btl_instance(4, 5, seed=23),
-            SeparablePerturbation(_btl_instance(5, 3, seed=24), ridge_spec(0.3)),
+        quad = QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4))
+        btl = _btl_instance(4, 5, seed=23)
+        minimizers = [  # each objective with its minimizer from another route
+            (quad, quad.minimizer),
+            (LogisticSymmetric(3), np.zeros(3)),
+            (btl, _mm_minimize(btl, np.zeros(4), tol_grad=1e-12).argmin),
         ]
-        for obj in objectives:
+        for obj, minimizer in minimizers:
             x0 = rng.uniform(-0.5, 0.5, obj.dim)
             a = newton_minimize(obj, x0, tol_grad=1e-11)
-            b = coordinate_descent_minimize(obj, x0, tol_grad=1e-11)
-            assert a.converged and b.converged
-            assert np.abs(a.argmin - b.argmin).max() <= 1e-6
+            assert a.converged
+            assert np.abs(a.argmin - minimizer).max() <= 1e-9
+        ridged = SeparablePerturbation(_btl_instance(5, 3, seed=24), ridge_spec(0.3))
+        assert newton_minimize(ridged, rng.uniform(-0.5, 0.5, 5), tol_grad=1e-11).converged
 
     def test_third_directional_symmetric(self):
         obj = _btl_instance(5, 3, seed=20)
