@@ -14,7 +14,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -96,32 +96,6 @@ def _abs_phi3(t):
     return e / (1.0 + e) ** 2 * np.tanh(0.5 * u)
 
 
-_PSI_STEP = 2.5e-4
-_PSI_CUTOFF = 45.0  # |phi'''| < 3e-20 beyond this
-
-
-@cache
-def _psi_table() -> np.ndarray:
-    """|phi'''| on the grid 0, _PSI_STEP, ..., _PSI_CUTOFF, built on first use (1.4 MB)."""
-    table = np.arange(0.0, _PSI_CUTOFF + _PSI_STEP, _PSI_STEP)
-    # filled in blocks: whole-table temporaries leave ~3.5 MB of freed heap resident
-    for block in np.split(table, range(8192, table.size, 8192)):
-        block[:] = _abs_phi3(block)
-    return table
-
-
-def _abs_phi3_table(t):
-    """Tabulated |phi'''| on a uniform grid; error ~1e-9, below the scan resolution."""
-    table = _psi_table()
-    u = np.abs(t) * (1.0 / _PSI_STEP)
-    idx = u.astype(np.int64)
-    inside = idx < table.size - 1
-    np.clip(idx, 0, table.size - 2, out=idx)
-    frac = u - idx
-    vals = table[idx] * (1.0 - frac) + table[idx + 1] * frac
-    return np.where(inside, vals, 0.0)
-
-
 def _sup_abs_phi3(lo, hi):
     """Exact sup of |phi'''| over [lo, hi], elementwise on interval arrays.
 
@@ -136,30 +110,14 @@ def _sup_abs_phi3(lo, hi):
     return np.maximum(_abs_phi3(cand1), _abs_phi3(cand2))
 
 
-def _incidence(n: int, j: np.ndarray, m: np.ndarray):
-    """(row_ptr, row_other, row_edge) of an edge list, each item's edges in edge order.
-
-    A stable sort of the interleaved endpoints [j0, m0, j1, m1, ...] lists
-    each item's edges in edge order, which keeps the edge list's summation
-    order; on the narrowest integer type that holds the items it is a radix
-    sort.
-    """
-    ends = np.column_stack((j, m)).ravel()
-    order = np.argsort(ends.astype(np.min_scalar_type(n)), kind="stable")
-    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
-    return row_ptr, np.column_stack((m, j)).ravel()[order], order // 2
-
-
 @dataclass(frozen=True)
 class ComparisonGraph:
     """Items as vertices, compared pairs as edges with multiplicities.
 
     Edges are stored as parallel arrays with j < m (0-based), each pair at
-    most once.  The edges at item v are ``row_edge[row_ptr[v]:row_ptr[v + 1]]``
-    in edge order, their other endpoints ``row_other`` at the same positions;
-    these rows are built on first read.  ``component_labels`` numbers the
-    connected components 0..k-1; disconnected graphs are representable but
-    flagged by ``connected``.
+    most once.  ``component_labels`` numbers the connected components
+    0..k-1; disconnected graphs are representable but flagged by
+    ``connected``.
     """
 
     n: int
@@ -191,22 +149,6 @@ class ComparisonGraph:
         k, labels = connected_components(adjacency, directed=False)
         return cls(n=n, j=j, m=m, counts=counts, connected=bool(k == 1),
                    component_labels=labels)
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _incidence(self.n, self.j, self.m)
-
-    @property
-    def row_ptr(self) -> np.ndarray:
-        return self._rows[0]
-
-    @property
-    def row_other(self) -> np.ndarray:
-        return self._rows[1]
-
-    @property
-    def row_edge(self) -> np.ndarray:
-        return self._rows[2]
 
     @property
     def n_edges(self) -> int:
@@ -251,7 +193,8 @@ class PenaltySpec:
     """Quadratic penalty 0.5 ||G ups||^2 resolving the shift non-identifiability.
 
     mean_shift uses G^2 = gsq * e e' with e the normalized all-ones vector,
-    pinning only the score mean; ridge uses G^2 = gsq * I.
+    pinning only the score mean; ridge uses G^2 = gsq * I.  Both need gsq > 0:
+    at 0 neither resolves anything.
     """
 
     kind: str = "mean_shift"  # "none" | "mean_shift" | "ridge"
@@ -260,8 +203,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in ("none", "mean_shift", "ridge"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.gsq < 0:
-            raise ValueError("gsq must be >= 0")
+        if self.kind != "none" and not self.gsq > 0:  # NaN fails too
+            raise ValueError(f"a {self.kind} penalty needs gsq > 0, got {self.gsq}")
 
     @classmethod
     def none(cls) -> "PenaltySpec":
@@ -606,12 +549,12 @@ def fit_penalized_mle(
 ) -> SolveReport:
     """Fit the penalized maximum-likelihood scores with ``solver`` "newton" or "mm".
 
-    Without a positive ridge the penalty pins only the mean score, so the
-    minimizer is finite and unique exactly on a connected design where
-    ``mle_exists``.  A disconnected design returns the start as a singular
-    fit; a divergent likelihood (some item or group with a perfect win/loss
-    record) is surfaced as a non-converged report, never clamped: Newton's
-    report keeps its iterate, the MM fit does not start.
+    Without a ridge the penalty pins only the mean score, so the minimizer
+    is finite and unique exactly on a connected design where ``mle_exists``.
+    A disconnected design returns the start as a singular fit; a divergent
+    likelihood (some item or group with a perfect win/loss record) is
+    surfaced as a non-converged report, never clamped: Newton's report keeps
+    its iterate, the MM fit does not start.
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -619,7 +562,7 @@ def fit_penalized_mle(
         raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     obj = btl_objective(obs, penalty, mode="empirical")
     start = np.zeros(obs.graph.n) if x0 is None else np.asarray(x0, dtype=float)
-    pinned = penalty.kind == "ridge" and penalty.gsq > 0.0
+    pinned = penalty.kind == "ridge"
 
     def unsolved(iterations: int = 0, note: str = "") -> SolveReport:
         return SolveReport(argmin=start, iterations=iterations, final_grad_supnorm=float("nan"),
@@ -642,89 +585,46 @@ def fit_penalized_mle(
     return report
 
 
-_SCAN_COARSE_FACTOR = 20
-
-
-def _scan_row_max(diffs, counts, half: float) -> float:
-    """Max over the offset lattice of the weighted |phi'''| row sum.
-
-    Two-stage scan on the dense lattice of the configured resolution: a
-    coarse pass on every 20th point, then full resolution around every
-    coarse local maximum.  The objective is a sum of humps of unit-order
-    width, so each of its maxima shows up as a coarse local maximum; any
-    coarse undershoot is bounded by curvature x (coarse step)^2 / 8, far
-    below the scan's reporting precision.
-    """
-    npts = min(tol.GRID_MAX_POINTS, 2 * int(np.ceil(half / tol.GRID_RESOLUTION)) + 1)
-    npts = max(npts, 3)
-    lattice = np.linspace(-half, half, npts)
-
-    def batch(points):
-        return _abs_phi3_table(diffs[None, :] + points[:, None]) @ counts
-
-    coarse_idx = np.arange(0, npts, _SCAN_COARSE_FACTOR)
-    if coarse_idx[-1] != npts - 1:
-        coarse_idx = np.append(coarse_idx, npts - 1)
-    coarse = batch(lattice[coarse_idx])
-    padded = np.concatenate(([-np.inf], coarse, [-np.inf]))
-    is_peak = (padded[1:-1] >= padded[:-2]) & (padded[1:-1] >= padded[2:])
-    windows = []
-    for k in np.nonzero(is_peak)[0]:
-        center = coarse_idx[k]
-        windows.append(
-            np.arange(max(0, center - _SCAN_COARSE_FACTOR),
-                      min(npts, center + _SCAN_COARSE_FACTOR + 1))
-        )
-    fine_idx = np.unique(np.concatenate(windows)) if windows else np.array([], dtype=int)
-    best = float(coarse.max())
-    if fine_idx.size:
-        best = max(best, float(batch(lattice[fine_idx]).max()))
-    return best
-
-
 def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionConstants:
-    """Exact per-coordinate sup-norm constants via the separable tensor structure.
+    """Per-coordinate sup-norm constants via the separable tensor structure.
 
     One pass over the edges.  |phi'''| is even, so an edge's term is the same
-    seen from either end; only its interval width, the radius over the other
-    end's scale, differs between the two ends.
+    seen from either end; only its interval width differs between the two
+    ends.  Each term is the exact sup of |phi'''| over its interval, so a row
+    sum is the row's supremum at radius 0, where the intervals are points,
+    and an upper bound of it otherwise: the sup of a sum is at most the sum
+    of the sups.
     """
     center = np.asarray(center, dtype=float)
     d = np.asarray(d_scales, dtype=float)
     diffs = center[g.j] - center[g.m]
 
-    # mixed derivatives: each neighbor moves independently in its own interval
-    if radius == 0.0:  # both ends' intervals are the point diffs
-        at_j = at_m = g.counts * _abs_phi3(diffs)
+    def edge_sups(width_j, width_m):
+        """Counts times the sup of |phi'''| on diffs -+ the width at each end."""
+        return (g.counts * _sup_abs_phi3(diffs - width_j, diffs + width_j),
+                g.counts * _sup_abs_phi3(diffs - width_m, diffs + width_m))
+
+    # mixed derivatives: each neighbor moves on its own, within the radius over
+    # its own scale.  Pure third derivative: one offset of the v-th coordinate
+    # moves all of its row's arguments, within twice the radius over d[v].
+    if radius == 0.0:  # every interval is the point diffs
+        at_j = at_m = pure_j = pure_m = g.counts * _abs_phi3(diffs)
     else:
-        at_j = g.counts * _sup_abs_phi3(diffs - radius / d[g.m], diffs + radius / d[g.m])
-        at_m = g.counts * _sup_abs_phi3(diffs - radius / d[g.j], diffs + radius / d[g.j])
+        at_j, at_m = edge_sups(radius / d[g.m], radius / d[g.j])
+        pure_j, pure_m = edge_sups(2.0 * radius / d[g.j], 2.0 * radius / d[g.m])
     d21_rows = _edge_scatter(g, at_j / d[g.m], at_m / d[g.j])
     d12_rows = _edge_scatter(g, at_j / d[g.m] ** 2, at_m / d[g.j] ** 2)
-
-    # pure third derivative: shared offset of the v-th coordinate.  At radius 0
-    # the interval sups above are |phi'''(diffs)|; otherwise a dense scan per row.
-    # Every term decays monotonically once the offset pushes all arguments
-    # past the |phi'''| peak, so the scan clamps to that window exactly.
-    degree = np.bincount(g.j, minlength=g.n) + np.bincount(g.m, minlength=g.n)
-    rows = np.flatnonzero(degree)
-    if radius == 0.0:
-        pure = _edge_scatter(g, at_j, at_m)
-    else:
-        pure = np.zeros(g.n)
-        for v in rows:
-            row = slice(g.row_ptr[v], g.row_ptr[v + 1])
-            row_diffs = center[v] - center[g.row_other[row]]
-            half = min(2.0 * radius / d[v], float(np.abs(row_diffs).max()) + _T3_PEAK)
-            pure[v] = _scan_row_max(row_diffs, g.counts[g.row_edge[row]], half)
+    pure = _edge_scatter(g, pure_j, pure_m)
 
     # items without edges have no terms, and d = 0 there under no penalty
+    degree = np.bincount(g.j, minlength=g.n) + np.bincount(g.m, minlength=g.n)
+    rows = np.flatnonzero(degree)
     d_rows = d[rows]
     return ConditionConstants(
         tau3=float(np.max(pure[rows] / d_rows**3, initial=0.0)),
         d12=float(np.max(d12_rows[rows] / d_rows, initial=0.0)),
         d21=float(np.max(d21_rows[rows] / d_rows**2, initial=0.0)),
-        norm_tag="linf", radii=(float(radius),), method="separable_exact",
+        norm_tag="linf", radii=(float(radius),), method="edge_interval_sup",
     )
 
 
@@ -776,9 +676,10 @@ def btl_condition_constants(
 ):
     """Smoothness constants of the likelihood around ``center``.
 
-    norm="linf": per-coordinate constants of the sup-norm theory, exact up
-    to a dense scalar scan; the metric defaults to the penalized Hessian
-    diagonal.  norm="l2": block constants for a target/nuisance split in the
+    norm="linf": per-coordinate constants of the sup-norm theory from exact
+    per-edge interval sups: exact at radius 0, proven upper bounds at a
+    positive radius; the metric defaults to the penalized Hessian diagonal.
+    norm="l2": block constants for a target/nuisance split in the
     square-root Fisher block metrics, returned as their rigorous envelope
     only; pass the ``geometry`` of the Fisher matrix at ``center`` (from
     ``contraction_matrix``) to reuse it, which leaves O(edges) work per call.

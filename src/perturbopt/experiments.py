@@ -16,6 +16,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .btl import (
     sample_er_graph,
     sample_outcomes,
 )
-from .errors import HessianNotPD, InnerSolveFailed
+from .errors import InnerSolveFailed
 from .expansions import (
     ConditionConstants,
     ExpansionDiagnostics,
@@ -104,8 +105,9 @@ class ExperimentConfig:
             p = edge_probability(self, n)
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"edge probability {p} out of (0, 1] for n={n}")
+        self.penalty  # built here, so a bad penalty kind or strength fails at construction
 
-    @property
+    @cached_property
     def penalty(self) -> PenaltySpec:
         return PenaltySpec(self.penalty_kind, self.gsq)
 
@@ -195,10 +197,7 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
     }
     if not graph.connected:
         return ExpansionRepResult(record=record)
-    try:
-        fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
-    except HessianNotPD:
-        return ExpansionRepResult(record=record)
+    fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
     expected, ups_star, fisher = _expected_minimizer(graph, cfg.penalty, truth)
     noise = noise_gradient(obs, truth)
     fish_lead = spd_solve(fisher, noise)

@@ -23,9 +23,7 @@ ARMIJO_C = 1e-4                    # fixed backtracking slope constant
 BACKTRACK_FACTOR = 0.5             # fixed step halving
 JOINT_SOLVE_TOL = 1e-12            # tolerance for reference joint minimizers
 
-# condition-constant scans
-GRID_RESOLUTION = 1e-3             # step of the dense 1-D scan for the pure third derivative
-GRID_MAX_POINTS = 20001            # cap; step widens beyond it (scan features have width ~1)
+# condition-constant checks
 MC_DIRECTIONS = 256                # Monte Carlo directions for l2 lower estimates
 
 # alternating optimization

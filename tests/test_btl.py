@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from perturbopt.btl import (
     BtlObjective,
@@ -33,8 +31,7 @@ from perturbopt.btl import (
     write_scores,
 )
 from perturbopt import btl
-from perturbopt.btl import _T3_PEAK, _abs_phi3_table, _mm_minimize, _psi_table, _scan_row_max
-from perturbopt.btl import _sup_abs_phi3
+from perturbopt.btl import _T3_PEAK, _mm_minimize, _sup_abs_phi3
 from perturbopt import tolerances as tol
 from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
 from perturbopt.objective import LinearPerturbation, RestrictedObjective
@@ -227,44 +224,30 @@ def _edge_lists(draw):
     return n, iu[codes], im[codes]
 
 
-def _rows_reference(n, j, m):
-    """Each item's edges in edge order and their other ends, item by item."""
-    edges = [[] for _ in range(n)]
-    others = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(zip(j.tolist(), m.tolist())):
-        edges[a].append(e)
-        others[a].append(b)
-        edges[b].append(e)
-        others[b].append(a)
-    flat = itertools.chain.from_iterable
-    return (np.cumsum([0] + [len(row) for row in edges]), np.array(list(flat(others)), dtype=int),
-            np.array(list(flat(edges)), dtype=int))
+def _components_reference(n, j, m):
+    """Component labels by union-find, numbered in order of each component's first item."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in zip(j.tolist(), m.tolist()):
+        parent[root(a)] = root(b)
+    first = {}
+    return np.array([first.setdefault(root(v), len(first)) for v in range(n)])
 
 
-class TestGraphRows:
+class TestGraphComponents:
     @settings(max_examples=150, deadline=None)
     @given(_edge_lists())
-    def test_rows_list_each_items_edges_in_edge_order(self, edges):
+    def test_components_match_a_union_find_reference(self, edges):
         n, j, m = edges
         g = ComparisonGraph.from_edges(n, j, m, np.ones(j.size))
-        row_ptr, row_other, row_edge = _rows_reference(n, j, m)
-        assert np.array_equal(g.row_ptr, row_ptr)
-        assert np.array_equal(g.row_other, row_other)
-        assert np.array_equal(g.row_edge, row_edge)
-        # the components csgraph finds from the rows, a second build of the same adjacency
-        adjacency = csr_matrix((np.ones(row_other.size), row_other, row_ptr), shape=(n, n))
-        k, labels = connected_components(adjacency, directed=False)
-        assert g.connected == (k == 1)
+        labels = _components_reference(n, j, m)
         assert np.array_equal(g.component_labels, labels)
-
-    def test_rows_beyond_sixteen_bit_item_numbers(self):
-        rng = np.random.default_rng(8)
-        n = 70_000
-        pairs = np.sort(rng.choice(n, size=(40, 2), replace=False), axis=1)
-        j, m = pairs[:, 0], pairs[:, 1]
-        g = ComparisonGraph.from_edges(n, j, m, np.ones(j.size))
-        for got, want in zip((g.row_ptr, g.row_other, g.row_edge), _rows_reference(n, j, m)):
-            assert np.array_equal(got, want)
+        assert g.connected == (labels.max() == 0)
 
 
 class TestObjectiveValues:
@@ -475,6 +458,15 @@ class TestNoiseGradient:
         np.testing.assert_allclose(mean, 0.0, atol=1e-12)
 
 
+class TestPenaltySpec:
+    @pytest.mark.parametrize("kind", ["mean_shift", "ridge"])
+    @pytest.mark.parametrize("gsq", [0.0, -1.0, float("nan")])
+    def test_penalty_strength_must_be_positive(self, kind, gsq):
+        with pytest.raises(ValueError, match=f"a {kind} penalty needs gsq > 0"):
+            PenaltySpec(kind, gsq)
+        assert PenaltySpec.none().gsq == 0.0
+
+
 class TestFit:
     def test_symmetric_pair(self):
         g = ComparisonGraph.from_edges(2, [0], [1], [2.0])
@@ -610,24 +602,43 @@ def _linf_instances(draw):
 
 
 def _linf_reference(g, center, radius, d):
-    """The sup-norm constants item by item: each row's sums taken over its own edges."""
+    """The sup-norm constants item by item: each row's sums of per-edge window sups."""
     tau3 = d12 = d21 = 0.0
     for v in range(g.n):
-        row = slice(g.row_ptr[v], g.row_ptr[v + 1])
-        if row.start == row.stop:
+        row = np.flatnonzero((g.j == v) | (g.m == v))
+        if row.size == 0:
             continue
-        other = g.row_other[row]
+        other = np.where(g.j[row] == v, g.m[row], g.j[row])
         diffs = center[v] - center[other]
-        counts = g.counts[g.row_edge[row]]
-        half = min(2.0 * radius / d[v], float(np.abs(diffs).max()) + _T3_PEAK)
-        pure = (np.sum(counts * np.abs(phi3(diffs))) if half == 0.0
-                else _scan_row_max(diffs, counts, half))
-        tau3 = max(tau3, pure / d[v] ** 3)
+        counts = g.counts[row]
+        half = 2.0 * radius / d[v]
+        tau3 = max(tau3, np.sum(counts * _sup_abs_phi3(diffs - half, diffs + half)) / d[v] ** 3)
         width = radius / d[other]
         sup = _sup_abs_phi3(diffs - width, diffs + width)
         d21 = max(d21, np.sum(counts * sup / d[other]) / d[v] ** 2)
         d12 = max(d12, np.sum(counts * sup / d[other] ** 2) / d[v])
     return tau3, d12, d21
+
+
+def _dense_tau3(g, center, radius, d, cells=20000):
+    """Largest scaled row sum of |phi'''| over a dense scan of each row's shared offset.
+
+    The offsets are the midpoints of ``cells`` equal cells of the offset
+    window, cut where the offset pushes every term past the |phi'''| peak,
+    beyond which the row sum only falls.
+    """
+    best = 0.0
+    for v in range(g.n):
+        row = np.flatnonzero((g.j == v) | (g.m == v))
+        if row.size == 0:
+            continue
+        diffs = center[v] - center[np.where(g.j[row] == v, g.m[row], g.j[row])]
+        half = min(2.0 * radius / d[v], float(np.abs(diffs).max()) + _T3_PEAK)
+        offsets = np.linspace(-half, half, cells + 1)
+        offsets = 0.5 * (offsets[:-1] + offsets[1:])
+        sums = np.abs(phi3(diffs[None, :] + offsets[:, None])) @ g.counts[row]
+        best = max(best, float(sums.max()) / d[v] ** 3)
+    return best
 
 
 class TestConditionConstants:
@@ -640,7 +651,7 @@ class TestConditionConstants:
         ref = _linf_reference(graph, center, radius, np.sqrt(np.diag(fisher)))
         got = (consts.tau3, consts.d12, consts.d21)
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
-        assert consts.method == "separable_exact" and consts.radii == (radius,)
+        assert consts.method == "edge_interval_sup" and consts.radii == (radius,)
 
     @given(_linf_instances())
     @settings(max_examples=100, deadline=None)
@@ -663,22 +674,25 @@ class TestConditionConstants:
         values = np.array([consts.tau3, consts.d12, consts.d21])
         assert np.all(np.isfinite(values)) and np.all(values > 0.0)
 
-    def test_phi3_table_built_for_the_scan_only(self):
-        rng = np.random.default_rng(21)
-        g = sample_er_graph(12, 0.5, 3, rng)
-        center = rng.uniform(-2, 2, 12)
-        _psi_table.cache_clear()
-        btl_condition_constants(g, PenaltySpec.mean_shift(1.0), center, radius=0.0, norm="linf")
-        assert _psi_table.cache_info().currsize == 0
-        consts = btl_condition_constants(g, PenaltySpec.mean_shift(1.0), center, radius=0.4,
+    @given(_linf_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_tau3_never_below_a_dense_offset_scan(self, instance):
+        graph, center, radius, penalty = instance
+        consts = btl_condition_constants(graph, penalty, center, radius=radius, norm="linf")
+        fisher = btl_objective(graph, penalty, mode="expected", truth=center).hessian(center)
+        dense = _dense_tau3(graph, center, radius, np.sqrt(np.diag(fisher)))
+        # a few ulps for rounding between the two |phi'''| formulas
+        assert consts.tau3 >= dense * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+    def test_single_edge_tau3_is_the_phi3_peak(self, radius):
+        # d = sqrt(phi''(0)) = 1/2, and the offset window 4 r covers the peak at log(2 + sqrt 3),
+        # where |phi'''| = sqrt(3)/18; so tau3 = 8 sqrt(3)/18
+        g = ComparisonGraph.from_edges(2, [0], [1], [1.0])
+        consts = btl_condition_constants(g, PenaltySpec.none(), np.zeros(2), radius=radius,
                                          norm="linf")
-        assert _psi_table.cache_info().currsize == 1
-        # pinned from the table built eagerly: building it on first use changes no bit
-        assert (consts.tau3, consts.d12, consts.d21) == (
-            0.4951227822650353, 0.40558558453661314, 0.42968057849834995)
-        table = _abs_phi3_table(np.array([0.0, 0.3, -1.31695789692482, 1.875e-3, 44.99999, 50.0]))
-        assert table.tolist() == [0.0, 0.03639618395557624, 0.09622504444377704,
-                                  0.00023437472167990182, 2.8625472093136513e-20, 0.0]
+        assert abs(phi3(_T3_PEAK)) == pytest.approx(math.sqrt(3.0) / 18.0, rel=1e-15)
+        assert consts.tau3 == pytest.approx(4.0 * math.sqrt(3.0) / 9.0, rel=1e-15)
 
     def test_equal_scores_radius_zero(self):
         g = _complete_graph(4, L=2)

@@ -191,6 +191,20 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith(f"error: {path}{message}")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize("penalty", ["mean_shift", "ridge"])
+    def test_zero_penalty_strength_exit_1(self, command, penalty, sampled_instance, tmp_path,
+                                          capsys):
+        obs_path, truth_path = sampled_instance
+        out = tmp_path / "out.csv"
+        argv = [command, "--input", str(obs_path), "--out", str(out), "--penalty", penalty,
+                "--gsq", "0"]
+        if command == "diagnose":
+            argv += ["--truth", str(truth_path)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: a {penalty} penalty needs gsq > 0, got 0.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--input", "--truth"])
     def test_missing_file_exit_1(self, flag, sampled_instance, tmp_path, capsys):
         obs_path, truth_path = sampled_instance
@@ -296,6 +310,12 @@ class TestAoCommand:
                          "--steps", "3"]) == 1
         assert capsys.readouterr().out == "ao: replication failed (inner_solve_failed)\n"
 
+    def test_zero_penalty_strength_exits_1(self, capsys):
+        assert dispatch(["ao", "--n", "12", "--seed", "7", "--gsq", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a mean_shift penalty needs gsq > 0, got 0.0\n"
+        assert captured.out == ""
+
     def test_trace_export(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = dispatch([
@@ -342,6 +362,14 @@ class TestStudyCommands:
         out = tmp_path / "rho.csv"
         assert dispatch(["study-rho", "--n-list", "20", "--reps", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: need at least one replication\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["study-rho", "study-expansion", "study-ao"])
+    def test_zero_penalty_strength_exits_1(self, command, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert dispatch([command, "--n-list", "20", "--reps", "1", "--gsq", "0",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a mean_shift penalty needs gsq > 0, got 0.0\n"
         assert not out.exists()
 
     def test_config_file_layering(self, tmp_path, capsys):

@@ -46,6 +46,10 @@ class TestConfig:
             ExperimentConfig(n_list=(10,), score_range=(2.0, 0.0))
         with pytest.raises(ValueError):
             ExperimentConfig(n_list=(10,), p_rule=0.0)
+        with pytest.raises(ValueError, match="penalty needs gsq > 0"):
+            ExperimentConfig(n_list=(10,), gsq=0.0)
+        with pytest.raises(ValueError, match="unknown penalty kind"):
+            ExperimentConfig(n_list=(10,), penalty_kind="lasso")
 
 
 class TestRhoStudy:
@@ -170,29 +174,21 @@ class TestExpansionStudy:
         assert len(points) == 1
 
     @pytest.mark.parametrize("p, gsq, radius_zero", [(0.3, 1.0, True), (1.0, 6.0, False)])
-    def test_rows_only_for_the_scan_and_one_dual_value(self, p, gsq, radius_zero, monkeypatch):
+    def test_one_dual_value_at_either_radius(self, p, gsq, radius_zero, monkeypatch):
         calls = collections.Counter()
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(btl, "_incidence")
         for module in (expansions, experiments):
-            counted(module, "rho_dual")
+            fn = module.rho_dual
+            monkeypatch.setattr(module, "rho_dual",
+                                lambda *args, fn=fn: calls.update(["rho_dual"]) or fn(*args))
         rng = np.random.default_rng(11)
         graph = btl.sample_er_graph(25, p, 1, rng)
         truth = rng.uniform(-0.3, 0.3, 25)
         truth -= truth.mean()
         _, diagnostics, _ = diagnose_expansion(btl.sample_outcomes(graph, truth, rng), truth,
                                                PenaltySpec.mean_shift(gsq))
-        # the dual value decides the radius: at radius 0 the per-item scan does not run
+        # the dual value decides the radius of the sup-norm constants
         assert (diagnostics.rho_dual >= 1.0) == radius_zero
-        assert (calls["rho_dual"], calls["_incidence"]) == (1, 0 if radius_zero else 1)
+        assert calls["rho_dual"] == 1
 
 
 class TestAoStudy:
