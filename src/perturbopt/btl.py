@@ -256,8 +256,9 @@ class _EdgeBlock(BlockIndex):
     The edges keep their edge-list order: endpoints ``j``/``m``, ``counts``
     and ``wins``.  ``ends`` holds each edge's j end, then each m end, as a
     position in ``idx``; a held end is at ``idx.size``.  ``inner`` picks the
-    edges with both ends in the block, whose ends are ``rows``/``cols``.
-    ``held`` numbers the other edges of the graph, those between held items.
+    edges with both ends in the block, whose ends are ``rows``/``cols``.  The
+    other edges of the graph, those between held items, are not kept: a block
+    evaluation leaves them out.
     """
 
     j: np.ndarray
@@ -268,7 +269,6 @@ class _EdgeBlock(BlockIndex):
     inner: Union[np.ndarray, slice]
     rows: np.ndarray
     cols: np.ndarray
-    held: np.ndarray
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,20 +304,12 @@ class BtlObjective(SmoothObjective):
         return (self._edge_value(d, np.exp(-np.abs(d)), self.graph.counts, self.wins)
                 + self.penalty.quad(x))
 
-    def held_value(self, x, block: _EdgeBlock) -> float:
-        """The edges between held items, which a block evaluation leaves out."""
-        x = np.asarray(x, dtype=float)
-        g, held = self.graph, block.held
-        d = x[g.j[held]] - x[g.m[held]]
-        return self._edge_value(d, np.exp(-np.abs(d)), g.counts[held], self.wins[held])
-
     @cached_property
     def _whole(self) -> _EdgeBlock:
         """Every edge, as the block of all items; built once per objective."""
         g = self.graph
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
-                          ends=np.concatenate((g.j, g.m)), inner=slice(None), rows=g.j, cols=g.m,
-                          held=np.arange(0))
+                          ends=np.concatenate((g.j, g.m)), inner=slice(None), rows=g.j, cols=g.m)
 
     def _pass(self, x, block: _EdgeBlock):
         """``x`` as floats, and d and e = exp(-|d|) on the block's edges."""
@@ -364,24 +356,23 @@ class BtlObjective(SmoothObjective):
             position = np.full(self.dim, idx.size)
             position[idx] = np.arange(idx.size)
             pj, pm = position[g.j], position[g.m]
-            touches = (pj < idx.size) | (pm < idx.size)
-            edges = np.flatnonzero(touches)
+            edges = np.flatnonzero((pj < idx.size) | (pm < idx.size))
             pj, pm = pj[edges], pm[edges]
             inner = np.flatnonzero((pj < idx.size) & (pm < idx.size))
             self._blocks[key] = _EdgeBlock(
                 idx=idx, j=g.j[edges], m=g.m[edges], counts=g.counts[edges],
                 wins=self.wins[edges], ends=np.concatenate((pj, pm)), inner=inner,
-                rows=pj[inner], cols=pm[inner], held=np.flatnonzero(~touches),
-            )
+                rows=pj[inner], cols=pm[inner])
         return self._blocks[key]
 
     def evaluate(self, x, block: Optional[_EdgeBlock] = None):
         """Value, gradient and Hessian thunk from one pass over the block's edges.
 
-        Without a block that is every edge.  On a block the value leaves out
-        ``held_value``, the edges between held items, and each free item sums
-        its own edges in edge order, so the gradient and the Hessian block are
-        the bits of the full ones' slices.
+        Without a block that is every edge.  On a block the value is the
+        block's own terms: it leaves out the edges between held items, which
+        depend on the held scores only.  Each free item sums its own edges in
+        edge order, so the gradient and the Hessian block are the bits of the
+        full ones' slices.
         """
         block = self._whole if block is None else block
         x, d, e = self._pass(x, block)
@@ -540,6 +531,11 @@ def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
                        converged=converged, note="" if converged else "iteration cap reached")
 
 
+# why a design without a ridge has no unique fit
+DISCONNECTED = ("singular fit: the design is disconnected, so the scores of its components "
+                "are not comparable")
+
+
 def fit_penalized_mle(
     obs: BtlObservation,
     penalty: PenaltySpec,
@@ -569,8 +565,7 @@ def fit_penalized_mle(
                            converged=False, note=note)
 
     if not (pinned or obs.graph.connected):
-        return unsolved(note="singular fit: the design is disconnected, so the scores of its "
-                        "components are not comparable")
+        return unsolved(note=DISCONNECTED)
     finite_minimizer = pinned or mle_exists(obs)
     if solver == "mm":
         report = _mm_minimize(obj, start, tol_grad) if finite_minimizer else unsolved()
@@ -841,9 +836,9 @@ def write_scores(path, scores) -> None:
 def read_scores(path) -> np.ndarray:
     """Read a scores CSV; the item ids must be exactly 1..k, in any order.
 
-    A row whose id is not an integer or whose score is not a number raises a
-    ValueError that names the file and the row's line number (the header is
-    line 1).
+    A row whose id is not an integer or whose score is not a finite number
+    raises a ValueError that names the file and the row's line number (the
+    header is line 1).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -858,6 +853,9 @@ def read_scores(path) -> np.ndarray:
                 raise ValueError(f"{path}, line {reader.line_num}: item must be an integer and "
                                  f"score a number; got item={r['item']!r}, "
                                  f"score={r['score']!r}") from None
+            if not math.isfinite(rows[-1][1]):
+                raise ValueError(f"{path}, line {reader.line_num}: score must be finite; "
+                                 f"got item={r['item']!r}, score={r['score']!r}")
     rows.sort()
     expected = range(1, len(rows) + 1)
     if [i for i, _ in rows] != list(expected):

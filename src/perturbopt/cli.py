@@ -244,7 +244,7 @@ def _cmd_diagnose(args) -> int:
     truth = _checked(read_scores, args.truth)
     if truth.shape[0] != obs.graph.n:
         raise InputError("truth length differs from the item count")
-    constants, diagnostics, reports = diagnose_expansion(obs, truth, _penalty(settings))
+    constants, diagnostics, reports = _checked(diagnose_expansion, obs, truth, _penalty(settings))
     rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2
     reports_to_csv(reports, args.out)
     with open(f"{args.out}.meta.json", "w") as fh:

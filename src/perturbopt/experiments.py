@@ -24,6 +24,7 @@ import numpy as np
 from . import tolerances as tol
 from .ao import AoCertificate, AoTrace, ao_run, certify_convergence, estimate_rate, fixed_point_radii
 from .btl import (
+    DISCONNECTED,
     BtlObjective,
     BtlObservation,
     PenaltySpec,
@@ -252,8 +253,11 @@ def diagnose_expansion(
     """Linear sup-norm expansion diagnostics of observed outcomes around ``truth``.
 
     The residuals are measured against the exact minimizer of the expected
-    objective, which equals ``truth`` when the scores are centered.
+    objective, which equals ``truth`` when the scores are centered.  Without
+    a ridge, a disconnected design has no such minimizer: a ValueError.
     """
+    if penalty.kind != "ridge" and not obs.graph.connected:
+        raise ValueError(DISCONNECTED)
     expected, ups_star, fisher = _expected_minimizer(obs.graph, penalty, truth)
     return _sup_expansion_bounds(expected, ups_star, fisher, noise_gradient(obs, truth))
 

@@ -1,10 +1,12 @@
 """Smooth-objective evaluation contract, perturbation wrappers, and convex solvers.
 
 Objectives are immutable evaluation contracts: ``value``, ``gradient``,
-``hessian`` and the directional third derivative.  The solvers (damped
-Newton here, and the BTL minorize-maximize fit in ``btl``) report convergence
-as data, never as a silent failure; the BTL likelihood can genuinely diverge
-and callers must see it.
+``hessian``, the directional third derivative, and ``evaluate`` on the whole
+vector or one block of it.  A partial minimization is a Newton solve on one
+block, the other held fixed.  The solvers (damped Newton here, and the BTL
+minorize-maximize fit in ``btl``) report convergence as data, never as a
+silent failure; the BTL likelihood can genuinely diverge and callers must
+see it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "LinearPerturbation",
     "SeparableSpec",
     "SeparablePerturbation",
-    "RestrictedObjective",
     "SolveReport",
     "ridge_spec",
     "newton_minimize",
@@ -66,21 +67,18 @@ class SmoothObjective:
         """Value, gradient and a thunk that builds the Hessian, at ``x``.
 
         With a ``block_index``, the gradient and the Hessian are the block's
-        slices, and the value may leave out ``held_value``, a term that does
-        not depend on the block's coordinates.  Newton steps evaluate every
-        point once and run the thunk only where they need a step.  This
-        default takes the full derivatives and slices them; objectives that
-        can share work override it.
+        slices, and the value is the block's own terms: it may differ from
+        ``value(x)`` by a constant that depends on the held coordinates only,
+        which a minimization over the block never sees.  Newton steps
+        evaluate every point once and run the thunk only where they need a
+        step.  This default takes the full derivatives and slices them, and
+        keeps the full value; objectives that can share work override it.
         """
         grad = self.gradient(x)
         if block is None:
             return self.value(x), grad, lambda: self.hessian(x)
         idx = block.idx
         return self.value(x), grad[idx], lambda: self.hessian(x)[np.ix_(idx, idx)]
-
-    def held_value(self, x, block: BlockIndex) -> float:
-        """The term of ``value(x)`` that ``evaluate(x, block)`` leaves out (none here)."""
-        return 0.0
 
 
 class QuadraticObjective(SmoothObjective):
@@ -141,9 +139,6 @@ class LinearPerturbation(SmoothObjective):
         shift = self.a if block is None else self.a[block.idx]
         return value + float(self.a @ np.asarray(x, dtype=float)), grad + shift, hessian
 
-    def held_value(self, x, block):
-        return self.base.held_value(x, block)
-
 
 @dataclass(frozen=True)
 class SeparableSpec:
@@ -200,53 +195,6 @@ class SeparablePerturbation(SmoothObjective):
         return self.base.third_directional(x, a, b, c) + extra
 
 
-class RestrictedObjective(SmoothObjective):
-    """A smooth objective restricted to one block, the other held fixed."""
-
-    def __init__(self, base: SmoothObjective, free_idx, fixed_idx, fixed_values):
-        self.base = base
-        self.free_idx = np.asarray(free_idx, dtype=int)
-        self.fixed_idx = np.asarray(fixed_idx, dtype=int)
-        self.fixed_values = np.asarray(fixed_values, dtype=float)
-        if self.fixed_values.shape[0] != self.fixed_idx.shape[0]:
-            raise DimensionMismatch("fixed values do not match fixed index count")
-        self.dim = self.free_idx.shape[0]
-        self._free_block = base.block_index(self.free_idx)
-        # what the base's block evaluations leave out depends on the held values only
-        self._held = base.held_value(self.embed(np.zeros(self.dim)), self._free_block)
-
-    def embed(self, z) -> np.ndarray:
-        x = np.empty(self.base.dim)
-        x[self.free_idx] = z
-        x[self.fixed_idx] = self.fixed_values
-        return x
-
-    def _embed_dir(self, d) -> np.ndarray:
-        v = np.zeros(self.base.dim)
-        v[self.free_idx] = d
-        return v
-
-    def value(self, z):
-        return self.base.value(self.embed(z))
-
-    def gradient(self, z):
-        return self.base.gradient(self.embed(z))[self.free_idx]
-
-    def hessian(self, z):
-        return self.base.evaluate(self.embed(z), self._free_block)[2]()
-
-    def third_directional(self, z, a, b, c):
-        return self.base.third_directional(
-            self.embed(z), self._embed_dir(a), self._embed_dir(b), self._embed_dir(c)
-        )
-
-    def evaluate(self, z, block=None):
-        if block is not None:
-            return super().evaluate(z, block)
-        value, grad, hessian = self.base.evaluate(self.embed(z), self._free_block)
-        return value + self._held, grad, hessian
-
-
 @dataclass
 class SolveReport:
     """Outcome of a minimization: argmin, effort, and an honest convergence flag."""
@@ -255,8 +203,16 @@ class SolveReport:
     iterations: int
     final_grad_supnorm: float
     converged: bool
-    trajectory: Optional[list] = None
     note: str = ""
+
+
+def _moved(x, t: float, step, block: Optional[BlockIndex]) -> np.ndarray:
+    """``x - t * step``; with a block, ``step`` moves the block's coordinates only."""
+    if block is None:
+        return x - t * step
+    moved = x.copy()
+    moved[block.idx] -= t * step
+    return moved
 
 
 def newton_minimize(
@@ -264,11 +220,12 @@ def newton_minimize(
     x0,
     tol_grad: float = tol.SOLVER_GRAD_TOL,
     max_iter: int = tol.NEWTON_MAX_ITER,
-    record_trajectory: bool = False,
+    block: Optional[BlockIndex] = None,
 ) -> SolveReport:
     """Damped Newton with fixed backtracking (step halving, Armijo 1e-4).
 
-    Each point takes one ``evaluate`` call: the line search's accepted
+    With a ``block_index`` of ``f``, only the block's coordinates of ``x0``
+    move.  Each point takes one ``evaluate`` call: the line search's accepted
     evaluation is the next iterate's, and the Hessian is built only at
     iterates that fail the gradient test, so a solve builds ``iterations``
     Hessians.  Converged means the gradient sup-norm fell to ``tol_grad``.  A
@@ -276,8 +233,7 @@ def newton_minimize(
     out of iterations returns a report with ``converged=False``.
     """
     x = np.asarray(x0, dtype=float).copy()
-    traj = [x.copy()] if record_trajectory else None
-    fx, grad, hessian = f.evaluate(x)
+    fx, grad, hessian = f.evaluate(x, block)
     gnorm = float(np.abs(grad).max())
     iterations = 0
     note = ""
@@ -292,30 +248,23 @@ def newton_minimize(
         # the required decrease can fall below float resolution near the optimum
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(fx))
         t = 1.0
-        while (trial := f.evaluate(x - t * step))[0] > fx - tol.ARMIJO_C * t * slope + noise:
+        while (trial := f.evaluate(moved := _moved(x, t, step, block), block))[0] > (
+            fx - tol.ARMIJO_C * t * slope + noise
+        ):
             t *= tol.BACKTRACK_FACTOR
             if t < 1e-16:
                 note = "backtracking stalled"
                 break
         if note:
             break
-        x = x - t * step
+        x = moved
         fx, grad, hessian = trial
         iterations = it
-        if traj is not None:
-            traj.append(x.copy())
         gnorm = float(np.abs(grad).max())
     converged = gnorm <= tol_grad
-    if not converged and not note:
-        note = "iteration cap reached"
-    return SolveReport(
-        argmin=x,
-        iterations=iterations,
-        final_grad_supnorm=gnorm,
-        converged=converged,
-        trajectory=traj,
-        note="" if converged else note,
-    )
+    return SolveReport(argmin=x, iterations=iterations, final_grad_supnorm=gnorm,
+                       converged=converged,
+                       note="" if converged else note or "iteration cap reached")
 
 
 def partial_minimize(
@@ -330,15 +279,20 @@ def partial_minimize(
     """Minimize over one block with the other held fixed.
 
     ``fixed_block`` names the block being *held*: fixing the nuisance solves
-    the target subproblem and vice versa.  The report's argmin is the
-    free-block vector.
+    the target subproblem and vice versa.  The solve is a block Newton solve
+    on the full vector; the report's argmin is the free-block vector.
     """
     if fixed_block not in ("target", "nuisance"):
         raise ValueError("fixed_block must be 'target' or 'nuisance'")
-    if fixed_block == "nuisance":
-        free_idx, fixed_idx = split.target_idx, split.nuisance_idx
-    else:
-        free_idx, fixed_idx = split.nuisance_idx, split.target_idx
-    restricted = RestrictedObjective(f, free_idx, fixed_idx, fixed_value)
-    z0 = np.zeros(restricted.dim) if warm_start is None else np.asarray(warm_start, dtype=float)
-    return newton_minimize(restricted, z0, tol_grad=tol_grad, max_iter=max_iter)
+    fixed_value = np.asarray(fixed_value, dtype=float)
+    free_target = fixed_block == "nuisance"
+    free_idx, fixed_idx = ((split.target_idx, split.nuisance_idx) if free_target
+                           else (split.nuisance_idx, split.target_idx))
+    if fixed_value.shape[0] != fixed_idx.size:
+        raise DimensionMismatch("fixed values do not match fixed index count")
+    free = np.zeros(free_idx.size) if warm_start is None else warm_start
+    x0 = split.embed(free, fixed_value) if free_target else split.embed(fixed_value, free)
+    report = newton_minimize(f, x0, tol_grad=tol_grad, max_iter=max_iter,
+                             block=f.block_index(free_idx))
+    report.argmin = report.argmin[free_idx]
+    return report

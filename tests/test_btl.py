@@ -34,7 +34,7 @@ from perturbopt import btl
 from perturbopt.btl import _T3_PEAK, _mm_minimize, _sup_abs_phi3
 from perturbopt import tolerances as tol
 from perturbopt.numkit import BlockSplit, MetricTensor, finite_diff_check, psd_power
-from perturbopt.objective import LinearPerturbation, RestrictedObjective
+from perturbopt.objective import LinearPerturbation
 
 
 def _complete_graph(n, L=1):
@@ -361,16 +361,25 @@ class TestDerivativeExactness:
         obj, x, idx = case
         block = obj.block_index(idx)
         assert obj.block_index(idx.copy()) is block
-        value, grad, hessian = obj.evaluate(x, block)
+        _, grad, hessian = obj.evaluate(x, block)
         assert _same_bits(hessian(), obj.hessian(x)[np.ix_(idx, idx)])
         assert _same_bits(grad, obj.gradient(x)[idx])
-        # the block value leaves out exactly the edges between held items
-        g = obj.graph
-        held = ~np.isin(g.j, idx) & ~np.isin(g.m, idx)
-        held_graph = ComparisonGraph.from_edges(g.n, g.j[held], g.m[held], g.counts[held])
-        held_value = BtlObjective(held_graph, obj.wins[held], PenaltySpec.none()).value(x)
-        assert obj.held_value(x, block) == held_value
-        assert _close(value + held_value, obj.value(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_objective_point_block(), st.integers(0, 2**32 - 1))
+    def test_block_value_moves_with_the_value(self, case, seed):
+        """Between points that agree off the block, a block value changes as the value does."""
+        obj, x, idx = case
+        moved = x.copy()
+        moved[idx] = np.random.default_rng(seed).uniform(-1.0, 1.0, idx.size) * np.abs(x).max()
+        shifted = LinearPerturbation(obj, np.linspace(-1.0, 1.0, obj.dim))
+        # the linear term can cancel the likelihood: measure against both
+        linear = np.abs(shifted.a) @ (np.abs(x) + np.abs(moved))
+        for f, scale in ((obj, 0.0), (shifted, linear)):
+            block = f.block_index(idx)
+            change = f.evaluate(moved, block)[0] - f.evaluate(x, block)[0]
+            assert _close(change, f.value(moved) - f.value(x),
+                          obj.value(x) + obj.value(moved) + scale)
 
     @settings(max_examples=200, deadline=None)
     @given(_objective_point_block())
@@ -383,25 +392,12 @@ class TestDerivativeExactness:
 
     @settings(max_examples=100, deadline=None)
     @given(_objective_point_block())
-    def test_restricted_and_perturbed_objectives(self, case):
+    def test_perturbed_block_is_the_slice(self, case):
         obj, x, idx = case
-        fixed = np.setdiff1d(np.arange(obj.dim), idx)
         shifted = LinearPerturbation(obj, np.linspace(-1.0, 1.0, obj.dim))
         _, grad, hessian = shifted.evaluate(x, shifted.block_index(idx))
         assert _same_bits(grad, shifted.gradient(x)[idx])
         assert _same_bits(hessian(), shifted.hessian(x)[np.ix_(idx, idx)])
-        for base in (obj, shifted):
-            restricted = RestrictedObjective(base, idx, fixed, x[fixed])
-            for z in (x[idx], 0.5 * x[idx] + 0.25):
-                value, grad, hessian = restricted.evaluate(z)
-                hess = hessian()
-                assert _same_bits(hess, base.hessian(restricted.embed(z))[np.ix_(idx, idx)])
-                assert _same_bits(restricted.hessian(z), hess)
-                assert _same_bits(grad, restricted.gradient(z))
-                xz = restricted.embed(z)
-                # the linear term can cancel the likelihood: measure against both
-                scale = obj.value(xz) + (np.abs(shifted.a) @ np.abs(xz) if base is shifted else 0)
-                assert _close(value, restricted.value(z), scale)
 
 
 class TestNoiseGradient:
@@ -807,7 +803,10 @@ class TestFileFormats:
                                "got item='2', score='high'"),
         ("1\n", "line 2: item must be an integer and score a number; "
                 "got item='1', score=None"),
-    ], ids=["non_integer_id", "float_id", "non_numeric_score", "short_row"])
+        ("1,0.5\n2,nan\n", "line 3: score must be finite; got item='2', score='nan'"),
+        ("1,inf\n2,0.5\n3,-inf\n", "line 2: score must be finite; got item='1', score='inf'"),
+    ], ids=["non_integer_id", "float_id", "non_numeric_score", "short_row", "nan_score",
+            "inf_score"])
     def test_malformed_scores_name_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "scores.csv"
         path.write_text("item,score\n" + body)

@@ -231,6 +231,32 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith(f"error: {truth_path}, line 3: item must be")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_truth_exit_1(self, score, sampled_instance, tmp_path, capsys):
+        obs_path, truth_path = sampled_instance
+        truth_path.write_text(f"item,score\n1,{score}\n2,0.5\n")
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == (f"error: {truth_path}, line 2: score must be finite; "
+                                           f"got item='1', score='{score}'\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("penalty", ["mean_shift", "ridge"])
+    def test_disconnected_diagnose(self, penalty, tmp_path, capsys):
+        """Without a ridge a disconnected design has no expected minimizer: exit 1."""
+        obs_path, truth_path, out = (tmp_path / name for name in ("obs.csv", "truth.csv", "r.csv"))
+        obs_path.write_text("j,m,N,S\n1,2,3,1\n3,4,3,2\n")
+        write_scores(truth_path, np.array([0.1, -0.1, 0.2, -0.2]))
+        code = dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(out), "--penalty", penalty])
+        err = capsys.readouterr().err
+        if penalty == "ridge":
+            assert code == 0 and err == "" and out.exists()
+        else:
+            assert code == 1 and not out.exists()
+            assert err == "error: singular fit: the design is disconnected, so the scores of " \
+                          "its components are not comparable\n"
+
 
 class TestDiagnose:
     def test_writes_reports_and_meta(self, sampled_instance, tmp_path, capsys):

@@ -167,11 +167,17 @@ class TestNewtonMinimize:
         assert rep.converged and rep.iterations >= 1
         assert len(built) == rep.iterations
 
-    def test_trajectory_recorded(self):
+    def test_block_solve_leaves_held_coordinates(self):
         rng = np.random.default_rng(10)
-        quad = QuadraticObjective(rng.standard_normal(3), random_spd(rng, 3))
-        sol = newton_minimize(quad, np.zeros(3), record_trajectory=True)
-        assert len(sol.trajectory) == sol.iterations + 1
+        objectives = [_btl_instance(12, 2, seed=3),
+                      QuadraticObjective(rng.standard_normal(12), random_spd(rng, 12))]
+        free, held = np.arange(0, 12, 2), np.arange(1, 12, 2)
+        for f in objectives:
+            x0 = rng.uniform(-1.0, 1.0, 12)
+            rep = newton_minimize(f, x0, tol_grad=1e-12, block=f.block_index(free))
+            assert rep.converged and rep.iterations >= 1
+            assert rep.argmin[held].tobytes() == x0[held].tobytes()
+            assert np.abs(f.gradient(rep.argmin)[free]).max() <= 1e-12
 
 
 class TestPartialMinimize:
@@ -180,6 +186,22 @@ class TestPartialMinimize:
         split = BlockSplit(np.array([0]), np.array([1]))
         sol = partial_minimize(quad, split, "nuisance", np.array([0.4]))
         assert sol.argmin[0] == pytest.approx(-0.2, abs=1e-12)
+
+    def test_quadratic_block_solution(self):
+        """The free block is theta* - F_tt^-1 F_tn (nu - nu*), and likewise the nuisance."""
+        rng = np.random.default_rng(11)
+        quad = QuadraticObjective(rng.standard_normal(5), random_spd(rng, 5))
+        split = BlockSplit(np.array([0, 2, 4]), np.array([3, 1]))
+        for fixed, free_idx, fixed_idx in (("nuisance", split.target_idx, split.nuisance_idx),
+                                           ("target", split.nuisance_idx, split.target_idx)):
+            held = quad.minimizer[fixed_idx] + rng.standard_normal(fixed_idx.size)
+            f_ff = quad.curvature[np.ix_(free_idx, free_idx)]
+            f_fh = quad.curvature[np.ix_(free_idx, fixed_idx)]
+            expected = (quad.minimizer[free_idx]
+                        - np.linalg.solve(f_ff, f_fh @ (held - quad.minimizer[fixed_idx])))
+            sol = partial_minimize(quad, split, fixed, held, tol_grad=1e-12)
+            assert sol.converged and sol.argmin.shape == (free_idx.size,)
+            np.testing.assert_allclose(sol.argmin, expected, atol=1e-10)
 
     def test_additively_separable_independent(self):
         rng = np.random.default_rng(14)
@@ -217,6 +239,8 @@ class TestPartialMinimize:
         quad = QuadraticObjective(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             partial_minimize(quad, BlockSplit.half(2), "both", np.zeros(1))
+        with pytest.raises(DimensionMismatch):
+            partial_minimize(quad, BlockSplit.half(2), "nuisance", np.zeros(2))
 
 
 class TestDerivativeContracts:
