@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -325,7 +327,10 @@ class BtlObjective(SmoothObjective):
         """The Hessian block from e = exp(-|d|) on the block's edges.
 
         The sub-Laplacian of the inner edges, plus each item's degree over
-        all its edges on the diagonal, plus the penalty block.
+        all its edges on the diagonal, plus the penalty block.  It is
+        symmetric bit for bit: the two mirrored entries of an edge take the
+        same subtraction from the same entry of a symmetric penalty matrix.
+        So Newton solves it without ``check_symmetric``.
         """
         size = block.idx.size
         w = block.counts * _phi2_from(e)
@@ -550,7 +555,10 @@ def fit_penalized_mle(
     A disconnected design returns the start as a singular fit; a divergent
     likelihood (some item or group with a perfect win/loss record) is
     surfaced as a non-converged report, never clamped: Newton's report keeps
-    its iterate, the MM fit does not start.
+    its iterate, the MM fit does not start.  Where Newton's Hessian stops
+    being positive definite, the report holds the start and the iteration it
+    stopped at, noted as divergent when there is no finite minimizer and as
+    a singular fit otherwise.
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -573,7 +581,8 @@ def fit_penalized_mle(
         try:
             report = newton_minimize(obj, start, tol_grad=tol_grad)
         except HessianNotPD as exc:
-            return unsolved(exc.iteration, f"singular fit: {exc}")
+            # on a divergent likelihood the Hessian can flatten out before the iteration cap
+            report = unsolved(exc.iteration, f"singular fit: {exc}")
     if not finite_minimizer:
         report.converged = False
         report.note = "divergent: a one-sided win/loss pattern has no finite optimum"
@@ -728,10 +737,16 @@ def write_observations(path, obs: BtlObservation) -> None:
 
 
 _OBSERVATION_TYPES = {"j": np.int64, "m": np.int64, "N": np.float64, "S": np.float64}
+# numpy.loadtxt decompresses a file named with one of these suffixes
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parse_observation_rows(lines, columns: dict) -> np.ndarray:
-    """Parse CSV data lines into a record array; ``columns`` maps names to positions."""
+def _parse_observation_rows(source, columns: dict, skiprows: int = 0) -> np.ndarray:
+    """Parse CSV data lines into a record array; ``columns`` maps names to positions.
+
+    ``source`` is a file path, which numpy reads in chunks, an open file or a
+    list of lines; its first ``skiprows`` physical lines are skipped.
+    """
     with warnings.catch_warnings():
         # a header-only file has no rows, and that is not worth a warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -740,8 +755,9 @@ def _parse_observation_rows(lines, columns: dict) -> np.ndarray:
         # becomes loadtxt's ValueError for that row
         warnings.filterwarnings("error", category=DeprecationWarning)
         return np.loadtxt(
-            lines, dtype=[(name, _OBSERVATION_TYPES[name]) for name in columns],
+            source, dtype=[(name, _OBSERVATION_TYPES[name]) for name in columns],
             delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()), ndmin=1,
+            skiprows=skiprows,
         )
 
 
@@ -762,7 +778,8 @@ def read_observations(path, n: Optional[int] = None):
     header is line 1).
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
         position = {name.strip(): i for i, name in enumerate(header)}
@@ -771,8 +788,15 @@ def read_observations(path, n: Optional[int] = None):
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         has_wins = "S" in position
         columns = {name: position[name] for name in ("j", "m", "N", "S") if name in position}
+        # numpy reads a file by its name in chunks, where it takes an open file line by
+        # line; but a pipe can be read only once, and numpy decompresses by the suffix
+        filename = os.fsdecode(path)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not filename.endswith(_COMPRESSED):
+            source, skiprows = filename, reader.line_num  # a quoted header may span lines
+        else:
+            source, skiprows = fh, 0
         try:
-            rows = _parse_observation_rows(fh, columns)
+            rows = _parse_observation_rows(source, columns, skiprows)
         except ValueError as exc:
             # only now look for the line: the first one that does not parse on its own
             for number, line in _data_lines(path):
@@ -824,13 +848,11 @@ def _raise_bad_row(path, n: int, j, m, counts, wins) -> None:
 
 
 def write_scores(path, scores) -> None:
-    """CSV with header item,score; items are 1-based."""
+    """CSV with header item,score; items are 1-based, scores ``.17g``, lines end in ``\\r\\n``."""
     scores = np.asarray(scores, dtype=float)
+    rows = "".join([f"{i},{s:.17g}\r\n" for i, s in enumerate(scores.tolist(), 1)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item", "score"])
-        for i, s in enumerate(scores):
-            writer.writerow([i + 1, format(s, ".17g")])
+        fh.write("item,score\r\n" + rows)
 
 
 def read_scores(path) -> np.ndarray:

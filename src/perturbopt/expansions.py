@@ -19,7 +19,14 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, DltwbTooLarge
-from .numkit import BlockHessian, BlockSplit, MetricTensor, spd_solve, spectral_norm
+from .numkit import (
+    BlockHessian,
+    BlockSplit,
+    MetricTensor,
+    check_symmetric,
+    spd_solve,
+    spectral_norm,
+)
 from .objective import (
     LinearPerturbation,
     SeparablePerturbation,
@@ -349,7 +356,7 @@ def check_partial_bias(
         # optimal-value expansion defect
         x_at = split.embed(theta_star, nu)
         a_nu = f.gradient(x_at)[split.target_idx]
-        f_nu = f.hessian(x_at)[np.ix_(split.target_idx, split.target_idx)]
+        f_nu = check_symmetric(f.hessian(x_at)[np.ix_(split.target_idx, split.target_idx)])
         f_nu_inv_a = spd_solve(f_nu, a_nu)
         quad = float(a_nu @ f_nu_inv_a)  # ||F_nu^{-1/2} A_nu||^2
         val_gap = 2.0 * f.value(split.embed(theta_nu, nu)) - 2.0 * f.value(x_at) + quad
@@ -446,13 +453,13 @@ def check_linear_sup_expansion(
 
     The diagonal metric is built from the Hessian diagonal at the
     unperturbed minimizer; ``fisher`` is that Hessian and ``rho`` its
-    ``rho_dual`` pair in that metric, when the caller holds them.
+    ``rho_dual`` pair in that metric, when the caller holds them.  The Hessian,
+    given or built, passes ``check_symmetric`` before any use.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
-    if fisher is None:
-        fisher = f.hessian(upsilon_star)
+    fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
     sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star,
                           tol_grad=tol.JOINT_SOLVE_TOL)
     solved = sol.converged and _stationary(f, upsilon_star)
@@ -481,7 +488,7 @@ def check_separable_sup_expansion(
     sol = newton_minimize(SeparablePerturbation(f, spec), upsilon_star,
                           tol_grad=tol.JOINT_SOLVE_TOL)
     ups_circ = sol.argmin
-    fisher = f.hessian(upsilon_star)
+    fisher = check_symmetric(f.hessian(upsilon_star))
     d = np.sqrt(np.diag(f.hessian(ups_circ)) + spec.t2(ups_circ))
     m_vec = spec.t1(upsilon_star)
     shift = ups_circ - upsilon_star

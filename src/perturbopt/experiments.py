@@ -99,6 +99,11 @@ class ExperimentConfig:
         object.__setattr__(self, "score_range", tuple(float(v) for v in self.score_range))
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        if self.L < 1:
+            raise ValueError("need at least one comparison per edge (L >= 1)")
+        if self.steps < tol.AO_BURN_IN + 2:  # the fewest estimate_rate accepts
+            raise ValueError(f"need at least {tol.AO_BURN_IN + 2} alternation steps: the rate "
+                             f"is estimated after a burn-in of {tol.AO_BURN_IN}")
         lo, hi = self.score_range
         if not hi >= lo:
             raise ValueError("score range upper end below lower end")

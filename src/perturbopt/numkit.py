@@ -39,17 +39,22 @@ __all__ = [
 ]
 
 
+def _square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; DimensionMismatch unless it is a square matrix of dimension >= 1."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise DimensionMismatch("dimension must be >= 1")
+    return a
+
+
 def check_symmetric(a, rtol: float = tol.SYMMETRY_RTOL) -> np.ndarray:
     """Validate that ``a`` is square and symmetric; return a symmetrized copy.
 
     Raises DimensionMismatch for non-square input, ValueError when the
     asymmetry exceeds ``rtol`` relative to the matrix scale.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise DimensionMismatch("dimension must be >= 1")
+    a = _square(np.asarray(a, dtype=float))
     if a.tobytes() == a.T.tobytes():  # already symmetric, bit for bit
         return a.copy()
     scale = max(1.0, float(np.abs(a).max()))
@@ -198,13 +203,18 @@ class MetricTensor:
 
 
 def spd_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK potrf/potrs)."""
-    a = check_symmetric(a)
+    """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK potrf/potrs).
+
+    Reads one triangle of ``a``, the upper, as ``potrf`` and
+    ``scipy.linalg.cho_factor`` do; symmetry is not checked here.  The library
+    checks a matrix once, where it enters from outside (``check_symmetric``).
+    """
+    a = _square(np.array(a, dtype=float, order="C"))  # a private copy: potrf overwrites it
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != dimension {a.shape[0]}")
-    # a is an exactly symmetric fresh copy, so its transpose is the Fortran-ordered
-    # matrix itself and the factorisation may overwrite it
+    # the transpose of the C-ordered copy is Fortran-ordered, so potrf factors it in
+    # place; its lower triangle is the upper triangle of a
     c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")

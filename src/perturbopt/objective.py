@@ -72,13 +72,16 @@ class SmoothObjective:
         which a minimization over the block never sees.  Newton steps
         evaluate every point once and run the thunk only where they need a
         step.  This default takes the full derivatives and slices them, and
-        keeps the full value; objectives that can share work override it.
+        keeps the full value; objectives that can share work override it.  Its
+        thunk checks the Hessian with ``check_symmetric``, since ``spd_solve``
+        reads one triangle; an override returns a symmetric matrix itself.
         """
         grad = self.gradient(x)
         if block is None:
-            return self.value(x), grad, lambda: self.hessian(x)
+            return self.value(x), grad, lambda: check_symmetric(self.hessian(x))
         idx = block.idx
-        return self.value(x), grad[idx], lambda: self.hessian(x)[np.ix_(idx, idx)]
+        return (self.value(x), grad[idx],
+                lambda: check_symmetric(self.hessian(x)[np.ix_(idx, idx)]))
 
 
 class QuadraticObjective(SmoothObjective):

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import os
+import threading
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perturbopt.btl import (
@@ -342,18 +344,18 @@ def _close(value, reference, scale=None) -> bool:
 class TestDerivativeExactness:
     """Block and full evaluations give the separate derivatives, bit for bit."""
 
-    @pytest.mark.parametrize("penalty", [PenaltySpec.none(), PenaltySpec.mean_shift(2.0),
-                                         PenaltySpec.ridge(0.5)])
-    def test_hessians_exactly_symmetric(self, penalty):
-        rng = np.random.default_rng(13)
-        g = sample_er_graph(12, 0.6, 3, rng)
-        obj = BtlObjective(g, rng.integers(0, 4, g.n_edges).astype(float), penalty)
-        x = rng.uniform(-2, 2, 12)
-        blocks = [obj.hessian(x), obj.evaluate(x)[2]()]
-        blocks += [obj.evaluate(x, obj.block_index(idx))[2]()
-                   for idx in (np.arange(6), np.arange(6, 12), rng.permutation(12)[:7])]
-        for h in blocks:
-            assert np.array_equal(h, h.T)
+    @settings(max_examples=200, deadline=None)
+    @given(_objective_point_block())
+    def test_hessians_exactly_symmetric(self, case):
+        """Newton solves these without check_symmetric, and spd_solve reads one triangle.
+
+        Bits, not values: array_equal takes -0.0 and 0.0 as equal.
+        """
+        obj, x, idx = case
+        hessians = (obj.hessian(x), obj.evaluate(x)[2](),
+                    obj.evaluate(x, obj.block_index(idx))[2]())
+        for h in hessians:
+            assert h.tobytes() == h.T.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(_objective_point_block())
@@ -527,6 +529,10 @@ class TestFit:
     @settings(max_examples=200, deadline=None)
     @given(_observations(), st.sampled_from(["mean_shift", "ridge"]),
            st.sampled_from([0.5, 1.0, 5.0]))
+    # connected, no finite MLE, and Newton's Hessian stops being positive definite at iterate 27
+    @example(BtlObservation(graph=ComparisonGraph.from_edges(6, [1, 4, 3, 0, 0, 0],
+                                                             [3, 5, 4, 2, 5, 1], np.ones(6)),
+                            wins=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])), "mean_shift", 1.0)
     def test_mm_matches_newton(self, obs, kind, gsq):
         penalty = PenaltySpec(kind, gsq)
         a = fit_penalized_mle(obs, penalty, solver="newton", tol_grad=1e-12)
@@ -783,6 +789,45 @@ class TestFileFormats:
         assert isinstance(g, ComparisonGraph)
         assert g.n == 3 and g.n_edges == 2
 
+    def test_pipe_reads_like_the_file(self, tmp_path):
+        """A pipe can be read once, so its rows come from the handle that read its header."""
+        rng = np.random.default_rng(8)
+        graph = sample_er_graph(100, 0.5, 2, rng)
+        path = tmp_path / "obs.csv"
+        write_observations(path, sample_outcomes(graph, rng.uniform(-1, 1, 100), rng))
+        data = path.read_bytes()
+        assert len(data) > 16_384  # more than one buffer of a text file
+        read_end, write_end = os.pipe()
+
+        def write():
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(data)
+
+        # a second open of /dev/fd/N joins the same pipe without blocking
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            piped = read_observations(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)  # a writer still blocked on a full pipe then fails and ends
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        read = read_observations(path)
+        for name in ("j", "m", "counts"):
+            assert getattr(piped.graph, name).tobytes() == getattr(read.graph, name).tobytes()
+        assert piped.wins.tobytes() == read.wins.tobytes()
+
+    @pytest.mark.parametrize("name", ["obs.csv", "obs.csv.gz", "obs.bz2", b"obs.xz"])
+    def test_any_file_name(self, name, tmp_path):
+        """A header over two lines, under any name: numpy would decompress some by the suffix."""
+        text = 'j,m,N,S,"a note\r\nover two lines"\r\n1,2,3,1\r\n\r\n2,3,1,0\r\n'
+        path = os.path.join(os.fsencode(tmp_path) if isinstance(name, bytes) else tmp_path, name)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        obs = read_observations(path)
+        assert obs.graph.j.tolist() == [0, 1] and obs.graph.m.tolist() == [1, 2]
+        assert obs.wins.tolist() == [1.0, 0.0]
+
     def test_header_names_may_be_padded(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("j, m, N, S\n1,2,3,1\n")
@@ -794,6 +839,14 @@ class TestFileFormats:
         scores = np.array([0.25, -1.5, 1.25])
         write_scores(path, scores)
         np.testing.assert_array_equal(read_scores(path), scores)
+
+    def test_scores_file_bytes(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores(path, np.array([0.1, -0.0, 1e-300, -2.5, 3.0]))
+        assert path.read_bytes() == (b"item,score\r\n1,0.10000000000000001\r\n2,-0\r\n"
+                                     b"3,1e-300\r\n4,-2.5\r\n5,3\r\n")
+        write_scores(path, np.array([]))
+        assert path.read_bytes() == b"item,score\r\n"
 
     @pytest.mark.parametrize("body, message", [
         ("1,0.5\nx,0.1\n", "line 3: item must be an integer and score a number; "

@@ -342,6 +342,17 @@ class TestAoCommand:
         assert captured.err == "error: a mean_shift penalty needs gsq > 0, got 0.0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--L", "0", "need at least one comparison per edge (L >= 1)"),
+        ("--steps", "0", "need at least 3 alternation steps"),
+        ("--steps", "2", "need at least 3 alternation steps"),
+    ])
+    def test_bad_design_or_steps_exits_1(self, flag, value, message, capsys):
+        assert dispatch(["ao", "--n", "30", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_trace_export(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = dispatch([
@@ -396,6 +407,20 @@ class TestStudyCommands:
         assert dispatch([command, "--n-list", "20", "--reps", "1", "--gsq", "0",
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: a mean_shift penalty needs gsq > 0, got 0.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("study-rho", "--L", "0", "need at least one comparison per edge (L >= 1)"),
+        ("study-expansion", "--L", "0", "need at least one comparison per edge (L >= 1)"),
+        ("study-ao", "--L", "0", "need at least one comparison per edge (L >= 1)"),
+        ("study-ao", "--steps", "1", "need at least 3 alternation steps"),
+    ])
+    def test_bad_design_or_steps_exits_1(self, command, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert dispatch([command, "--n-list", "20", "--reps", "1", flag, value,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_config_file_layering(self, tmp_path, capsys):

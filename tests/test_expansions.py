@@ -295,6 +295,15 @@ class TestLinearSupExpansion:
         if diag.all_prerequisites_hold:
             assert by_variant["lin_ii"].holds and by_variant["lin_iii"].holds
 
+    def test_given_fisher_checked(self):
+        rng = np.random.default_rng(11)
+        quad = QuadraticObjective(rng.standard_normal(5), random_spd(rng, 5))
+        skewed = quad.curvature.copy()
+        skewed[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_linear_sup_expansion(quad, np.ones(5), ConditionConstants.zeros(norm_tag="linf"),
+                                       upsilon_star=quad.minimizer, fisher=skewed)
+
     def test_internal_consistency_iii_from_ii(self):
         # the v-weighted residual is the inverse image of the scaled one
         graph, truth, f = _btl_expected(8, 30, seed=12, gsq=8.0)

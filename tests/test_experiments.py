@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from perturbopt import btl, expansions, experiments, numkit
+from perturbopt import tolerances as tol
+from perturbopt.ao import estimate_rate
 from perturbopt.btl import BtlObservation, ComparisonGraph, PenaltySpec, noise_gradient, sigmoid
+from perturbopt.errors import InsufficientSteps
 from perturbopt.experiments import (
     SCHEMAS,
     ExperimentConfig,
@@ -50,6 +53,16 @@ class TestConfig:
             ExperimentConfig(n_list=(10,), gsq=0.0)
         with pytest.raises(ValueError, match="unknown penalty kind"):
             ExperimentConfig(n_list=(10,), penalty_kind="lasso")
+        with pytest.raises(ValueError, match="at least one comparison per edge"):
+            ExperimentConfig(n_list=(10,), L=0)
+        for steps in (0, tol.AO_BURN_IN + 1):
+            with pytest.raises(ValueError, match="alternation steps"):
+                ExperimentConfig(n_list=(10,), steps=steps)
+        # the fewest steps whose rate estimate_rate accepts: a run of s steps has s + 1 norms
+        fewest = ExperimentConfig(n_list=(10,), steps=tol.AO_BURN_IN + 2).steps
+        assert estimate_rate(0.5 ** np.arange(fewest + 1)) == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(InsufficientSteps):
+            estimate_rate(0.5 ** np.arange(fewest))
 
 
 class TestRhoStudy:

@@ -86,6 +86,15 @@ class TestSpdSolve:
         with pytest.raises(NotPositiveDefinite):
             spd_solve(a, np.ones(6))
 
+    def test_reads_the_upper_triangle(self):
+        rng = np.random.default_rng(5)
+        a = random_spd(rng, 6)
+        b = rng.standard_normal(6)
+        garbled = a + np.tril(rng.standard_normal((6, 6)), -1)
+        assert spd_solve(garbled, b).tobytes() == spd_solve(a, b).tobytes()
+        with pytest.raises(DimensionMismatch):
+            spd_solve(np.ones((2, 3)), np.ones(2))
+
     def test_input_untouched(self):
         rng = np.random.default_rng(4)
         a = random_spd(rng, 5)

@@ -11,12 +11,14 @@ from perturbopt.btl import (
     sample_er_graph,
     sample_outcomes,
 )
+from perturbopt import tolerances as tol
 from perturbopt.errors import DimensionMismatch, HessianNotPD
 from perturbopt.numkit import BlockSplit, finite_diff_check
 from perturbopt.objective import (
     LinearPerturbation,
     QuadraticObjective,
     SeparablePerturbation,
+    SmoothObjective,
     newton_minimize,
     partial_minimize,
     ridge_spec,
@@ -178,6 +180,59 @@ class TestNewtonMinimize:
             assert rep.converged and rep.iterations >= 1
             assert rep.argmin[held].tobytes() == x0[held].tobytes()
             assert np.abs(f.gradient(rep.argmin)[free]).max() <= 1e-12
+
+
+class _SkewedHessian(SmoothObjective):
+    """f(x) = x'Ax/2 + sum exp(x_i) - b'x, whose Hessian carries ``skew`` at entry (0, 1)."""
+
+    def __init__(self, skew: float, symmetrize: bool = False):
+        rng = np.random.default_rng(21)
+        self.a = random_spd(rng, 5)
+        self.b = rng.standard_normal(5)
+        self.skew = skew
+        self.symmetrize = symmetrize
+        self.dim = 5
+
+    def value(self, x):
+        return 0.5 * float(x @ self.a @ x) + float(np.exp(x).sum()) - float(self.b @ x)
+
+    def gradient(self, x):
+        return self.a @ x + np.exp(x) - self.b
+
+    def hessian(self, x):
+        h = self.a + np.diag(np.exp(x))
+        h[0, 1] += self.skew
+        return 0.5 * (h + h.T) if self.symmetrize else h
+
+
+_WRAPS = {
+    "plain": lambda f: f,
+    "linear": lambda f: LinearPerturbation(f, np.linspace(-1.0, 1.0, f.dim)),
+    "separable": lambda f: SeparablePerturbation(f, ridge_spec(0.5)),
+}
+
+
+class TestUserHessianSymmetry:
+    """Newton checks a user Hessian where it is built, as spd_solve reads one triangle."""
+
+    @pytest.mark.parametrize("wrap", _WRAPS.values(), ids=_WRAPS.keys())
+    def test_asymmetric_hessian_refused(self, wrap):
+        f = wrap(_SkewedHessian(1e3 * tol.SYMMETRY_RTOL))
+        with pytest.raises(ValueError, match="not symmetric"):
+            newton_minimize(f, np.zeros(5))
+        with pytest.raises(ValueError, match="not symmetric"):
+            partial_minimize(f, BlockSplit.half(5), "nuisance", np.zeros(2))
+
+    @pytest.mark.parametrize("wrap", _WRAPS.values(), ids=_WRAPS.keys())
+    def test_hessian_within_tolerance_is_symmetrized(self, wrap):
+        skew = 0.25 * tol.SYMMETRY_RTOL  # entries are above 1, so within the tolerance
+        skewed, symmetric = wrap(_SkewedHessian(skew)), wrap(_SkewedHessian(skew, True))
+        for solve in (lambda f: newton_minimize(f, np.zeros(5), tol_grad=1e-12),
+                      lambda f: partial_minimize(f, BlockSplit.half(5), "nuisance",
+                                                 np.full(2, 0.1), tol_grad=1e-12)):
+            got, want = solve(skewed), solve(symmetric)
+            assert got.converged and got.iterations == want.iterations >= 3
+            assert got.argmin.tobytes() == want.argmin.tobytes()
 
 
 class TestPartialMinimize:
