@@ -344,13 +344,24 @@ def _close(value, reference, scale=None) -> bool:
 class TestDerivativeExactness:
     """Block and full evaluations give the separate derivatives, bit for bit."""
 
+    @pytest.mark.parametrize("penalty", [PenaltySpec.none(), PenaltySpec.mean_shift(2.0),
+                                         PenaltySpec.ridge(0.5)])
+    def test_hessians_exactly_symmetric(self, penalty):
+        """Bits, not values: array_equal takes -0.0 and 0.0 as equal."""
+        rng = np.random.default_rng(13)
+        g = sample_er_graph(12, 0.6, 3, rng)
+        obj = BtlObjective(g, rng.integers(0, 4, g.n_edges).astype(float), penalty)
+        x = rng.uniform(-2, 2, 12)
+        blocks = [obj.hessian(x), obj.evaluate(x)[2]()]
+        blocks += [obj.evaluate(x, obj.block_index(idx))[2]()
+                   for idx in (np.arange(6), np.arange(6, 12), rng.permutation(12)[:7])]
+        for h in blocks:
+            assert h.tobytes() == h.T.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(_objective_point_block())
-    def test_hessians_exactly_symmetric(self, case):
-        """Newton solves these without check_symmetric, and spd_solve reads one triangle.
-
-        Bits, not values: array_equal takes -0.0 and 0.0 as equal.
-        """
+    def test_hessians_exactly_symmetric_drawn(self, case):
+        """Newton solves these without check_symmetric, and spd_solve reads one triangle."""
         obj, x, idx = case
         hessians = (obj.hessian(x), obj.evaluate(x)[2](),
                     obj.evaluate(x, obj.block_index(idx))[2]())
