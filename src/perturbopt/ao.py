@@ -10,16 +10,16 @@ geometry, which is what the convergence statements control.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InnerSolveFailed, InsufficientSteps, MetricDominanceViolated
-from .expansions import ConditionConstants, derived_constants, rho_star
-from .numkit import BlockGeometry, BlockHessian, BlockSplit, MetricTensor, contraction_matrix
-from .objective import QuadraticObjective, SmoothObjective, newton_minimize, partial_minimize
+from .errors import InnerSolveFailed, InsufficientSteps
+from .expansions import ConditionConstants, derived_constants
+from .numkit import BlockGeometry, BlockHessian, BlockSplit, contraction_matrix
+from .objective import QuadraticObjective, SmoothObjective, partial_minimize
 
 __all__ = [
     "AoTrace",
@@ -41,8 +41,8 @@ class AoTrace:
     nui_iterates: list
     theta_err_norms: np.ndarray  # index 0 is the start gap
     nui_err_norms: np.ndarray
-    eps_vectors: list
-    alpha_vectors: list
+    eps_norms: np.ndarray  # step residual norms against the exact quadratic map
+    alpha_norms: np.ndarray
     ppt_norm: float
     upsilon_star: np.ndarray
     split: BlockSplit
@@ -60,41 +60,25 @@ class AoTrace:
     def steps(self) -> int:
         return len(self.nui_iterates)
 
-    @property
-    def eps_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(e)) for e in self.eps_vectors])
-
-    @property
-    def alpha_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(a)) for a in self.alpha_vectors])
-
 
 def ao_run(
     f: SmoothObjective,
     split: BlockSplit,
     theta0,
     n_steps: int,
+    upsilon_star,
     inner_tol: float = tol.JOINT_SOLVE_TOL,
-    upsilon_star=None,
     geometry: Optional[BlockGeometry] = None,
 ) -> AoTrace:
     """Alternate the two partial minimizations for ``n_steps`` full steps.
 
-    The joint minimizer is computed to high tolerance when not supplied;
-    the convergence statements measure distances to it, not to the last
-    iterate.  ``geometry`` is that of the Hessian at the joint minimizer,
-    built from it when not supplied.
+    ``upsilon_star`` is the joint minimizer: the convergence statements
+    measure distances to it, not to the last iterate.  ``geometry`` is that
+    of the Hessian there, built from it when not supplied.
     """
     if n_steps < 1:
         raise ValueError("need at least one alternation step")
     theta0 = np.asarray(theta0, dtype=float)
-    if upsilon_star is None:
-        x0 = np.zeros(f.dim)
-        x0[split.target_idx] = theta0
-        joint = newton_minimize(f, x0, tol_grad=tol.JOINT_SOLVE_TOL)
-        if not joint.converged:
-            raise InnerSolveFailed(0, "joint", "joint reference solve did not converge")
-        upsilon_star = joint.argmin
     upsilon_star = np.asarray(upsilon_star, dtype=float)
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
@@ -109,8 +93,8 @@ def ao_run(
     nuis: list = []
     theta_errs = [float(np.linalg.norm(tt_half @ (theta - theta_star)))]
     nui_errs: list = []
-    eps_vecs: list = []
-    alpha_vecs: list = []
+    eps_norms: list = []
+    alpha_norms: list = []
 
     for step in range(1, n_steps + 1):
         sol_n = partial_minimize(f, split, "target", theta, warm_start=nui_guess,
@@ -132,16 +116,16 @@ def ao_run(
         nui_errs.append(float(np.linalg.norm(e_nui)))
         # step residuals relative to the exact quadratic alternation map;
         # both vanish identically when the objective is quadratic
-        eps_vecs.append(e_theta + p @ e_nui)
-        alpha_vecs.append(e_nui + p.T @ e_prev)
+        eps_norms.append(float(np.linalg.norm(e_theta + p @ e_nui)))
+        alpha_norms.append(float(np.linalg.norm(e_nui + p.T @ e_prev)))
 
     return AoTrace(
         theta_iterates=thetas,
         nui_iterates=nuis,
         theta_err_norms=np.asarray(theta_errs),
         nui_err_norms=np.asarray(nui_errs),
-        eps_vectors=eps_vecs,
-        alpha_vectors=alpha_vecs,
+        eps_norms=np.asarray(eps_norms),
+        alpha_norms=np.asarray(alpha_norms),
         ppt_norm=geometry.ppt_norm,
         upsilon_star=upsilon_star,
         split=split,
@@ -157,7 +141,7 @@ def quad_ao_identity_check(
     mapped by P P' at every step, exactly.
     """
     geometry = contraction_matrix(BlockHessian.from_full(quad.curvature, split))
-    trace = ao_run(quad, split, theta0, n_steps, upsilon_star=quad.minimizer, geometry=geometry)
+    trace = ao_run(quad, split, theta0, n_steps, quad.minimizer, geometry=geometry)
     ppt = geometry.p @ geometry.p.T
     theta_star = quad.minimizer[split.target_idx]
     worst = 0.0
@@ -171,125 +155,82 @@ def quad_ao_identity_check(
 
 @dataclass(frozen=True)
 class AoCertificate:
-    """Scalar certificate of local linear convergence for one start gap."""
+    """Scalar certificate of local linear convergence for one start gap.
 
-    rho2: float
-    delta_nano: float
-    dltwb: float
-    radii: tuple
+    The radii and the derived scalars stay empty or NaN where a failed
+    condition leaves them undefined.
+    """
+
     start_gap: float
     ppt_norm: float
     rho_star: float
-    conditions_hold: dict = field(default_factory=dict)
+    conditions_hold: dict
+    radii: tuple = ()
+    dltwb: float = float("nan")
+    rho2: float = float("nan")
+    delta_nano: float = float("nan")
 
     @property
     def holds(self) -> bool:
         return bool(self.conditions_hold) and all(self.conditions_hold.values())
 
 
-def _check_dominance(block: np.ndarray, metric: MetricTensor, label: str) -> None:
-    gap = block - metric.matrix() @ metric.matrix()
-    scale = max(1.0, float(np.abs(block).max()))
-    if np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() < -1e-9 * scale:
-        raise MetricDominanceViolated(f"squared {label}-metric is not dominated by the block")
-
-
 def certify_convergence(
-    geometry: BlockGeometry | BlockHessian,
-    constants: ConditionConstants,
-    theta0_gap: float,
-    d_metric: MetricTensor,
-    h_metric: MetricTensor,
-    kappa: float = 1.0,
+    geometry: BlockGeometry, constants: ConditionConstants, theta0_gap: float
 ) -> AoCertificate:
     """Evaluate the local-convergence certificate inequalities.
 
-    Requires D^2 <= f_tt and H^2 <= f_nn in the semidefinite order.  The
-    radii come in through ``constants.radii``; the certificate checks them
-    against the start gap rather than searching for feasible values.  A
-    ``kappa`` > 1 rescales (tau3, d12, d21, rho_star) by
-    (kappa^3, kappa, kappa^2, 1/kappa) before the checks, covering metrics
-    that only dominate up to a factor.  A block Hessian is first turned into
-    its geometry.
+    The metrics are the square-root blocks f_tt^{1/2} and f_nn^{1/2} of
+    ``geometry``, in which the l2 constants are measured; there rho_star, the
+    norm of the scaled cross block, is ||P|| = ||PP'||^{1/2}.  The radii come
+    in through ``constants.radii``; the certificate checks them against the
+    start gap rather than searching for feasible values.
     """
-    if isinstance(geometry, BlockHessian):
-        geometry = contraction_matrix(geometry)
-    bh = geometry.blocks
-    _check_dominance(bh.f_tt, d_metric, "target")
-    _check_dominance(bh.f_nn, h_metric, "nuisance")
     if len(constants.radii) < 2:
         raise ValueError("certificate needs radii (r_theta, r_nui)")
     r_theta, r_nui = float(constants.radii[0]), float(constants.radii[1])
-
-    rho_star_value = rho_star(bh.f_tn, d_metric, h_metric, "l2")[0] / kappa
-
-    scaled = ConditionConstants(
-        tau3=constants.tau3 * kappa**3,
-        d12=constants.d12 * kappa,
-        d21=constants.d21 * kappa**2,
-        norm_tag=constants.norm_tag,
-        radii=(r_theta, r_nui),
-        method=constants.method,
-    )
-    d_eff = scaled.d_effective
-    dltwb = d_eff * max(r_theta, r_nui)
-
+    ppt, gap = geometry.ppt_norm, float(theta0_gap)
+    rho_star = ppt**0.5
+    base = dict(start_gap=gap, ppt_norm=ppt, rho_star=rho_star, radii=(r_theta, r_nui))
+    dltwb = constants.d_effective * max(r_theta, r_nui)
     if dltwb >= 1.0:
-        conditions = {"dltwb_lt_1": False}
-        return AoCertificate(
-            rho2=float("nan"),
-            delta_nano=float("nan"),
-            dltwb=dltwb,
-            radii=(r_theta, r_nui),
-            start_gap=float(theta0_gap),
-            ppt_norm=geometry.ppt_norm,
-            rho_star=rho_star_value,
-            conditions_hold=conditions,
-        )
+        return AoCertificate(**base, dltwb=dltwb, conditions_hold={"dltwb_lt_1": False})
 
-    diag = derived_constants(scaled, "ao", rho_star_value=rho_star_value)
+    diag = derived_constants(constants, "ao", rho_star_value=rho_star)
     rho2, delta_nano = diag.rho2, diag.delta_nano
-    gap = float(theta0_gap)
     conditions = {
         "dltwb_lt_1": True,
-        "ppt_lt_1": geometry.ppt_norm < 1.0,
+        "ppt_lt_1": ppt < 1.0,
         "r_theta_big_enough": r_theta >= rho2**2 * gap,
         "r_nui_big_enough": r_nui >= rho2 * gap,
-        "rho2_t3_r_small": rho2 * scaled.tau3 * max(r_theta, r_nui) <= 2.0 / 3.0,
-        "start_gap_small": (1.0 + rho2**2) * delta_nano * gap < 1.0 - geometry.ppt_norm,
+        "rho2_t3_r_small": rho2 * constants.tau3 * max(r_theta, r_nui) <= 2.0 / 3.0,
+        "start_gap_small": (1.0 + rho2**2) * delta_nano * gap < 1.0 - ppt,
     }
-    return AoCertificate(
-        rho2=rho2,
-        delta_nano=delta_nano,
-        dltwb=dltwb,
-        radii=(r_theta, r_nui),
-        start_gap=gap,
-        ppt_norm=geometry.ppt_norm,
-        rho_star=rho_star_value,
-        conditions_hold=conditions,
-    )
+    return AoCertificate(**base, dltwb=dltwb, rho2=rho2, delta_nano=delta_nano,
+                         conditions_hold=conditions)
 
 
 def fixed_point_radii(
-    constants: ConditionConstants, rho_star_value: float, gap: float, slack: float = 1.05,
-    max_rounds: int = 100,
+    constants: ConditionConstants, rho_star_value: float, gap: float
 ) -> Optional[tuple]:
     """Smallest self-consistent radii (r_theta, r_nui) for a given start gap.
 
     The radius inequalities couple through the damping scalar; iterating
     them from zero converges monotonically when a feasible pair exists.
-    Returns None when the iteration leaves the valid damping range.
+    Each radius carries the ``tol.RADII_SLACK`` margin.  Returns None when
+    the iteration leaves the valid damping range.
     """
     r_theta = r_nui = 0.0
     d_eff = constants.d_effective
-    for _ in range(max_rounds):
+    slack, stop = tol.RADII_SLACK, tol.RADII_STOP
+    for _ in range(tol.RADII_MAX_ROUNDS):
         dltwb = d_eff * max(r_theta, r_nui)
         if dltwb >= 0.5:
             return None
         rho2 = 1.5 * (rho_star_value + dltwb / 2.0) / (1.0 - dltwb)
         new_theta = slack * rho2**2 * gap
         new_nui = slack * rho2 * gap
-        if abs(new_theta - r_theta) <= 1e-12 and abs(new_nui - r_nui) <= 1e-12:
+        if abs(new_theta - r_theta) <= stop and abs(new_nui - r_nui) <= stop:
             return (new_theta, new_nui)
         r_theta, r_nui = new_theta, new_nui
     return (r_theta, r_nui)

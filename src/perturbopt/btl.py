@@ -195,8 +195,8 @@ class PenaltySpec:
     """Quadratic penalty 0.5 ||G ups||^2 resolving the shift non-identifiability.
 
     mean_shift uses G^2 = gsq * e e' with e the normalized all-ones vector,
-    pinning only the score mean; ridge uses G^2 = gsq * I.  Both need gsq > 0:
-    at 0 neither resolves anything.
+    pinning only the score mean; ridge uses G^2 = gsq * I.  Both need a finite
+    gsq > 0: at 0 neither resolves anything.
     """
 
     kind: str = "mean_shift"  # "none" | "mean_shift" | "ridge"
@@ -207,6 +207,8 @@ class PenaltySpec:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.kind != "none" and not self.gsq > 0:  # NaN fails too
             raise ValueError(f"a {self.kind} penalty needs gsq > 0, got {self.gsq}")
+        if not math.isfinite(self.gsq):
+            raise ValueError(f"the penalty strength gsq must be finite, got {self.gsq}")
 
     @classmethod
     def none(cls) -> "PenaltySpec":
@@ -562,6 +564,8 @@ def fit_penalized_mle(
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
+    if not (math.isfinite(tol_grad) and tol_grad > 0):
+        raise ValueError(f"the gradient tolerance must be finite and > 0, got {tol_grad}")
     if penalty.kind == "none" and obs.graph.n_edges > 0:
         raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     obj = btl_objective(obs, penalty, mode="empirical")

@@ -227,8 +227,8 @@ def _read_outcomes(path) -> BtlObservation:
 def _cmd_fit(args) -> int:
     settings = _settings(args)
     obs = _checked(_read_outcomes, args.input)
-    report = fit_penalized_mle(obs, _penalty(settings),
-                               **_pick(settings, {"solver": "solver", "tol_grad": "tol"}))
+    report = _checked(fit_penalized_mle, obs, _penalty(settings),
+                      **_pick(settings, {"solver": "solver", "tol_grad": "tol"}))
     write_scores(args.out, report.argmin)
     status = "converged" if report.converged else f"NOT converged ({report.note})"
     print(f"fit: {obs.graph.n} items, {obs.graph.n_edges} edges, "

@@ -50,9 +50,5 @@ class InsufficientSteps(NumericsError):
     """Too few recorded steps to estimate a contraction rate."""
 
 
-class MetricDominanceViolated(NumericsError):
-    """The squared metric tensor is not dominated by the matching Hessian block."""
-
-
 class DltwbTooLarge(NumericsError):
     """The damping scalar of the derived-constant formulas is >= 1."""

@@ -105,8 +105,12 @@ class ExperimentConfig:
             raise ValueError(f"need at least {tol.AO_BURN_IN + 2} alternation steps: the rate "
                              f"is estimated after a burn-in of {tol.AO_BURN_IN}")
         lo, hi = self.score_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"score range ends must be finite, got {lo},{hi}")
         if not hi >= lo:
             raise ValueError("score range upper end below lower end")
+        if not (math.isfinite(self.gap) and self.gap >= 0):
+            raise ValueError(f"the start gap must be finite and >= 0, got {self.gap}")
         for n in self.n_list:
             p = edge_probability(self, n)
             if not 0.0 < p <= 1.0:
@@ -324,26 +328,28 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     direction = direction / np.abs(direction).max() * cfg.gap
     theta_star = ups_star[split.target_idx]
     theta0 = theta_star + direction
-    d_gap = geometry.d_metric.norm(direction)
+    d_gap = float(np.linalg.norm(geometry.tt_half @ direction))
 
     def constants_on(radii):
         return btl_condition_constants(graph, cfg.penalty, ups_star, norm="l2", split=split,
                                        radii=radii, geometry=geometry)
 
-    rho_star_value = geometry.ppt_norm**0.5  # full square-root metrics make these equal
+    rho_star_value = geometry.ppt_norm**0.5  # ||P||, the rho_star of the square-root metrics
     radii = fixed_point_radii(constants_on((0.0, 0.0)), rho_star_value, d_gap)
-    if radii is None:
-        radii = (float("inf"), float("inf"))
-    constants = constants_on(radii)
-    refined = fixed_point_radii(constants, rho_star_value, d_gap)
-    if refined is not None:
-        constants = constants_on(refined)
-    certificate = certify_convergence(geometry, constants, d_gap, geometry.d_metric,
-                                      geometry.h_metric)
+    if radii is None:  # the radius search left the damping range: nothing to certify on
+        certificate = AoCertificate(start_gap=d_gap, ppt_norm=geometry.ppt_norm,
+                                    rho_star=rho_star_value,
+                                    conditions_hold={"radii_feasible": False})
+    else:
+        constants = constants_on(radii)
+        refined = fixed_point_radii(constants, rho_star_value, d_gap)
+        if refined is not None:
+            constants = constants_on(refined)
+        certificate = certify_convergence(geometry, constants, d_gap)
 
     try:
-        trace = ao_run(f, split, theta0, cfg.steps, inner_tol=tol.JOINT_SOLVE_TOL,
-                       upsilon_star=ups_star, geometry=geometry)
+        trace = ao_run(f, split, theta0, cfg.steps, ups_star, inner_tol=tol.JOINT_SOLVE_TOL,
+                       geometry=geometry)
     except InnerSolveFailed:
         return AoRepResult(record=record, certificate=certificate, reason="inner_solve_failed")
     rate = estimate_rate(trace.theta_err_norms, burn_in=tol.AO_BURN_IN)

@@ -276,7 +276,7 @@ class BlockGeometry:
 
     ``p`` is P = f_tt^{-1/2} f_tn f_nn^{-1/2}.  ``ppt_norm`` = ||PP'|| is the
     largest eigenvalue of PP' and ``top_direction`` a unit eigenvector for
-    it.  ``d_metric``/``h_metric`` are the square-root metrics f_tt^{1/2} and
+    it.  ``tt_half``/``nn_half`` are the square-root metrics f_tt^{1/2} and
     f_nn^{1/2}; ``tt_smin``/``nn_smin`` are their smallest singular values,
     the roots of the smallest eigenvalues of f_tt and f_nn.
     """
@@ -289,15 +289,8 @@ class BlockGeometry:
     p: np.ndarray
     ppt_norm: float
     top_direction: np.ndarray
-    d_metric: MetricTensor
-    h_metric: MetricTensor
     tt_smin: float
     nn_smin: float
-
-    @property
-    def certifiable(self) -> bool:
-        """False when ||PP'|| >= 1: the alternation is not certified to contract."""
-        return bool(self.ppt_norm < 1.0)
 
 
 def contraction_matrix(bh: BlockHessian) -> BlockGeometry:
@@ -319,7 +312,6 @@ def contraction_matrix(bh: BlockHessian) -> BlockGeometry:
     return BlockGeometry(
         blocks=bh, tt_half=tt_half, tt_inv_half=tt_inv_half, nn_half=nn_half,
         nn_inv_half=nn_inv_half, p=p, ppt_norm=max(float(w[-1]), 0.0), top_direction=v[:, -1],
-        d_metric=MetricTensor.full(tt_half), h_metric=MetricTensor.full(nn_half),
         tt_smin=tt_smin, nn_smin=nn_smin,
     )
 

@@ -10,7 +10,7 @@ from .expansions import ConditionConstants, derived_constants, rho_dual
 from .numkit import (
     BlockHessian,
     BlockSplit,
-    MetricTensor,
+    contraction_matrix,
     finite_diff_check,
     neumann_sup_bounds,
     psd_power,
@@ -107,14 +107,9 @@ def run_selftest(seed: int = 1) -> int:
     )
 
     spd = _random_spd(rng, 4)
-    bh = BlockHessian.from_full(spd, BlockSplit.half(4))
-    cert = certify_convergence(
-        bh,
-        ConditionConstants.zeros(radii=(1.0, 1.0)),
-        theta0_gap=0.5,
-        d_metric=MetricTensor.full(psd_power(bh.f_tt, 0.5)),
-        h_metric=MetricTensor.full(psd_power(bh.f_nn, 0.5)),
-    )
+    geometry = contraction_matrix(BlockHessian.from_full(spd, BlockSplit.half(4)))
+    cert = certify_convergence(geometry, ConditionConstants.zeros(radii=(1.0, 1.0)),
+                               theta0_gap=0.5)
     check("quadratic certificate holds", cert.holds and cert.delta_nano == 0.0)
 
     rate = estimate_rate(np.array([1.0, 0.25, 0.0625, 0.015625]), burn_in=0)

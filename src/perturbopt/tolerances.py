@@ -28,3 +28,6 @@ MC_DIRECTIONS = 256                # Monte Carlo directions for l2 lower estimat
 
 # alternating optimization
 AO_BURN_IN = 1
+RADII_SLACK = 1.05                 # margin of fixed_point_radii over the radius inequalities
+RADII_MAX_ROUNDS = 100
+RADII_STOP = 1e-12                 # absolute change that ends the radius iteration

@@ -475,8 +475,21 @@ class TestPenaltySpec:
             PenaltySpec(kind, gsq)
         assert PenaltySpec.none().gsq == 0.0
 
+    @pytest.mark.parametrize("kind", ["none", "mean_shift", "ridge"])
+    def test_penalty_strength_must_be_finite(self, kind):
+        with pytest.raises(ValueError, match="gsq must be finite, got inf"):
+            PenaltySpec(kind, float("inf"))
+
 
 class TestFit:
+    @pytest.mark.parametrize("solver", ["newton", "mm"])
+    @pytest.mark.parametrize("tol_grad", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_unusable_tolerance_refused(self, solver, tol_grad):
+        graph = ComparisonGraph.from_edges(2, [0], [1], [2.0])
+        obs = BtlObservation(graph=graph, wins=np.array([1.0]))
+        with pytest.raises(ValueError, match="gradient tolerance must be finite and > 0"):
+            fit_penalized_mle(obs, PenaltySpec.mean_shift(), solver=solver, tol_grad=tol_grad)
+
     def test_symmetric_pair(self):
         g = ComparisonGraph.from_edges(2, [0], [1], [2.0])
         obs = BtlObservation(graph=g, wins=np.array([1.0]))

@@ -205,6 +205,22 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: a {penalty} penalty needs gsq > 0, got 0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "inf", "the gradient tolerance must be finite and > 0, got inf"),
+        ("--tol", "nan", "the gradient tolerance must be finite and > 0, got nan"),
+        ("--tol", "0", "the gradient tolerance must be finite and > 0, got 0.0"),
+        ("--tol", "-1", "the gradient tolerance must be finite and > 0, got -1.0"),
+        ("--gsq", "inf", "the penalty strength gsq must be finite, got inf"),
+    ])
+    def test_unusable_fit_setting_exit_1(self, flag, value, message, sampled_instance,
+                                         tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert dispatch(["fit", "--input", str(sampled_instance[0]), "--out", str(out),
+                         flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--input", "--truth"])
     def test_missing_file_exit_1(self, flag, sampled_instance, tmp_path, capsys):
         obs_path, truth_path = sampled_instance
@@ -346,12 +362,22 @@ class TestAoCommand:
         ("--L", "0", "need at least one comparison per edge (L >= 1)"),
         ("--steps", "0", "need at least 3 alternation steps"),
         ("--steps", "2", "need at least 3 alternation steps"),
+        ("--gap", "nan", "the start gap must be finite and >= 0, got nan"),
+        ("--gap", "inf", "the start gap must be finite and >= 0, got inf"),
+        ("--gap", "-0.5", "the start gap must be finite and >= 0, got -0.5"),
     ])
     def test_bad_design_or_steps_exits_1(self, flag, value, message, capsys):
         assert dispatch(["ao", "--n", "30", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_infeasible_radii_named(self, capsys):
+        # no self-consistent localization radii exist for this start gap
+        assert dispatch(["ao", "--n", "30", "--seed", "7", "--L", "3", "--gsq", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "certificate=fails" in out
+        assert out.endswith("    failing conditions: radii_feasible\n")
 
     def test_trace_export(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -414,6 +440,10 @@ class TestStudyCommands:
         ("study-expansion", "--L", "0", "need at least one comparison per edge (L >= 1)"),
         ("study-ao", "--L", "0", "need at least one comparison per edge (L >= 1)"),
         ("study-ao", "--steps", "1", "need at least 3 alternation steps"),
+        ("study-rho", "--gsq", "inf", "the penalty strength gsq must be finite, got inf"),
+        ("study-rho", "--score-range", "0,inf", "score range ends must be finite, got 0.0,inf"),
+        ("study-expansion", "--score-range", "nan,1", "score range ends must be finite"),
+        ("study-ao", "--gap", "nan", "the start gap must be finite and >= 0, got nan"),
     ])
     def test_bad_design_or_steps_exits_1(self, command, flag, value, message, tmp_path, capsys):
         out = tmp_path / "study.csv"

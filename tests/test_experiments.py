@@ -58,6 +58,14 @@ class TestConfig:
         for steps in (0, tol.AO_BURN_IN + 1):
             with pytest.raises(ValueError, match="alternation steps"):
                 ExperimentConfig(n_list=(10,), steps=steps)
+        for gap in (float("nan"), float("inf"), -0.01):
+            with pytest.raises(ValueError, match="start gap must be finite and >= 0"):
+                ExperimentConfig(n_list=(10,), gap=gap)
+        for score_range in ((0.0, float("inf")), (float("nan"), 1.0)):
+            with pytest.raises(ValueError, match="score range ends must be finite"):
+                ExperimentConfig(n_list=(10,), score_range=score_range)
+        with pytest.raises(ValueError, match="gsq must be finite"):
+            ExperimentConfig(n_list=(10,), gsq=float("inf"))
         # the fewest steps whose rate estimate_rate accepts: a run of s steps has s + 1 norms
         fewest = ExperimentConfig(n_list=(10,), steps=tol.AO_BURN_IN + 2).steps
         assert estimate_rate(0.5 ** np.arange(fewest + 1)) == pytest.approx(0.5, rel=1e-15)
@@ -242,10 +250,21 @@ class TestAoStudy:
         assert len(calls["hessian"]) == 1
         assert np.array_equal(calls["hessian"][0][1], ups_star)
         assert len(calls["geometry"]) == 1
-        # ppT is the top eigenvalue of PP'; the one spectral norm is rho_star of the
-        # certificate, on D^{-1} F_tn H^{-1}
-        assert len(calls["spectral_norm"]) == 1
+        # ppT is the top eigenvalue of PP', and rho_star of the certificate is its root
+        assert len(calls["spectral_norm"]) == 0
         assert result.certificate.ppt_norm == result.record["ppT"]
+
+    def test_infeasible_radii_named_after_one_constants_call(self, monkeypatch):
+        calls = []
+        constants = experiments.btl_condition_constants
+        monkeypatch.setattr(experiments, "btl_condition_constants",
+                            lambda *args, **kwargs: calls.append(kwargs["radii"])
+                            or constants(*args, **kwargs))
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=7, L=3, gsq=5.0)
+        result = ao_replication(cfg, 30, 0)
+        assert result.trace is not None and not result.record["cert_ok"]
+        assert result.certificate.conditions_hold == {"radii_feasible": False}
+        assert calls == [(0.0, 0.0)]  # no second call at infinite radii
 
     def test_study_schema(self):
         cfg = ExperimentConfig(n_list=(10,), reps=2, seed=8, L=3, gsq=5.0, steps=5)
