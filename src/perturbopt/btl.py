@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
 from .expansions import ConditionConstants
-from .numkit import BlockGeometry, BlockHessian, BlockSplit, MetricTensor, contraction_matrix
+from .numkit import BlockGeometry, BlockHessian, BlockSplit, contraction_matrix
 from .objective import BlockIndex, SmoothObjective, SolveReport, newton_minimize
 
 __all__ = [
@@ -676,7 +676,6 @@ def btl_condition_constants(
     penalty: PenaltySpec,
     center,
     radius=None,
-    metric: Optional[MetricTensor] = None,
     norm: str = "linf",
     split: Optional[BlockSplit] = None,
     radii=None,
@@ -686,7 +685,8 @@ def btl_condition_constants(
 
     norm="linf": per-coordinate constants of the sup-norm theory from exact
     per-edge interval sups: exact at radius 0, proven upper bounds at a
-    positive radius; the metric defaults to the penalized Hessian diagonal.
+    positive radius, in the diagonal metric of the root of the expected
+    penalized Hessian's diagonal at ``center``.
     norm="l2": block constants for a target/nuisance split in the
     square-root Fisher block metrics, returned as their rigorous envelope
     only; pass the ``geometry`` of the Fisher matrix at ``center`` (from
@@ -698,20 +698,13 @@ def btl_condition_constants(
     if norm == "linf":
         if radius is None:
             raise ValueError("sup-norm constants need a radius")
-        if metric is None:
-            # the expected Hessian's diagonal: each item's degree plus the penalty's
-            w = graph.counts * phi2(center[graph.j] - center[graph.m])
-            d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
-        else:
-            if metric.kind != "diagonal":
-                raise ValueError("the sup-norm theory uses a diagonal metric")
-            d_scales = metric.values
+        # the expected Hessian's diagonal: each item's degree plus the penalty's
+        w = graph.counts * phi2(center[graph.j] - center[graph.m])
+        d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
         return _linf_constants(graph, center, float(radius), d_scales)
     if norm == "l2":
         if split is None or radii is None:
             raise ValueError("block constants need a split and radii (r_theta, r_nui)")
-        if metric is not None:
-            raise ValueError("block constants use the square-root Fisher block metrics")
         if geometry is None:
             obj = btl_objective(graph, penalty, mode="expected", truth=center)
             geometry = contraction_matrix(BlockHessian.from_full(obj.hessian(center), split))

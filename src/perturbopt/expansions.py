@@ -19,14 +19,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, DltwbTooLarge
-from .numkit import (
-    BlockHessian,
-    BlockSplit,
-    MetricTensor,
-    check_symmetric,
-    spd_solve,
-    spectral_norm,
-)
+from .numkit import BlockHessian, BlockSplit, check_symmetric, contraction_matrix, spd_solve
 from .objective import (
     LinearPerturbation,
     SeparablePerturbation,
@@ -41,7 +34,6 @@ __all__ = [
     "ExpansionDiagnostics",
     "ResidualReport",
     "rho_dual",
-    "rho_star",
     "derived_constants",
     "check_partial_bias",
     "check_linear_sup_expansion",
@@ -154,45 +146,6 @@ def rho_dual(f_mat, d_scales) -> tuple[float, float]:
     return exact, l2
 
 
-def rho_star(
-    f_tn,
-    d_metric: MetricTensor,
-    h_metric: MetricTensor,
-    norm_tag: str = "l2",
-    exact_limit: int = 20,
-) -> tuple[float, str]:
-    """Operator norm of the scaled cross block over the chosen unit ball.
-
-    l2: spectral norm.  linf: maximized over sign vectors when the nuisance
-    dimension allows exhaustion, otherwise a row-absolute-sum relaxation is
-    returned with a method tag.
-    """
-    f_tn = np.atleast_2d(np.asarray(f_tn, dtype=float))
-    if d_metric.dim != f_tn.shape[0] or h_metric.dim != f_tn.shape[1]:
-        raise DimensionMismatch("cross block does not match the metric dimensions")
-    b = d_metric.apply_inv(f_tn)
-    b = (h_metric.apply_inv(b.T)).T
-    if norm_tag == "l2":
-        return spectral_norm(b), "spectral"
-    if norm_tag != "linf":
-        raise ValueError(f"unknown norm tag {norm_tag!r}")
-    q = b.shape[1]
-    if q <= exact_limit:
-        best = 0.0
-        # enumerate sign vectors in chunks
-        chunk = 1 << 14
-        total = 1 << q
-        bits = np.arange(q)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
-            signs = np.where((idx[:, None] >> bits) & 1, 1.0, -1.0)
-            norms = np.linalg.norm(signs @ b.T, axis=1)
-            best = max(best, float(norms.max()))
-        return best, "sign_enumeration"
-    relaxed = float(np.linalg.norm(np.abs(b).sum(axis=1)))
-    return relaxed, "rowsum_relaxation"
-
-
 def derived_constants(
     constants: ConditionConstants,
     flavor: str,
@@ -250,8 +203,7 @@ def derived_constants(
             raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
         rho2 = 1.5 * (rho_star_value + d12 * r_circ / 2.0) / (1.0 - dltwb)
         delta_nano = (rho_star_value * d21 + d12 / 2.0 + rho2**2 * t3 / 3.0) / (1.0 - dltwb)
-        flags = {"rho2_t3_r": bool(rho2 * t3 * r_circ <= 2.0 / 3.0),
-                 "dltwb_lt_1": bool(dltwb < 1.0)}
+        flags = {"rho2_t3_r": bool(rho2 * t3 * r_circ <= 2.0 / 3.0)}
         return ExpansionDiagnostics(
             flavor=flavor,
             rho_star=float(rho_star_value),
@@ -271,21 +223,15 @@ def derived_constants(
             raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
         rho2 = 1.5 * (rho_star_value + dltwb / 2.0) / (1.0 - dltwb)
         delta_nano = (d_eff * rho_star_value + d_eff / 2.0 + t3 * rho2**2 / 3.0) / (1.0 - dltwb)
-        flags = {"dltwb_lt_1": dltwb < 1.0}
         return ExpansionDiagnostics(
             flavor=flavor,
             rho_star=rho_star_value,
             rho2=rho2,
             dltwb=dltwb,
             delta_nano=delta_nano,
-            prerequisites_hold=flags,
         )
 
     raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def _circ_norm(v, tag: str) -> float:
-    return float(np.abs(v).max()) if tag == "linf" else float(np.linalg.norm(v))
 
 
 def _stationary(f: SmoothObjective, upsilon_star) -> bool:
@@ -299,31 +245,36 @@ def _report(variant, leading, remainder, bound, flags, solved: bool) -> Residual
     return report if solved else replace(report, holds=False)
 
 
-def _marginal_setup(f, split, nui_values, d_metric, h_metric, constants, upsilon_star):
+def _marginal_setup(f, split, nui_values, constants, upsilon_star):
     """Set-up shared by the partial checkers, all at the joint minimizer.
 
-    Returns the block Hessian, ||F_tt^{-1} D||, the offsets ||H (nu - nu*)||
-    of the nuisance values, the "marginal" diagnostics and whether
-    ``upsilon_star`` is stationary.
+    The metrics D and H are the square-root blocks f_tt^{1/2} and f_nn^{1/2}
+    of the Hessian's block geometry, in which the l2 constants are measured:
+    there ||F_tt^{-1} D|| = 1/tt_smin and rho_star = ||P||.  Returns the
+    geometry, ||F_tt^{-1} D||, one (||H (nu - nu*)||, flags) pair per
+    nuisance value, the "marginal" diagnostics and whether ``upsilon_star``
+    is stationary.  A row's ``offset_in_radius`` flag says whether its offset
+    lies within the nuisance radius the constants were measured on.
     """
-    bh = BlockHessian.from_full(f.hessian(upsilon_star), split)
-    f_inv_d_norm = spectral_norm(np.linalg.solve(bh.f_tt, d_metric.matrix()))
+    if constants.norm_tag != "l2":
+        raise ValueError("the partial bounds are proven in the l2 block metrics only")
+    geometry = contraction_matrix(BlockHessian.from_full(f.hessian(upsilon_star), split))
     nui_star = upsilon_star[split.nuisance_idx]
-    h_norms = [_circ_norm(h_metric.apply(np.asarray(nu, dtype=float) - nui_star),
-                          constants.norm_tag) for nu in nui_values]
+    h_norms = [float(np.linalg.norm(geometry.nn_half @ (np.asarray(nu, dtype=float) - nui_star)))
+               for nu in nui_values]
     r_circ = constants.radii[0] if constants.radii else (max(h_norms) if h_norms else 0.0)
-    rho_star_value, _ = rho_star(bh.f_tn, d_metric, h_metric, norm_tag=constants.norm_tag)
     diag = derived_constants(replace(constants, radii=(r_circ,)), "marginal",
-                             rho_star_value=rho_star_value)
-    return bh, f_inv_d_norm, h_norms, diag, _stationary(f, upsilon_star)
+                             rho_star_value=geometry.ppt_norm**0.5)
+    rows = [(h, {**diag.prerequisites_hold,
+                 "offset_in_radius": not constants.radii or h <= constants.radii[-1]})
+            for h in h_norms]
+    return geometry, 1.0 / geometry.tt_smin, rows, diag, _stationary(f, upsilon_star)
 
 
 def check_partial_bias(
     f: SmoothObjective,
     split: BlockSplit,
     nui_values: Sequence,
-    d_metric: MetricTensor,
-    h_metric: MetricTensor,
     constants: ConditionConstants,
     upsilon_star,
 ) -> list[ResidualReport]:
@@ -332,16 +283,18 @@ def check_partial_bias(
     For each nuisance value, solves the partial problem, subtracts the
     closed-form linear term, and compares the remainder with
     ||F^{-1} D|| * delta_nano * ||H (nui - nui*)||^2.  Also records the
-    optimal-value expansion defect with its cubic bound.
+    optimal-value expansion defect with its cubic bound.  D and H are the
+    square-root Hessian blocks at ``upsilon_star`` (see ``_marginal_setup``);
+    ``constants`` must be l2 constants, measured in those metrics.
     """
-    bh, f_inv_d_norm, h_norms, diag, stationary = _marginal_setup(
-        f, split, nui_values, d_metric, h_metric, constants, upsilon_star)
+    geometry, f_inv_d_norm, rows, diag, stationary = _marginal_setup(
+        f, split, nui_values, constants, upsilon_star)
+    bh = geometry.blocks
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
-    flags = diag.prerequisites_hold
 
     reports = []
-    for nu, h_norm in zip(nui_values, h_norms):
+    for nu, (h_norm, flags) in zip(nui_values, rows):
         nu = np.asarray(nu, dtype=float)
         sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
                                tol_grad=tol.JOINT_SOLVE_TOL)
@@ -360,7 +313,7 @@ def check_partial_bias(
         f_nu_inv_a = spd_solve(f_nu, a_nu)
         quad = float(a_nu @ f_nu_inv_a)  # ||F_nu^{-1/2} A_nu||^2
         val_gap = 2.0 * f.value(split.embed(theta_nu, nu)) - 2.0 * f.value(x_at) + quad
-        cube = float(np.linalg.norm(d_metric.apply(f_nu_inv_a))) ** 3
+        cube = float(np.linalg.norm(geometry.tt_half @ f_nu_inv_a)) ** 3
         reports.append(_report("value_expansion", quad, abs(val_gap),
                                2.5 * constants.tau3 * cube, flags, solved))
     return reports
@@ -420,8 +373,6 @@ def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved):
     diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, v_norm)
 
     f_inv_v = spd_solve(fisher, v)
-    eye = np.eye(d.shape[0])
-    delta_mat = eye - fisher / np.outer(d, d)
     flags, dinf, rho = diag.prerequisites_hold, diag.delta_infty, diag.rho_dual
 
     def over_gap(numerator: float) -> float:
@@ -435,7 +386,8 @@ def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved):
          dinf / (1.0 - rho) * v_norm**2 if rho < 1 else float("inf")),
         ("iv_a", v_norm, np.abs(d * shift + d_inv_v).max(),
          over_gap(dinf * v_norm**2 + rho * v_norm)),
-        ("iv_b", v_norm, np.abs(d * shift + (eye + delta_mat) @ d_inv_v).max(),
+        # (I + Delta) D^{-1} v with Delta = I - D^{-1} F D^{-1}, without an n x n temporary
+        ("iv_b", v_norm, np.abs(d * shift + (2.0 * d_inv_v - fisher @ (d_inv_v / d) / d)).max(),
          over_gap(dinf * v_norm**2 + rho**2 * v_norm)),
     ]
     return diag, [_report(f"{prefix}_{name}", *row, flags, solved) for name, *row in rows]
@@ -506,8 +458,6 @@ def check_perturbed_partial(
     split: BlockSplit,
     a_target,
     nui_values: Sequence,
-    d_metric: MetricTensor,
-    h_metric: MetricTensor,
     constants: ConditionConstants,
     upsilon_star,
 ) -> list[ResidualReport]:
@@ -515,13 +465,15 @@ def check_perturbed_partial(
 
     For each nuisance value, solves argmin over the target block of
     f + <a, theta>, subtracts both linear terms, and checks the combined
-    quadratic bound plus the localization display.
+    quadratic bound plus the localization display, in the metrics of
+    ``check_partial_bias``.
     """
     a_target = np.asarray(a_target, dtype=float)
     if a_target.shape[0] != split.p:
         raise DimensionMismatch("target perturbation length differs from target block size")
-    bh, f_inv_d_norm, h_norms, diag, stationary = _marginal_setup(
-        f, split, nui_values, d_metric, h_metric, constants, upsilon_star)
+    geometry, f_inv_d_norm, rows, diag, stationary = _marginal_setup(
+        f, split, nui_values, constants, upsilon_star)
+    bh = geometry.blocks
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
     a_full = np.zeros(f.dim)
@@ -529,15 +481,14 @@ def check_perturbed_partial(
     g = LinearPerturbation(f, a_full)
 
     f_inv_a = spd_solve(bh.f_tt, a_target)
-    d_f_inv_a = float(np.linalg.norm(d_metric.apply(f_inv_a)))
-    d_inv_a = float(np.linalg.norm(d_metric.apply_inv(a_target)))
+    d_f_inv_a = float(np.linalg.norm(geometry.tt_half @ f_inv_a))
+    d_inv_a = float(np.linalg.norm(geometry.tt_inv_half @ a_target))
 
     reports = []
-    for nu, h_norm in zip(nui_values, h_norms):
+    for nu, (h_norm, flags) in zip(nui_values, rows):
         nu = np.asarray(nu, dtype=float)
         dltwb_local = constants.d21 * h_norm
-        flags = dict(diag.prerequisites_hold)
-        flags["dltwb_le_quarter"] = dltwb_local <= 0.25
+        flags = {**flags, "dltwb_le_quarter": dltwb_local <= 0.25}
         sol = partial_minimize(g, split, "nuisance", nu, warm_start=theta_star,
                                tol_grad=tol.JOINT_SOLVE_TOL)
         solved = stationary and sol.converged
@@ -550,7 +501,7 @@ def check_perturbed_partial(
             + (2.0 * constants.tau3 + constants.d21 / 2.0) * d_f_inv_a**2
         )
         reports.append(_report("pp_expansion", leading, remainder, bound, flags, solved))
-        loc_left = float(np.linalg.norm(d_metric.apply(theta_circ - theta_star)))
+        loc_left = float(np.linalg.norm(geometry.tt_half @ (theta_circ - theta_star)))
         loc_bound = diag.rho2 * h_norm + 1.5 / (1.0 - min(dltwb_local, 0.999)) * d_inv_a
         reports.append(_report("pp_localization", diag.rho2 * h_norm, loc_left, loc_bound,
                                flags, solved))
@@ -577,12 +528,9 @@ def semi_orthogonality_probe(
     split: BlockSplit,
     nui_values: Sequence,
     upsilon_star,
-    d_metric: Optional[MetricTensor] = None,
 ) -> SemiOrthogonalityReport:
-    """Measure the cross Hessian block at fixed target and the induced bias."""
+    """Measure the cross Hessian block at fixed target and the induced l2 bias."""
     theta_star = upsilon_star[split.target_idx]
-    if d_metric is None:
-        d_metric = MetricTensor.diagonal(np.ones(split.p))
     cross_vals, bias_vals = [], []
     converged = True
     for nu in nui_values:
@@ -592,7 +540,7 @@ def semi_orthogonality_probe(
         cross_vals.append(float(np.abs(cross).max()))
         sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
                                tol_grad=tol.JOINT_SOLVE_TOL)
-        bias_vals.append(float(np.linalg.norm(d_metric.apply(sol.argmin - theta_star))))
+        bias_vals.append(float(np.linalg.norm(sol.argmin - theta_star)))
         converged = converged and sol.converged
     return SemiOrthogonalityReport(
         max_cross_inf=max(cross_vals) if cross_vals else 0.0,

@@ -44,7 +44,7 @@ from .expansions import (
     check_linear_sup_expansion,
     rho_dual,
 )
-from .numkit import BlockHessian, BlockSplit, MetricTensor, contraction_matrix, spd_solve
+from .numkit import BlockHessian, BlockSplit, contraction_matrix, spd_solve
 from .objective import QuadraticObjective, newton_minimize
 
 __all__ = [
@@ -247,10 +247,9 @@ def _sup_expansion_bounds(
     rho = rho_dual(fisher, d)
     a_norm = float(np.abs(noise / d).max())
     radius = math.sqrt(2.0) * a_norm / (1.0 - rho[0]) if rho[0] < 1.0 else 0.0
-    # d is the metric the constants would otherwise rebuild (the Hessian holds no outcomes)
+    # the constants rebuild d from the graph, bit for bit (the Hessian holds no outcomes)
     constants = btl_condition_constants(expected.graph, expected.penalty, ups_star,
-                                        radius=radius, metric=MetricTensor.diagonal(d),
-                                        norm="linf")
+                                        radius=radius, norm="linf")
     diagnostics, reports = check_linear_sup_expansion(expected, noise, constants, ups_star,
                                                       fisher=fisher, rho=rho)
     return constants, diagnostics, reports

@@ -25,7 +25,6 @@ __all__ = [
     "check_symmetric",
     "BlockSplit",
     "BlockHessian",
-    "MetricTensor",
     "BlockGeometry",
     "NeumannReport",
     "DerivativeCheck",
@@ -141,65 +140,6 @@ class BlockHessian:
     @property
     def q(self) -> int:
         return self.f_nn.shape[0]
-
-
-@dataclass(frozen=True)
-class MetricTensor:
-    """Positive scaling defining a local geometry: diagonal or full SPD."""
-
-    kind: str  # "diagonal" | "full"
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if self.kind == "diagonal":
-            v = np.atleast_1d(v)
-            if v.ndim != 1:
-                raise DimensionMismatch("diagonal metric expects a vector of scales")
-            if np.any(v <= 0):
-                raise ValueError("diagonal metric entries must be positive")
-        elif self.kind == "full":
-            v = check_symmetric(v)
-            if np.linalg.eigvalsh(v).min() <= 0:
-                raise ValueError("full metric must be positive definite")
-        else:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def diagonal(cls, scales) -> "MetricTensor":
-        return cls("diagonal", np.asarray(scales, dtype=float))
-
-    @classmethod
-    def full(cls, mat) -> "MetricTensor":
-        return cls("full", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.values) if self.kind == "diagonal" else self.values
-
-    def apply(self, v) -> np.ndarray:
-        """Left-multiply a vector or matrix by the metric."""
-        v = np.asarray(v, dtype=float)
-        if self.kind == "diagonal":
-            return self.values[:, None] * v if v.ndim == 2 else self.values * v
-        return self.values @ v
-
-    def apply_inv(self, v) -> np.ndarray:
-        """Left-multiply a vector or matrix by the inverse metric."""
-        v = np.asarray(v, dtype=float)
-        if self.kind == "diagonal":
-            return v / self.values[:, None] if v.ndim == 2 else v / self.values
-        return np.linalg.solve(self.values, v)
-
-    def norm(self, v) -> float:
-        return float(np.linalg.norm(self.apply(v)))
-
-    def sup_norm(self, v) -> float:
-        return float(np.abs(self.apply(v)).max())
 
 
 def spd_solve(a, b) -> np.ndarray:

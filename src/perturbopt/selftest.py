@@ -6,7 +6,7 @@ import numpy as np
 
 from .ao import certify_convergence, estimate_rate, quad_ao_identity_check
 from .btl import PenaltySpec, btl_objective, fit_penalized_mle, sample_er_graph, sample_outcomes
-from .expansions import ConditionConstants, derived_constants, rho_dual
+from .expansions import ConditionConstants, check_partial_bias, derived_constants, rho_dual
 from .numkit import (
     BlockHessian,
     BlockSplit,
@@ -114,6 +114,15 @@ def run_selftest(seed: int = 1) -> int:
 
     rate = estimate_rate(np.array([1.0, 0.25, 0.0625, 0.015625]), burn_in=0)
     check("rate estimator on a geometric sequence", abs(rate - 0.25) <= 1e-12)
+
+    quad = QuadraticObjective(rng.standard_normal(6), _random_spd(rng, 6))
+    split = BlockSplit.half(6)
+    nus = [quad.minimizer[split.nuisance_idx] + rng.standard_normal(3) for _ in range(2)]
+    reports = check_partial_bias(quad, split, nus, ConditionConstants.zeros(),
+                                 upsilon_star=quad.minimizer)
+    worst = max(r.remainder for r in reports)
+    check("partial-bias remainder vanishes on a quadratic", worst <= 1e-9,
+          f"max remainder {worst:.1e}")
 
     passed = sum(checks)
     print(f"selftest: {passed}/{len(checks)} checks passed")

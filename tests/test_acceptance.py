@@ -36,14 +36,7 @@ from perturbopt.experiments import (
     run_rho_study,
     summarize_by_n,
 )
-from perturbopt.numkit import (
-    BlockHessian,
-    BlockSplit,
-    MetricTensor,
-    finite_diff_check,
-    neumann_sup_bounds,
-    psd_power,
-)
+from perturbopt.numkit import BlockSplit, finite_diff_check, neumann_sup_bounds
 from perturbopt.objective import QuadraticObjective, newton_minimize, ridge_spec
 
 
@@ -216,9 +209,6 @@ def test_criterion_9_quadratic_remainder_scaling():
         f = btl_objective(graph, penalty, mode="expected", truth=truth)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        bh = BlockHessian.from_full(f.hessian(ups_star), split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         block_consts = btl_condition_constants(graph, penalty, ups_star, norm="l2",
                                                split=split, radii=(0.5, 0.5))
         sup_consts = btl_condition_constants(graph, penalty, ups_star, radius=0.5,
@@ -234,7 +224,7 @@ def test_criterion_9_quadratic_remainder_scaling():
             return float(np.polyfit(np.log(xs), np.log(remainders), 1)[0])
 
         bias_rems = [
-            [r for r in check_partial_bias(f, split, [nui_star + s * nu_dir], d, h,
+            [r for r in check_partial_bias(f, split, [nui_star + s * nu_dir],
                                            block_consts, upsilon_star=ups_star)
              if r.variant == "partial_bias"][0].remainder
             for s in scales
@@ -243,7 +233,7 @@ def test_criterion_9_quadratic_remainder_scaling():
 
         joint_rems = [
             [r for r in check_perturbed_partial(f, split, s * a_dir,
-                                                [nui_star + s * nu_dir], d, h,
+                                                [nui_star + s * nu_dir],
                                                 block_consts, upsilon_star=ups_star)
              if r.variant == "pp_expansion"][0].remainder
             for s in scales

@@ -25,10 +25,9 @@ from perturbopt.expansions import (
     derived_constants,
     reports_to_csv,
     rho_dual,
-    rho_star,
     semi_orthogonality_probe,
 )
-from perturbopt.numkit import BlockHessian, BlockSplit, MetricTensor, psd_power
+from perturbopt.numkit import BlockHessian, BlockSplit, psd_power, spectral_norm
 from perturbopt.objective import (
     QuadraticObjective,
     SeparableSpec,
@@ -90,50 +89,6 @@ class TestRhoDual:
             assert exact == pytest.approx(brute, abs=1e-12)
 
 
-class TestRhoStar:
-    def test_zero_cross_block(self):
-        val, method = rho_star(np.zeros((2, 3)), MetricTensor.diagonal([1.0, 1.0]),
-                               MetricTensor.diagonal([1.0, 1.0, 1.0]))
-        assert val == 0.0 and method == "spectral"
-
-    def test_scalar_blocks(self):
-        val, _ = rho_star(np.array([[1.0]]), MetricTensor.diagonal([SQRT2]),
-                          MetricTensor.diagonal([SQRT2]), norm_tag="l2")
-        assert val == pytest.approx(0.5)
-
-    def test_l2_matches_svd_oracle(self):
-        rng = np.random.default_rng(1)
-        f_tn = rng.standard_normal((3, 4))
-        d = MetricTensor.diagonal(rng.uniform(0.5, 2.0, 3))
-        h = MetricTensor.diagonal(rng.uniform(0.5, 2.0, 4))
-        val, _ = rho_star(f_tn, d, h, norm_tag="l2")
-        oracle = np.linalg.svd(np.diag(1 / d.values) @ f_tn @ np.diag(1 / h.values),
-                               compute_uv=False)[0]
-        assert val == pytest.approx(oracle, abs=1e-8)
-
-    def test_linf_sign_enumeration_vs_brute(self):
-        rng = np.random.default_rng(2)
-        f_tn = rng.standard_normal((2, 5))
-        d = MetricTensor.diagonal(np.ones(2))
-        h = MetricTensor.diagonal(np.ones(5))
-        val, method = rho_star(f_tn, d, h, norm_tag="linf")
-        assert method == "sign_enumeration"
-        brute = max(
-            np.linalg.norm(f_tn @ np.asarray(z))
-            for z in itertools.product((-1.0, 1.0), repeat=5)
-        )
-        assert val == pytest.approx(brute, abs=1e-12)
-
-    def test_linf_relaxation_tagged(self):
-        rng = np.random.default_rng(3)
-        f_tn = rng.standard_normal((2, 25))
-        val, method = rho_star(f_tn, MetricTensor.diagonal(np.ones(2)),
-                               MetricTensor.diagonal(np.ones(25)),
-                               norm_tag="linf", exact_limit=20)
-        assert method == "rowsum_relaxation"
-        assert val >= np.abs(f_tn).sum(axis=1).max() / math.sqrt(2)
-
-
 class TestDerivedConstants:
     def test_reference_scenario(self):
         consts = ConditionConstants(1.0, 1.0, 1.0, norm_tag="linf", radii=(0.25,))
@@ -179,16 +134,13 @@ class TestPartialBias:
         rng = np.random.default_rng(seed)
         quad = QuadraticObjective(rng.standard_normal(dim), random_spd(rng, dim))
         split = BlockSplit.half(dim)
-        bh = BlockHessian.from_full(quad.curvature, split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
-        return rng, quad, split, d, h
+        return rng, quad, split
 
     def test_quadratic_remainder_zero(self):
-        rng, quad, split, d, h = self._quad_setup(5)
+        rng, quad, split = self._quad_setup(5)
         nui_star = quad.minimizer[split.nuisance_idx]
         nus = [nui_star + rng.standard_normal(split.q) for _ in range(3)]
-        reports = check_partial_bias(quad, split, nus, d, h,
+        reports = check_partial_bias(quad, split, nus,
                                      ConditionConstants.zeros(),
                                      upsilon_star=quad.minimizer)
         for rep in reports:
@@ -202,11 +154,8 @@ class TestPartialBias:
         curv[2:, 2:] = random_spd(rng, 2)
         quad = QuadraticObjective(rng.standard_normal(4), curv)
         split = BlockSplit.half(4)
-        bh = BlockHessian.from_full(curv, split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         nus = [quad.minimizer[2:] + np.array([1.0, -0.5])]
-        reports = check_partial_bias(quad, split, nus, d, h,
+        reports = check_partial_bias(quad, split, nus,
                                      ConditionConstants.zeros(),
                                      upsilon_star=quad.minimizer)
         bias = [r for r in reports if r.variant == "partial_bias"][0]
@@ -214,9 +163,9 @@ class TestPartialBias:
         assert bias.remainder <= 1e-10
 
     def test_value_expansion_zero_on_quadratic(self):
-        rng, quad, split, d, h = self._quad_setup(7)
+        rng, quad, split = self._quad_setup(7)
         nus = [quad.minimizer[split.nuisance_idx] + 0.5 * rng.standard_normal(split.q)]
-        reports = check_partial_bias(quad, split, nus, d, h,
+        reports = check_partial_bias(quad, split, nus,
                                      ConditionConstants.zeros(),
                                      upsilon_star=quad.minimizer)
         value_rep = [r for r in reports if r.variant == "value_expansion"][0]
@@ -228,9 +177,6 @@ class TestPartialBias:
         graph, truth, f = _btl_expected(10, 50, seed=42)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        bh = BlockHessian.from_full(f.hessian(ups_star), split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
                                          split=split, radii=(0.5, 0.5))
         rng = np.random.default_rng(43)
@@ -240,7 +186,7 @@ class TestPartialBias:
         scales = [0.2, 0.1, 0.05, 0.025]
         defects = []
         for s in scales:
-            reports = check_partial_bias(f, split, [nui_star + s * direction], d, h,
+            reports = check_partial_bias(f, split, [nui_star + s * direction],
                                          consts, upsilon_star=ups_star)
             value_rep = [r for r in reports if r.variant == "value_expansion"][0]
             assert value_rep.holds
@@ -252,9 +198,6 @@ class TestPartialBias:
         graph, truth, f = _btl_expected(10, 50, seed=8)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        bh = BlockHessian.from_full(f.hessian(ups_star), split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
                                          split=split, radii=(0.5, 0.5))
         rng = np.random.default_rng(9)
@@ -264,7 +207,7 @@ class TestPartialBias:
         scales = [0.1, 0.05, 0.025]
         rems = []
         for s in scales:
-            reports = check_partial_bias(f, split, [nui_star + s * direction], d, h,
+            reports = check_partial_bias(f, split, [nui_star + s * direction],
                                          consts, upsilon_star=ups_star)
             rems.append([r for r in reports if r.variant == "partial_bias"][0].remainder)
         slope = np.polyfit(np.log(scales), np.log(rems), 1)[0]
@@ -422,12 +365,9 @@ class TestPerturbedPartial:
         rng = np.random.default_rng(19)
         quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
         split = BlockSplit.half(6)
-        bh = BlockHessian.from_full(quad.curvature, split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         nus = [quad.minimizer[split.nuisance_idx] + 0.3 * rng.standard_normal(split.q)]
         reports = check_perturbed_partial(quad, split, 0.2 * rng.standard_normal(split.p),
-                                          nus, d, h, ConditionConstants.zeros(),
+                                          nus, ConditionConstants.zeros(),
                                           upsilon_star=quad.minimizer)
         exp_rep = [r for r in reports if r.variant == "pp_expansion"][0]
         assert exp_rep.remainder <= 1e-9
@@ -437,15 +377,12 @@ class TestPerturbedPartial:
         graph, truth, f = _btl_expected(8, 20, seed=21)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(8)
-        bh = BlockHessian.from_full(f.hessian(ups_star), split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
                                          split=split, radii=(0.4, 0.4))
         nus = [ups_star[split.nuisance_idx] + 0.05 * rng.standard_normal(split.q)]
-        with_zero = check_perturbed_partial(f, split, np.zeros(split.p), nus, d, h,
+        with_zero = check_perturbed_partial(f, split, np.zeros(split.p), nus,
                                             consts, upsilon_star=ups_star)
-        plain = check_partial_bias(f, split, nus, d, h, consts, upsilon_star=ups_star)
+        plain = check_partial_bias(f, split, nus, consts, upsilon_star=ups_star)
         pp = [r for r in with_zero if r.variant == "pp_expansion"][0]
         pb = [r for r in plain if r.variant == "partial_bias"][0]
         assert pp.remainder == pytest.approx(pb.remainder, rel=1e-6, abs=1e-12)
@@ -454,9 +391,6 @@ class TestPerturbedPartial:
         graph, truth, f = _btl_expected(10, 50, seed=22)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        bh = BlockHessian.from_full(f.hessian(ups_star), split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
                                          split=split, radii=(0.5, 0.5))
         rng = np.random.default_rng(23)
@@ -467,7 +401,7 @@ class TestPerturbedPartial:
         rems = []
         for s in scales:
             reports = check_perturbed_partial(f, split, s * a_dir,
-                                              [nui_star + s * nu_dir], d, h, consts,
+                                              [nui_star + s * nu_dir], consts,
                                               upsilon_star=ups_star)
             rems.append([r for r in reports if r.variant == "pp_expansion"][0].remainder)
         slope = np.polyfit(np.log(scales), np.log(rems), 1)[0]
@@ -477,15 +411,97 @@ class TestPerturbedPartial:
         rng = np.random.default_rng(24)
         quad = QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4))
         split = BlockSplit.half(4)
-        bh = BlockHessian.from_full(quad.curvature, split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         nus = [quad.minimizer[split.nuisance_idx] + 0.2 * rng.standard_normal(split.q)]
         reports = check_perturbed_partial(quad, split, 0.1 * rng.standard_normal(split.p),
-                                          nus, d, h, ConditionConstants.zeros(),
+                                          nus, ConditionConstants.zeros(),
                                           upsilon_star=quad.minimizer)
         loc = [r for r in reports if r.variant == "pp_localization"][0]
         assert loc.holds
+
+
+class TestPartialMetrics:
+    """The partial checkers measure in the square-root Hessian blocks at upsilon_star."""
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_bounds_match_explicit_metrics(self, n, seed):
+        graph, truth, f = _btl_expected(n, 3, seed, gsq=5.0)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        split = BlockSplit.half(n)
+        consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
+                                         radii=(0.1, 0.1))
+        rng = np.random.default_rng(seed)
+        nui_star = ups_star[split.nuisance_idx]
+        nus = [nui_star + s * rng.standard_normal(split.q) / math.sqrt(split.q)
+               for s in (0.05, 0.1)]
+        a_target = 0.05 * rng.standard_normal(split.p)
+        got = (check_partial_bias(f, split, nus, consts, upsilon_star=ups_star)
+               + check_perturbed_partial(f, split, a_target, nus, consts, upsilon_star=ups_star))
+
+        # the reference: explicit metrics D = F_tt^{1/2}, H = F_nn^{1/2} and dense solves
+        t, s = split.target_idx, split.nuisance_idx
+        fisher = f.hessian(ups_star)
+        f_tt, f_tn, f_nn = fisher[np.ix_(t, t)], fisher[np.ix_(t, s)], fisher[np.ix_(s, s)]
+        d, h = psd_power(f_tt, 0.5), psd_power(f_nn, 0.5)
+        f_inv_d = spectral_norm(np.linalg.solve(f_tt, d))
+        rho_star = spectral_norm(np.linalg.solve(h, np.linalg.solve(d, f_tn).T).T)
+        diag = derived_constants(ConditionConstants(consts.tau3, consts.d12, consts.d21,
+                                                    radii=(0.1,)),
+                                 "marginal", rho_star_value=rho_star)
+        tau3, d21 = consts.tau3, consts.d21
+        theta_star = ups_star[t]
+        d_f_inv_a = np.linalg.norm(d @ np.linalg.solve(f_tt, a_target))
+        d_inv_a = np.linalg.norm(np.linalg.solve(d, a_target))
+        want = {}
+        for nu in nus:
+            h_norm = np.linalg.norm(h @ (nu - nui_star))
+            x_at = split.embed(theta_star, nu)
+            f_nu = f.hessian(x_at)[np.ix_(t, t)]
+            cube = np.linalg.norm(d @ np.linalg.solve(f_nu, f.gradient(x_at)[t])) ** 3
+            want.setdefault("partial_bias", []).append(f_inv_d * diag.delta_nano * h_norm**2)
+            want.setdefault("value_expansion", []).append(2.5 * tau3 * cube)
+            want.setdefault("pp_expansion", []).append(f_inv_d * (
+                (diag.delta_nano + d21) * h_norm**2 + (2.0 * tau3 + d21 / 2.0) * d_f_inv_a**2))
+            want.setdefault("pp_localization", []).append(
+                diag.rho2 * h_norm + 1.5 / (1.0 - min(d21 * h_norm, 0.999)) * d_inv_a)
+        assert {r.variant for r in got} == set(want)
+        for variant, bounds in want.items():
+            rows = [r for r in got if r.variant == variant]
+            assert [r.bound for r in rows] == pytest.approx(bounds, rel=1e-12, abs=0.0), variant
+            assert all(b > 0.0 for b in bounds)
+
+    @pytest.mark.parametrize("checker", ["partial_bias", "perturbed_partial"])
+    def test_linf_constants_refused(self, checker):
+        rng = np.random.default_rng(30)
+        quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
+        split = BlockSplit.half(6)
+        nus = [quad.minimizer[split.nuisance_idx] + 0.1 * rng.standard_normal(split.q)]
+        consts = ConditionConstants.zeros(norm_tag="linf", radii=(0.5,))
+        with pytest.raises(ValueError, match="l2"):
+            if checker == "partial_bias":
+                check_partial_bias(quad, split, nus, consts, upsilon_star=quad.minimizer)
+            else:
+                check_perturbed_partial(quad, split, np.zeros(split.p), nus, consts,
+                                        upsilon_star=quad.minimizer)
+
+    @pytest.mark.parametrize("radii, inside", [((0.01, 0.01), False), ((0.5, 0.5), True),
+                                               ((), True)])
+    def test_offset_outside_radius_flagged(self, radii, inside):
+        rng = np.random.default_rng(31)
+        quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
+        split = BlockSplit.half(6)
+        f_nn = BlockHessian.from_full(quad.curvature, split).f_nn
+        unit = rng.standard_normal(split.q)
+        unit /= np.linalg.norm(unit)
+        # an offset of H-norm 0.1 in H = F_nn^{1/2}
+        nus = [quad.minimizer[split.nuisance_idx] + psd_power(f_nn, -0.5) @ (0.1 * unit)]
+        consts = ConditionConstants.zeros(radii=radii)
+        reports = (check_partial_bias(quad, split, nus, consts, upsilon_star=quad.minimizer)
+                   + check_perturbed_partial(quad, split, 0.1 * rng.standard_normal(split.p),
+                                             nus, consts, upsilon_star=quad.minimizer))
+        assert len(reports) == 4
+        for rep in reports:
+            assert rep.prerequisite_flags["offset_in_radius"] is inside, rep.variant
 
 
 class TestSemiOrthogonality:
@@ -561,9 +577,6 @@ class TestConvergenceGate:
         r_inf = SQRT2 * float(np.abs(a / scales).max()) / (1 - rho_dual(fisher, scales)[0])
         sup = btl_condition_constants(graph, f.penalty, ups_star, radius=r_inf, norm="linf")
         split = BlockSplit.half(8)
-        bh = BlockHessian.from_full(fisher, split)
-        d = MetricTensor.full(psd_power(bh.f_tt, 0.5))
-        h = MetricTensor.full(psd_power(bh.f_nn, 0.5))
         block = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
                                         radii=(0.5, 0.5))
         nus = [ups_star[split.nuisance_idx] + 0.1 * rng.standard_normal(split.q)]
@@ -572,9 +585,9 @@ class TestConvergenceGate:
             "linear": lambda u: check_linear_sup_expansion(f, a, sup, upsilon_star=u)[1],
             "separable": lambda u: check_separable_sup_expansion(f, ridge_spec(0.002), sup,
                                                                  upsilon_star=u)[1],
-            "partial_bias": lambda u: check_partial_bias(f, split, nus, d, h, block,
+            "partial_bias": lambda u: check_partial_bias(f, split, nus, block,
                                                          upsilon_star=u),
-            "perturbed_partial": lambda u: check_perturbed_partial(f, split, a_target, nus, d, h,
+            "perturbed_partial": lambda u: check_perturbed_partial(f, split, a_target, nus,
                                                                    block, upsilon_star=u),
         }
         return ups_star, checkers

@@ -18,7 +18,6 @@ from perturbopt.numkit import (
     BlockGeometry,
     BlockHessian,
     BlockSplit,
-    MetricTensor,
     check_symmetric,
     contraction_matrix,
     finite_diff_check,
@@ -403,20 +402,3 @@ class TestFiniteDiffCheck:
         rep = finite_diff_check(ExpSumObjective(4), np.zeros(4))
         assert rep.hess_err <= 1e-5
         assert rep.grad_err <= 1e-6
-
-
-class TestMetricTensor:
-    def test_diagonal_roundtrip(self):
-        m = MetricTensor.diagonal([2.0, 4.0])
-        v = np.array([1.0, 1.0])
-        np.testing.assert_allclose(m.apply_inv(m.apply(v)), v)
-        assert m.norm(v) == pytest.approx(np.sqrt(20.0))
-        assert m.sup_norm(v) == pytest.approx(4.0)
-
-    def test_full_positive_definite_required(self):
-        with pytest.raises(ValueError):
-            MetricTensor.full(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(ValueError):
-            MetricTensor.diagonal([1.0, 0.0])
