@@ -62,9 +62,8 @@ def log1pexp(t):
 
 
 def _sigmoid_from(t, e):
-    """sigma(t) from e = exp(-|t|)."""
-    one_e = 1.0 + e
-    return np.where(t >= 0, 1.0 / one_e, e / one_e)
+    """sigma(t) from e = exp(-|t|): 1 / (1 + e) where t >= 0, else e / (1 + e)."""
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _phi2_from(e):
@@ -147,14 +146,26 @@ class ComparisonGraph:
                 raise ValueError("edge multiplicities must be finite and >= 1")
             if np.any(np.diff(np.sort(j * n + m)) == 0):
                 raise ValueError("duplicate edges")
-        adjacency = csr_matrix((np.ones(j.size), (j, m)), shape=(n, n))
-        k, labels = connected_components(adjacency, directed=False)
+        k, labels = connected_components(_arc_matrix(n, j, m), directed=False)
         return cls(n=n, j=j, m=m, counts=counts, connected=bool(k == 1),
                    component_labels=labels)
 
     @property
     def n_edges(self) -> int:
         return int(self.j.size)
+
+
+def _arc_matrix(n: int, tail, head) -> csr_matrix:
+    """The n x n CSR pattern of the arcs tail -> head, each row's arcs in input order.
+
+    Built straight from its arrays, without scipy's COO round trip.
+    """
+    index = np.int32 if max(n, tail.size) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    keys = tail.astype(np.uint16) if n <= 2**16 else tail  # numpy counting-sorts 16-bit keys
+    heads = head[np.argsort(keys, kind="stable")].astype(index)
+    return csr_matrix((np.ones(tail.size), heads, indptr), shape=(n, n))
 
 
 def _scatter(ends, at_j, at_m, size: int) -> np.ndarray:
@@ -238,19 +249,18 @@ class PenaltySpec:
             return np.full(n, self.gsq)
         return np.zeros(n)
 
-    def grad(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "mean_shift":
-            return np.full_like(v, self.gsq * v.sum() / v.size)
-        if self.kind == "ridge":
-            return self.gsq * v
-        return np.zeros_like(v)
+    def terms(self, v: np.ndarray, idx):
+        """The penalty 0.5 ||G v||^2 and its gradient on the items ``idx``.
 
-    def quad(self, v: np.ndarray) -> float:
+        Where the gradient is the same on every item (mean_shift, none), it is
+        that one number.
+        """
         if self.kind == "mean_shift":
-            return 0.5 * self.gsq * v.sum() ** 2 / v.size
+            total = v.sum()
+            return 0.5 * self.gsq * total**2 / v.size, self.gsq * total / v.size
         if self.kind == "ridge":
-            return 0.5 * self.gsq * float(v @ v)
-        return 0.0
+            return 0.5 * self.gsq * float(v @ v), self.gsq * v[idx]
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -300,13 +310,16 @@ class BtlObjective(SmoothObjective):
     @staticmethod
     def _edge_value(d, e, counts, wins) -> float:
         """Minus the log-likelihood of edges with differences d and e = exp(-|d|)."""
-        return -float((d * wins - counts * (np.maximum(d, 0.0) + np.log1p(e))).sum())
+        loss = np.maximum(d, 0.0)
+        loss += np.log1p(e)
+        loss *= counts
+        return -float((d * wins - loss).sum())
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        d = x[self.graph.j] - x[self.graph.m]
-        return (self._edge_value(d, np.exp(-np.abs(d)), self.graph.counts, self.wins)
-                + self.penalty.quad(x))
+        block = self._whole
+        x, d, e = self._pass(x, block)
+        return (self._edge_value(d, e, block.counts, block.wins)
+                + self.penalty.terms(x, block.idx)[0])
 
     @cached_property
     def _whole(self) -> _EdgeBlock:
@@ -315,40 +328,51 @@ class BtlObjective(SmoothObjective):
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
                           ends=np.concatenate((g.j, g.m)), inner=slice(None), rows=g.j, cols=g.m)
 
-    def _pass(self, x, block: _EdgeBlock):
+    @staticmethod
+    def _pass(x, block: _EdgeBlock):
         """``x`` as floats, and d and e = exp(-|d|) on the block's edges."""
         x = np.asarray(x, dtype=float)
-        d = x[block.j] - x[block.m]
-        return x, d, np.exp(-np.abs(d))
+        d = x[block.j]
+        d -= x[block.m]
+        e = np.abs(d)
+        np.negative(e, out=e)
+        return x, d, np.exp(e, out=e)
 
-    def _gradient(self, x, block: _EdgeBlock, d, e) -> np.ndarray:
-        base = block.counts * _sigmoid_from(d, e) - block.wins
-        return _scatter(block.ends, base, -base, block.idx.size) + self.penalty.grad(x)[block.idx]
+    @staticmethod
+    def _gradient(block: _EdgeBlock, d, e, penalty_grad) -> np.ndarray:
+        """The gradient on the block: each item's edge terms summed, then ``penalty_grad``."""
+        base = _sigmoid_from(d, e)
+        base *= block.counts
+        base -= block.wins
+        grad = _scatter(block.ends, base, -base, block.idx.size)
+        grad += penalty_grad
+        return grad
 
     def _hessian(self, block: _EdgeBlock, e) -> np.ndarray:
         """The Hessian block from e = exp(-|d|) on the block's edges.
 
         The sub-Laplacian of the inner edges, plus each item's degree over
         all its edges on the diagonal, plus the penalty block.  It is
-        symmetric bit for bit: the two mirrored entries of an edge take the
-        same subtraction from the same entry of a symmetric penalty matrix.
-        So Newton solves it without ``check_symmetric``.
+        symmetric bit for bit: each inner edge's entry is subtracted once from
+        an entry of a symmetric penalty matrix and written to both mirrored
+        places.  So Newton solves it without ``check_symmetric``.
         """
         size = block.idx.size
         w = block.counts * _phi2_from(e)
         h = self.penalty.matrix(self.dim, size)
         flat = h.reshape(-1)  # a view of h
-        inner = w[block.inner]
         upper, lower = block.entries
-        flat[upper] -= inner  # pairs are unique, so no entry is written twice
-        flat[lower] -= inner
+        off = flat[upper]
+        off -= w[block.inner]
+        flat[upper] = off  # pairs are unique, so no entry is written twice
+        flat[lower] = off
         flat[:: size + 1] += _scatter(block.ends, w, w, size)  # the diagonal
         return h
 
     def gradient(self, x) -> np.ndarray:
         block = self._whole
         x, d, e = self._pass(x, block)
-        return self._gradient(x, block, d, e)
+        return self._gradient(block, d, e, self.penalty.terms(x, block.idx)[1])
 
     def hessian(self, x) -> np.ndarray:
         block = self._whole
@@ -383,8 +407,9 @@ class BtlObjective(SmoothObjective):
         """
         block = self._whole if block is None else block
         x, d, e = self._pass(x, block)
-        value = self._edge_value(d, e, block.counts, block.wins) + self.penalty.quad(x)
-        return value, self._gradient(x, block, d, e), lambda: self._hessian(block, e)
+        penalty_value, penalty_grad = self.penalty.terms(x, block.idx)
+        value = self._edge_value(d, e, block.counts, block.wins) + penalty_value
+        return value, self._gradient(block, d, e, penalty_grad), lambda: self._hessian(block, e)
 
     def third_directional(self, x, a, b, c) -> float:
         x = np.asarray(x, dtype=float)
@@ -468,11 +493,8 @@ def mle_exists(obs: BtlObservation) -> bool:
     as many strong components as the design has components.
     """
     g = obs.graph
-    j_won = obs.wins > 0
-    m_won = obs.wins < g.counts
-    tail = np.concatenate((g.j[j_won], g.m[m_won]))
-    head = np.concatenate((g.m[j_won], g.j[m_won]))
-    beats = csr_matrix((np.ones(tail.size), (tail, head)), shape=(g.n, g.n))
+    won = np.concatenate((obs.wins > 0, obs.wins < g.counts))  # j won, then m won
+    beats = _arc_matrix(g.n, np.concatenate((g.j, g.m))[won], np.concatenate((g.m, g.j))[won])
     n_strong = connected_components(beats, directed=True, connection="strong",
                                     return_labels=False)
     return bool(n_strong == g.component_labels.max() + 1)
@@ -524,7 +546,8 @@ def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
     x = np.asarray(x0, dtype=float).copy()
     for iterations in range(max_iter + 1):
         x, d, e = obj._pass(x, block)
-        gnorm = float(np.abs(obj._gradient(x, block, d, e)).max())
+        grad = obj._gradient(block, d, e, obj.penalty.terms(x, block.idx)[1])
+        gnorm = float(np.abs(grad).max())
         if gnorm <= tol_grad or iterations == max_iter:
             break
         s = _edge_scatter(g, g.counts * _sigmoid_from(d, e), g.counts * _sigmoid_from(-d, e))
@@ -560,7 +583,8 @@ def fit_penalized_mle(
     its iterate, the MM fit does not start.  Where Newton's Hessian stops
     being positive definite, the report holds the start and the iteration it
     stopped at, noted as divergent when there is no finite minimizer and as
-    a singular fit otherwise.
+    a singular fit otherwise.  A start ``x0`` of another length raises
+    DimensionMismatch, and one that is not finite ValueError.
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -570,6 +594,10 @@ def fit_penalized_mle(
         raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     obj = btl_objective(obs, penalty, mode="empirical")
     start = np.zeros(obs.graph.n) if x0 is None else np.asarray(x0, dtype=float)
+    if start.shape != (obs.graph.n,):
+        raise DimensionMismatch(f"start of shape {start.shape} for {obs.graph.n} items")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("the start x0 must be finite")
     pinned = penalty.kind == "ridge"
 
     def unsolved(iterations: int = 0, note: str = "") -> SolveReport:
@@ -691,6 +719,7 @@ def btl_condition_constants(
     square-root Fisher block metrics, returned as their rigorous envelope
     only; pass the ``geometry`` of the Fisher matrix at ``center`` (from
     ``contraction_matrix``) to reuse it, which leaves O(edges) work per call.
+    A negative or NaN radius is refused; an infinite one is a valid bound.
     """
     center = np.asarray(center, dtype=float)
     if center.shape[0] != graph.n:
@@ -698,6 +727,8 @@ def btl_condition_constants(
     if norm == "linf":
         if radius is None:
             raise ValueError("sup-norm constants need a radius")
+        if not float(radius) >= 0.0:  # NaN fails too; an infinite radius is a bound
+            raise ValueError(f"the radius must be >= 0, got {radius}")
         # the expected Hessian's diagonal: each item's degree plus the penalty's
         w = graph.counts * phi2(center[graph.j] - center[graph.m])
         d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
@@ -705,6 +736,8 @@ def btl_condition_constants(
     if norm == "l2":
         if split is None or radii is None:
             raise ValueError("block constants need a split and radii (r_theta, r_nui)")
+        if len(radii) != 2 or not all(float(r) >= 0.0 for r in radii):
+            raise ValueError(f"the radii must be two numbers >= 0, got {tuple(radii)}")
         if geometry is None:
             obj = btl_objective(graph, penalty, mode="expected", truth=center)
             geometry = contraction_matrix(BlockHessian.from_full(obj.hessian(center), split))

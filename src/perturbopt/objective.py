@@ -209,6 +209,10 @@ class SolveReport:
     note: str = ""
 
 
+# the Armijo test's allowance for rounding, per unit of 1 + |f(x)|
+_ROUNDING_SLACK = 64.0 * np.finfo(float).eps
+
+
 def _moved(x, t: float, step, block: Optional[BlockIndex]) -> np.ndarray:
     """``x - t * step``; with a block, ``step`` moves the block's coordinates only."""
     if block is None:
@@ -249,7 +253,7 @@ def newton_minimize(
             raise HessianNotPD(it, f"iterate {it}: {exc}") from exc
         slope = float(grad @ step)  # >= 0 for an SPD Hessian
         # the required decrease can fall below float resolution near the optimum
-        noise = 64.0 * np.finfo(float).eps * (1.0 + abs(fx))
+        noise = _ROUNDING_SLACK * (1.0 + abs(fx))
         t = 1.0
         while (trial := f.evaluate(moved := _moved(x, t, step, block), block))[0] > (
             fx - tol.ARMIJO_C * t * slope + noise

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from perturbopt.btl import (
     BtlObjective,
@@ -35,6 +37,7 @@ from perturbopt.btl import (
 from perturbopt import btl
 from perturbopt.btl import _T3_PEAK, _mm_minimize, _sup_abs_phi3
 from perturbopt import tolerances as tol
+from perturbopt.errors import DimensionMismatch
 from perturbopt.numkit import BlockSplit, finite_diff_check, psd_power
 from perturbopt.objective import LinearPerturbation
 
@@ -129,6 +132,15 @@ def _observation_layout(header, rows, order, columns, newline="\n", pad=False, b
     return (newline * (1 + blank)).join(",".join(fields) for fields in lines) + newline
 
 
+def _penalty_grad(penalty, x):
+    """The gradient of 0.5 ||G x||^2, written out per penalty kind."""
+    if penalty.kind == "mean_shift":
+        return np.full_like(x, penalty.gsq * x.sum() / x.size)
+    if penalty.kind == "ridge":
+        return penalty.gsq * x
+    return np.zeros_like(x)
+
+
 class TestGraphOracle:
     @settings(max_examples=300, deadline=None)
     @given(_observations())
@@ -168,7 +180,7 @@ class TestGraphOracle:
                 grad = np.zeros(n)
                 np.add.at(grad, g.j, base_grad)
                 np.add.at(grad, g.m, -base_grad)
-                assert np.array_equal(obj.gradient(x), grad + penalty.grad(x))
+                assert np.array_equal(obj.gradient(x), grad + _penalty_grad(penalty, x))
 
                 w = g.counts * phi2(d)
                 hess = penalty.matrix(n)
@@ -250,6 +262,48 @@ class TestGraphComponents:
         labels = _components_reference(n, j, m)
         assert np.array_equal(g.component_labels, labels)
         assert g.connected == (labels.max() == 0)
+
+
+def _coo_graph_reference(n, j, m, counts, wins):
+    """Component count and labels, and finite-MLE existence, through scipy's COO constructor."""
+    k, labels = connected_components(csr_matrix((np.ones(j.size), (j, m)), shape=(n, n)),
+                                     directed=False)
+    j_won, m_won = wins > 0, wins < counts
+    tail = np.concatenate((j[j_won], m[m_won]))
+    head = np.concatenate((m[j_won], j[m_won]))
+    beats = csr_matrix((np.ones(tail.size), (tail, head)), shape=(n, n))
+    n_strong = connected_components(beats, directed=True, connection="strong",
+                                    return_labels=False)
+    return k, labels, n_strong == k
+
+
+class TestGraphBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_lists(), st.integers(0, 2**32 - 1))
+    def test_matches_the_coo_built_reference(self, edges, seed):
+        """Also on edge lists that are unsorted, and on each one shuffled."""
+        n, j, m = edges
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 4, j.size).astype(float)
+        # one-sided records (S = 0 or S = N) decide existence
+        wins = np.choose(rng.integers(0, 3, j.size),
+                         [np.zeros(j.size), counts, rng.integers(0, counts + 1).astype(float)])
+        perm = rng.permutation(j.size)
+        for order in (np.arange(j.size), perm):
+            jo, mo, co, wo = j[order], m[order], counts[order], wins[order]
+            k, labels, exists = _coo_graph_reference(n, jo, mo, co, wo)
+            g = ComparisonGraph.from_edges(n, jo, mo, co)
+            assert g.connected == (k == 1)
+            assert g.component_labels.dtype == labels.dtype
+            assert np.array_equal(g.component_labels, labels)
+            assert mle_exists(BtlObservation(graph=g, wins=wo)) == exists
+
+    def test_index_arrays_share_a_dtype(self):
+        g = sample_er_graph(30, 0.3, 2, np.random.default_rng(3))
+        for tail, head in ((g.j, g.m), (g.m[::-1], g.j[::-1]), (g.j[:0], g.m[:0])):
+            arcs = btl._arc_matrix(g.n, tail, head)
+            assert arcs.indices.dtype == arcs.indptr.dtype
+            assert arcs.nnz == tail.size and arcs.shape == (g.n, g.n)
 
 
 class TestObjectiveValues:
@@ -413,6 +467,130 @@ class TestDerivativeExactness:
         assert _same_bits(hessian(), shifted.hessian(x)[np.ix_(idx, idx)])
 
 
+def _parent_sigmoid(t, e):
+    one_e = 1.0 + e
+    return np.where(t >= 0, 1.0 / one_e, e / one_e)
+
+
+def _parent_pass(obj, x, edges=slice(None)):
+    g = obj.graph
+    d = x[g.j[edges]] - x[g.m[edges]]
+    return d, np.exp(-np.abs(d))
+
+
+def _parent_value(obj, x, edges=slice(None)):
+    """Minus the log-likelihood of ``edges``, in edge order, plus the penalty."""
+    d, e = _parent_pass(obj, x, edges)
+    counts, wins = obj.graph.counts[edges], obj.wins[edges]
+    value = -float((d * wins - counts * (np.maximum(d, 0.0) + np.log1p(e))).sum())
+    gsq = obj.penalty.gsq
+    if obj.penalty.kind == "mean_shift":
+        return value + 0.5 * gsq * x.sum() ** 2 / x.size
+    return value + (0.5 * gsq * float(x @ x) if obj.penalty.kind == "ridge" else 0.0)
+
+
+def _parent_scatter(g, at_j, at_m):
+    sums = np.bincount(np.concatenate((g.j, g.m)), np.concatenate((at_j, at_m)),
+                       minlength=g.n + 1)[:g.n]
+    return sums.astype(float, copy=False)
+
+
+def _parent_gradient(obj, x):
+    d, e = _parent_pass(obj, x)
+    base = obj.graph.counts * _parent_sigmoid(d, e) - obj.wins
+    return _parent_scatter(obj.graph, base, -base) + _penalty_grad(obj.penalty, x)
+
+
+def _parent_hessian(obj, x):
+    g = obj.graph
+    e = _parent_pass(obj, x)[1]
+    w = g.counts * (e / (1.0 + e) ** 2)
+    h = obj.penalty.matrix(g.n)
+    flat = h.reshape(-1)
+    flat[g.j * g.n + g.m] -= w
+    flat[g.m * g.n + g.j] -= w
+    flat[:: g.n + 1] += _parent_scatter(g, w, w)
+    return h
+
+
+def _parent_mm(obj, x0, max_iter):
+    """The minorize-maximize fit's iterate, iteration count and gradient sup-norm at tol 0."""
+    g = obj.graph
+    wins = _parent_scatter(g, obj.wins, g.counts - obj.wins)
+    gsq = obj.penalty.gsq if obj.penalty.kind == "ridge" else 0.0
+    x = np.asarray(x0, dtype=float).copy()
+    for iterations in range(max_iter + 1):
+        gnorm = float(np.abs(_parent_gradient(obj, x)).max())
+        if gnorm <= 0.0 or iterations == max_iter:
+            break
+        d, e = _parent_pass(obj, x)
+        s = _parent_scatter(g, g.counts * _parent_sigmoid(d, e), g.counts * _parent_sigmoid(-d, e))
+        if gsq > 0.0:  # the per-item ridge root, which the edge pass does not reach
+            x = btl._ridge_mm_step(x, s, wins, gsq)
+        else:
+            x = x + np.log(np.divide(wins, s, out=np.ones(g.n), where=s > 0.0))
+        x -= x.mean()
+    return x, iterations, gnorm
+
+
+@st.composite
+def _pinned_case(draw):
+    """``_objective_point_block`` with scores at +0 and -0, and score gaps beyond 745."""
+    obj, x, idx = draw(_objective_point_block())
+    x = x * draw(st.sampled_from([1.0, 40.0]))  # 40 * 40: exp(-|d|) underflows to 0
+    signed_zeros = draw(st.lists(st.sampled_from([0.0, -0.0, None]), min_size=x.size,
+                                 max_size=x.size))
+    for i, zero in enumerate(signed_zeros):
+        if zero is not None:
+            x[i] = zero
+    return obj, x, idx
+
+
+def _pinned_example():
+    """d = -0, +0, -800 and 800 on four items, whichever the penalty."""
+    graph = ComparisonGraph.from_edges(4, [0, 1, 0, 2], [1, 3, 2, 3], [2.0, 3.0, 1.0, 2.0])
+    obj = BtlObjective(graph, np.array([1.0, 0.0, 1.0, 2.0]), PenaltySpec.ridge(0.5))
+    return obj, np.array([-0.0, 0.0, 800.0, 0.0]), np.array([2, 0])
+
+
+class TestLeanPassPinned:
+    """The lean edge pass keeps every IEEE operation of the plain formulas, and their order.
+
+    Compared by bytes: array_equal takes -0.0 and 0.0 as equal.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pinned_case())
+    @example(_pinned_example())
+    def test_derivatives_are_the_plain_formulas(self, case):
+        obj, x, idx = case
+        grad, hess = _parent_gradient(obj, x), _parent_hessian(obj, x)
+        value = _parent_value(obj, x)
+        assert np.float64(obj.value(x)).tobytes() == np.float64(value).tobytes()
+        assert _same_bits(obj.gradient(x), grad) and _same_bits(obj.hessian(x), hess)
+        got_value, got_grad, got_hess = obj.evaluate(x)
+        assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+        assert _same_bits(got_grad, grad) and _same_bits(got_hess(), hess)
+        # a block keeps its edges with an end in it, in edge order, and slices the rest
+        edges = np.flatnonzero(np.isin(obj.graph.j, idx) | np.isin(obj.graph.m, idx))
+        got_value, got_grad, got_hess = obj.evaluate(x, obj.block_index(idx))
+        assert (np.float64(got_value).tobytes()
+                == np.float64(_parent_value(obj, x, edges)).tobytes())
+        assert _same_bits(got_grad, grad[idx])
+        assert _same_bits(got_hess(), hess[np.ix_(idx, idx)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pinned_case(), st.integers(0, 4))
+    @example(_pinned_example(), 3)
+    def test_mm_iterates_are_the_plain_formulas(self, case, max_iter):
+        obj, x, _ = case
+        with np.errstate(all="ignore"):  # one-sided records send scores to infinity
+            got = _mm_minimize(obj, x, 0.0, max_iter=max_iter)
+            argmin, iterations, gnorm = _parent_mm(obj, x, max_iter)
+        assert _same_bits(got.argmin, argmin) and got.iterations == iterations
+        assert np.float64(got.final_grad_supnorm).tobytes() == np.float64(gnorm).tobytes()
+
+
 class TestNoiseGradient:
     def test_zero_at_expectation_plug_in(self):
         g = _complete_graph(3, L=4)
@@ -489,6 +667,27 @@ class TestFit:
         obs = BtlObservation(graph=graph, wins=np.array([1.0]))
         with pytest.raises(ValueError, match="gradient tolerance must be finite and > 0"):
             fit_penalized_mle(obs, PenaltySpec.mean_shift(), solver=solver, tol_grad=tol_grad)
+
+    @pytest.mark.parametrize("solver", ["newton", "mm"])
+    def test_start_of_the_wrong_length_refused(self, solver):
+        rng = np.random.default_rng(1)
+        graph = sample_er_graph(30, 0.5, 3, rng)
+        obs = sample_outcomes(graph, rng.uniform(-1, 1, 30), rng)
+        for start in (np.zeros(5), np.zeros((30, 1))):
+            with pytest.raises(DimensionMismatch, match="for 30 items"):
+                fit_penalized_mle(obs, PenaltySpec.mean_shift(1.0), solver=solver, x0=start)
+
+    @pytest.mark.parametrize("solver", ["newton", "mm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_start_not_finite_refused(self, solver, bad):
+        """Refused before solving: from a NaN start both solvers would run to their caps."""
+        rng = np.random.default_rng(1)
+        graph = sample_er_graph(10, 0.8, 3, rng)
+        obs = sample_outcomes(graph, rng.uniform(-1, 1, 10), rng)
+        start = np.zeros(10)
+        start[3] = bad
+        with pytest.raises(ValueError, match="the start x0 must be finite"):
+            fit_penalized_mle(obs, PenaltySpec.mean_shift(1.0), solver=solver, x0=start)
 
     def test_symmetric_pair(self):
         g = ComparisonGraph.from_edges(2, [0], [1], [2.0])
@@ -792,6 +991,43 @@ class TestConditionConstants:
         assert d12 <= envelope.d12
         assert d21 <= envelope.d21
         assert tau3 > 0.0
+
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_negative_or_nan_radius_refused(self, bad):
+        rng = np.random.default_rng(1)
+        graph = sample_er_graph(30, 0.5, 3, rng)
+        center = rng.uniform(-1, 1, 30)
+        penalty = PenaltySpec.mean_shift(1.0)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            btl_condition_constants(graph, penalty, center, radius=bad, norm="linf")
+        for radii in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(ValueError, match="radii must be two numbers >= 0"):
+                btl_condition_constants(graph, penalty, center, norm="l2",
+                                        split=BlockSplit.half(30), radii=radii)
+
+    def test_radii_must_be_a_pair(self):
+        rng = np.random.default_rng(1)
+        graph = sample_er_graph(10, 0.8, 3, rng)
+        for radii in ((0.5,), (0.5, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="radii must be two numbers >= 0"):
+                btl_condition_constants(graph, PenaltySpec.mean_shift(1.0), np.zeros(10),
+                                        norm="l2", split=BlockSplit.half(10), radii=radii)
+
+    def test_infinite_radius_is_a_bound(self):
+        rng = np.random.default_rng(1)
+        graph = sample_er_graph(30, 0.5, 3, rng)
+        center = rng.uniform(-1, 1, 30)
+        penalty = PenaltySpec.mean_shift(1.0)
+        wide = btl_condition_constants(graph, penalty, center, radius=math.inf, norm="linf")
+        near = btl_condition_constants(graph, penalty, center, radius=0.5, norm="linf")
+        assert math.isfinite(wide.tau3) and wide.tau3 >= near.tau3
+        split = BlockSplit.half(30)
+        wide = btl_condition_constants(graph, penalty, center, norm="l2", split=split,
+                                       radii=(math.inf, math.inf))
+        near = btl_condition_constants(graph, penalty, center, norm="l2", split=split,
+                                       radii=(0.5, 0.5))
+        assert math.isfinite(wide.tau3) and wide.tau3 >= near.tau3
 
 
 class TestFileFormats:
