@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InnerSolveFailed, InsufficientSteps
-from .expansions import ConditionConstants, derived_constants
+from .expansions import ConditionConstants
 from .numkit import BlockGeometry, BlockHessian, BlockSplit, contraction_matrix
 from .objective import QuadraticObjective, SmoothObjective, partial_minimize
 
@@ -175,6 +175,11 @@ class AoCertificate:
         return bool(self.conditions_hold) and all(self.conditions_hold.values())
 
 
+def _damping(rho_star: float, dltwb: float) -> float:
+    """The damping scalar rho2 of the certificate; the caller checks dltwb < 1."""
+    return 1.5 * (rho_star + dltwb / 2.0) / (1.0 - dltwb)
+
+
 def certify_convergence(
     geometry: BlockGeometry, constants: ConditionConstants, theta0_gap: float
 ) -> AoCertificate:
@@ -192,12 +197,13 @@ def certify_convergence(
     ppt, gap = geometry.ppt_norm, float(theta0_gap)
     rho_star = ppt**0.5
     base = dict(start_gap=gap, ppt_norm=ppt, rho_star=rho_star, radii=(r_theta, r_nui))
-    dltwb = constants.d_effective * max(r_theta, r_nui)
+    d_eff = constants.d_effective
+    dltwb = d_eff * max(r_theta, r_nui)
     if dltwb >= 1.0:
         return AoCertificate(**base, dltwb=dltwb, conditions_hold={"dltwb_lt_1": False})
 
-    diag = derived_constants(constants, "ao", rho_star_value=rho_star)
-    rho2, delta_nano = diag.rho2, diag.delta_nano
+    rho2 = _damping(rho_star, dltwb)
+    delta_nano = (d_eff * rho_star + d_eff / 2.0 + constants.tau3 * rho2**2 / 3.0) / (1.0 - dltwb)
     conditions = {
         "dltwb_lt_1": True,
         "ppt_lt_1": ppt < 1.0,
@@ -227,7 +233,7 @@ def fixed_point_radii(
         dltwb = d_eff * max(r_theta, r_nui)
         if dltwb >= 0.5:
             return None
-        rho2 = 1.5 * (rho_star_value + dltwb / 2.0) / (1.0 - dltwb)
+        rho2 = _damping(rho_star_value, dltwb)
         new_theta = slack * rho2**2 * gap
         new_nui = slack * rho2 * gap
         if abs(new_theta - r_theta) <= stop and abs(new_nui - r_nui) <= stop:

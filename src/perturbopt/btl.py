@@ -31,7 +31,6 @@ from .objective import BlockIndex, SmoothObjective, SolveReport, newton_minimize
 
 __all__ = [
     "sigmoid",
-    "log1pexp",
     "phi2",
     "phi3",
     "ComparisonGraph",
@@ -53,12 +52,6 @@ __all__ = [
 
 # location of the extrema of |phi'''|; phi'''(t) = phi''(t) (1 - 2 sigma(t))
 _T3_PEAK = math.log(2.0 + math.sqrt(3.0))
-
-
-def log1pexp(t):
-    """log(1 + e^t) without overflow for large positive t."""
-    t = np.asarray(t, dtype=float)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def _sigmoid_from(t, e):

@@ -79,13 +79,10 @@ class ConditionConstants:
 
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
-    """All derived scalars of one expansion regime, with prerequisite flags."""
+    """Derived scalars of the sup-norm expansion regime, with prerequisite flags."""
 
-    flavor: str
     rho_dual: float = float("nan")
     rho_dual_l2: float = float("nan")
-    rho_star: float = float("nan")
-    rho2: float = float("nan")
     dltwb: float = float("nan")
     delta_nano: float = float("nan")
     delta_infty: float = float("nan")
@@ -148,90 +145,46 @@ def rho_dual(f_mat, d_scales) -> tuple[float, float]:
 
 def derived_constants(
     constants: ConditionConstants,
-    flavor: str,
-    rho: Optional[float] = None,
-    rho_star_value: Optional[float] = None,
+    rho: float,
     a_norm: Optional[float] = None,
     rho_dual_l2: float = float("nan"),
 ) -> ExpansionDiagnostics:
-    """Combine condition constants into the derived scalars of one regime.
+    """Combine sup-norm condition constants into the sup-norm regime's scalars.
 
-    flavor="sup_norm": needs ``rho`` (the exact dual value) and the sup-norm
-    radius in ``constants.radii``; optionally ``a_norm`` = the scaled
-    perturbation sup-norm.  flavor="marginal"/"ao": need ``rho_star_value``
-    and the localization radii.
+    ``rho`` is the exact dual value, in [0, 1); the sup-norm radius is
+    ``constants.radii[0]``; ``a_norm`` is the scaled perturbation sup-norm,
+    by default the largest one that radius covers.
     """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"the dual value rho must lie in [0, 1), got {rho!r}")
+    if not constants.radii:
+        raise ValueError("the sup-norm radius must be given in constants.radii")
     t3, d12, d21 = constants.tau3, constants.d12, constants.d21
-    if flavor == "sup_norm":
-        if rho is None:
-            raise ValueError("sup_norm flavor needs the dual-norm value rho")
-        if not constants.radii:
-            raise ValueError("sup_norm flavor needs the sup-norm radius in constants.radii")
-        r_inf = float(constants.radii[0])
-        dltwb = d21 * r_inf
-        if dltwb >= 1.0:
-            raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
-        delta_nano = (
-            rho * d21 + d12 / 2.0 + 3.0 * (rho + dltwb / 2.0) ** 2 * t3 / (4.0 * (1.0 - dltwb) ** 2)
-        ) / (1.0 - dltwb)
-        delta_infty = 2.0 * t3 + d21 / 2.0 + 2.0 * (delta_nano + d21) / (1.0 - rho) ** 2
-        if a_norm is None:
-            a_norm = r_inf * (1.0 - rho) / SQRT2 if rho < 1.0 else float("nan")
-        flags = {
-            "dltwb_le_quarter": bool(dltwb <= 0.25),
-            "d12_r_le_quarter": bool(d12 * r_inf <= 0.25),
-            "dinf_a_small": bool(delta_infty * a_norm <= SQRT2 - 1.0),
-        }
-        return ExpansionDiagnostics(
-            flavor=flavor,
-            rho_dual=float(rho),
-            rho_dual_l2=float(rho_dual_l2),
-            dltwb=float(dltwb),
-            delta_nano=float(delta_nano),
-            delta_infty=float(delta_infty),
-            r_infty=float(r_inf),
-            a_norm=float(a_norm),
-            prerequisites_hold=flags,
-        )
-
-    if flavor == "marginal":
-        if rho_star_value is None or not constants.radii:
-            raise ValueError("marginal flavor needs rho_star_value and the radius r_circ")
-        r_circ = float(constants.radii[0])
-        dltwb = d21 * r_circ
-        if dltwb >= 1.0:
-            raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
-        rho2 = 1.5 * (rho_star_value + d12 * r_circ / 2.0) / (1.0 - dltwb)
-        delta_nano = (rho_star_value * d21 + d12 / 2.0 + rho2**2 * t3 / 3.0) / (1.0 - dltwb)
-        flags = {"rho2_t3_r": bool(rho2 * t3 * r_circ <= 2.0 / 3.0)}
-        return ExpansionDiagnostics(
-            flavor=flavor,
-            rho_star=float(rho_star_value),
-            rho2=float(rho2),
-            dltwb=float(dltwb),
-            delta_nano=float(delta_nano),
-            prerequisites_hold=flags,
-        )
-
-    if flavor == "ao":
-        if rho_star_value is None or len(constants.radii) < 2:
-            raise ValueError("ao flavor needs rho_star_value and radii (r_theta, r_nui)")
-        r_max = float(max(constants.radii))
-        d_eff = constants.d_effective
-        dltwb = d_eff * r_max
-        if dltwb >= 1.0:
-            raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
-        rho2 = 1.5 * (rho_star_value + dltwb / 2.0) / (1.0 - dltwb)
-        delta_nano = (d_eff * rho_star_value + d_eff / 2.0 + t3 * rho2**2 / 3.0) / (1.0 - dltwb)
-        return ExpansionDiagnostics(
-            flavor=flavor,
-            rho_star=rho_star_value,
-            rho2=rho2,
-            dltwb=dltwb,
-            delta_nano=delta_nano,
-        )
-
-    raise ValueError(f"unknown flavor {flavor!r}")
+    r_inf = float(constants.radii[0])
+    dltwb = d21 * r_inf
+    if dltwb >= 1.0:
+        raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
+    delta_nano = (
+        rho * d21 + d12 / 2.0 + 3.0 * (rho + dltwb / 2.0) ** 2 * t3 / (4.0 * (1.0 - dltwb) ** 2)
+    ) / (1.0 - dltwb)
+    delta_infty = 2.0 * t3 + d21 / 2.0 + 2.0 * (delta_nano + d21) / (1.0 - rho) ** 2
+    if a_norm is None:
+        a_norm = r_inf * (1.0 - rho) / SQRT2
+    flags = {
+        "dltwb_le_quarter": bool(dltwb <= 0.25),
+        "d12_r_le_quarter": bool(d12 * r_inf <= 0.25),
+        "dinf_a_small": bool(delta_infty * a_norm <= SQRT2 - 1.0),
+    }
+    return ExpansionDiagnostics(
+        rho_dual=float(rho),
+        rho_dual_l2=float(rho_dual_l2),
+        dltwb=float(dltwb),
+        delta_nano=float(delta_nano),
+        delta_infty=float(delta_infty),
+        r_infty=float(r_inf),
+        a_norm=float(a_norm),
+        prerequisites_hold=flags,
+    )
 
 
 def _stationary(f: SmoothObjective, upsilon_star) -> bool:
@@ -252,9 +205,10 @@ def _marginal_setup(f, split, nui_values, constants, upsilon_star):
     of the Hessian's block geometry, in which the l2 constants are measured:
     there ||F_tt^{-1} D|| = 1/tt_smin and rho_star = ||P||.  Returns the
     geometry, ||F_tt^{-1} D||, one (||H (nu - nu*)||, flags) pair per
-    nuisance value, the "marginal" diagnostics and whether ``upsilon_star``
-    is stationary.  A row's ``offset_in_radius`` flag says whether its offset
-    lies within the nuisance radius the constants were measured on.
+    nuisance value, the marginal regime's rho2 and delta_nano, and whether
+    ``upsilon_star`` is stationary.  A row's ``offset_in_radius`` flag says
+    whether its offset lies within the nuisance radius the constants were
+    measured on.
     """
     if constants.norm_tag != "l2":
         raise ValueError("the partial bounds are proven in the l2 block metrics only")
@@ -262,13 +216,18 @@ def _marginal_setup(f, split, nui_values, constants, upsilon_star):
     nui_star = upsilon_star[split.nuisance_idx]
     h_norms = [float(np.linalg.norm(geometry.nn_half @ (np.asarray(nu, dtype=float) - nui_star)))
                for nu in nui_values]
-    r_circ = constants.radii[0] if constants.radii else (max(h_norms) if h_norms else 0.0)
-    diag = derived_constants(replace(constants, radii=(r_circ,)), "marginal",
-                             rho_star_value=geometry.ppt_norm**0.5)
-    rows = [(h, {**diag.prerequisites_hold,
+    t3, d12, d21 = constants.tau3, constants.d12, constants.d21
+    r_circ = float(constants.radii[0] if constants.radii else (max(h_norms) if h_norms else 0.0))
+    dltwb = d21 * r_circ
+    if dltwb >= 1.0:
+        raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
+    rho_star = geometry.ppt_norm**0.5
+    rho2 = 1.5 * (rho_star + d12 * r_circ / 2.0) / (1.0 - dltwb)
+    delta_nano = (rho_star * d21 + d12 / 2.0 + rho2**2 * t3 / 3.0) / (1.0 - dltwb)
+    rows = [(h, {"rho2_t3_r": bool(rho2 * t3 * r_circ <= 2.0 / 3.0),
                  "offset_in_radius": not constants.radii or h <= constants.radii[-1]})
             for h in h_norms]
-    return geometry, 1.0 / geometry.tt_smin, rows, diag, _stationary(f, upsilon_star)
+    return geometry, 1.0 / geometry.tt_smin, rows, rho2, delta_nano, _stationary(f, upsilon_star)
 
 
 def check_partial_bias(
@@ -287,7 +246,7 @@ def check_partial_bias(
     square-root Hessian blocks at ``upsilon_star`` (see ``_marginal_setup``);
     ``constants`` must be l2 constants, measured in those metrics.
     """
-    geometry, f_inv_d_norm, rows, diag, stationary = _marginal_setup(
+    geometry, f_inv_d_norm, rows, rho2, delta_nano, stationary = _marginal_setup(
         f, split, nui_values, constants, upsilon_star)
     bh = geometry.blocks
     theta_star = upsilon_star[split.target_idx]
@@ -303,7 +262,7 @@ def check_partial_bias(
         linear_term = spd_solve(bh.f_tt, bh.f_tn @ (nu - nui_star))
         remainder = float(np.linalg.norm(theta_nu - theta_star + linear_term))
         leading = float(np.linalg.norm(linear_term))
-        bound = f_inv_d_norm * diag.delta_nano * h_norm**2
+        bound = f_inv_d_norm * delta_nano * h_norm**2
         reports.append(_report("partial_bias", leading, remainder, bound, flags, solved))
 
         # optimal-value expansion defect
@@ -325,15 +284,14 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
         r_inf = SQRT2 * a_norm / (1.0 - rho_exact)
         try:
             return derived_constants(
-                replace(constants, norm_tag="linf", radii=(r_inf,)), "sup_norm",
-                rho=rho_exact, a_norm=a_norm, rho_dual_l2=rho_l2,
+                replace(constants, norm_tag="linf", radii=(r_inf,)),
+                rho_exact, a_norm=a_norm, rho_dual_l2=rho_l2,
             )
         except DltwbTooLarge:
             pass
     elif rho_exact < 1.0:
         # zero perturbation: everything degenerates to the unperturbed point
         return ExpansionDiagnostics(
-            flavor="sup_norm",
             rho_dual=rho_exact,
             rho_dual_l2=rho_l2,
             dltwb=0.0,
@@ -349,7 +307,6 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
         )
     flags = {"dltwb_le_quarter": False, "d12_r_le_quarter": False, "dinf_a_small": False}
     return ExpansionDiagnostics(
-        flavor="sup_norm",
         rho_dual=rho_exact,
         rho_dual_l2=rho_l2,
         r_infty=float("inf"),
@@ -373,7 +330,9 @@ def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved):
     diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, v_norm)
 
     f_inv_v = spd_solve(fisher, v)
-    flags, dinf, rho = diag.prerequisites_hold, diag.delta_infty, diag.rho_dual
+    dinf, rho = diag.delta_infty, diag.rho_dual
+    flags = {**diag.prerequisites_hold,
+             "radius_covered": not constants.radii or diag.r_infty <= constants.radii[0]}
 
     def over_gap(numerator: float) -> float:
         return numerator / (1.0 - rho) if rho < 1 else float("inf")
@@ -471,7 +430,7 @@ def check_perturbed_partial(
     a_target = np.asarray(a_target, dtype=float)
     if a_target.shape[0] != split.p:
         raise DimensionMismatch("target perturbation length differs from target block size")
-    geometry, f_inv_d_norm, rows, diag, stationary = _marginal_setup(
+    geometry, f_inv_d_norm, rows, rho2, delta_nano, stationary = _marginal_setup(
         f, split, nui_values, constants, upsilon_star)
     bh = geometry.blocks
     theta_star = upsilon_star[split.target_idx]
@@ -497,13 +456,13 @@ def check_perturbed_partial(
         remainder = float(np.linalg.norm(theta_circ - theta_star + linear_term + f_inv_a))
         leading = float(np.linalg.norm(linear_term + f_inv_a))
         bound = f_inv_d_norm * (
-            (diag.delta_nano + constants.d21) * h_norm**2
+            (delta_nano + constants.d21) * h_norm**2
             + (2.0 * constants.tau3 + constants.d21 / 2.0) * d_f_inv_a**2
         )
         reports.append(_report("pp_expansion", leading, remainder, bound, flags, solved))
         loc_left = float(np.linalg.norm(geometry.tt_half @ (theta_circ - theta_star)))
-        loc_bound = diag.rho2 * h_norm + 1.5 / (1.0 - min(dltwb_local, 0.999)) * d_inv_a
-        reports.append(_report("pp_localization", diag.rho2 * h_norm, loc_left, loc_bound,
+        loc_bound = rho2 * h_norm + 1.5 / (1.0 - min(dltwb_local, 0.999)) * d_inv_a
+        reports.append(_report("pp_localization", rho2 * h_norm, loc_left, loc_bound,
                                flags, solved))
     return reports
 

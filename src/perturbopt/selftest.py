@@ -99,7 +99,7 @@ def run_selftest(seed: int = 1) -> int:
           f"{exact:.6f} vs {brute:.6f}")
 
     consts = ConditionConstants(1.0, 1.0, 1.0, norm_tag="linf", radii=(0.25,))
-    diag = derived_constants(consts, "sup_norm", rho=1.0 - 2.0**-0.5)
+    diag = derived_constants(consts, rho=1.0 - 2.0**-0.5)
     check(
         "derived-constant reference values",
         abs(diag.delta_nano - 1.37) <= 0.01 and abs(diag.delta_infty - 12.0) <= 0.1,

@@ -262,6 +262,6 @@ def test_criterion_10_reference_constant_values():
         for tau3 in (1.0, 0.5, 2.0):
             consts = ConditionConstants(tau3, tau3, tau3, norm_tag="linf",
                                         radii=(0.25 / tau3,))
-            diag = derived_constants(consts, "sup_norm", rho=1.0 - 1.0 / math.sqrt(2.0))
+            diag = derived_constants(consts, rho=1.0 - 1.0 / math.sqrt(2.0))
             assert abs(diag.delta_nano - 1.37 * tau3) <= 0.01 * max(1.0, tau3)
             assert abs(diag.delta_infty - 12.0 * tau3) <= 0.1 * max(1.0, tau3)

@@ -245,6 +245,64 @@ class TestRadiiFixedPoint:
         assert fixed_point_radii(consts, rho_star_value=0.9, gap=10.0) is None
 
 
+def _certificate_scalars(consts, rho_star):
+    """dltwb, rho2 and delta_nano of the certificate, written out."""
+    d_eff = max(consts.d12, consts.d21)
+    dltwb = d_eff * float(max(consts.radii))
+    rho2 = 1.5 * (rho_star + dltwb / 2.0) / (1.0 - dltwb)
+    delta_nano = (d_eff * rho_star + d_eff / 2.0 + consts.tau3 * rho2**2 / 3.0) / (1.0 - dltwb)
+    return dltwb, rho2, delta_nano
+
+
+def _radii_written_out(consts, rho_star, gap):
+    """The fixed-point radius iteration, written out."""
+    d_eff = max(consts.d12, consts.d21)
+    r_theta = r_nui = 0.0
+    for _ in range(tol.RADII_MAX_ROUNDS):
+        dltwb = d_eff * max(r_theta, r_nui)
+        if dltwb >= 0.5:
+            return None
+        rho2 = 1.5 * (rho_star + dltwb / 2.0) / (1.0 - dltwb)
+        new_theta, new_nui = tol.RADII_SLACK * rho2**2 * gap, tol.RADII_SLACK * rho2 * gap
+        if abs(new_theta - r_theta) <= tol.RADII_STOP and abs(new_nui - r_nui) <= tol.RADII_STOP:
+            return (new_theta, new_nui)
+        r_theta, r_nui = new_theta, new_nui
+    return (r_theta, r_nui)
+
+
+class TestScalarsPinned:
+    """Certificate scalars and fixed-point radii, bit for bit, against the formulas written out."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_btl_instances(self, n, seed):
+        f, ups_star = _btl_setup(n=n, seed=seed)
+        split = BlockSplit.half(n)
+        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(ups_star), split))
+        rho_star = geometry.ppt_norm**0.5
+        seen_feasible = seen_certified = False
+        for radii in ((0.0, 0.0), (0.05, 0.1), (0.3, 0.2), (2.0, 2.0)):
+            consts = btl_condition_constants(f.graph, f.penalty, ups_star, norm="l2",
+                                             split=split, radii=radii, geometry=geometry)
+            for gap in (1e-3, 0.02, 0.2):
+                got = fixed_point_radii(consts, rho_star, gap)
+                want = _radii_written_out(consts, rho_star, gap)
+                assert (got is None) is (want is None)
+                if got is not None:
+                    seen_feasible = True
+                    assert [r.hex() for r in got] == [r.hex() for r in want]
+                cert = certify_convergence(geometry, consts, gap)
+                dltwb, rho2, delta_nano = _certificate_scalars(consts, rho_star)
+                assert cert.dltwb.hex() == dltwb.hex()
+                if dltwb < 1.0:
+                    seen_certified = True
+                    assert (cert.rho2.hex(), cert.delta_nano.hex()) == (rho2.hex(),
+                                                                          delta_nano.hex())
+                else:
+                    assert np.isnan(cert.rho2) and np.isnan(cert.delta_nano)
+        assert seen_feasible and seen_certified
+
+
 class TestTraceExport:
     def test_csv_columns(self, tmp_path):
         quad = _coupled_quadratic()

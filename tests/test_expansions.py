@@ -12,7 +12,9 @@ from perturbopt.btl import (
     PenaltySpec,
     btl_condition_constants,
     btl_objective,
+    noise_gradient,
     sample_er_graph,
+    sample_outcomes,
 )
 from perturbopt import expansions
 from perturbopt.errors import DltwbTooLarge
@@ -27,7 +29,15 @@ from perturbopt.expansions import (
     rho_dual,
     semi_orthogonality_probe,
 )
-from perturbopt.numkit import BlockHessian, BlockSplit, psd_power, spectral_norm
+from perturbopt.experiments import diagnose_expansion
+from perturbopt.numkit import (
+    BlockHessian,
+    BlockSplit,
+    contraction_matrix,
+    psd_power,
+    spd_solve,
+    spectral_norm,
+)
 from perturbopt.objective import (
     QuadraticObjective,
     SeparableSpec,
@@ -46,6 +56,15 @@ def _btl_expected(n, L, seed, gsq=1.0, p=1.0):
     truth -= truth.mean()
     f = btl_objective(graph, PenaltySpec.mean_shift(gsq), mode="expected", truth=truth)
     return graph, truth, f
+
+
+def _marginal_scalars(consts, rho_star, r_circ):
+    """rho2 and delta_nano of the marginal regime at nuisance radius ``r_circ``, written out."""
+    dltwb = consts.d21 * r_circ
+    rho2 = 1.5 * (rho_star + consts.d12 * r_circ / 2.0) / (1.0 - dltwb)
+    delta_nano = (rho_star * consts.d21 + consts.d12 / 2.0
+                  + rho2**2 * consts.tau3 / 3.0) / (1.0 - dltwb)
+    return rho2, delta_nano
 
 
 class TestRhoDual:
@@ -92,15 +111,26 @@ class TestRhoDual:
 class TestDerivedConstants:
     def test_reference_scenario(self):
         consts = ConditionConstants(1.0, 1.0, 1.0, norm_tag="linf", radii=(0.25,))
-        diag = derived_constants(consts, "sup_norm", rho=1.0 - 1.0 / SQRT2)
+        diag = derived_constants(consts, rho=1.0 - 1.0 / SQRT2)
         assert abs(diag.delta_nano - 1.37) <= 0.01
         assert abs(diag.delta_infty - 12.0) <= 0.1
 
     def test_quadratic_marginal(self):
+        # unit diagonal blocks and cross entry 1/2: rho_star = ||P|| = 0.5
+        quad = QuadraticObjective(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        split = BlockSplit.half(2)
         consts = ConditionConstants.zeros(radii=(1.0,))
-        diag = derived_constants(consts, "marginal", rho_star_value=0.5)
-        assert diag.rho2 == pytest.approx(0.75)
-        assert diag.delta_nano == 0.0
+        rho2, delta_nano = _marginal_scalars(consts, 0.5, 1.0)
+        assert rho2 == pytest.approx(0.75)
+        assert delta_nano == 0.0
+        # the partial checkers use the same scalars; the offset has H-norm 0.4
+        nus = [np.array([0.4])]
+        rows = {r.variant: r for r in
+                check_partial_bias(quad, split, nus, consts, upsilon_star=quad.minimizer)
+                + check_perturbed_partial(quad, split, np.zeros(1), nus, consts,
+                                          upsilon_star=quad.minimizer)}
+        assert rows["pp_localization"].leading == pytest.approx(0.75 * 0.4)
+        assert rows["partial_bias"].bound == 0.0
 
     def test_monotone_in_every_constant(self):
         rng = np.random.default_rng(4)
@@ -114,7 +144,7 @@ class TestDerivedConstants:
                 merged = {**base, **kw}
                 consts = ConditionConstants(merged["tau3"], merged["d12"], merged["d21"],
                                             norm_tag="linf", radii=(r,))
-                return derived_constants(consts, "sup_norm", rho=kw.get("rho", rho)).delta_nano
+                return derived_constants(consts, rho=kw.get("rho", rho)).delta_nano
 
             ref = nano()
             bump = 1e-4
@@ -126,7 +156,14 @@ class TestDerivedConstants:
     def test_dltwb_guard(self):
         consts = ConditionConstants(1.0, 1.0, 3.0, norm_tag="linf", radii=(0.5,))
         with pytest.raises(DltwbTooLarge):
-            derived_constants(consts, "sup_norm", rho=0.1)
+            derived_constants(consts, rho=0.1)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, -0.1, float("nan"), float("inf")])
+    def test_dual_value_outside_unit_interval_refused(self, rho):
+        # rho = 1 divided by zero; rho = 1.5 returned finite deltas with two flags set
+        consts = ConditionConstants(1.0, 1.0, 1.0, norm_tag="linf", radii=(0.25,))
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            derived_constants(consts, rho=rho)
 
 
 class TestPartialBias:
@@ -279,6 +316,32 @@ class TestLinearSupExpansion:
             SQRT2 * diag.a_norm / (1 - diag.rho_dual), rel=1e-12)
         for rep in reports:
             assert rep.holds, rep
+
+    def test_radius_covered_flag(self):
+        # constants measured on a radius below r_infty give smaller bounds that still "hold"
+        rng = np.random.default_rng(3)
+        graph = sample_er_graph(30, 0.6, 3, rng)
+        truth = rng.uniform(0, 2, 30)
+        truth -= truth.mean()
+        obs = sample_outcomes(graph, truth, rng)
+        penalty = PenaltySpec.ridge(20.0)
+        f = btl_objective(graph, penalty, mode="expected", truth=truth)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        noise = noise_gradient(obs, truth)
+        bounds = {}
+        for radius, covered in ((0.0, False), (10.0, True)):
+            consts = btl_condition_constants(graph, penalty, ups_star, radius=radius,
+                                             norm="linf")
+            diag, reports = check_linear_sup_expansion(f, noise, consts, upsilon_star=ups_star)
+            assert 0.0 < diag.r_infty < 10.0
+            assert len(reports) == 5 and all(r.holds for r in reports)
+            assert all(r.prerequisite_flags["radius_covered"] is covered for r in reports)
+            bounds[radius] = {r.variant: r.bound for r in reports}
+        assert bounds[0.0]["lin_iii"] < bounds[10.0]["lin_iii"]
+        # the diagnose path measures the constants on r_infty itself
+        _, diag, reports = diagnose_expansion(obs, truth, penalty)
+        assert all(r.prerequisite_flags["radius_covered"] for r in reports)
+        assert diag.r_infty == bounds[0.0]["lin_i"]
 
 
 class TestSeparableSupExpansion:
@@ -445,9 +508,7 @@ class TestPartialMetrics:
         d, h = psd_power(f_tt, 0.5), psd_power(f_nn, 0.5)
         f_inv_d = spectral_norm(np.linalg.solve(f_tt, d))
         rho_star = spectral_norm(np.linalg.solve(h, np.linalg.solve(d, f_tn).T).T)
-        diag = derived_constants(ConditionConstants(consts.tau3, consts.d12, consts.d21,
-                                                    radii=(0.1,)),
-                                 "marginal", rho_star_value=rho_star)
+        rho2, delta_nano = _marginal_scalars(consts, rho_star, 0.1)
         tau3, d21 = consts.tau3, consts.d21
         theta_star = ups_star[t]
         d_f_inv_a = np.linalg.norm(d @ np.linalg.solve(f_tt, a_target))
@@ -458,17 +519,56 @@ class TestPartialMetrics:
             x_at = split.embed(theta_star, nu)
             f_nu = f.hessian(x_at)[np.ix_(t, t)]
             cube = np.linalg.norm(d @ np.linalg.solve(f_nu, f.gradient(x_at)[t])) ** 3
-            want.setdefault("partial_bias", []).append(f_inv_d * diag.delta_nano * h_norm**2)
+            want.setdefault("partial_bias", []).append(f_inv_d * delta_nano * h_norm**2)
             want.setdefault("value_expansion", []).append(2.5 * tau3 * cube)
             want.setdefault("pp_expansion", []).append(f_inv_d * (
-                (diag.delta_nano + d21) * h_norm**2 + (2.0 * tau3 + d21 / 2.0) * d_f_inv_a**2))
+                (delta_nano + d21) * h_norm**2 + (2.0 * tau3 + d21 / 2.0) * d_f_inv_a**2))
             want.setdefault("pp_localization", []).append(
-                diag.rho2 * h_norm + 1.5 / (1.0 - min(d21 * h_norm, 0.999)) * d_inv_a)
+                rho2 * h_norm + 1.5 / (1.0 - min(d21 * h_norm, 0.999)) * d_inv_a)
         assert {r.variant for r in got} == set(want)
         for variant, bounds in want.items():
             rows = [r for r in got if r.variant == variant]
             assert [r.bound for r in rows] == pytest.approx(bounds, rel=1e-12, abs=0.0), variant
             assert all(b > 0.0 for b in bounds)
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_marginal_bounds_pinned(self, n, seed):
+        """Partial-row bounds, bit for bit, against the formulas written out."""
+        graph, truth, f = _btl_expected(n, 3, seed, gsq=5.0)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        split = BlockSplit.half(n)
+        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(ups_star), split))
+        rng = np.random.default_rng(seed)
+        nui_star = ups_star[split.nuisance_idx]
+        a_target = 0.05 * rng.standard_normal(split.p)
+        f_inv_a = spd_solve(geometry.blocks.f_tt, a_target)
+        d_f_inv_a = float(np.linalg.norm(geometry.tt_half @ f_inv_a))
+        d_inv_a = float(np.linalg.norm(geometry.tt_inv_half @ a_target))
+        f_inv_d = 1.0 / geometry.tt_smin
+        for s in (0.05, 0.1, 0.2):
+            consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
+                                             radii=(s, s))
+            tau3, d21 = consts.tau3, consts.d21
+            rho2, delta_nano = _marginal_scalars(consts, geometry.ppt_norm**0.5, float(s))
+            nus = [nui_star + s * rng.standard_normal(split.q) / math.sqrt(split.q)
+                   for _ in range(2)]
+            got = (check_partial_bias(f, split, nus, consts, upsilon_star=ups_star)
+                   + check_perturbed_partial(f, split, a_target, nus, consts,
+                                             upsilon_star=ups_star))
+            h_norms = [float(np.linalg.norm(geometry.nn_half @ (nu - nui_star))) for nu in nus]
+            want = [("partial_bias", f_inv_d * delta_nano * h**2) for h in h_norms]
+            for h in h_norms:
+                want.append(("pp_expansion", f_inv_d * (
+                    (delta_nano + d21) * h**2 + (2.0 * tau3 + d21 / 2.0) * d_f_inv_a**2)))
+                want.append(("pp_localization",
+                             rho2 * h + 1.5 / (1.0 - min(d21 * h, 0.999)) * d_inv_a))
+            rows = [(r.variant, r.bound.hex()) for r in got if r.variant != "value_expansion"]
+            assert rows == [(variant, b.hex()) for variant, b in want]
+            assert [r.leading.hex() for r in got if r.variant == "pp_localization"] == [
+                (rho2 * h).hex() for h in h_norms]
+            assert all(r.prerequisite_flags["rho2_t3_r"] is (rho2 * tau3 * s <= 2.0 / 3.0)
+                       for r in got)
 
     @pytest.mark.parametrize("checker", ["partial_bias", "perturbed_partial"])
     def test_linf_constants_refused(self, checker):
