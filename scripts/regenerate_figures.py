@@ -14,6 +14,7 @@ import argparse
 import pathlib
 import time
 
+from perturbopt.cli import _keep_freed_heap
 from perturbopt.experiments import (
     ExperimentConfig,
     emit,
@@ -36,6 +37,7 @@ def main() -> None:
     parser.add_argument("--expansion-reps", type=int, default=50)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
+    _keep_freed_heap()  # this script owns its process, as the console script does
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -137,7 +137,9 @@ class ComparisonGraph:
                 raise ValueError("edge endpoints out of range")
             if not np.all(np.isfinite(counts) & (counts >= 1)):
                 raise ValueError("edge multiplicities must be finite and >= 1")
-            if np.any(np.diff(np.sort(j * n + m)) == 0):
+            keys = j * n + m
+            # sampled graphs and written files list their edges in key order: no sort
+            if not np.all(keys[1:] > keys[:-1]) and np.any(np.diff(np.sort(keys)) == 0):
                 raise ValueError("duplicate edges")
         k, labels = connected_components(_arc_matrix(n, j, m), directed=False)
         return cls(n=n, j=j, m=m, counts=counts, connected=bool(k == 1),
@@ -486,8 +488,9 @@ def mle_exists(obs: BtlObservation) -> bool:
     as many strong components as the design has components.
     """
     g = obs.graph
-    won = np.concatenate((obs.wins > 0, obs.wins < g.counts))  # j won, then m won
-    beats = _arc_matrix(g.n, np.concatenate((g.j, g.m))[won], np.concatenate((g.m, g.j))[won])
+    won = np.flatnonzero(np.concatenate((obs.wins > 0, obs.wins < g.counts)))  # j won, then m won
+    beats = _arc_matrix(g.n, np.concatenate((g.j, g.m)).take(won),
+                        np.concatenate((g.m, g.j)).take(won))
     n_strong = connected_components(beats, directed=True, connection="strong",
                                     return_labels=False)
     return bool(n_strong == g.component_labels.max() + 1)

@@ -11,6 +11,7 @@ seed variable or a data file) or a non-converged fit under ``--strict``,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import inspect
@@ -319,7 +320,29 @@ def _cmd_selftest(args) -> int:
     return run_selftest(**_pick(_settings(args), {"seed": "seed"}))
 
 
+@functools.cache  # once per process; pool workers forked after it inherit the setting
+def _keep_freed_heap() -> None:
+    """Tell glibc's allocator to keep freed memory in the process; elsewhere, nothing.
+
+    Each fit and diagnose frees and reallocates edge arrays, Hessians and parse
+    buffers of a few hundred KB, which glibc by default hands back to the kernel and
+    then faults in again.  Both thresholds are pinned at glibc's 64-bit ceilings.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name here
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if glibc else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at twice that (malloc.h);
+        # mallopt returns 0 when it refuses a value
+        if mallopt(-3, 32 << 20):
+            mallopt(-1, 64 << 20)
+
+
 def dispatch(argv) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

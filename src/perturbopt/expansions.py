@@ -25,6 +25,7 @@ from .objective import (
     SeparablePerturbation,
     SeparableSpec,
     SmoothObjective,
+    _newton,
     newton_minimize,
     partial_minimize,
 )
@@ -187,9 +188,9 @@ def derived_constants(
     )
 
 
-def _stationary(f: SmoothObjective, upsilon_star) -> bool:
-    """Whether ``upsilon_star`` minimizes f to the joint-solve tolerance."""
-    return float(np.abs(f.gradient(upsilon_star)).max()) <= tol.JOINT_SOLVE_TOL
+def _stationary(grad) -> bool:
+    """Whether f's gradient at ``upsilon_star`` vanishes to the joint-solve tolerance."""
+    return float(np.abs(grad).max()) <= tol.JOINT_SOLVE_TOL
 
 
 def _report(variant, leading, remainder, bound, flags, solved: bool) -> ResidualReport:
@@ -227,7 +228,8 @@ def _marginal_setup(f, split, nui_values, constants, upsilon_star):
     rows = [(h, {"rho2_t3_r": bool(rho2 * t3 * r_circ <= 2.0 / 3.0),
                  "offset_in_radius": not constants.radii or h <= constants.radii[-1]})
             for h in h_norms]
-    return geometry, 1.0 / geometry.tt_smin, rows, rho2, delta_nano, _stationary(f, upsilon_star)
+    stationary = _stationary(f.gradient(upsilon_star))
+    return geometry, 1.0 / geometry.tt_smin, rows, rho2, delta_nano, stationary
 
 
 def check_partial_bias(
@@ -365,15 +367,18 @@ def check_linear_sup_expansion(
     The diagonal metric is built from the Hessian diagonal at the
     unperturbed minimizer; ``fisher`` is that Hessian and ``rho`` its
     ``rho_dual`` pair in that metric, when the caller holds them.  The Hessian,
-    given or built, passes ``check_symmetric`` before any use.
+    given or built, passes ``check_symmetric`` before any use, and is the solve's
+    first Newton matrix: f is evaluated at the unperturbed minimizer once.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
     fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
-    sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star,
-                          tol_grad=tol.JOINT_SOLVE_TOL)
-    solved = sol.converged and _stationary(f, upsilon_star)
+    value, grad, _ = f.evaluate(upsilon_star)
+    # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
+    start = (value + float(a_vec @ upsilon_star), grad + a_vec, lambda: fisher)
+    sol = _newton(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL, start=start)
+    solved = sol.converged and _stationary(grad)
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d) if rho is None else rho
     return _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec, constants,
@@ -403,7 +408,7 @@ def check_separable_sup_expansion(
     d = np.sqrt(np.diag(f.hessian(ups_circ)) + spec.t2(ups_circ))
     m_vec = spec.t1(upsilon_star)
     shift = ups_circ - upsilon_star
-    solved = sol.converged and _stationary(f, upsilon_star)
+    solved = sol.converged and _stationary(f.gradient(upsilon_star))
     rho = rho_dual(fisher, d)
     diag, reports = _sup_norm_reports("sep", fisher, d, rho, shift, m_vec, constants, solved)
     # the printed convention is the same display with the sign of m flipped
@@ -461,7 +466,9 @@ def check_perturbed_partial(
         )
         reports.append(_report("pp_expansion", leading, remainder, bound, flags, solved))
         loc_left = float(np.linalg.norm(geometry.tt_half @ (theta_circ - theta_star)))
-        loc_bound = rho2 * h_norm + 1.5 / (1.0 - min(dltwb_local, 0.999)) * d_inv_a
+        # no bound is proven once d21 ||H (nu - nu*)|| reaches 1
+        loc_bound = (rho2 * h_norm + 1.5 / (1.0 - dltwb_local) * d_inv_a
+                     if dltwb_local < 1.0 else float("inf"))
         reports.append(_report("pp_localization", rho2 * h_norm, loc_left, loc_bound,
                                flags, solved))
     return reports

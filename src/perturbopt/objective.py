@@ -239,8 +239,13 @@ def newton_minimize(
     non-positive-definite Hessian at an iterate raises HessianNotPD; running
     out of iterations returns a report with ``converged=False``.
     """
+    return _newton(f, x0, tol_grad, max_iter, block)
+
+
+def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=None):
+    """``newton_minimize`` from ``start``, the caller's ``f.evaluate(x0, block)`` if given."""
     x = np.asarray(x0, dtype=float).copy()
-    fx, grad, hessian = f.evaluate(x, block)
+    fx, grad, hessian = f.evaluate(x, block) if start is None else start
     gnorm = float(np.abs(grad).max())
     iterations = 0
     note = ""

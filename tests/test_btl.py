@@ -209,6 +209,15 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="duplicate edges"):
             ComparisonGraph.from_edges(3, [0, 1, 0], [2, 2, 2], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("j, m", [
+        ([0, 0, 1, 0], [1, 2, 2, 1]),  # in key order but for the last edge, a repeat
+        ([0, 0, 1], [1, 1, 2]),  # in key order, one pair twice in a row
+    ], ids=["repeat_last", "repeat_adjacent"])
+    def test_rejects_duplicates_near_key_order(self, j, m):
+        # the sort is skipped only for strictly increasing keys j*n + m
+        with pytest.raises(ValueError, match="^duplicate edges$"):
+            ComparisonGraph.from_edges(3, j, m, np.ones(len(j)))
+
     def test_accepts_unsorted_unique_edges(self):
         g = ComparisonGraph.from_edges(4, [2, 0, 1, 0], [3, 2, 3, 1], [1.0, 2.0, 3.0, 4.0])
         assert g.n_edges == 4 and g.connected

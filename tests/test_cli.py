@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -576,3 +580,81 @@ class TestSelftest:
         assert dispatch(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+class TestHeapPolicy:
+    """The CLI keeps freed heap memory in its process on glibc, and only there."""
+
+    class _Mallopt:
+        def __init__(self, result=1):
+            self.calls, self.result = [], result
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return self.result
+
+    @pytest.fixture()
+    def fake_libc(self, monkeypatch):
+        """An installer of a fake glibc detection and libc handle; the libc exposes
+        ``mallopt`` (None: no such symbol), and the installer returns the names opened."""
+        opened = []
+
+        def install(mallopt, version="glibc 2.36"):
+            def confstr(name):
+                assert name == "CS_GNU_LIBC_VERSION"
+                if isinstance(version, Exception):
+                    raise version
+                return version
+
+            def cdll(name):
+                opened.append(name)
+                return SimpleNamespace() if mallopt is None else SimpleNamespace(mallopt=mallopt)
+
+            monkeypatch.setattr(cli.os, "confstr", confstr)
+            monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+            return opened
+
+        cli._keep_freed_heap.cache_clear()
+        yield install
+        cli._keep_freed_heap.cache_clear()
+
+    def test_sets_both_thresholds_once_per_process(self, fake_libc):
+        mallopt = self._Mallopt()
+        opened = fake_libc(mallopt)
+        cli._keep_freed_heap()
+        cli._keep_freed_heap()
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB
+        assert mallopt.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert opened == [None]
+
+    @pytest.mark.parametrize("version", [None, "", ValueError("unrecognized configuration name"),
+                                         OSError("confstr")])
+    def test_does_nothing_without_glibc(self, fake_libc, version):
+        mallopt = self._Mallopt()
+        opened = fake_libc(mallopt, version=version)
+        cli._keep_freed_heap()
+        assert opened == [] and mallopt.calls == []
+
+    def test_quiet_without_mallopt_or_when_refused(self, fake_libc):
+        fake_libc(None)
+        cli._keep_freed_heap()  # no mallopt symbol: nothing to call, nothing raised
+        cli._keep_freed_heap.cache_clear()
+        refused = self._Mallopt(result=0)
+        fake_libc(refused)
+        cli._keep_freed_heap()
+        assert refused.calls == [(-3, 32 * 2**20)]  # stops at the first refusal
+
+    def test_dispatch_applies_it(self, fake_libc, capsys):
+        mallopt = self._Mallopt()
+        fake_libc(mallopt)
+        assert dispatch(["fit"]) == 2  # even a usage error runs in a process the CLI owns
+        capsys.readouterr()
+        assert len(mallopt.calls) == 2
+
+    def test_importing_the_library_leaves_the_allocator_alone(self):
+        code = ("import perturbopt, perturbopt.cli, perturbopt.experiments; "
+                "print(perturbopt.cli._keep_freed_heap.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "0"

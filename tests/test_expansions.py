@@ -41,6 +41,7 @@ from perturbopt.numkit import (
 from perturbopt.objective import (
     QuadraticObjective,
     SeparableSpec,
+    _newton,
     newton_minimize,
     partial_minimize,
     ridge_spec,
@@ -470,6 +471,23 @@ class TestPerturbedPartial:
         slope = np.polyfit(np.log(scales), np.log(rems), 1)[0]
         assert slope >= 1.9
 
+    def test_offset_outside_the_localization_regime_has_no_bound(self):
+        # d21 ||H (nu - nu*)|| = 2 * 0.6 >= 1: the localization display proves nothing there
+        rng = np.random.default_rng(32)
+        quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
+        split = BlockSplit.half(6)
+        f_nn = BlockHessian.from_full(quad.curvature, split).f_nn
+        unit = rng.standard_normal(split.q)
+        unit /= np.linalg.norm(unit)
+        consts = ConditionConstants(0.0, 0.0, 2.0, radii=(0.1, 0.1))
+        nu_star = quad.minimizer[split.nuisance_idx]
+        nus = [nu_star + psd_power(f_nn, -0.5) @ (h * unit) for h in (0.6, 0.3)]
+        reports = check_perturbed_partial(quad, split, 0.1 * rng.standard_normal(split.p),
+                                          nus, consts, upsilon_star=quad.minimizer)
+        outside, inside = [r for r in reports if r.variant == "pp_localization"]
+        assert outside.bound == math.inf and not outside.holds
+        assert math.isfinite(inside.bound) and inside.holds  # 2 * 0.3 < 1
+
     def test_localization_display(self):
         rng = np.random.default_rng(24)
         quad = QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4))
@@ -524,7 +542,7 @@ class TestPartialMetrics:
             want.setdefault("pp_expansion", []).append(f_inv_d * (
                 (delta_nano + d21) * h_norm**2 + (2.0 * tau3 + d21 / 2.0) * d_f_inv_a**2))
             want.setdefault("pp_localization", []).append(
-                rho2 * h_norm + 1.5 / (1.0 - min(d21 * h_norm, 0.999)) * d_inv_a)
+                rho2 * h_norm + 1.5 / (1.0 - d21 * h_norm) * d_inv_a)
         assert {r.variant for r in got} == set(want)
         for variant, bounds in want.items():
             rows = [r for r in got if r.variant == variant]
@@ -562,7 +580,7 @@ class TestPartialMetrics:
                 want.append(("pp_expansion", f_inv_d * (
                     (delta_nano + d21) * h**2 + (2.0 * tau3 + d21 / 2.0) * d_f_inv_a**2)))
                 want.append(("pp_localization",
-                             rho2 * h + 1.5 / (1.0 - min(d21 * h, 0.999)) * d_inv_a))
+                             rho2 * h + 1.5 / (1.0 - d21 * h) * d_inv_a))
             rows = [(r.variant, r.bound.hex()) for r in got if r.variant != "value_expansion"]
             assert rows == [(variant, b.hex()) for variant, b in want]
             assert [r.leading.hex() for r in got if r.variant == "pp_localization"] == [
@@ -697,6 +715,7 @@ class TestConvergenceGate:
         trusted = {name: run(ups_star) for name, run in checkers.items()}
         monkeypatch.setattr(expansions, "newton_minimize",
                             functools.partial(newton_minimize, max_iter=1))
+        monkeypatch.setattr(expansions, "_newton", functools.partial(_newton, max_iter=1))
         monkeypatch.setattr(expansions, "partial_minimize",
                             functools.partial(partial_minimize, max_iter=1))
         for name, run in checkers.items():

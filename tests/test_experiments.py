@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from perturbopt import btl, expansions, experiments, numkit
+from perturbopt import btl, expansions, experiments, numkit, objective
 from perturbopt import tolerances as tol
 from perturbopt.ao import estimate_rate
 from perturbopt.btl import BtlObservation, ComparisonGraph, PenaltySpec, noise_gradient, sigmoid
@@ -185,6 +185,31 @@ class TestExpansionStudy:
         # the metric the constants rebuild from the graph is the Fisher diagonal, bit for bit
         assert constants == btl._linf_constants(obs.graph, ups_star, kwargs["radius"],
                                                 np.sqrt(np.diag(fisher)))
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
+    def test_diagnose_report_bytes_match_the_plain_check(self, penalty, tmp_path):
+        """The residual check solves from its one evaluation at the minimizer, with the
+        given Fisher matrix as the first Newton matrix; its report has the bits of the
+        check run from nothing given, and of a plain Newton solve of the perturbed model."""
+        cfg = ExperimentConfig(n_list=(40,), reps=1, seed=9)
+        _, truth, obs = _sample_instance(cfg, 40, 0)
+        constants, _, reports = diagnose_expansion(obs, truth, penalty)
+        expected, ups_star, fisher = experiments._expected_minimizer(obs.graph, penalty, truth)
+        noise = noise_gradient(obs, truth)
+        _, plain = expansions.check_linear_sup_expansion(expected, noise, constants, ups_star)
+        # the parent's solve: Newton from the perturbed model's own evaluation
+        sol = experiments.newton_minimize(objective.LinearPerturbation(expected, noise),
+                                          ups_star, tol_grad=tol.JOINT_SOLVE_TOL)
+        d = np.sqrt(np.diag(fisher))
+        _, reference = expansions._sup_norm_reports(
+            "lin", fisher, d, expansions.rho_dual(fisher, d), sol.argmin - ups_star, noise,
+            constants, sol.converged)
+        written = []
+        for name, rows in (("diagnose", reports), ("plain", plain), ("reference", reference)):
+            expansions.reports_to_csv(rows, tmp_path / name)
+            written.append((tmp_path / name).read_bytes())
+        assert len(reports) == 5
+        assert written[0] == written[1] == written[2]
 
     def test_one_fisher_matrix_per_diagnose(self, monkeypatch):
         points = []
