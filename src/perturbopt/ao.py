@@ -18,7 +18,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import InnerSolveFailed, InsufficientSteps
 from .expansions import ConditionConstants
-from .numkit import BlockGeometry, BlockHessian, BlockSplit, contraction_matrix
+from .numkit import BlockGeometry, BlockSplit, contraction_matrix
 from .objective import QuadraticObjective, SmoothObjective, partial_minimize
 
 __all__ = [
@@ -45,7 +45,6 @@ class AoTrace:
     alpha_norms: np.ndarray
     ppt_norm: float
     upsilon_star: np.ndarray
-    split: BlockSplit
 
     def __post_init__(self):
         steps = len(self.nui_iterates)
@@ -62,29 +61,22 @@ class AoTrace:
 
 
 def ao_run(
-    f: SmoothObjective,
-    split: BlockSplit,
-    theta0,
-    n_steps: int,
-    upsilon_star,
-    inner_tol: float = tol.JOINT_SOLVE_TOL,
-    geometry: Optional[BlockGeometry] = None,
+    f: SmoothObjective, geometry: BlockGeometry, theta0, n_steps: int, upsilon_star
 ) -> AoTrace:
     """Alternate the two partial minimizations for ``n_steps`` full steps.
 
     ``upsilon_star`` is the joint minimizer: the convergence statements
     measure distances to it, not to the last iterate.  ``geometry`` is that
-    of the Hessian there, built from it when not supplied.
+    of the Hessian there (``contraction_matrix``); its split names the
+    blocks.  Each partial solve runs to ``tol.JOINT_SOLVE_TOL``.
     """
     if n_steps < 1:
         raise ValueError("need at least one alternation step")
+    split = geometry.split
     theta0 = np.asarray(theta0, dtype=float)
     upsilon_star = np.asarray(upsilon_star, dtype=float)
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
-
-    if geometry is None:
-        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(upsilon_star), split))
     tt_half, nn_half, p = geometry.tt_half, geometry.nn_half, geometry.p
 
     theta = theta0.copy()
@@ -98,11 +90,12 @@ def ao_run(
 
     for step in range(1, n_steps + 1):
         sol_n = partial_minimize(f, split, "target", theta, warm_start=nui_guess,
-                                 tol_grad=inner_tol)
+                                 tol_grad=tol.JOINT_SOLVE_TOL)
         if not sol_n.converged:
             raise InnerSolveFailed(step, "nuisance")
         nui = sol_n.argmin
-        sol_t = partial_minimize(f, split, "nuisance", nui, warm_start=theta, tol_grad=inner_tol)
+        sol_t = partial_minimize(f, split, "nuisance", nui, warm_start=theta,
+                                 tol_grad=tol.JOINT_SOLVE_TOL)
         if not sol_t.converged:
             raise InnerSolveFailed(step, "target")
         e_prev = tt_half @ (theta - theta_star)
@@ -128,7 +121,6 @@ def ao_run(
         alpha_norms=np.asarray(alpha_norms),
         ppt_norm=geometry.ppt_norm,
         upsilon_star=upsilon_star,
-        split=split,
     )
 
 
@@ -140,8 +132,8 @@ def quad_ao_identity_check(
     On a strictly convex quadratic, the curvature-weighted target error is
     mapped by P P' at every step, exactly.
     """
-    geometry = contraction_matrix(BlockHessian.from_full(quad.curvature, split))
-    trace = ao_run(quad, split, theta0, n_steps, quad.minimizer, geometry=geometry)
+    geometry = contraction_matrix(quad.curvature, split)
+    trace = ao_run(quad, geometry, theta0, n_steps, quad.minimizer)
     ppt = geometry.p @ geometry.p.T
     theta_star = quad.minimizer[split.target_idx]
     worst = 0.0
@@ -194,8 +186,7 @@ def certify_convergence(
     if len(constants.radii) < 2:
         raise ValueError("certificate needs radii (r_theta, r_nui)")
     r_theta, r_nui = float(constants.radii[0]), float(constants.radii[1])
-    ppt, gap = geometry.ppt_norm, float(theta0_gap)
-    rho_star = ppt**0.5
+    ppt, rho_star, gap = geometry.ppt_norm, geometry.rho_star, float(theta0_gap)
     base = dict(start_gap=gap, ppt_norm=ppt, rho_star=rho_star, radii=(r_theta, r_nui))
     d_eff = constants.d_effective
     dltwb = d_eff * max(r_theta, r_nui)

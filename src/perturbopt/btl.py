@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD
 from .expansions import ConditionConstants
-from .numkit import BlockGeometry, BlockHessian, BlockSplit, contraction_matrix
+from .numkit import BlockGeometry
 from .objective import BlockIndex, SmoothObjective, SolveReport, newton_minimize
 
 __all__ = [
@@ -661,7 +661,7 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
 
 
 def _block_l2_constants(
-    g: ComparisonGraph, geometry: BlockGeometry, center, split, radii
+    g: ComparisonGraph, geometry: BlockGeometry, center, radii
 ) -> ConditionConstants:
     """Rigorous envelope of the Euclidean block constants in the square-root Fisher metrics.
 
@@ -673,7 +673,7 @@ def _block_l2_constants(
     F_nn, and tau3 the larger of the two.
     """
     in_target = np.zeros(g.n, dtype=bool)
-    in_target[split.target_idx] = True
+    in_target[geometry.split.target_idx] = True
     smin_t, smin_n = geometry.tt_smin, geometry.nn_smin
 
     r_theta, r_nui = float(radii[0]), float(radii[1])
@@ -701,7 +701,6 @@ def btl_condition_constants(
     center,
     radius=None,
     norm: str = "linf",
-    split: Optional[BlockSplit] = None,
     radii=None,
     geometry: Optional[BlockGeometry] = None,
 ):
@@ -711,10 +710,10 @@ def btl_condition_constants(
     per-edge interval sups: exact at radius 0, proven upper bounds at a
     positive radius, in the diagonal metric of the root of the expected
     penalized Hessian's diagonal at ``center``.
-    norm="l2": block constants for a target/nuisance split in the
-    square-root Fisher block metrics, returned as their rigorous envelope
-    only; pass the ``geometry`` of the Fisher matrix at ``center`` (from
-    ``contraction_matrix``) to reuse it, which leaves O(edges) work per call.
+    norm="l2": block constants in the square-root Fisher block metrics of
+    ``geometry``, the ``contraction_matrix`` of the expected Fisher matrix at
+    ``center`` under a target/nuisance split, returned as their rigorous
+    envelope only; O(edges) work per call.
     A negative or NaN radius is refused; an infinite one is a valid bound.
     """
     center = np.asarray(center, dtype=float)
@@ -730,14 +729,14 @@ def btl_condition_constants(
         d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
         return _linf_constants(graph, center, float(radius), d_scales)
     if norm == "l2":
-        if split is None or radii is None:
-            raise ValueError("block constants need a split and radii (r_theta, r_nui)")
+        if geometry is None or radii is None:
+            raise ValueError("block constants need a geometry and radii (r_theta, r_nui)")
         if len(radii) != 2 or not all(float(r) >= 0.0 for r in radii):
             raise ValueError(f"the radii must be two numbers >= 0, got {tuple(radii)}")
-        if geometry is None:
-            obj = btl_objective(graph, penalty, mode="expected", truth=center)
-            geometry = contraction_matrix(BlockHessian.from_full(obj.hessian(center), split))
-        return _block_l2_constants(graph, geometry, center, split, radii)
+        if geometry.split.dim != graph.n:
+            raise DimensionMismatch(f"geometry split covers {geometry.split.dim} coordinates, "
+                                    f"graph has {graph.n} items")
+        return _block_l2_constants(graph, geometry, center, radii)
     raise ValueError(f"unknown norm {norm!r}")
 
 

@@ -13,10 +13,6 @@ class SingularMatrix(NumericsError):
     """A negative matrix power was requested at a numerically singular matrix."""
 
 
-class SingularBlock(SingularMatrix):
-    """A diagonal block of a block Hessian is numerically singular."""
-
-
 class NoConvergence(NumericsError):
     """An iterative routine hit its iteration cap without meeting tolerance."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, DltwbTooLarge
-from .numkit import BlockHessian, BlockSplit, check_symmetric, contraction_matrix, spd_solve
+from .numkit import BlockSplit, check_symmetric, contraction_matrix, spd_solve
 from .objective import (
     LinearPerturbation,
     SeparablePerturbation,
@@ -213,7 +213,7 @@ def _marginal_setup(f, split, nui_values, constants, upsilon_star):
     """
     if constants.norm_tag != "l2":
         raise ValueError("the partial bounds are proven in the l2 block metrics only")
-    geometry = contraction_matrix(BlockHessian.from_full(f.hessian(upsilon_star), split))
+    geometry = contraction_matrix(f.hessian(upsilon_star), split)
     nui_star = upsilon_star[split.nuisance_idx]
     h_norms = [float(np.linalg.norm(geometry.nn_half @ (np.asarray(nu, dtype=float) - nui_star)))
                for nu in nui_values]
@@ -222,9 +222,8 @@ def _marginal_setup(f, split, nui_values, constants, upsilon_star):
     dltwb = d21 * r_circ
     if dltwb >= 1.0:
         raise DltwbTooLarge(f"dltwb = {dltwb:.4f} >= 1")
-    rho_star = geometry.ppt_norm**0.5
-    rho2 = 1.5 * (rho_star + d12 * r_circ / 2.0) / (1.0 - dltwb)
-    delta_nano = (rho_star * d21 + d12 / 2.0 + rho2**2 * t3 / 3.0) / (1.0 - dltwb)
+    rho2 = 1.5 * (geometry.rho_star + d12 * r_circ / 2.0) / (1.0 - dltwb)
+    delta_nano = (geometry.rho_star * d21 + d12 / 2.0 + rho2**2 * t3 / 3.0) / (1.0 - dltwb)
     rows = [(h, {"rho2_t3_r": bool(rho2 * t3 * r_circ <= 2.0 / 3.0),
                  "offset_in_radius": not constants.radii or h <= constants.radii[-1]})
             for h in h_norms]
@@ -250,7 +249,6 @@ def check_partial_bias(
     """
     geometry, f_inv_d_norm, rows, rho2, delta_nano, stationary = _marginal_setup(
         f, split, nui_values, constants, upsilon_star)
-    bh = geometry.blocks
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
 
@@ -261,7 +259,7 @@ def check_partial_bias(
                                tol_grad=tol.JOINT_SOLVE_TOL)
         solved = stationary and sol.converged
         theta_nu = sol.argmin
-        linear_term = spd_solve(bh.f_tt, bh.f_tn @ (nu - nui_star))
+        linear_term = spd_solve(geometry.f_tt, geometry.f_tn @ (nu - nui_star))
         remainder = float(np.linalg.norm(theta_nu - theta_star + linear_term))
         leading = float(np.linalg.norm(linear_term))
         bound = f_inv_d_norm * delta_nano * h_norm**2
@@ -437,14 +435,13 @@ def check_perturbed_partial(
         raise DimensionMismatch("target perturbation length differs from target block size")
     geometry, f_inv_d_norm, rows, rho2, delta_nano, stationary = _marginal_setup(
         f, split, nui_values, constants, upsilon_star)
-    bh = geometry.blocks
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
     a_full = np.zeros(f.dim)
     a_full[split.target_idx] = a_target
     g = LinearPerturbation(f, a_full)
 
-    f_inv_a = spd_solve(bh.f_tt, a_target)
+    f_inv_a = spd_solve(geometry.f_tt, a_target)
     d_f_inv_a = float(np.linalg.norm(geometry.tt_half @ f_inv_a))
     d_inv_a = float(np.linalg.norm(geometry.tt_inv_half @ a_target))
 
@@ -457,7 +454,7 @@ def check_perturbed_partial(
                                tol_grad=tol.JOINT_SOLVE_TOL)
         solved = stationary and sol.converged
         theta_circ = sol.argmin
-        linear_term = spd_solve(bh.f_tt, bh.f_tn @ (nu - nui_star))
+        linear_term = spd_solve(geometry.f_tt, geometry.f_tn @ (nu - nui_star))
         remainder = float(np.linalg.norm(theta_circ - theta_star + linear_term + f_inv_a))
         leading = float(np.linalg.norm(linear_term + f_inv_a))
         bound = f_inv_d_norm * (

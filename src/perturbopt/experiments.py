@@ -44,7 +44,7 @@ from .expansions import (
     check_linear_sup_expansion,
     rho_dual,
 )
-from .numkit import BlockHessian, BlockSplit, contraction_matrix, spd_solve
+from .numkit import BlockSplit, contraction_matrix, spd_solve
 from .objective import QuadraticObjective, newton_minimize
 
 __all__ = [
@@ -322,7 +322,7 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
         f = QuadraticObjective(ups_star, fisher)
 
     split = BlockSplit.half(n)
-    geometry = contraction_matrix(BlockHessian.from_full(fisher, split))
+    geometry = contraction_matrix(fisher, split)
     direction = geometry.tt_inv_half @ geometry.top_direction
     direction = direction / np.abs(direction).max() * cfg.gap
     theta_star = ups_star[split.target_idx]
@@ -330,25 +330,23 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     d_gap = float(np.linalg.norm(geometry.tt_half @ direction))
 
     def constants_on(radii):
-        return btl_condition_constants(graph, cfg.penalty, ups_star, norm="l2", split=split,
-                                       radii=radii, geometry=geometry)
+        return btl_condition_constants(graph, cfg.penalty, ups_star, norm="l2", radii=radii,
+                                       geometry=geometry)
 
-    rho_star_value = geometry.ppt_norm**0.5  # ||P||, the rho_star of the square-root metrics
-    radii = fixed_point_radii(constants_on((0.0, 0.0)), rho_star_value, d_gap)
+    radii = fixed_point_radii(constants_on((0.0, 0.0)), geometry.rho_star, d_gap)
     if radii is None:  # the radius search left the damping range: nothing to certify on
         certificate = AoCertificate(start_gap=d_gap, ppt_norm=geometry.ppt_norm,
-                                    rho_star=rho_star_value,
+                                    rho_star=geometry.rho_star,
                                     conditions_hold={"radii_feasible": False})
     else:
         constants = constants_on(radii)
-        refined = fixed_point_radii(constants, rho_star_value, d_gap)
+        refined = fixed_point_radii(constants, geometry.rho_star, d_gap)
         if refined is not None:
             constants = constants_on(refined)
         certificate = certify_convergence(geometry, constants, d_gap)
 
     try:
-        trace = ao_run(f, split, theta0, cfg.steps, ups_star, inner_tol=tol.JOINT_SOLVE_TOL,
-                       geometry=geometry)
+        trace = ao_run(f, geometry, theta0, cfg.steps, ups_star)
     except InnerSolveFailed:
         return AoRepResult(record=record, certificate=certificate, reason="inner_solve_failed")
     rate = estimate_rate(trace.theta_err_norms, burn_in=tol.AO_BURN_IN)

@@ -17,14 +17,12 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
     RhoNotLessThanOne,
-    SingularBlock,
     SingularMatrix,
 )
 
 __all__ = [
     "check_symmetric",
     "BlockSplit",
-    "BlockHessian",
     "BlockGeometry",
     "NeumannReport",
     "DerivativeCheck",
@@ -107,41 +105,6 @@ class BlockSplit:
         return x
 
 
-@dataclass(frozen=True)
-class BlockHessian:
-    """Blocks of a symmetric curvature matrix under a target/nuisance split."""
-
-    f_tt: np.ndarray
-    f_tn: np.ndarray
-    f_nn: np.ndarray
-
-    def __post_init__(self):
-        ftt = check_symmetric(self.f_tt)
-        fnn = check_symmetric(self.f_nn)
-        ftn = np.atleast_2d(np.asarray(self.f_tn, dtype=float))
-        if ftn.shape != (ftt.shape[0], fnn.shape[0]):
-            raise DimensionMismatch(
-                f"cross block has shape {ftn.shape}, expected {(ftt.shape[0], fnn.shape[0])}"
-            )
-        object.__setattr__(self, "f_tt", ftt)
-        object.__setattr__(self, "f_tn", ftn)
-        object.__setattr__(self, "f_nn", fnn)
-
-    @classmethod
-    def from_full(cls, full, split: BlockSplit) -> "BlockHessian":
-        f = check_symmetric(full)
-        t, s = split.target_idx, split.nuisance_idx
-        return cls(f[np.ix_(t, t)], f[np.ix_(t, s)], f[np.ix_(s, s)])
-
-    @property
-    def p(self) -> int:
-        return self.f_tt.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.f_nn.shape[0]
-
-
 def spd_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK potrf/potrs).
 
@@ -164,14 +127,17 @@ def spd_solve(a, b) -> np.ndarray:
     return x
 
 
-def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix: ascending values, orthonormal columns."""
-    a = check_symmetric(a)
+def _eigh(a):
+    """``np.linalg.eigh`` of a matrix already known symmetric; NoConvergence when it fails."""
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    return w, v
+
+
+def sym_eig(a):
+    """Eigendecomposition of a symmetric matrix: ascending values, orthonormal columns."""
+    return _eigh(check_symmetric(a))
 
 
 def _powered(w, v, exponent: float) -> np.ndarray:
@@ -214,45 +180,57 @@ def spectral_norm(m) -> float:
 class BlockGeometry:
     """What the alternating-minimization theory reads off one block Hessian.
 
-    ``p`` is P = f_tt^{-1/2} f_tn f_nn^{-1/2}.  ``ppt_norm`` = ||PP'|| is the
-    largest eigenvalue of PP' and ``top_direction`` a unit eigenvector for
-    it.  ``tt_half``/``nn_half`` are the square-root metrics f_tt^{1/2} and
+    ``f_tt``/``f_tn``/``f_nn`` are the blocks of the symmetrized Hessian
+    under ``split``.  ``p`` is P = f_tt^{-1/2} f_tn f_nn^{-1/2}.
+    ``ppt_norm`` = ||PP'|| is the largest eigenvalue of PP' and
+    ``top_direction`` a unit eigenvector for it; ``rho_star`` = ||P|| is its
+    root.  ``tt_half``/``nn_half`` are the square-root metrics f_tt^{1/2} and
     f_nn^{1/2}; ``tt_smin``/``nn_smin`` are their smallest singular values,
     the roots of the smallest eigenvalues of f_tt and f_nn.
     """
 
-    blocks: BlockHessian
+    split: BlockSplit
+    f_tt: np.ndarray
+    f_tn: np.ndarray
+    f_nn: np.ndarray
     tt_half: np.ndarray
     tt_inv_half: np.ndarray
     nn_half: np.ndarray
     nn_inv_half: np.ndarray
     p: np.ndarray
     ppt_norm: float
+    rho_star: float
     top_direction: np.ndarray
     tt_smin: float
     nn_smin: float
 
 
-def contraction_matrix(bh: BlockHessian) -> BlockGeometry:
-    """The block geometry of ``bh``: one eigendecomposition per diagonal block and one of PP'.
+def contraction_matrix(hessian, split: BlockSplit) -> BlockGeometry:
+    """The block geometry of ``hessian`` under ``split``.
 
-    The block powers equal ``psd_power`` of the blocks bit for bit.
+    Checks the whole matrix's symmetry once, then takes one
+    eigendecomposition per diagonal block and one of PP'.  The block powers
+    equal ``psd_power`` of the blocks bit for bit.  DimensionMismatch when
+    ``split`` does not cover the matrix.
     """
+    f = check_symmetric(hessian)
+    if split.dim != f.shape[0]:
+        raise DimensionMismatch(f"split covers {split.dim} coordinates, Hessian has {f.shape[0]}")
+    t, s = split.target_idx, split.nuisance_idx
+    f_tt, f_tn, f_nn = f[np.ix_(t, t)], f[np.ix_(t, s)], f[np.ix_(s, s)]
     halves = []
-    for block in (bh.f_tt, bh.f_nn):
-        w, v = sym_eig(block)
-        try:
-            # the inverse root refuses a w[0] at or below its positive floor
-            halves.append((_powered(w, v, 0.5), _powered(w, v, -0.5), float(np.sqrt(w[0]))))
-        except SingularMatrix as exc:
-            raise SingularBlock(str(exc)) from exc
+    for block in (f_tt, f_nn):
+        w, v = _eigh(block)
+        # the inverse root refuses a w[0] at or below its positive floor
+        halves.append((_powered(w, v, 0.5), _powered(w, v, -0.5), float(np.sqrt(w[0]))))
     (tt_half, tt_inv_half, tt_smin), (nn_half, nn_inv_half, nn_smin) = halves
-    p = tt_inv_half @ bh.f_tn @ nn_inv_half
+    p = tt_inv_half @ f_tn @ nn_inv_half
     w, v = np.linalg.eigh(p @ p.T)
+    ppt_norm = max(float(w[-1]), 0.0)
     return BlockGeometry(
-        blocks=bh, tt_half=tt_half, tt_inv_half=tt_inv_half, nn_half=nn_half,
-        nn_inv_half=nn_inv_half, p=p, ppt_norm=max(float(w[-1]), 0.0), top_direction=v[:, -1],
-        tt_smin=tt_smin, nn_smin=nn_smin,
+        split=split, f_tt=f_tt, f_tn=f_tn, f_nn=f_nn, tt_half=tt_half, tt_inv_half=tt_inv_half,
+        nn_half=nn_half, nn_inv_half=nn_inv_half, p=p, ppt_norm=ppt_norm,
+        rho_star=ppt_norm**0.5, top_direction=v[:, -1], tt_smin=tt_smin, nn_smin=nn_smin,
     )
 
 

@@ -8,7 +8,6 @@ from .ao import certify_convergence, estimate_rate, quad_ao_identity_check
 from .btl import PenaltySpec, btl_objective, fit_penalized_mle, sample_er_graph, sample_outcomes
 from .expansions import ConditionConstants, check_partial_bias, derived_constants, rho_dual
 from .numkit import (
-    BlockHessian,
     BlockSplit,
     contraction_matrix,
     finite_diff_check,
@@ -107,7 +106,7 @@ def run_selftest(seed: int = 1) -> int:
     )
 
     spd = _random_spd(rng, 4)
-    geometry = contraction_matrix(BlockHessian.from_full(spd, BlockSplit.half(4)))
+    geometry = contraction_matrix(spd, BlockSplit.half(4))
     cert = certify_convergence(geometry, ConditionConstants.zeros(radii=(1.0, 1.0)),
                                theta0_gap=0.5)
     check("quadratic certificate holds", cert.holds and cert.delta_nano == 0.0)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from perturbopt.numkit import check_symmetric
+from perturbopt.btl import btl_objective
+from perturbopt.numkit import check_symmetric, contraction_matrix
 from perturbopt.objective import SmoothObjective
 
 
@@ -60,3 +61,9 @@ def random_spd(rng, n, ridge=None):
     if ridge is None:
         ridge = 0.1 * n
     return check_symmetric(r @ r.T + ridge * np.eye(n))
+
+
+def expected_geometry(graph, penalty, center, split):
+    """Block geometry of the expected Fisher matrix at ``center``, as the l2 constants read it."""
+    fisher = btl_objective(graph, penalty, mode="expected", truth=center).hessian(center)
+    return contraction_matrix(fisher, split)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_spd
+from conftest import expected_geometry, random_spd
 from perturbopt.ao import quad_ao_identity_check
 from perturbopt.btl import (
     PenaltySpec,
@@ -209,8 +209,9 @@ def test_criterion_9_quadratic_remainder_scaling():
         f = btl_objective(graph, penalty, mode="expected", truth=truth)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        block_consts = btl_condition_constants(graph, penalty, ups_star, norm="l2",
-                                               split=split, radii=(0.5, 0.5))
+        block_consts = btl_condition_constants(
+            graph, penalty, ups_star, norm="l2", radii=(0.5, 0.5),
+            geometry=expected_geometry(graph, penalty, ups_star, split))
         sup_consts = btl_condition_constants(graph, penalty, ups_star, radius=0.5,
                                              norm="linf")
         nui_star = ups_star[split.nuisance_idx]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import expected_geometry, random_spd
 from perturbopt.ao import (
     ao_run,
     certify_convergence,
@@ -23,7 +23,6 @@ from perturbopt.btl import (
 from perturbopt.errors import InsufficientSteps
 from perturbopt.expansions import ConditionConstants
 from perturbopt.numkit import (
-    BlockHessian,
     BlockSplit,
     contraction_matrix,
     psd_power,
@@ -50,8 +49,8 @@ def _btl_setup(n=20, L=3, gsq=5.0, seed=7):
 class TestAoRun:
     def test_two_by_two_geometric_decay(self):
         quad = _coupled_quadratic()
-        split = BlockSplit(np.array([0]), np.array([1]))
-        trace = ao_run(quad, split, np.array([1.0]), 3, upsilon_star=quad.minimizer)
+        geometry = contraction_matrix(quad.curvature, BlockSplit(np.array([0]), np.array([1])))
+        trace = ao_run(quad, geometry, np.array([1.0]), 3, upsilon_star=quad.minimizer)
         iterates = [float(t[0]) for t in trace.theta_iterates]
         np.testing.assert_allclose(iterates, [1.0, 0.25, 0.0625, 0.015625], atol=1e-12)
         assert trace.ppt_norm == pytest.approx(0.25, abs=1e-10)
@@ -64,21 +63,24 @@ class TestAoRun:
         quad = QuadraticObjective(rng.standard_normal(4), curv)
         split = BlockSplit.half(4)
         theta0 = quad.minimizer[:2] + rng.standard_normal(2)
-        trace = ao_run(quad, split, theta0, 2, upsilon_star=quad.minimizer)
+        trace = ao_run(quad, contraction_matrix(quad.curvature, split), theta0, 2,
+                       upsilon_star=quad.minimizer)
         assert trace.theta_err_norms[1] <= 1e-10
 
     def test_btl_error_norms_decrease(self):
         f, ups_star = _btl_setup()
         split = BlockSplit.half(20)
         theta0 = ups_star[split.target_idx] + 0.05
-        trace = ao_run(f, split, theta0, 6, upsilon_star=ups_star)
+        trace = ao_run(f, contraction_matrix(f.hessian(ups_star), split), theta0, 6,
+                       upsilon_star=ups_star)
         assert np.all(np.diff(trace.theta_err_norms) < 0)
 
     def test_objective_monotone_along_alternation(self):
         f, ups_star = _btl_setup(n=10, seed=3)
         split = BlockSplit.half(10)
         theta_prev = ups_star[split.target_idx] + 0.2
-        trace = ao_run(f, split, theta_prev, 4, upsilon_star=ups_star)
+        trace = ao_run(f, contraction_matrix(f.hessian(ups_star), split), theta_prev, 4,
+                       upsilon_star=ups_star)
         slack = 1e-9
         for step in range(trace.steps):
             nui = trace.nui_iterates[step]
@@ -100,7 +102,8 @@ class TestAoRun:
 
         split = BlockSplit(np.array([9, 2, 5, 12, 0, 7]), np.array([1, 3, 4, 6, 8, 10, 11, 13]))
         theta0 = ups_star[split.target_idx] + 0.3
-        traces = [ao_run(g, split, theta0, 5, upsilon_star=ups_star) for g in (f, Plain())]
+        geometry = contraction_matrix(f.hessian(ups_star), split)
+        traces = [ao_run(g, geometry, theta0, 5, upsilon_star=ups_star) for g in (f, Plain())]
         for a, b in zip(*(t.theta_iterates + t.nui_iterates for t in traces)):
             assert a.tobytes() == b.tobytes()
         assert traces[0].theta_err_norms.tobytes() == traces[1].theta_err_norms.tobytes()
@@ -138,21 +141,21 @@ class TestQuadraticIdentity:
 class TestCertificate:
     def test_quadratic_certificate(self):
         rng = np.random.default_rng(4)
-        bh = BlockHessian.from_full(random_spd(rng, 6), BlockSplit.half(6))
-        cert = certify_convergence(contraction_matrix(bh),
+        geometry = contraction_matrix(random_spd(rng, 6), BlockSplit.half(6))
+        cert = certify_convergence(geometry,
                                    ConditionConstants.zeros(radii=(5.0, 5.0)), theta0_gap=2.0)
         assert cert.holds
         assert cert.delta_nano == 0.0
         assert cert.rho2 == pytest.approx(1.5 * cert.rho_star)
         # rho_star is the spectral norm of the cross block in the square-root metrics
-        scaled = psd_power(bh.f_tt, -0.5) @ bh.f_tn @ psd_power(bh.f_nn, -0.5)
+        scaled = psd_power(geometry.f_tt, -0.5) @ geometry.f_tn @ psd_power(geometry.f_nn, -0.5)
         assert cert.rho_star == pytest.approx(spectral_norm(scaled), rel=1e-13)
 
     def test_unit_contraction_norm_fails(self):
         # a singular full matrix with positive diagonal blocks: coupling norm is 1
         full = np.array([[1.0, 1.0], [1.0, 1.0]])
-        bh = BlockHessian.from_full(full, BlockSplit(np.array([0]), np.array([1])))
-        cert = certify_convergence(contraction_matrix(bh),
+        geometry = contraction_matrix(full, BlockSplit(np.array([0]), np.array([1])))
+        cert = certify_convergence(geometry,
                                    ConditionConstants.zeros(radii=(10.0, 10.0)), theta0_gap=1.0)
         assert cert.ppt_norm == pytest.approx(1.0, abs=1e-12)
         assert not cert.holds
@@ -160,10 +163,10 @@ class TestCertificate:
 
     def test_scalar_reevaluation_oracle(self):
         rng = np.random.default_rng(5)
-        bh = BlockHessian.from_full(random_spd(rng, 8), BlockSplit.half(8))
+        geometry = contraction_matrix(random_spd(rng, 8), BlockSplit.half(8))
         consts = ConditionConstants(0.4, 0.2, 0.3, radii=(0.6, 0.5))
         gap = 0.25
-        cert = certify_convergence(contraction_matrix(bh), consts, gap)
+        cert = certify_convergence(geometry, consts, gap)
         # recompute every inequality from the stored scalars
         d_eff = max(consts.d12, consts.d21)
         dltwb = d_eff * max(consts.radii)
@@ -183,8 +186,7 @@ class TestCertificate:
 
     def test_large_damping_scalar_fails_alone(self):
         rng = np.random.default_rng(6)
-        bh = BlockHessian.from_full(random_spd(rng, 4), BlockSplit.half(4))
-        cert = certify_convergence(contraction_matrix(bh),
+        cert = certify_convergence(contraction_matrix(random_spd(rng, 4), BlockSplit.half(4)),
                                    ConditionConstants(0.0, 2.0, 1.0, radii=(0.5, 0.25)), 0.1)
         assert cert.conditions_hold == {"dltwb_lt_1": False}
         assert cert.dltwb == 1.0 and np.isnan(cert.rho2) and np.isnan(cert.delta_nano)
@@ -196,7 +198,8 @@ class TestEpsAlphaResiduals:
         quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
         split = BlockSplit.half(6)
         theta0 = quad.minimizer[:3] + rng.standard_normal(3)
-        trace = ao_run(quad, split, theta0, 4, upsilon_star=quad.minimizer)
+        trace = ao_run(quad, contraction_matrix(quad.curvature, split), theta0, 4,
+                       upsilon_star=quad.minimizer)
         assert trace.eps_norms.max() <= 1e-10
         assert trace.alpha_norms.max() <= 1e-10
 
@@ -204,13 +207,14 @@ class TestEpsAlphaResiduals:
         f, ups_star = _btl_setup()
         n = 20
         split = BlockSplit.half(n)
-        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(ups_star), split))
-        consts = btl_condition_constants(f.graph, f.penalty, ups_star, norm="l2", split=split,
-                                         radii=(0.3, 0.3))
+        geometry = contraction_matrix(f.hessian(ups_star), split)
+        consts = btl_condition_constants(
+            f.graph, f.penalty, ups_star, norm="l2", radii=(0.3, 0.3),
+            geometry=expected_geometry(f.graph, f.penalty, ups_star, split))
         gap_dir = np.full(split.p, 0.02)
         theta0 = ups_star[split.target_idx] + gap_dir
         cert = certify_convergence(geometry, consts, np.linalg.norm(geometry.tt_half @ gap_dir))
-        trace = ao_run(f, split, theta0, 5, ups_star)
+        trace = ao_run(f, geometry, theta0, 5, ups_star)
         # curvature-weighted start errors coincide with the D-metric here
         prev = trace.theta_err_norms[:-1]
         eps = trace.eps_norms
@@ -278,12 +282,12 @@ class TestScalarsPinned:
     def test_btl_instances(self, n, seed):
         f, ups_star = _btl_setup(n=n, seed=seed)
         split = BlockSplit.half(n)
-        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(ups_star), split))
+        geometry = contraction_matrix(f.hessian(ups_star), split)
         rho_star = geometry.ppt_norm**0.5
         seen_feasible = seen_certified = False
         for radii in ((0.0, 0.0), (0.05, 0.1), (0.3, 0.2), (2.0, 2.0)):
             consts = btl_condition_constants(f.graph, f.penalty, ups_star, norm="l2",
-                                             split=split, radii=radii, geometry=geometry)
+                                             radii=radii, geometry=geometry)
             for gap in (1e-3, 0.02, 0.2):
                 got = fixed_point_radii(consts, rho_star, gap)
                 want = _radii_written_out(consts, rho_star, gap)
@@ -306,8 +310,8 @@ class TestScalarsPinned:
 class TestTraceExport:
     def test_csv_columns(self, tmp_path):
         quad = _coupled_quadratic()
-        split = BlockSplit(np.array([0]), np.array([1]))
-        trace = ao_run(quad, split, np.array([1.0]), 3, upsilon_star=quad.minimizer)
+        geometry = contraction_matrix(quad.curvature, BlockSplit(np.array([0]), np.array([1])))
+        trace = ao_run(quad, geometry, np.array([1.0]), 3, upsilon_star=quad.minimizer)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         lines = path.read_text().strip().splitlines()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from conftest import expected_geometry
 from perturbopt.btl import (
     BtlObjective,
     BtlObservation,
@@ -976,7 +977,8 @@ class TestConditionConstants:
         penalty = PenaltySpec.mean_shift(1.0)
         split = BlockSplit.half(8)
         envelope = btl_condition_constants(
-            g, penalty, center, norm="l2", split=split, radii=(0.3, 0.3),
+            g, penalty, center, norm="l2", radii=(0.3, 0.3),
+            geometry=expected_geometry(g, penalty, center, split),
         )
         # Monte Carlo floor: scaled third derivatives at the center along random
         # directions, in the square-root Fisher block metrics the envelope uses
@@ -1010,18 +1012,34 @@ class TestConditionConstants:
         penalty = PenaltySpec.mean_shift(1.0)
         with pytest.raises(ValueError, match="radius must be >= 0"):
             btl_condition_constants(graph, penalty, center, radius=bad, norm="linf")
+        geometry = expected_geometry(graph, penalty, center, BlockSplit.half(30))
         for radii in ((bad, 0.1), (0.1, bad)):
             with pytest.raises(ValueError, match="radii must be two numbers >= 0"):
-                btl_condition_constants(graph, penalty, center, norm="l2",
-                                        split=BlockSplit.half(30), radii=radii)
+                btl_condition_constants(graph, penalty, center, norm="l2", radii=radii,
+                                        geometry=geometry)
 
     def test_radii_must_be_a_pair(self):
         rng = np.random.default_rng(1)
         graph = sample_er_graph(10, 0.8, 3, rng)
+        penalty = PenaltySpec.mean_shift(1.0)
+        geometry = expected_geometry(graph, penalty, np.zeros(10), BlockSplit.half(10))
         for radii in ((0.5,), (0.5, 0.5, 0.5)):
             with pytest.raises(ValueError, match="radii must be two numbers >= 0"):
-                btl_condition_constants(graph, PenaltySpec.mean_shift(1.0), np.zeros(10),
-                                        norm="l2", split=BlockSplit.half(10), radii=radii)
+                btl_condition_constants(graph, penalty, np.zeros(10), norm="l2", radii=radii,
+                                        geometry=geometry)
+
+    def test_l2_geometry_must_cover_the_graph(self):
+        # the geometry of four items does not describe a graph of six
+        geometry = expected_geometry(_complete_graph(4, L=3), PenaltySpec(), np.zeros(4),
+                                     BlockSplit.half(4))
+        with pytest.raises(DimensionMismatch, match="covers 4 coordinates, graph has 6 items"):
+            btl_condition_constants(_complete_graph(6, L=3), PenaltySpec(), np.zeros(6),
+                                    norm="l2", radii=(0.1, 0.1), geometry=geometry)
+
+    def test_l2_constants_need_a_geometry(self):
+        with pytest.raises(ValueError, match="need a geometry and radii"):
+            btl_condition_constants(_complete_graph(4, L=3), PenaltySpec(), np.zeros(4),
+                                    norm="l2", radii=(0.1, 0.1))
 
     def test_infinite_radius_is_a_bound(self):
         rng = np.random.default_rng(1)
@@ -1031,11 +1049,11 @@ class TestConditionConstants:
         wide = btl_condition_constants(graph, penalty, center, radius=math.inf, norm="linf")
         near = btl_condition_constants(graph, penalty, center, radius=0.5, norm="linf")
         assert math.isfinite(wide.tau3) and wide.tau3 >= near.tau3
-        split = BlockSplit.half(30)
-        wide = btl_condition_constants(graph, penalty, center, norm="l2", split=split,
-                                       radii=(math.inf, math.inf))
-        near = btl_condition_constants(graph, penalty, center, norm="l2", split=split,
-                                       radii=(0.5, 0.5))
+        geometry = expected_geometry(graph, penalty, center, BlockSplit.half(30))
+        wide = btl_condition_constants(graph, penalty, center, norm="l2",
+                                       radii=(math.inf, math.inf), geometry=geometry)
+        near = btl_condition_constants(graph, penalty, center, norm="l2",
+                                       radii=(0.5, 0.5), geometry=geometry)
         assert math.isfinite(wide.tau3) and wide.tau3 >= near.tau3
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import expected_geometry, random_spd
 from perturbopt.btl import (
     PenaltySpec,
     btl_condition_constants,
@@ -31,7 +31,6 @@ from perturbopt.expansions import (
 )
 from perturbopt.experiments import diagnose_expansion
 from perturbopt.numkit import (
-    BlockHessian,
     BlockSplit,
     contraction_matrix,
     psd_power,
@@ -215,8 +214,9 @@ class TestPartialBias:
         graph, truth, f = _btl_expected(10, 50, seed=42)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.5, 0.5))
+        consts = btl_condition_constants(
+            graph, f.penalty, ups_star, norm="l2", radii=(0.5, 0.5),
+            geometry=expected_geometry(graph, f.penalty, ups_star, split))
         rng = np.random.default_rng(43)
         direction = rng.standard_normal(split.q)
         direction /= np.linalg.norm(direction)
@@ -236,8 +236,9 @@ class TestPartialBias:
         graph, truth, f = _btl_expected(10, 50, seed=8)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.5, 0.5))
+        consts = btl_condition_constants(
+            graph, f.penalty, ups_star, norm="l2", radii=(0.5, 0.5),
+            geometry=expected_geometry(graph, f.penalty, ups_star, split))
         rng = np.random.default_rng(9)
         direction = rng.standard_normal(split.q)
         direction /= np.linalg.norm(direction)
@@ -441,8 +442,9 @@ class TestPerturbedPartial:
         graph, truth, f = _btl_expected(8, 20, seed=21)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(8)
-        consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.4, 0.4))
+        consts = btl_condition_constants(
+            graph, f.penalty, ups_star, norm="l2", radii=(0.4, 0.4),
+            geometry=expected_geometry(graph, f.penalty, ups_star, split))
         nus = [ups_star[split.nuisance_idx] + 0.05 * rng.standard_normal(split.q)]
         with_zero = check_perturbed_partial(f, split, np.zeros(split.p), nus,
                                             consts, upsilon_star=ups_star)
@@ -455,8 +457,9 @@ class TestPerturbedPartial:
         graph, truth, f = _btl_expected(10, 50, seed=22)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(10)
-        consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2",
-                                         split=split, radii=(0.5, 0.5))
+        consts = btl_condition_constants(
+            graph, f.penalty, ups_star, norm="l2", radii=(0.5, 0.5),
+            geometry=expected_geometry(graph, f.penalty, ups_star, split))
         rng = np.random.default_rng(23)
         a_dir = rng.standard_normal(split.p)
         nu_dir = rng.standard_normal(split.q)
@@ -476,7 +479,7 @@ class TestPerturbedPartial:
         rng = np.random.default_rng(32)
         quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
         split = BlockSplit.half(6)
-        f_nn = BlockHessian.from_full(quad.curvature, split).f_nn
+        f_nn = contraction_matrix(quad.curvature, split).f_nn
         unit = rng.standard_normal(split.q)
         unit /= np.linalg.norm(unit)
         consts = ConditionConstants(0.0, 0.0, 2.0, radii=(0.1, 0.1))
@@ -509,8 +512,9 @@ class TestPartialMetrics:
         graph, truth, f = _btl_expected(n, 3, seed, gsq=5.0)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(n)
-        consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
-                                         radii=(0.1, 0.1))
+        consts = btl_condition_constants(
+            graph, f.penalty, ups_star, norm="l2", radii=(0.1, 0.1),
+            geometry=expected_geometry(graph, f.penalty, ups_star, split))
         rng = np.random.default_rng(seed)
         nui_star = ups_star[split.nuisance_idx]
         nus = [nui_star + s * rng.standard_normal(split.q) / math.sqrt(split.q)
@@ -556,17 +560,18 @@ class TestPartialMetrics:
         graph, truth, f = _btl_expected(n, 3, seed, gsq=5.0)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         split = BlockSplit.half(n)
-        geometry = contraction_matrix(BlockHessian.from_full(f.hessian(ups_star), split))
+        geometry = contraction_matrix(f.hessian(ups_star), split)
         rng = np.random.default_rng(seed)
         nui_star = ups_star[split.nuisance_idx]
         a_target = 0.05 * rng.standard_normal(split.p)
-        f_inv_a = spd_solve(geometry.blocks.f_tt, a_target)
+        f_inv_a = spd_solve(geometry.f_tt, a_target)
         d_f_inv_a = float(np.linalg.norm(geometry.tt_half @ f_inv_a))
         d_inv_a = float(np.linalg.norm(geometry.tt_inv_half @ a_target))
         f_inv_d = 1.0 / geometry.tt_smin
         for s in (0.05, 0.1, 0.2):
-            consts = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
-                                             radii=(s, s))
+            consts = btl_condition_constants(
+                graph, f.penalty, ups_star, norm="l2", radii=(s, s),
+                geometry=expected_geometry(graph, f.penalty, ups_star, split))
             tau3, d21 = consts.tau3, consts.d21
             rho2, delta_nano = _marginal_scalars(consts, geometry.ppt_norm**0.5, float(s))
             nus = [nui_star + s * rng.standard_normal(split.q) / math.sqrt(split.q)
@@ -608,7 +613,7 @@ class TestPartialMetrics:
         rng = np.random.default_rng(31)
         quad = QuadraticObjective(rng.standard_normal(6), random_spd(rng, 6))
         split = BlockSplit.half(6)
-        f_nn = BlockHessian.from_full(quad.curvature, split).f_nn
+        f_nn = contraction_matrix(quad.curvature, split).f_nn
         unit = rng.standard_normal(split.q)
         unit /= np.linalg.norm(unit)
         # an offset of H-norm 0.1 in H = F_nn^{1/2}
@@ -641,11 +646,11 @@ class TestSemiOrthogonality:
         curv = random_spd(rng, 4)
         quad = QuadraticObjective(rng.standard_normal(4), curv)
         split = BlockSplit.half(4)
-        bh = BlockHessian.from_full(curv, split)
+        geometry = contraction_matrix(curv, split)
         offset = rng.standard_normal(2)
         nus = [quad.minimizer[2:] + offset]
         rep = semi_orthogonality_probe(quad, split, nus, upsilon_star=quad.minimizer)
-        expected = np.linalg.norm(np.linalg.solve(bh.f_tt, bh.f_tn @ offset))
+        expected = np.linalg.norm(np.linalg.solve(geometry.f_tt, geometry.f_tn @ offset))
         assert rep.max_bias == pytest.approx(expected, rel=1e-8)
         assert not rep.semi_orthogonal
         assert rep.converged
@@ -695,8 +700,9 @@ class TestConvergenceGate:
         r_inf = SQRT2 * float(np.abs(a / scales).max()) / (1 - rho_dual(fisher, scales)[0])
         sup = btl_condition_constants(graph, f.penalty, ups_star, radius=r_inf, norm="linf")
         split = BlockSplit.half(8)
-        block = btl_condition_constants(graph, f.penalty, ups_star, norm="l2", split=split,
-                                        radii=(0.5, 0.5))
+        block = btl_condition_constants(
+            graph, f.penalty, ups_star, norm="l2", radii=(0.5, 0.5),
+            geometry=expected_geometry(graph, f.penalty, ups_star, split))
         nus = [ups_star[split.nuisance_idx] + 0.1 * rng.standard_normal(split.q)]
         a_target = 0.05 * rng.standard_normal(split.p)
         checkers = {

@@ -280,6 +280,17 @@ class TestAoStudy:
         assert len(calls["spectral_norm"]) == 0
         assert result.certificate.ppt_norm == result.record["ppT"]
 
+    def test_one_symmetry_check_per_replication(self, monkeypatch):
+        # the Fisher matrix is checked once, where contraction_matrix takes it in
+        calls = []
+        check = numkit.check_symmetric
+        monkeypatch.setattr(numkit, "check_symmetric",
+                            lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+        cfg = ExperimentConfig(n_list=(50,), reps=1, seed=1, L=3, gsq=5.0, gap=0.02, steps=8)
+        result = ao_replication(cfg, 50, 0)
+        assert result.trace is not None
+        assert len(calls) == 1
+
     def test_infeasible_radii_named_after_one_constants_call(self, monkeypatch):
         calls = []
         constants = experiments.btl_condition_constants

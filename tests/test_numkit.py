@@ -16,7 +16,6 @@ from perturbopt.errors import (
 )
 from perturbopt.numkit import (
     BlockGeometry,
-    BlockHessian,
     BlockSplit,
     check_symmetric,
     contraction_matrix,
@@ -27,6 +26,7 @@ from perturbopt.numkit import (
     spectral_norm,
     sym_eig,
 )
+from perturbopt import tolerances as tol
 from perturbopt.objective import QuadraticObjective
 
 
@@ -239,16 +239,15 @@ class TestBlockSplit:
 
 class TestContractionMatrix:
     def test_two_by_two(self):
-        bh = BlockHessian.from_full(np.array([[2.0, 1.0], [1.0, 2.0]]),
-                                    BlockSplit(np.array([0]), np.array([1])))
-        rep = contraction_matrix(bh)
+        rep = contraction_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                                 BlockSplit(np.array([0]), np.array([1])))
         np.testing.assert_allclose(rep.p, [[0.5]], atol=1e-12)
         assert rep.ppt_norm == pytest.approx(0.25, abs=1e-12)
         assert rep.ppt_norm < 1.0
 
     def test_block_diagonal(self):
         full = np.diag([1.0, 2.0, 3.0, 4.0])
-        rep = contraction_matrix(BlockHessian.from_full(full, BlockSplit.half(4)))
+        rep = contraction_matrix(full, BlockSplit.half(4))
         assert np.abs(rep.p).max() == 0.0
         assert rep.ppt_norm == 0.0
 
@@ -257,10 +256,9 @@ class TestContractionMatrix:
         rng = np.random.default_rng(6)
         for _ in range(10):
             full = random_spd(rng, 4)
-            bh = BlockHessian.from_full(full, BlockSplit.half(4))
-            rep = contraction_matrix(bh)
-            mid = psd_power(bh.f_tt, -0.5) @ bh.f_tn @ np.linalg.inv(bh.f_nn) \
-                @ bh.f_tn.T @ psd_power(bh.f_tt, -0.5)
+            rep = contraction_matrix(full, BlockSplit.half(4))
+            mid = psd_power(rep.f_tt, -0.5) @ rep.f_tn @ np.linalg.inv(rep.f_nn) \
+                @ rep.f_tn.T @ psd_power(rep.f_tt, -0.5)
             oracle = np.linalg.eigvalsh(check_symmetric(mid, rtol=1e-8)).max()
             assert rep.ppt_norm == pytest.approx(oracle, abs=1e-9)
             assert 0.0 <= rep.ppt_norm < 1.0  # strict for any SPD matrix
@@ -269,18 +267,18 @@ class TestContractionMatrix:
         rng = np.random.default_rng(7)
         full = random_spd(rng, 5)
         split = BlockSplit.half(5)
-        base = contraction_matrix(BlockHessian.from_full(full, split))
-        scaled = contraction_matrix(BlockHessian.from_full(3.7 * full, split))
+        base = contraction_matrix(full, split)
+        scaled = contraction_matrix(3.7 * full, split)
         np.testing.assert_allclose(scaled.p, base.p, atol=1e-10)
         assert scaled.ppt_norm == pytest.approx(base.ppt_norm, abs=1e-10)
 
     def test_returns_the_geometry(self):
         rng = np.random.default_rng(9)
-        bh = BlockHessian.from_full(random_spd(rng, 5), BlockSplit.half(5))
-        geometry = contraction_matrix(bh)
+        split = BlockSplit.half(5)
+        geometry = contraction_matrix(random_spd(rng, 5), split)
         assert isinstance(geometry, BlockGeometry)
-        assert geometry.blocks is bh
-        np.testing.assert_allclose(geometry.tt_half @ geometry.tt_half, bh.f_tt, atol=1e-12)
+        assert geometry.split is split
+        np.testing.assert_allclose(geometry.tt_half @ geometry.tt_half, geometry.f_tt, atol=1e-12)
         ppt = geometry.p @ geometry.p.T
         direction = geometry.top_direction
         assert np.linalg.norm(direction) == pytest.approx(1.0)
@@ -293,14 +291,13 @@ class TestContractionMatrix:
         full = random_spd(rng, dim)
         p = int(rng.integers(1, dim))
         perm = rng.permutation(dim)
-        bh = BlockHessian.from_full(full, BlockSplit(perm[:p], perm[p:]))
-        geometry = contraction_matrix(bh)
+        geometry = contraction_matrix(full, BlockSplit(perm[:p], perm[p:]))
         for got, block, exponent in (
-            (geometry.tt_half, bh.f_tt, 0.5), (geometry.tt_inv_half, bh.f_tt, -0.5),
-            (geometry.nn_half, bh.f_nn, 0.5), (geometry.nn_inv_half, bh.f_nn, -0.5),
+            (geometry.tt_half, geometry.f_tt, 0.5), (geometry.tt_inv_half, geometry.f_tt, -0.5),
+            (geometry.nn_half, geometry.f_nn, 0.5), (geometry.nn_inv_half, geometry.f_nn, -0.5),
         ):
             assert got.tobytes() == psd_power(block, exponent).tobytes()
-        p_matrix = psd_power(bh.f_tt, -0.5) @ bh.f_tn @ psd_power(bh.f_nn, -0.5)
+        p_matrix = psd_power(geometry.f_tt, -0.5) @ geometry.f_tn @ psd_power(geometry.f_nn, -0.5)
         assert geometry.p.tobytes() == p_matrix.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -308,7 +305,7 @@ class TestContractionMatrix:
     def test_ppt_norm_is_squared_spectral_norm(self, dim, seed):
         rng = np.random.default_rng(seed)
         split = BlockSplit.half(dim)
-        geometry = contraction_matrix(BlockHessian.from_full(random_spd(rng, dim), split))
+        geometry = contraction_matrix(random_spd(rng, dim), split)
         expected = spectral_norm(geometry.p) ** 2
         assert abs(geometry.ppt_norm - expected) <= 1e-12 * max(expected, 1e-300)
 
@@ -317,11 +314,10 @@ class TestContractionMatrix:
     def test_smallest_singular_values_of_the_metrics(self, dim, seed):
         # in M = F^{1/2}, M^{-1} F M^{-1} = I: the l2 constants need only smin(M)
         rng = np.random.default_rng(seed)
-        bh = BlockHessian.from_full(random_spd(rng, dim), BlockSplit.half(dim))
-        geometry = contraction_matrix(bh)
+        geometry = contraction_matrix(random_spd(rng, dim), BlockSplit.half(dim))
         for smin, half, inv_half, block in (
-            (geometry.tt_smin, geometry.tt_half, geometry.tt_inv_half, bh.f_tt),
-            (geometry.nn_smin, geometry.nn_half, geometry.nn_inv_half, bh.f_nn),
+            (geometry.tt_smin, geometry.tt_half, geometry.tt_inv_half, geometry.f_tt),
+            (geometry.nn_smin, geometry.nn_half, geometry.nn_inv_half, geometry.f_nn),
         ):
             singular = np.linalg.svd(half, compute_uv=False)
             assert smin == pytest.approx(singular.min(), rel=1e-12)
@@ -331,8 +327,61 @@ class TestContractionMatrix:
     def test_norm_is_squared_spectral(self):
         rng = np.random.default_rng(8)
         full = random_spd(rng, 6)
-        rep = contraction_matrix(BlockHessian.from_full(full, BlockSplit.half(6)))
+        rep = contraction_matrix(full, BlockSplit.half(6))
         assert rep.ppt_norm == pytest.approx(spectral_norm(rep.p) ** 2, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.booleans())
+    def test_geometry_bits_match_the_construction_written_out(self, dim, seed, asymmetric):
+        rng = np.random.default_rng(seed)
+        full = random_spd(rng, dim)
+        if asymmetric:  # within SYMMETRY_RTOL, so the symmetrizing path is taken
+            full = full + 0.1 * tol.SYMMETRY_RTOL * np.triu(rng.uniform(0.5, 1.0, (dim, dim)), 1)
+            assert full.tobytes() != full.T.tobytes()
+        p = int(rng.integers(1, dim))
+        perm = rng.permutation(dim)
+        split = BlockSplit(perm[:p], perm[p:])
+        geometry = contraction_matrix(full, split)
+
+        f = check_symmetric(full)
+        t, s = split.target_idx, split.nuisance_idx
+        f_tt, f_tn, f_nn = f[np.ix_(t, t)], f[np.ix_(t, s)], f[np.ix_(s, s)]
+        roots = []
+        for block in (f_tt, f_nn):
+            w, v = np.linalg.eigh(block)
+            roots.append(((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T, (v * w**-0.5) @ v.T,
+                          float(np.sqrt(w[0]))))
+        (tt_half, tt_inv_half, tt_smin), (nn_half, nn_inv_half, nn_smin) = roots
+        p_matrix = tt_inv_half @ f_tn @ nn_inv_half
+        w, v = np.linalg.eigh(p_matrix @ p_matrix.T)
+        ppt_norm = max(float(w[-1]), 0.0)
+        for got, want in (
+            (geometry.f_tt, f_tt), (geometry.f_tn, f_tn), (geometry.f_nn, f_nn),
+            (geometry.tt_half, tt_half), (geometry.tt_inv_half, tt_inv_half),
+            (geometry.nn_half, nn_half), (geometry.nn_inv_half, nn_inv_half),
+            (geometry.p, p_matrix), (geometry.top_direction, v[:, -1]),
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert (geometry.ppt_norm.hex(), geometry.tt_smin.hex(), geometry.nn_smin.hex()) == (
+            ppt_norm.hex(), tt_smin.hex(), nn_smin.hex())
+        assert geometry.split is split
+        assert geometry.rho_star.hex() == (geometry.ppt_norm ** 0.5).hex()
+
+    def test_split_must_cover_the_hessian(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(DimensionMismatch, match="split covers 4 coordinates, Hessian has 6"):
+            contraction_matrix(random_spd(rng, 6), BlockSplit.half(4))
+
+    def test_singular_diagonal_block_raises(self):
+        full = np.diag([1.0, 0.0, 2.0, 3.0])
+        with pytest.raises(SingularMatrix):
+            contraction_matrix(full, BlockSplit.half(4))
+
+    def test_asymmetric_hessian_refused(self):
+        full = np.eye(4)
+        full[0, 3] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            contraction_matrix(full, BlockSplit.half(4))
 
 
 def _random_unit_diag_contraction(rng, n, rho_target):
