@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InnerSolveFailed, InsufficientSteps
+from .errors import DimensionMismatch, InnerSolveFailed, InsufficientSteps
 from .expansions import ConditionConstants
 from .numkit import BlockGeometry, BlockSplit, contraction_matrix
 from .objective import QuadraticObjective, SmoothObjective, partial_minimize
@@ -43,6 +43,7 @@ class AoTrace:
     nui_err_norms: np.ndarray
     eps_norms: np.ndarray  # step residual norms against the exact quadratic map
     alpha_norms: np.ndarray
+    inner_iterations: np.ndarray  # Newton iterations per step: nuisance solve, target solve
     ppt_norm: float
     upsilon_star: np.ndarray
 
@@ -52,6 +53,8 @@ class AoTrace:
             raise ValueError("expected one more target iterate (the start) than steps")
         if self.theta_err_norms.shape[0] != steps + 1 or self.nui_err_norms.shape[0] != steps:
             raise ValueError("error-norm lengths inconsistent with the step count")
+        if self.inner_iterations.shape != (steps, 2):
+            raise ValueError("expected one (nuisance, target) iteration pair per step")
         if np.any(self.theta_err_norms < 0) or np.any(self.nui_err_norms < 0):
             raise ValueError("error norms must be nonnegative")
 
@@ -68,42 +71,53 @@ def ao_run(
     ``upsilon_star`` is the joint minimizer: the convergence statements
     measure distances to it, not to the last iterate.  ``geometry`` is that
     of the Hessian there (``contraction_matrix``); its split names the
-    blocks.  Each partial solve runs to ``tol.JOINT_SOLVE_TOL``.
+    blocks.  Each partial solve starts at the partial minimizer of the
+    quadratic model at ``upsilon_star``, the exact alternation map applied
+    to the current error, and runs until its gradient passes
+    ``tol.JOINT_SOLVE_TOL``; ``inner_iterations`` counts its Newton steps.
     """
     if n_steps < 1:
         raise ValueError("need at least one alternation step")
     split = geometry.split
     theta0 = np.asarray(theta0, dtype=float)
     upsilon_star = np.asarray(upsilon_star, dtype=float)
+    if theta0.shape != (split.p,):
+        raise DimensionMismatch(f"theta0 has shape {theta0.shape}, the target block {split.p}")
+    if upsilon_star.shape != (split.dim,):
+        raise DimensionMismatch(
+            f"upsilon_star has shape {upsilon_star.shape}, the split covers {split.dim}")
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
     tt_half, nn_half, p = geometry.tt_half, geometry.nn_half, geometry.p
 
     theta = theta0.copy()
-    nui_guess = nui_star.copy()
     thetas = [theta.copy()]
     nuis: list = []
-    theta_errs = [float(np.linalg.norm(tt_half @ (theta - theta_star)))]
+    e_prev = tt_half @ (theta - theta_star)
+    theta_errs = [float(np.linalg.norm(e_prev))]
     nui_errs: list = []
     eps_norms: list = []
     alpha_norms: list = []
+    inner: list = []
 
     for step in range(1, n_steps + 1):
-        sol_n = partial_minimize(f, split, "target", theta, warm_start=nui_guess,
+        # to first order the nuisance error is -P'e_prev and the next target error -P e_nui
+        sol_n = partial_minimize(f, split, "target", theta,
+                                 warm_start=nui_star - geometry.nn_inv_half @ (p.T @ e_prev),
                                  tol_grad=tol.JOINT_SOLVE_TOL)
         if not sol_n.converged:
             raise InnerSolveFailed(step, "nuisance")
         nui = sol_n.argmin
-        sol_t = partial_minimize(f, split, "nuisance", nui, warm_start=theta,
+        e_nui = nn_half @ (nui - nui_star)
+        sol_t = partial_minimize(f, split, "nuisance", nui,
+                                 warm_start=theta_star - geometry.tt_inv_half @ (p @ e_nui),
                                  tol_grad=tol.JOINT_SOLVE_TOL)
         if not sol_t.converged:
             raise InnerSolveFailed(step, "target")
-        e_prev = tt_half @ (theta - theta_star)
         theta = sol_t.argmin
-        nui_guess = nui
         thetas.append(theta.copy())
         nuis.append(nui.copy())
-        e_nui = nn_half @ (nui - nui_star)
+        inner.append((sol_n.iterations, sol_t.iterations))
         e_theta = tt_half @ (theta - theta_star)
         theta_errs.append(float(np.linalg.norm(e_theta)))
         nui_errs.append(float(np.linalg.norm(e_nui)))
@@ -111,6 +125,7 @@ def ao_run(
         # both vanish identically when the objective is quadratic
         eps_norms.append(float(np.linalg.norm(e_theta + p @ e_nui)))
         alpha_norms.append(float(np.linalg.norm(e_nui + p.T @ e_prev)))
+        e_prev = e_theta
 
     return AoTrace(
         theta_iterates=thetas,
@@ -119,6 +134,7 @@ def ao_run(
         nui_err_norms=np.asarray(nui_errs),
         eps_norms=np.asarray(eps_norms),
         alpha_norms=np.asarray(alpha_norms),
+        inner_iterations=np.asarray(inner, dtype=int),
         ppt_norm=geometry.ppt_norm,
         upsilon_star=upsilon_star,
     )

@@ -237,7 +237,8 @@ def newton_minimize(
     iterates that fail the gradient test, so a solve builds ``iterations``
     Hessians.  Converged means the gradient sup-norm fell to ``tol_grad``.  A
     non-positive-definite Hessian at an iterate raises HessianNotPD; running
-    out of iterations returns a report with ``converged=False``.
+    out of iterations returns a report with ``converged=False``.  A start
+    with a non-finite entry raises ValueError before any evaluation.
     """
     return _newton(f, x0, tol_grad, max_iter, block)
 
@@ -245,6 +246,8 @@ def newton_minimize(
 def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=None):
     """``newton_minimize`` from ``start``, the caller's ``f.evaluate(x0, block)`` if given."""
     x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the Newton start must be finite")
     fx, grad, hessian = f.evaluate(x, block) if start is None else start
     gnorm = float(np.abs(grad).max())
     iterations = 0
@@ -292,7 +295,9 @@ def partial_minimize(
 
     ``fixed_block`` names the block being *held*: fixing the nuisance solves
     the target subproblem and vice versa.  The solve is a block Newton solve
-    on the full vector; the report's argmin is the free-block vector.
+    on the full vector; the report's argmin is the free-block vector.  A
+    ``warm_start`` whose length is not the free block's raises
+    DimensionMismatch.
     """
     if fixed_block not in ("target", "nuisance"):
         raise ValueError("fixed_block must be 'target' or 'nuisance'")
@@ -300,9 +305,11 @@ def partial_minimize(
     free_target = fixed_block == "nuisance"
     free_idx, fixed_idx = ((split.target_idx, split.nuisance_idx) if free_target
                            else (split.nuisance_idx, split.target_idx))
-    if fixed_value.shape[0] != fixed_idx.size:
+    if fixed_value.shape != (fixed_idx.size,):
         raise DimensionMismatch("fixed values do not match fixed index count")
-    free = np.zeros(free_idx.size) if warm_start is None else warm_start
+    free = np.zeros(free_idx.size) if warm_start is None else np.asarray(warm_start, float)
+    if free.shape != (free_idx.size,):
+        raise DimensionMismatch(f"warm start has shape {free.shape}, free block {free_idx.size}")
     x0 = split.embed(free, fixed_value) if free_target else split.embed(fixed_value, free)
     report = newton_minimize(f, x0, tol_grad=tol_grad, max_iter=max_iter,
                              block=f.block_index(free_idx))

@@ -20,15 +20,21 @@ from perturbopt.btl import (
     sample_er_graph,
     sample_outcomes,
 )
-from perturbopt.errors import InsufficientSteps
+from perturbopt.errors import DimensionMismatch, InsufficientSteps
 from perturbopt.expansions import ConditionConstants
+from perturbopt.experiments import ExperimentConfig, ao_replication
 from perturbopt.numkit import (
     BlockSplit,
     contraction_matrix,
     psd_power,
     spectral_norm,
 )
-from perturbopt.objective import QuadraticObjective, SmoothObjective, newton_minimize
+from perturbopt.objective import (
+    QuadraticObjective,
+    SmoothObjective,
+    newton_minimize,
+    partial_minimize,
+)
 
 
 def _coupled_quadratic():
@@ -107,6 +113,88 @@ class TestAoRun:
         for a, b in zip(*(t.theta_iterates + t.nui_iterates for t in traces)):
             assert a.tobytes() == b.tobytes()
         assert traces[0].theta_err_norms.tobytes() == traces[1].theta_err_norms.tobytes()
+
+    def test_operand_lengths_checked(self):
+        f, ups_star = _btl_setup()
+        split = BlockSplit.half(20)
+        geometry = contraction_matrix(f.hessian(ups_star), split)
+        theta0 = ups_star[split.target_idx] + 0.05
+        with pytest.raises(DimensionMismatch, match="theta0"):
+            ao_run(f, geometry, theta0[:9], 3, ups_star)
+        with pytest.raises(DimensionMismatch, match="upsilon_star"):
+            ao_run(f, geometry, theta0, 3, ups_star[:19])
+        with pytest.raises(ValueError, match="finite"):
+            ao_run(f, geometry, np.full(split.p, np.nan), 3, ups_star)
+
+
+def _top_direction_start(geometry, theta_star, gap=0.02):
+    """``ao_replication``'s start: the slowest mode of PP', scaled to sup-norm ``gap``."""
+    direction = geometry.tt_inv_half @ geometry.top_direction
+    return theta_star + direction / np.abs(direction).max() * gap
+
+
+def _previous_iterate_errors(f, geometry, theta0, n_steps, ups_star):
+    """Error norms of the alternation with each solve started at the previous iterate
+    (the first nuisance solve at the joint minimizer's nuisance block)."""
+    split = geometry.split
+    theta_star, nui_star = ups_star[split.target_idx], ups_star[split.nuisance_idx]
+    theta, nui = theta0, nui_star
+    theta_errs = [np.linalg.norm(geometry.tt_half @ (theta - theta_star))]
+    nui_errs = []
+    for _ in range(n_steps):
+        sol_n = partial_minimize(f, split, "target", theta, warm_start=nui,
+                                 tol_grad=tol.JOINT_SOLVE_TOL)
+        nui = sol_n.argmin
+        sol_t = partial_minimize(f, split, "nuisance", nui, warm_start=theta,
+                                 tol_grad=tol.JOINT_SOLVE_TOL)
+        theta = sol_t.argmin
+        assert sol_n.converged and sol_t.converged
+        theta_errs.append(np.linalg.norm(geometry.tt_half @ (theta - theta_star)))
+        nui_errs.append(np.linalg.norm(geometry.nn_half @ (nui - nui_star)))
+    return np.array(theta_errs), np.array(nui_errs)
+
+
+class TestInnerSolveStart:
+    """Each partial solve starts at the quadratic model's partial minimizer."""
+
+    def test_quadratic_starts_are_the_partial_minimizers(self):
+        """On a quadratic the start is the exact partial minimizer: every solve passes the
+        gradient test at JOINT_SOLVE_TOL before any Newton step."""
+        rng = np.random.default_rng(12)
+        quad = _coupled_quadratic()
+        cases = [(quad, BlockSplit(np.array([0]), np.array([1])), np.array([1.0]))]
+        for dim in (4, 6, 9):
+            quad = QuadraticObjective(rng.standard_normal(dim), random_spd(rng, dim))
+            perm = rng.permutation(dim)
+            split = BlockSplit(perm[: dim // 2], perm[dim // 2:])
+            cases.append((quad, split, quad.minimizer[split.target_idx]
+                          + rng.standard_normal(split.p)))
+        for quad, split, theta0 in cases:
+            trace = ao_run(quad, contraction_matrix(quad.curvature, split), theta0, 5,
+                           quad.minimizer)
+            assert trace.inner_iterations.shape == (5, 2)
+            assert trace.inner_iterations.dtype.kind == "i"
+            assert not trace.inner_iterations.any()
+            assert quad_ao_identity_check(quad, split, theta0, n_steps=5) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_btl_trace_matches_previous_iterate_starts(self, n, seed):
+        f, ups_star = _btl_setup(n=n, L=3, gsq=5.0, seed=seed)
+        split = BlockSplit.half(n)
+        geometry = contraction_matrix(f.hessian(ups_star), split)
+        theta0 = _top_direction_start(geometry, ups_star[split.target_idx])
+        trace = ao_run(f, geometry, theta0, 8, ups_star)
+        theta_errs, nui_errs = _previous_iterate_errors(f, geometry, theta0, 8, ups_star)
+        np.testing.assert_allclose(trace.theta_err_norms, theta_errs, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(trace.nui_err_norms, nui_errs, rtol=0, atol=1e-11)
+
+    def test_inner_iterations_floor(self):
+        """One replication took about 40 inner Newton iterations from the previous iterate."""
+        cfg = ExperimentConfig(n_list=(50,), L=3, gsq=5.0, seed=1, reps=1)
+        result = ao_replication(cfg, 50, 0)
+        assert result.reason == "ok"
+        assert result.trace.inner_iterations.sum() <= 24
 
 
 class TestQuadraticIdentity:

@@ -181,6 +181,19 @@ class TestNewtonMinimize:
             assert rep.argmin[held].tobytes() == x0[held].tobytes()
             assert np.abs(f.gradient(rep.argmin)[free]).max() <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_refused_before_any_evaluation(self, bad):
+        f = _btl_instance(12, 2, seed=3)
+        evaluated = []
+        evaluate = f.evaluate
+        f.evaluate = lambda x, block=None: evaluated.append(x) or evaluate(x, block)
+        x0 = np.zeros(12)
+        x0[4] = bad
+        for block in (None, f.block_index(np.arange(6))):
+            with pytest.raises(ValueError, match="finite"):
+                newton_minimize(f, x0, tol_grad=1e-12, block=block)
+        assert evaluated == []
+
 
 class _SkewedHessian(SmoothObjective):
     """f(x) = x'Ax/2 + sum exp(x_i) - b'x, whose Hessian carries ``skew`` at entry (0, 1)."""
@@ -296,6 +309,32 @@ class TestPartialMinimize:
             partial_minimize(quad, BlockSplit.half(2), "both", np.zeros(1))
         with pytest.raises(DimensionMismatch):
             partial_minimize(quad, BlockSplit.half(2), "nuisance", np.zeros(2))
+        for held in (0.5, np.zeros((1, 1))):
+            with pytest.raises(DimensionMismatch):
+                partial_minimize(quad, BlockSplit.half(2), "nuisance", held)
+
+    @pytest.mark.parametrize("fixed", ["target", "nuisance"])
+    def test_non_finite_warm_start_or_fixed_values_refused(self, fixed):
+        """Each of these ran all NEWTON_MAX_ITER iterations and reported no convergence."""
+        f = _btl_instance(20, 3, seed=7)
+        split = BlockSplit.half(20)
+        held = np.full(10, 0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            start = np.zeros(10)
+            start[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                partial_minimize(f, split, fixed, held, warm_start=start)
+        held[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            partial_minimize(f, split, fixed, held)
+
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_warm_start_of_another_length_refused(self, length):
+        f = _btl_instance(20, 3, seed=7)
+        for fixed in ("target", "nuisance"):
+            with pytest.raises(DimensionMismatch, match="warm start"):
+                partial_minimize(f, BlockSplit.half(20), fixed, np.zeros(10),
+                                 warm_start=np.zeros(length))
 
 
 class TestDerivativeContracts:
