@@ -15,14 +15,7 @@ import pathlib
 import time
 
 from perturbopt.cli import _keep_freed_heap
-from perturbopt.experiments import (
-    ExperimentConfig,
-    emit,
-    run_ao_study,
-    run_expansion_study,
-    run_rho_study,
-    summarize_by_n,
-)
+from perturbopt.experiments import STUDIES, ExperimentConfig, emit, run_study
 
 
 def main() -> None:
@@ -48,28 +41,16 @@ def main() -> None:
         return ExperimentConfig(n_list=items, reps=reps, seed=args.seed + seed_offset, **knobs)
 
     t0 = time.time()
-    rho_cfg = config(n_list, 0)
-    rho_records = run_rho_study(rho_cfg, threads=args.threads)
-    emit(rho_records, "csv", outdir / "rho_study.csv", config=rho_cfg)
-    for n, stats in summarize_by_n(rho_records, "rho_dual_l2",
-                                   keep=lambda r: r["connected"]).items():
-        print(f"rho study n={n}: mean={stats['mean']:.6g} "
-              f"+/- 3sd={3 * stats['std']:.2g} (count {stats['count']})")
-
-    exp_cfg = config((args.expansion_n,), 10, reps=args.expansion_reps)
-    exp_records = run_expansion_study(exp_cfg, threads=args.threads)
-    emit(exp_records, "csv", outdir / "expansion_study.csv", config=exp_cfg)
-    lead = summarize_by_n(exp_records, "lead_fish", keep=lambda r: r["converged"])
-    rem = summarize_by_n(exp_records, "rem_fish", keep=lambda r: r["converged"])
-    for n in lead:
-        print(f"expansion study n={n}: leading mean={lead[n]['mean']:.4g} "
-              f"remainder mean={rem[n]['mean']:.4g}")
-
-    ao_cfg = config((20,), 20, L=3, gsq=5.0)
-    ao_records = run_ao_study(ao_cfg, threads=args.threads)
-    emit(ao_records, "csv", outdir / "ao_study.csv", config=ao_cfg)
-    certified = sum(r["cert_ok"] for r in ao_records)
-    print(f"ao study: certificate holds on {certified}/{len(ao_records)} replications")
+    configs = {  # each study's config; its records go to <study>_study.csv
+        "rho": config(n_list, 0),
+        "expansion": config((args.expansion_n,), 10, reps=args.expansion_reps),
+        "ao": config((20,), 20, L=3, gsq=5.0),
+    }
+    for name, cfg in configs.items():
+        records = run_study(STUDIES[name], cfg, threads=args.threads)
+        emit(records, "csv", outdir / f"{name}_study.csv", config=cfg)
+        for line in STUDIES[name].summary(records):
+            print(line)
     print(f"done in {time.time() - t0:.1f} s; CSV files in {outdir}/")
 
 

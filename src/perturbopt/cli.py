@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .ao import trace_to_csv
 from .btl import (
     BtlObservation,
@@ -32,14 +30,13 @@ from .btl import (
 )
 from .expansions import reports_to_csv
 from .experiments import (
+    STUDIES,
     ExperimentConfig,
+    Study,
     ao_replication,
     diagnose_expansion,
     emit,
-    run_ao_study,
-    run_expansion_study,
-    run_rho_study,
-    summarize_by_n,
+    run_study,
 )
 
 # the settings with no home in the library; every other default is the library's
@@ -102,8 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
         "alternating-minimization runs, and seeded studies.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    study = ["--n-list", "--reps", "--format", "--p-rule", "--L", "--gsq", "--penalty",
-             "--score-range", "--threads", "--seed"]
+    study_flags = ["--n-list", "--reps", "--format", "--p-rule", "--L", "--gsq", "--penalty",
+                   "--score-range", "--threads", "--seed"]
+    studies = {f"study-{name}": (f"run the {name} study", {"--out": "output path"},
+                                 study_flags + [_KEYS[field] for field in study.own_fields])
+               for name, study in STUDIES.items()}
     observations = {"--input": "observation CSV with columns j,m,N,S"}
     commands = {  # name: (help, file flags with their help, setting flags)
         "fit": ("fit penalized scores from an observation CSV",
@@ -115,10 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ["--penalty", "--gsq"]),
         "ao": ("one traced alternating-minimization instance", {"--out": "trace CSV path"},
                ["--n", "--gap", "--steps", "--L", "--gsq", "--surrogate", "--seed"]),
-        "study-rho": ("run the rho study", {"--out": "output path"}, study),
-        "study-expansion": ("run the expansion study", {"--out": "output path"}, study),
-        "study-ao": ("run the ao study", {"--out": "output path"},
-                     study + ["--gap", "--steps", "--surrogate"]),
+        **studies,
         "selftest": ("run the built-in invariant suite", {}, ["--seed"]),
     }
     for name, (text, files, flags) in commands.items():
@@ -294,22 +291,13 @@ def _cmd_ao(args) -> int:
     return 0
 
 
-def _cmd_study(args, kind: str) -> int:
+def _cmd_study(args, study: Study) -> int:
     settings = _settings(args)
     cfg = _experiment_config(settings)
-    runner, value_key, keep = {  # the runner, the summarised column, the records kept
-        "rho": (run_rho_study, "rho_dual_l2", lambda r: r["connected"]),
-        "expansion": (run_expansion_study, "rem_fish", lambda r: r["converged"]),
-        "ao": (run_ao_study, "rate", lambda r: not np.isnan(r["rate"])),
-    }[kind]
-    records = runner(cfg, threads=settings["threads"])
+    records = run_study(study, cfg, threads=settings["threads"])
     emit(records, settings["format"], args.out, config=cfg)
-    summary = summarize_by_n(records, value_key, keep=keep)
-    for n, stats in summary.items():
-        print(
-            f"{kind} study n={n}: {value_key} mean={stats['mean']:.6g} "
-            f"std={stats['std']:.3g} (count {stats['count']}, dropped {stats['dropped']})"
-        )
+    for line in study.summary(records):
+        print(line)
     print(f"wrote {len(records)} records -> {args.out}")
     return 0
 
@@ -352,11 +340,9 @@ def dispatch(argv) -> int:
         "fit": _cmd_fit,
         "diagnose": _cmd_diagnose,
         "ao": _cmd_ao,
-        "study-rho": lambda a: _cmd_study(a, "rho"),
-        "study-expansion": lambda a: _cmd_study(a, "expansion"),
-        "study-ao": lambda a: _cmd_study(a, "ao"),
         "selftest": _cmd_selftest,
-    }
+    } | {f"study-{name}": functools.partial(_cmd_study, study=study)
+         for name, study in STUDIES.items()}
     try:
         return handlers[args.subcommand](args)
     except InputError as exc:

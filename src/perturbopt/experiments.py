@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +49,11 @@ from .objective import QuadraticObjective, newton_minimize
 
 __all__ = [
     "ExperimentConfig",
-    "SCHEMAS",
+    "Study",
+    "STUDIES",
     "edge_probability",
     "replication_rng",
-    "run_rho_study",
-    "run_expansion_study",
+    "run_study",
     "run_ao_study",
     "rho_replication",
     "expansion_replication",
@@ -67,14 +67,6 @@ __all__ = [
 ]
 
 ARTIFACT_VERSION = "0.1.0"
-
-SCHEMAS = {
-    "rho": ["study", "n", "rep", "seed", "rho_dual", "rho_dual_l2", "connected",
-            "diag_dom_margin"],
-    "expansion": ["study", "n", "rep", "seed", "lead_fish", "lead_diag", "rem_fish",
-                  "rem_diag", "converged"],
-    "ao": ["study", "n", "rep", "seed", "ppT", "rate", "cert_ok", "steps"],
-}
 
 
 @dataclass(frozen=True)
@@ -143,6 +135,15 @@ def _sample_instance(cfg: ExperimentConfig, n: int, rep: int):
     return graph, truth, obs
 
 
+def _new_record(study: str, cfg: ExperimentConfig, n: int, rep: int, **cells) -> dict:
+    """A record in the registered columns of ``study``: the given ``cells``, and NaN
+    or false in the float and bool columns not given."""
+    record = {"study": study, "n": n, "rep": rep, "seed": cfg.seed}
+    for name, kind in STUDIES[study].columns[len(_KEY):]:
+        record[name] = cells[name] if name in cells else {float: math.nan, bool: False}[kind]
+    return record
+
+
 # ---------------------------------------------------------------------------
 # scaled cross-curvature study
 
@@ -161,23 +162,8 @@ def rho_replication(cfg: ExperimentConfig, n: int, rep: int) -> dict:
     exact, l2 = rho_dual(fisher, d)
     off = np.abs(fisher).sum(axis=1) - np.abs(np.diag(fisher))
     margin = float((np.diag(fisher) - off).min())
-    return {
-        "study": "rho",
-        "n": n,
-        "rep": rep,
-        "seed": cfg.seed,
-        "rho_dual": exact,
-        "rho_dual_l2": l2 * l2,
-        "connected": graph.connected,
-        "diag_dom_margin": margin,
-    }
-
-
-def run_rho_study(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
-    tasks = [(cfg, n, rep) for n in cfg.n_list for rep in range(cfg.reps)]
-    records = _pmap(rho_replication, tasks, threads)
-    records.sort(key=lambda r: (r["n"], r["rep"]))
-    return records
+    return _new_record("rho", cfg, n, rep, rho_dual=exact, rho_dual_l2=l2 * l2,
+                       connected=graph.connected, diag_dom_margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +180,7 @@ class ExpansionRepResult:
 def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
                           with_bounds: bool = False) -> ExpansionRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
-    record = {
-        "study": "expansion",
-        "n": n,
-        "rep": rep,
-        "seed": cfg.seed,
-        "lead_fish": float("nan"),
-        "lead_diag": float("nan"),
-        "rem_fish": float("nan"),
-        "rem_diag": float("nan"),
-        "converged": False,
-    }
+    record = _new_record("expansion", cfg, n, rep)
     if not graph.connected:
         return ExpansionRepResult(record=record)
     fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
@@ -270,17 +246,6 @@ def diagnose_expansion(
     return _sup_expansion_bounds(expected, ups_star, fisher, noise_gradient(obs, truth))
 
 
-def _expansion_record(cfg: ExperimentConfig, n: int, rep: int) -> dict:
-    return expansion_replication(cfg, n, rep).record
-
-
-def run_expansion_study(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
-    tasks = [(cfg, n, rep) for n in cfg.n_list for rep in range(cfg.reps)]
-    records = _pmap(_expansion_record, tasks, threads)
-    records.sort(key=lambda r: (r["n"], r["rep"]))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # alternating-minimization study
 
@@ -298,16 +263,7 @@ class AoRepResult:
 
 def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
-    record = {
-        "study": "ao",
-        "n": n,
-        "rep": rep,
-        "seed": cfg.seed,
-        "ppT": float("nan"),
-        "rate": float("nan"),
-        "cert_ok": False,
-        "steps": cfg.steps,
-    }
+    record = _new_record("ao", cfg, n, rep, steps=cfg.steps)
     if not graph.connected:
         return AoRepResult(record=record, reason="disconnected")
     if not mle_exists(obs):
@@ -354,27 +310,83 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     return AoRepResult(record=record, trace=trace, certificate=certificate)
 
 
-def _ao_record(cfg: ExperimentConfig, n: int, rep: int) -> dict:
-    return ao_replication(cfg, n, rep).record
+# ---------------------------------------------------------------------------
+# the study registry
 
 
-def run_ao_study(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
-    tasks = [(cfg, n, rep) for n in cfg.n_list for rep in range(cfg.reps)]
-    records = _pmap(_ao_record, tasks, threads)
+@dataclass(frozen=True)
+class Study:
+    """Everything the runner, ``emit``, ``parse_records``, the CLI and the figure
+    script know of one study.
+
+    ``record(cfg, n, rep)`` runs one replication and returns its record, whose
+    cells are ``columns``, ``(name, type)`` pairs in record order.  ``summary``
+    gives the moments of ``summarised`` over the records that ``keep`` accepts.
+    ``own_fields`` are the ExperimentConfig fields that only this study reads,
+    so only its subcommand takes them as flags.
+    """
+
+    name: str
+    record: Callable[[ExperimentConfig, int, int], dict]
+    columns: tuple
+    summarised: str
+    keep: Callable[[dict], bool]
+    own_fields: tuple = ()
+
+    @cached_property
+    def names(self) -> list[str]:
+        return [name for name, _ in self.columns]
+
+    def summary(self, records: Sequence[dict]) -> list[str]:
+        """One line per item count: the summarised column's moments over the kept records."""
+        return [f"{self.name} study n={n}: {self.summarised} mean={stats['mean']:.6g} "
+                f"std={stats['std']:.3g} (count {stats['count']}, dropped {stats['dropped']})"
+                for n, stats in summarize_by_n(records, self.summarised, self.keep).items()]
+
+
+# the columns that every study's record starts with
+_KEY = (("study", str), ("n", int), ("rep", int), ("seed", int))
+
+STUDIES = {study.name: study for study in (
+    Study("rho", rho_replication,
+          _KEY + (("rho_dual", float), ("rho_dual_l2", float), ("connected", bool),
+                  ("diag_dom_margin", float)),
+          "rho_dual_l2", lambda r: r["connected"]),
+    Study("expansion", lambda cfg, n, rep: expansion_replication(cfg, n, rep).record,
+          _KEY + (("lead_fish", float), ("lead_diag", float), ("rem_fish", float),
+                  ("rem_diag", float), ("converged", bool)),
+          "rem_fish", lambda r: r["converged"]),
+    Study("ao", lambda cfg, n, rep: ao_replication(cfg, n, rep).record,
+          _KEY + (("ppT", float), ("rate", float), ("cert_ok", bool), ("steps", int)),
+          "rate", lambda r: not math.isnan(r["rate"]), own_fields=("gap", "steps", "surrogate")),
+)}
+
+
+def _replicate(name: str, cfg: ExperimentConfig, n: int, rep: int) -> dict:
+    """One record of the study named ``name``: a process pool sends the name, not the
+    study, whose functions need not pickle."""
+    return STUDIES[name].record(cfg, n, rep)
+
+
+def run_study(study: Study, cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+    """Every replication's record, sorted by (n, rep); ``threads`` > 1 runs them in a
+    process pool, which changes no record."""
+    tasks = [(study.name, cfg, n, rep) for n in cfg.n_list for rep in range(cfg.reps)]
+    if threads <= 1 or len(tasks) <= 1:
+        records = [_replicate(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            records = [f.result() for f in [pool.submit(_replicate, *t) for t in tasks]]
     records.sort(key=lambda r: (r["n"], r["rep"]))
     return records
 
 
+def run_ao_study(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+    return run_study(STUDIES["ao"], cfg, threads)
+
+
 # ---------------------------------------------------------------------------
 # emission and summaries
-
-
-def _pmap(fn, tasks, threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def _format_cell(value) -> str:
@@ -388,19 +400,23 @@ def _format_cell(value) -> str:
 
 
 def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentConfig] = None) -> None:
-    """Write records as CSV (fixed column order) or JSON, plus a metadata sidecar."""
+    """Write one study's records as CSV (its registered columns) or JSON, plus a
+    metadata sidecar.  No records write the one-column header ``study``."""
     records = list(records)
     study = records[0]["study"] if records else None
-    columns = SCHEMAS.get(study, list(records[0].keys()) if records else ["study"])
+    if records and study not in STUDIES:
+        raise ValueError(f"no registered study {study!r}; the studies are {', '.join(STUDIES)}")
+    columns = STUDIES[study].columns if records else (("study", str),)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(columns)
+            writer.writerow([name for name, _ in columns])
             for rec in records:
-                writer.writerow([_format_cell(rec[c]) for c in columns])
+                writer.writerow([_format_cell(rec[name]) for name, _ in columns])
     elif fmt == "json":
+        # each cell as its column's plain Python type, NaN as null
         payload = [
-            {c: (None if _is_nan(rec[c]) else _plain(rec[c])) for c in columns}
+            {name: (None if _is_nan(rec[name]) else kind(rec[name])) for name, kind in columns}
             for rec in records
         ]
         with open(path, "w") as fh:
@@ -426,38 +442,47 @@ def _is_nan(v) -> bool:
     return isinstance(v, (float, np.floating)) and math.isnan(v)
 
 
-def _plain(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
-_BOOL_COLUMNS = {"connected", "converged", "cert_ok"}
-_INT_COLUMNS = {"n", "rep", "seed", "steps"}
+def _read_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(cell)
+    return cell == "true"
 
 
 def parse_records(path) -> list[dict]:
-    """Read a study CSV back with schema-typed cells."""
+    """Read a study CSV back, each cell as its column's type.
+
+    Each row's ``study`` cell names its registered study, and the header must
+    be that study's columns.  A bool cell is ``true`` or ``false``, an int cell
+    an integer and any other a float.  A header-only ``study`` file, which
+    ``emit`` writes for no records, reads as [].  Anything else raises a
+    ValueError naming the path and the line.
+    """
+    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
+        reader = csv.reader(fh)
+        header = next(reader, None)
         for row in reader:
-            rec = {}
-            for key, raw in row.items():
-                if key == "study":
-                    rec[key] = raw
-                elif key in _BOOL_COLUMNS:
-                    rec[key] = raw == "true"
-                elif key in _INT_COLUMNS:
-                    rec[key] = int(raw)
-                else:
-                    rec[key] = float(raw)
-            out.append(rec)
-    return out
+            where = f"{path}, line {reader.line_num}"
+            name = row[0] if row else ""
+            if name not in STUDIES:
+                raise ValueError(f"{where}: no registered study {name!r}")
+            study = STUDIES[name]
+            if header != study.names:
+                raise ValueError(f"{path}, line 1: the header is not the {study.name} "
+                                 f"study's columns {','.join(study.names)}")
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells under {len(header)} columns")
+            record = {}
+            for (name, kind), cell in zip(study.columns, row):
+                try:
+                    record[name] = _read_bool(cell) if kind is bool else kind(cell)
+                except ValueError:
+                    raise ValueError(f"{where}: {name}: cannot read {cell!r} as "
+                                     f"{kind.__name__}") from None
+            records.append(record)
+    if not records and header != ["study"]:
+        raise ValueError(f"{path}: no records, and the header is not the one-column 'study'")
+    return records
 
 
 def summarize_by_n(records: Sequence[dict], value_key: str,

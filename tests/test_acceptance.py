@@ -30,10 +30,11 @@ from perturbopt.expansions import (
     rho_dual,
 )
 from perturbopt.experiments import (
+    STUDIES,
     ExperimentConfig,
     ao_replication,
     expansion_replication,
-    run_rho_study,
+    run_study,
     summarize_by_n,
 )
 from perturbopt.numkit import BlockSplit, finite_diff_check, neumann_sup_bounds
@@ -117,7 +118,7 @@ def test_criterion_3_supnorm_expansion_split():
 def test_criterion_4_cross_curvature_trend():
     with criterion(4, "cross-curvature display decreasing with slope near -1", 600.0):
         cfg = ExperimentConfig(n_list=(100, 200, 400), reps=20, seed=5)
-        records = run_rho_study(cfg)
+        records = run_study(STUDIES["rho"], cfg)
         summary = summarize_by_n(records, "rho_dual_l2", keep=lambda r: r["connected"])
         means = [summary[n]["mean"] for n in cfg.n_list]
         assert means[0] > means[1] > means[2], f"means not decreasing: {means}"

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags, reproducibility, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -397,6 +398,20 @@ class TestAoCommand:
 
 
 class TestStudyCommands:
+    def test_subcommands_are_the_registered_studies(self):
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        studies = {name: parser for name, parser in sub.choices.items()
+                   if name.startswith("study-")}
+        assert list(studies) == [f"study-{name}" for name in experiments.STUDIES]
+        shared = {"--out", "--config", "--n-list", "--reps", "--format", "--p-rule", "--L",
+                  "--gsq", "--penalty", "--score-range", "--threads", "--seed"}
+        flags = {"study-rho": shared, "study-expansion": shared,
+                 "study-ao": shared | {"--gap", "--steps", "--surrogate"}}
+        for name, parser in studies.items():
+            options = {opt for action in parser._actions for opt in action.option_strings}
+            assert options - {"-h", "--help"} == flags[name], name
+
     def test_rho_study_deterministic(self, tmp_path, capsys):
         args = ["study-rho", "--n-list", "20", "--reps", "5", "--seed", "1",
                 "--threads", "1"]

@@ -14,7 +14,7 @@ from perturbopt.ao import estimate_rate
 from perturbopt.btl import BtlObservation, ComparisonGraph, PenaltySpec, noise_gradient, sigmoid
 from perturbopt.errors import InsufficientSteps
 from perturbopt.experiments import (
-    SCHEMAS,
+    STUDIES,
     ExperimentConfig,
     _sample_instance,
     ao_replication,
@@ -25,11 +25,30 @@ from perturbopt.experiments import (
     parse_records,
     replication_rng,
     rho_replication,
-    run_ao_study,
-    run_expansion_study,
-    run_rho_study,
+    run_study,
     summarize_by_n,
 )
+
+# one small config per registered study, each with replications that record
+# nothing (a disconnected design, no finite MLE) beside ones that do
+STUDY_CONFIGS = {
+    "rho": ExperimentConfig(n_list=(12, 20), p_rule=0.25, reps=3, seed=13),
+    "expansion": ExperimentConfig(n_list=(12, 20), p_rule=0.2, reps=2, seed=7, L=5),
+    "ao": ExperimentConfig(n_list=(10, 12), p_rule=0.4, reps=2, seed=8, L=3, gsq=5.0, steps=5),
+}
+
+
+class TestStudies:
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_records_deterministic_in_registered_columns(self, name):
+        study, cfg = STUDIES[name], STUDY_CONFIGS[name]
+        first = run_study(study, cfg)
+        np.testing.assert_equal(run_study(study, cfg), first)
+        assert [(r["n"], r["rep"]) for r in first] == [
+            (n, rep) for n in cfg.n_list for rep in range(cfg.reps)]
+        for rec in first:
+            assert rec["study"] == name and list(rec) == study.names
+            assert all(isinstance(rec[key], kind) for key, kind in study.columns), rec
 
 
 class TestConfig:
@@ -74,14 +93,6 @@ class TestConfig:
 
 
 class TestRhoStudy:
-    def test_record_schema_and_determinism(self):
-        cfg = ExperimentConfig(n_list=(30,), reps=5, seed=3)
-        first = run_rho_study(cfg)
-        second = run_rho_study(cfg)
-        assert first == second
-        assert len(first) == 5
-        assert list(first[0].keys()) == SCHEMAS["rho"]
-
     def test_execution_order_irrelevant(self):
         cfg = ExperimentConfig(n_list=(25,), reps=4, seed=9)
         ordered = [rho_replication(cfg, 25, rep) for rep in range(4)]
@@ -113,7 +124,7 @@ class TestRhoStudy:
 
     def test_disconnected_recorded_and_excluded(self):
         cfg = ExperimentConfig(n_list=(12,), p_rule=0.05, reps=10, seed=2)
-        records = run_rho_study(cfg)
+        records = run_study(STUDIES["rho"], cfg)
         assert len(records) == 10
         disconnected = [r for r in records if not r["connected"]]
         assert disconnected  # p this small leaves isolated vertices
@@ -138,9 +149,8 @@ class TestExpansionStudy:
 
     def test_study_records(self):
         cfg = ExperimentConfig(n_list=(20,), reps=3, seed=4)
-        records = run_expansion_study(cfg)
+        records = run_study(STUDIES["expansion"], cfg)
         assert len(records) == 3
-        assert list(records[0].keys()) == SCHEMAS["expansion"]
         for rec in records:
             if rec["converged"]:
                 assert rec["rem_fish"] < rec["lead_fish"]
@@ -303,46 +313,71 @@ class TestAoStudy:
         assert result.certificate.conditions_hold == {"radii_feasible": False}
         assert calls == [(0.0, 0.0)]  # no second call at infinite radii
 
-    def test_study_schema(self):
-        cfg = ExperimentConfig(n_list=(10,), reps=2, seed=8, L=3, gsq=5.0, steps=5)
-        records = run_ao_study(cfg)
-        assert len(records) == 2
-        assert list(records[0].keys()) == SCHEMAS["ao"]
-
 
 class TestEmit:
     def test_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit([], "csv", path)
         assert path.read_text().strip() == "study"
+        assert parse_records(path) == []
 
-    def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(n_list=(20,), reps=3, seed=10)
-        records = run_rho_study(cfg)
-        path = tmp_path / "rho.csv"
+    def test_unregistered_study_refused(self, tmp_path):
+        path = tmp_path / "other.csv"
+        with pytest.raises(ValueError, match="no registered study 'other'"):
+            emit([{"study": "other", "n": 3}], "csv", path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_round_trip(self, name, tmp_path):
+        cfg = STUDY_CONFIGS[name]
+        records = run_study(STUDIES[name], cfg)
+        path = tmp_path / f"{name}.csv"
         emit(records, "csv", path, config=cfg)
         parsed = parse_records(path)
-        assert len(parsed) == 3
+        assert len(parsed) == len(records)
         for a, b in zip(parsed, records):
             assert a.keys() == b.keys()
             for key in a:
                 if isinstance(b[key], float):
-                    assert a[key] == pytest.approx(b[key], rel=1e-15)
+                    assert a[key] == pytest.approx(b[key], rel=1e-15, nan_ok=True)
                 else:
                     assert a[key] == b[key]
 
+    _RHO = "study,n,rep,seed,rho_dual,rho_dual_l2,connected,diag_dom_margin\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (_RHO + "rho,12,0,4,2.2,0.45,True,-0.6\n", "line 2: connected: cannot read 'True' as bool"),
+        (_RHO + "rho,12,0,4,2.2,0.45,yes,-0.6\n", "line 2: connected: cannot read 'yes' as bool"),
+        (_RHO + "rho,12,0,4,2.2,0.45,true,-0.6\nrho,12,1.5,4,2.2,0.45,true,-0.6\n",
+         "line 3: rep: cannot read '1.5' as int"),
+        (_RHO + "rho,12,0,4,2.2,,true,-0.6\n", "line 2: rho_dual_l2: cannot read '' as float"),
+        (_RHO + "rho,12,0,4,2.2,0.45,true\n", "line 2: 7 cells under 8 columns"),
+        (_RHO + "ao,12,0,4,0.3,0.3,true,8\n", "line 1: the header is not the ao study's columns"),
+        (_RHO.replace("rho_dual,rho_dual_l2", "rho_dual_l2,rho_dual")
+         + "rho,12,0,4,2.2,0.45,true,-0.6\n", "line 1: the header is not the rho study's columns"),
+        (_RHO + "other,12,0,4,2.2,0.45,true,-0.6\n", "line 2: no registered study 'other'"),
+        (_RHO, "no records, and the header is not the one-column 'study'"),
+        ("", "no records, and the header is not the one-column 'study'"),
+    ])
+    def test_parse_records_refuses_a_bad_file(self, text, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_records(path)
+        assert str(info.value).startswith(str(path)) and message in str(info.value)
+
     def test_row_count_and_columns(self, tmp_path):
         cfg = ExperimentConfig(n_list=(20,), reps=3, seed=10)
-        records = run_rho_study(cfg)
+        records = run_study(STUDIES["rho"], cfg)
         path = tmp_path / "rho.csv"
         emit(records, "csv", path, config=cfg)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
-        assert lines[0] == ",".join(SCHEMAS["rho"])
+        assert lines[0] == ",".join(STUDIES["rho"].names)
 
     def test_json_mirror_and_sidecar(self, tmp_path):
         cfg = ExperimentConfig(n_list=(20,), reps=2, seed=11)
-        records = run_rho_study(cfg)
+        records = run_study(STUDIES["rho"], cfg)
         path = tmp_path / "rho.json"
         emit(records, "json", path, config=cfg)
         payload = json.loads(path.read_text())
@@ -355,8 +390,8 @@ class TestEmit:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig(n_list=(25,), reps=4, seed=12)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(run_rho_study(cfg), "csv", p1, config=cfg)
-        emit(run_rho_study(cfg), "csv", p2, config=cfg)
+        emit(run_study(STUDIES["rho"], cfg), "csv", p1, config=cfg)
+        emit(run_study(STUDIES["rho"], cfg), "csv", p2, config=cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -371,11 +406,12 @@ class TestSubstreams:
         b = replication_rng(1, 50, 3).standard_normal(4)
         np.testing.assert_array_equal(a, b)
 
-    def test_parallel_matches_serial(self):
-        cfg = ExperimentConfig(n_list=(20,), reps=4, seed=13)
-        serial = run_rho_study(cfg, threads=1)
-        parallel = run_rho_study(cfg, threads=2)
-        assert serial == parallel
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_parallel_matches_serial(self, name):
+        cfg = STUDY_CONFIGS[name]
+        serial = run_study(STUDIES[name], cfg, threads=1)
+        parallel = run_study(STUDIES[name], cfg, threads=2)
+        np.testing.assert_equal(parallel, serial)
 
 
 class TestSummaries:
