@@ -10,6 +10,7 @@ geometry, which is what the convergence statements control.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,7 +95,7 @@ def ao_run(
     thetas = [theta.copy()]
     nuis: list = []
     e_prev = tt_half @ (theta - theta_star)
-    theta_errs = [float(np.linalg.norm(e_prev))]
+    theta_errs = [math.sqrt(e_prev @ e_prev)]
     nui_errs: list = []
     eps_norms: list = []
     alpha_norms: list = []
@@ -119,12 +120,14 @@ def ao_run(
         nuis.append(nui.copy())
         inner.append((sol_n.iterations, sol_t.iterations))
         e_theta = tt_half @ (theta - theta_star)
-        theta_errs.append(float(np.linalg.norm(e_theta)))
-        nui_errs.append(float(np.linalg.norm(e_nui)))
+        theta_errs.append(math.sqrt(e_theta @ e_theta))
+        nui_errs.append(math.sqrt(e_nui @ e_nui))
         # step residuals relative to the exact quadratic alternation map;
         # both vanish identically when the objective is quadratic
-        eps_norms.append(float(np.linalg.norm(e_theta + p @ e_nui)))
-        alpha_norms.append(float(np.linalg.norm(e_nui + p.T @ e_prev)))
+        eps = e_theta + p @ e_nui
+        alpha = e_nui + p.T @ e_prev
+        eps_norms.append(math.sqrt(eps @ eps))
+        alpha_norms.append(math.sqrt(alpha @ alpha))
         e_prev = e_theta
 
     return AoTrace(

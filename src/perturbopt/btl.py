@@ -94,14 +94,14 @@ def _sup_abs_phi3(lo, hi):
     """Exact sup of |phi'''| over [lo, hi], elementwise on interval arrays.
 
     |phi'''(t)| depends only on |t| and is unimodal there with peak at
-    log(2 + sqrt(3)); the maximum over an interval is attained at the points
-    closest to the two peaks.
+    log(2 + sqrt(3)).  Over [lo, hi], |t| spans [near, far], so the maximum is
+    at the point of that span closest to the peak: one evaluation per interval.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    cand1 = np.clip(_T3_PEAK, lo, hi)
-    cand2 = np.clip(-_T3_PEAK, lo, hi)
-    return np.maximum(_abs_phi3(cand1), _abs_phi3(cand2))
+    near = np.maximum(np.maximum(lo, -hi), 0.0)
+    far = np.maximum(-lo, hi)
+    return _abs_phi3(np.clip(_T3_PEAK, near, far))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Each setting comes from, in order: its flag, the ``--config`` JSON file, the
 PERTURBOPT_SEED environment variable (the seed only), and the library's own
 default.  A config key is a flag name with ``_`` for ``-``.  Every subcommand
 is reproducible.  Exit codes: 0 success, 1 bad input (a config file, the
-seed variable or a data file) or a non-converged fit under ``--strict``,
-2 usage error.
+seed variable, a data file, an output path that cannot be written, or a
+setting) or a non-converged fit under ``--strict``, 2 usage error.
 """
 
 from __future__ import annotations
@@ -134,10 +134,16 @@ class InputError(Exception):
 
 
 def _checked(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with the error it raises on bad input as an InputError."""
+    """``fn(*args, **kwargs)``, with the error it raises on bad input as an InputError.
+
+    A file that cannot be read or written reads ``<path>: <reason>``.
+    """
     try:
         return fn(*args, **kwargs)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise InputError(str(exc) if exc.filename is None
+                         else f"{exc.filename}: {exc.strerror}") from None
+    except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
@@ -227,7 +233,7 @@ def _cmd_fit(args) -> int:
     obs = _checked(_read_outcomes, args.input)
     report = _checked(fit_penalized_mle, obs, _penalty(settings),
                       **_pick(settings, {"solver": "solver", "tol_grad": "tol"}))
-    write_scores(args.out, report.argmin)
+    _checked(write_scores, args.out, report.argmin)
     status = "converged" if report.converged else f"NOT converged ({report.note})"
     print(f"fit: {obs.graph.n} items, {obs.graph.n_edges} edges, "
           f"{report.iterations} iterations, {status}")
@@ -244,30 +250,29 @@ def _cmd_diagnose(args) -> int:
         raise InputError("truth length differs from the item count")
     constants, diagnostics, reports = _checked(diagnose_expansion, obs, truth, _penalty(settings))
     rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2
-    reports_to_csv(reports, args.out)
-    with open(f"{args.out}.meta.json", "w") as fh:
-        json.dump(
-            {
-                "rho_dual": rho_exact,
-                "rho_dual_l2": rho_l2,
-                "dual_exceeds_l2": rho_exact > rho_l2,
-                "r_infty": diagnostics.r_infty,
-                "dltwb": diagnostics.dltwb,
-                "delta_nano": diagnostics.delta_nano,
-                "delta_infty": diagnostics.delta_infty,
-                "scaled_noise_supnorm": diagnostics.a_norm,
-                "prerequisites": diagnostics.prerequisites_hold,
-                "constants": {"tau3": constants.tau3, "d12": constants.d12,
-                              "d21": constants.d21},
-            },
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
+    _checked(reports_to_csv, reports, args.out)
+    _checked(_write_json, f"{args.out}.meta.json", {
+        "rho_dual": rho_exact,
+        "rho_dual_l2": rho_l2,
+        "dual_exceeds_l2": rho_exact > rho_l2,
+        "r_infty": diagnostics.r_infty,
+        "dltwb": diagnostics.dltwb,
+        "delta_nano": diagnostics.delta_nano,
+        "delta_infty": diagnostics.delta_infty,
+        "scaled_noise_supnorm": diagnostics.a_norm,
+        "prerequisites": diagnostics.prerequisites_hold,
+        "constants": {"tau3": constants.tau3, "d12": constants.d12, "d21": constants.d21},
+    })
     print(f"diagnose: rho_dual={rho_exact:.6g} (l2 variant {rho_l2:.6g}), "
           f"prerequisites {'hold' if diagnostics.all_prerequisites_hold else 'FAIL'}; "
           f"{len(reports)} residual rows -> {args.out}")
     return 0
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def _cmd_ao(args) -> int:
@@ -279,7 +284,7 @@ def _cmd_ao(args) -> int:
         print(f"ao: replication failed ({result.reason})")
         return 1
     if args.out:
-        trace_to_csv(result.trace, args.out)
+        _checked(trace_to_csv, result.trace, args.out)
     cert = result.certificate
     print(
         f"ao: n={rec['n']} steps={rec['steps']} contraction-bound={rec['ppT']:.6g} "
@@ -294,8 +299,8 @@ def _cmd_ao(args) -> int:
 def _cmd_study(args, study: Study) -> int:
     settings = _settings(args)
     cfg = _experiment_config(settings)
-    records = run_study(study, cfg, threads=settings["threads"])
-    emit(records, settings["format"], args.out, config=cfg)
+    records = _checked(run_study, study, cfg, threads=settings["threads"])
+    _checked(emit, records, settings["format"], args.out, config=cfg)
     for line in study.summary(records):
         print(line)
     print(f"wrote {len(records)} records -> {args.out}")

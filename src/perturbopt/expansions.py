@@ -374,7 +374,8 @@ def check_linear_sup_expansion(
     fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
     value, grad, _ = f.evaluate(upsilon_star)
     # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
-    start = (value + float(a_vec @ upsilon_star), grad + a_vec, lambda: fisher)
+    # Newton factors its matrix in place, and the reports below read fisher
+    start = (value + float(a_vec @ upsilon_star), grad + a_vec, lambda: fisher.copy())
     sol = _newton(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL, start=start)
     solved = sol.converged and _stationary(grad)
     d = np.sqrt(np.diag(fisher))

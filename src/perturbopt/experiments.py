@@ -89,6 +89,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "score_range", tuple(float(v) for v in self.score_range))
+        for n in self.n_list:  # before edge_probability, whose log needs n > 0
+            if n < 2:
+                raise ValueError(f"need at least 2 items in a design, got n={n}")
         if self.reps < 1:
             raise ValueError("need at least one replication")
         if self.L < 1:
@@ -370,9 +373,11 @@ def _replicate(name: str, cfg: ExperimentConfig, n: int, rep: int) -> dict:
 
 def run_study(study: Study, cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Every replication's record, sorted by (n, rep); ``threads`` > 1 runs them in a
-    process pool, which changes no record."""
+    process pool, which changes no record.  ValueError when ``threads`` < 1."""
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got threads={threads}")
     tasks = [(study.name, cfg, n, rep) for n in cfg.n_list for rep in range(cfg.reps)]
-    if threads <= 1 or len(tasks) <= 1:
+    if threads == 1 or len(tasks) <= 1:
         records = [_replicate(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:

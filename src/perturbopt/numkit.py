@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra and norm machinery.
 
 All operations are pure functions of their inputs; nothing here mutates
-its arguments after construction.
+its arguments after construction, except ``spd_solve(..., overwrite_a=True)``,
+which factors its matrix in place.
 """
 
 from __future__ import annotations
@@ -105,25 +106,30 @@ class BlockSplit:
         return x
 
 
-def spd_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK potrf/potrs).
+def spd_solve(a, b, overwrite_a: bool = False) -> np.ndarray:
+    """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK posv).
 
     Reads one triangle of ``a``, the upper, as ``potrf`` and
     ``scipy.linalg.cho_factor`` do; symmetry is not checked here.  The library
     checks a matrix once, where it enters from outside (``check_symmetric``).
+    ``posv`` factors its matrix in place: by default that is a private copy of
+    ``a``.  With ``overwrite_a``, a C-ordered float ``a`` is factored itself and
+    its upper triangle is left garbled; a caller passes it a matrix it never reads
+    again.
     """
-    a = _square(np.array(a, dtype=float, order="C"))  # a private copy: potrf overwrites it
+    a = _square(np.asarray(a, dtype=float) if overwrite_a
+                else np.array(a, dtype=float, order="C"))
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != dimension {a.shape[0]}")
-    # the transpose of the C-ordered copy is Fortran-ordered, so potrf factors it in
-    # place; its lower triangle is the upper triangle of a
-    c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    # posv is potrf then potrs, the bits of cho_factor/cho_solve.  The transpose of a
+    # C-ordered a is Fortran-ordered, so it is factored without a copy; its lower
+    # triangle is the upper triangle of a
+    _, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
-    x, info = lapack.dpotrs(c, b, lower=1)
     if info != 0:  # pragma: no cover - only for malformed arguments
-        raise ValueError(f"illegal value in argument {-info} of potrs")
+        raise ValueError(f"illegal value in argument {-info} of posv")
     return x
 
 

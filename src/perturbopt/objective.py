@@ -75,6 +75,8 @@ class SmoothObjective:
         keeps the full value; objectives that can share work override it.  Its
         thunk checks the Hessian with ``check_symmetric``, since ``spd_solve``
         reads one triangle; an override returns a symmetric matrix itself.
+        Each call of the thunk returns a new matrix that nothing else holds:
+        Newton factors it in place.
         """
         grad = self.gradient(x)
         if block is None:
@@ -215,10 +217,12 @@ _ROUNDING_SLACK = 64.0 * np.finfo(float).eps
 
 def _moved(x, t: float, step, block: Optional[BlockIndex]) -> np.ndarray:
     """``x - t * step``; with a block, ``step`` moves the block's coordinates only."""
+    if t != 1.0:  # a full step skips the product, whose bits would be step's own
+        step = t * step
     if block is None:
-        return x - t * step
+        return x - step
     moved = x.copy()
-    moved[block.idx] -= t * step
+    moved[block.idx] -= step
     return moved
 
 
@@ -246,7 +250,7 @@ def newton_minimize(
 def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=None):
     """``newton_minimize`` from ``start``, the caller's ``f.evaluate(x0, block)`` if given."""
     x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("the Newton start must be finite")
     fx, grad, hessian = f.evaluate(x, block) if start is None else start
     gnorm = float(np.abs(grad).max())
@@ -256,7 +260,8 @@ def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=Non
         if gnorm <= tol_grad:
             break
         try:
-            step = spd_solve(hessian(), grad)
+            # each thunk call builds a new matrix, so the solve may factor it in place
+            step = spd_solve(hessian(), grad, overwrite_a=True)
         except NotPositiveDefinite as exc:
             raise HessianNotPD(it, f"iterate {it}: {exc}") from exc
         slope = float(grad @ step)  # >= 0 for an SPD Hessian

@@ -114,6 +114,19 @@ class TestAoRun:
             assert a.tobytes() == b.tobytes()
         assert traces[0].theta_err_norms.tobytes() == traces[1].theta_err_norms.tobytes()
 
+    def test_btl_error_norms_are_linalg_norm_bits(self):
+        f, ups_star = _btl_setup()
+        split = BlockSplit.half(20)
+        geometry = contraction_matrix(f.hessian(ups_star), split)
+        trace = ao_run(f, geometry, ups_star[split.target_idx] + 0.05, 6, upsilon_star=ups_star)
+        theta_star, nui_star = ups_star[split.target_idx], ups_star[split.nuisance_idx]
+        theta_errs = [np.linalg.norm(geometry.tt_half @ (theta - theta_star))
+                      for theta in trace.theta_iterates]
+        nui_errs = [np.linalg.norm(geometry.nn_half @ (nui - nui_star))
+                    for nui in trace.nui_iterates]
+        assert trace.theta_err_norms.tobytes() == np.array(theta_errs).tobytes()
+        assert trace.nui_err_norms.tobytes() == np.array(nui_errs).tobytes()
+
     def test_operand_lengths_checked(self):
         f, ups_star = _btl_setup()
         split = BlockSplit.half(20)

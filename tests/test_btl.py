@@ -36,7 +36,7 @@ from perturbopt.btl import (
     write_scores,
 )
 from perturbopt import btl
-from perturbopt.btl import _T3_PEAK, _mm_minimize, _sup_abs_phi3
+from perturbopt.btl import _T3_PEAK, _abs_phi3, _mm_minimize, _sup_abs_phi3
 from perturbopt import tolerances as tol
 from perturbopt.errors import DimensionMismatch
 from perturbopt.numkit import BlockSplit, finite_diff_check, psd_power
@@ -874,6 +874,38 @@ def _dense_tau3(g, center, radius, d, cells=20000):
         sums = np.abs(phi3(diffs[None, :] + offsets[:, None])) @ g.counts[row]
         best = max(best, float(sums.max()) / d[v] ** 3)
     return best
+
+
+# interval ends: finite values, the infinities, and the points where |phi'''| peaks
+_ENDS = st.one_of(st.floats(-40.0, 40.0),
+                  st.sampled_from([-math.inf, math.inf, -_T3_PEAK, _T3_PEAK, 0.0, -0.0]))
+
+
+@st.composite
+def _intervals(draw):
+    """Arrays of intervals [lo, hi]: below, above or around 0, degenerate, or unbounded."""
+    pairs = draw(st.lists(st.one_of(st.tuples(_ENDS, _ENDS).map(sorted),
+                                    _ENDS.map(lambda t: [t, t])), min_size=1, max_size=12))
+    return np.array([lo for lo, _ in pairs]), np.array([hi for _, hi in pairs])
+
+
+class TestSupAbsPhi3:
+    @given(_intervals())
+    @settings(max_examples=200, deadline=None)
+    @example((np.array([-2.0, 0.5, -0.3, 1.0, -math.inf, 3.0]),
+              np.array([-1.0, 4.0, 0.2, 1.0, math.inf, math.inf])))
+    def test_the_two_candidate_maximum(self, intervals):
+        lo, hi = intervals
+        nearest = np.clip(_T3_PEAK, lo, hi), np.clip(-_T3_PEAK, lo, hi)
+        pair = np.maximum(*map(_abs_phi3, nearest))
+        got = _sup_abs_phi3(lo, hi)
+        # both candidates lie where |phi'''| rises in |t| (or coincide), so the sup is the
+        # value at the larger |candidate|: one of the two the pair compares, bit for bit
+        larger = np.maximum(*map(np.abs, nearest))
+        assert got.tobytes() == _abs_phi3(larger).tobytes()
+        # the pair's maximum, except where rounding leaves the computed |phi'''| out of
+        # order by an ulp or two between two close candidates
+        assert np.all(got <= pair) and np.all(pair - got <= 4.0 * np.spacing(pair))
 
 
 class TestConditionConstants:

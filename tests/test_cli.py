@@ -278,6 +278,50 @@ class TestInputErrors:
             assert err == "error: singular fit: the design is disconnected, so the scores of " \
                           "its components are not comparable\n"
 
+    @pytest.mark.parametrize("command", [
+        ["fit"],
+        ["diagnose"],
+        ["ao", "--n", "20", "--seed", "7", "--L", "3", "--gsq", "5"],
+        ["study-rho", "--n-list", "12", "--reps", "1", "--threads", "1"],
+        ["study-ao", "--format", "json", "--n-list", "12", "--reps", "1", "--L", "3",
+         "--gsq", "5", "--threads", "1"],
+    ], ids=lambda command: command[0])
+    def test_unwritable_output_exit_1(self, command, sampled_instance, tmp_path, capsys):
+        obs_path, truth_path = sampled_instance
+        out = tmp_path / "missing" / "out.csv"
+        argv = [*command, "--out", str(out)]
+        if command[0] in ("fit", "diagnose"):
+            argv += ["--input", str(obs_path)]
+        if command[0] == "diagnose":
+            argv += ["--truth", str(truth_path)]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: No such file or directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", [-5, 0, 1])
+    @pytest.mark.parametrize("flag", ["--n", "--n-list"])
+    def test_design_below_two_items_exit_1(self, flag, n, tmp_path, capsys):
+        argv = (["ao", f"--n={n}"] if flag == "--n"
+                else ["study-rho", f"--n-list={n}", "--reps", "1", "--threads", "1"])
+        out = tmp_path / "out.csv"
+        assert dispatch([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: need at least 2 items in a design, got n={n}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads, config", [("0", None), ("-3", None), (None, 0)])
+    def test_no_threads_exit_1(self, threads, config, tmp_path, capsys):
+        argv = ["study-rho", "--n-list", "12", "--reps", "1", "--out", str(tmp_path / "r.csv")]
+        if threads is not None:
+            argv += ["--threads", threads]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"threads": config}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert dispatch(argv) == 1
+        value = threads if threads is not None else config
+        assert capsys.readouterr().err == f"error: need at least one thread, got threads={value}\n"
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestDiagnose:
     def test_writes_reports_and_meta(self, sampled_instance, tmp_path, capsys):

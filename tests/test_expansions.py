@@ -286,6 +286,25 @@ class TestLinearSupExpansion:
             check_linear_sup_expansion(quad, np.ones(5), ConditionConstants.zeros(norm_tag="linf"),
                                        upsilon_star=quad.minimizer, fisher=skewed)
 
+    def test_fisher_survives_the_solve(self, monkeypatch):
+        # Newton factors each Hessian it is handed in place; the given fisher is the
+        # solve's first one, and the reports still read it afterwards
+        graph, truth, f = _btl_expected(10, 4, seed=16, gsq=2.0)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        a = 0.3 * np.random.default_rng(17).standard_normal(10)
+        consts = btl_condition_constants(graph, f.penalty, ups_star, radius=0.2, norm="linf")
+        fisher = f.hessian(ups_star)
+        before = fisher.tobytes()
+        read = []
+        reports = expansions._sup_norm_reports
+        monkeypatch.setattr(expansions, "_sup_norm_reports",
+                            lambda prefix, fish, *rest: read.append(fish.tobytes())
+                            or reports(prefix, fish, *rest))
+        _, given = check_linear_sup_expansion(f, a, consts, ups_star, fisher=fisher)
+        assert fisher.tobytes() == before and read == [before]
+        _, built = check_linear_sup_expansion(f, a, consts, ups_star)
+        assert given == built and read == [before, before]
+
     def test_internal_consistency_iii_from_ii(self):
         # the v-weighted residual is the inverse image of the scaled one
         graph, truth, f = _btl_expected(8, 30, seed=12, gsq=8.0)

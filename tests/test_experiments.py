@@ -50,6 +50,11 @@ class TestStudies:
             assert rec["study"] == name and list(rec) == study.names
             assert all(isinstance(rec[key], kind) for key, kind in study.columns), rec
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_no_threads_refused(self, threads):
+        with pytest.raises(ValueError, match=f"need at least one thread, got threads={threads}"):
+            run_study(STUDIES["rho"], STUDY_CONFIGS["rho"], threads=threads)
+
 
 class TestConfig:
     def test_logcube_rule(self):
@@ -85,6 +90,11 @@ class TestConfig:
                 ExperimentConfig(n_list=(10,), score_range=score_range)
         with pytest.raises(ValueError, match="gsq must be finite"):
             ExperimentConfig(n_list=(10,), gsq=float("inf"))
+        for n in (-5, 0, 1):  # refused before the log-cube rule takes log(n)
+            for p_rule in ("logcube", 0.5):
+                with pytest.raises(ValueError, match=rf"^need at least 2 items in a design, "
+                                                     rf"got n={n}$"):
+                    ExperimentConfig(n_list=(10, n), p_rule=p_rule)
         # the fewest steps whose rate estimate_rate accepts: a run of s steps has s + 1 norms
         fewest = ExperimentConfig(n_list=(10,), steps=tol.AO_BURN_IN + 2).steps
         assert estimate_rate(0.5 ** np.arange(fewest + 1)) == pytest.approx(0.5, rel=1e-15)

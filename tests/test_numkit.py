@@ -1,5 +1,7 @@
 """Dense linear algebra and norm machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -66,17 +68,48 @@ class TestSpdSolve:
             spd_solve(np.eye(2), [1.0, 2.0, 3.0])
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
-    def test_same_bits_as_cho_factor_and_cho_solve(self, n, rhs_cols, seed):
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+    def test_same_bits_as_cho_factor_and_cho_solve(self, n, rhs_cols, seed, overwrite_a):
         rng = np.random.default_rng(seed)
         a = random_spd(rng, n)
         b = rng.standard_normal(n) if rhs_cols == 0 else rng.standard_normal((n, rhs_cols))
         oracle = scipy.linalg.cho_solve(
             scipy.linalg.cho_factor(a, lower=True, check_finite=False), b, check_finite=False
         )
-        x = spd_solve(a, b)
+        b0 = b.copy()
+        x = spd_solve(a.copy(), b, overwrite_a=overwrite_a)
         assert x.shape == oracle.shape
         assert x.tobytes() == oracle.tobytes()
+        assert b.tobytes() == b0.tobytes()
+
+    def test_overwrite_factors_in_place(self):
+        # a BTL Hessian at n=300 (720 KB): the solve allocates the solution, not a matrix copy
+        n = 300
+        rng = np.random.default_rng(6)
+        graph = sample_er_graph(n, 0.1, 2, rng)
+        obs = sample_outcomes(graph, rng.uniform(-1, 1, n), rng)
+        f = btl_objective(obs, PenaltySpec.mean_shift(1.0))
+        a = f.hessian(np.zeros(n))
+        b = rng.standard_normal(n)
+        expected = spd_solve(a, b)
+        tracemalloc.start()
+        try:
+            x = spd_solve(a, b, overwrite_a=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes
+        assert x.tobytes() == expected.tobytes()
+        assert not np.array_equal(a, f.hessian(np.zeros(n)))  # its upper triangle holds the factor
+
+    def test_overwrite_of_a_fortran_ordered_matrix(self):
+        # a matrix that is not C-ordered is factored in a copy, with the same bits
+        rng = np.random.default_rng(8)
+        a = random_spd(rng, 7)
+        b = rng.standard_normal(7)
+        fortran = np.asfortranarray(a)
+        assert spd_solve(fortran, b, overwrite_a=True).tobytes() == spd_solve(a, b).tobytes()
+        assert np.array_equal(fortran, a)
 
     def test_indefinite_raises(self):
         rng = np.random.default_rng(3)
