@@ -3,8 +3,8 @@
 The penalized negative log-likelihood ships with closed-form derivatives
 through third order and with the smoothness constants the expansion and
 alternating-minimization certificates consume.  All logistic primitives
-branch on the sign of their argument so that unbounded score ranges stay
-overflow-safe.
+work from exp(-|t|), which cannot overflow, so that unbounded score ranges
+stay overflow-safe.
 """
 
 from __future__ import annotations
@@ -55,8 +55,12 @@ _T3_PEAK = math.log(2.0 + math.sqrt(3.0))
 
 
 def _sigmoid_from(t, e):
-    """sigma(t) from e = exp(-|t|): 1 / (1 + e) where t >= 0, else e / (1 + e)."""
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    """sigma(t) from e = exp(-|t|): 1 / (1 + e) where t >= 0, else e / (1 + e).
+
+    e lies in [0, 1], so max(e, t >= 0) is 1 where t >= 0 and e elsewhere, with
+    no branch; a NaN t gives a NaN e, which the maximum keeps.
+    """
+    return np.maximum(e, t >= 0) / (1.0 + e)
 
 
 def _phi2_from(e):
@@ -149,6 +153,11 @@ class ComparisonGraph:
     def n_edges(self) -> int:
         return int(self.j.size)
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Each edge's j end, then each edge's m end; built once per graph."""
+        return np.concatenate((self.j, self.m))
+
 
 def _arc_matrix(n: int, tail, head) -> csr_matrix:
     """The n x n CSR pattern of the arcs tail -> head, each row's arcs in input order.
@@ -177,7 +186,7 @@ def _edge_scatter(graph: ComparisonGraph, at_j, at_m) -> np.ndarray:
 
     Accumulates in edge order, j endpoints first.
     """
-    return _scatter(np.concatenate((graph.j, graph.m)), at_j, at_m, graph.n)
+    return _scatter(graph.ends, at_j, at_m, graph.n)
 
 
 @dataclass(frozen=True)
@@ -321,7 +330,7 @@ class BtlObjective(SmoothObjective):
         """Every edge, as the block of all items; built once per objective."""
         g = self.graph
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
-                          ends=np.concatenate((g.j, g.m)), inner=slice(None), rows=g.j, cols=g.m)
+                          ends=g.ends, inner=slice(None), rows=g.j, cols=g.m)
 
     @staticmethod
     def _pass(x, block: _EdgeBlock):
@@ -473,8 +482,14 @@ def noise_gradient(obs: BtlObservation, truth) -> np.ndarray:
     g = obs.graph
     if truth.shape[0] != g.n:
         raise DimensionMismatch("truth length differs from item count")
-    r = obs.wins - g.counts * sigmoid(truth[g.j] - truth[g.m])
-    return _edge_scatter(g, -r, r)
+    return _noise_from(obs, g.counts * sigmoid(truth[g.j] - truth[g.m]))
+
+
+def _noise_from(obs: BtlObservation, expected_wins) -> np.ndarray:
+    """``noise_gradient`` from the expected wins per edge, the ``wins`` of the
+    expected-mode objective at the same scores."""
+    r = obs.wins - expected_wins
+    return _edge_scatter(obs.graph, -r, r)
 
 
 def mle_exists(obs: BtlObservation) -> bool:
@@ -489,8 +504,7 @@ def mle_exists(obs: BtlObservation) -> bool:
     """
     g = obs.graph
     won = np.flatnonzero(np.concatenate((obs.wins > 0, obs.wins < g.counts)))  # j won, then m won
-    beats = _arc_matrix(g.n, np.concatenate((g.j, g.m)).take(won),
-                        np.concatenate((g.m, g.j)).take(won))
+    beats = _arc_matrix(g.n, g.ends.take(won), np.concatenate((g.m, g.j)).take(won))
     n_strong = connected_components(beats, directed=True, connection="strong",
                                     return_labels=False)
     return bool(n_strong == g.component_labels.max() + 1)
@@ -629,6 +643,7 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
     """
     center = np.asarray(center, dtype=float)
     d = np.asarray(d_scales, dtype=float)
+    dj, dm = d[g.j], d[g.m]
     diffs = center[g.j] - center[g.m]
 
     def edge_sups(width_j, width_m):
@@ -642,14 +657,14 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
     if radius == 0.0:  # every interval is the point diffs
         at_j = at_m = pure_j = pure_m = g.counts * _abs_phi3(diffs)
     else:
-        at_j, at_m = edge_sups(radius / d[g.m], radius / d[g.j])
-        pure_j, pure_m = edge_sups(2.0 * radius / d[g.j], 2.0 * radius / d[g.m])
-    d21_rows = _edge_scatter(g, at_j / d[g.m], at_m / d[g.j])
-    d12_rows = _edge_scatter(g, at_j / d[g.m] ** 2, at_m / d[g.j] ** 2)
+        at_j, at_m = edge_sups(radius / dm, radius / dj)
+        pure_j, pure_m = edge_sups(2.0 * radius / dj, 2.0 * radius / dm)
+    d21_rows = _edge_scatter(g, at_j / dm, at_m / dj)
+    d12_rows = _edge_scatter(g, at_j / dm ** 2, at_m / dj ** 2)
     pure = _edge_scatter(g, pure_j, pure_m)
 
     # items without edges have no terms, and d = 0 there under no penalty
-    degree = np.bincount(g.j, minlength=g.n) + np.bincount(g.m, minlength=g.n)
+    degree = np.bincount(g.ends, minlength=g.n)
     rows = np.flatnonzero(degree)
     d_rows = d[rows]
     return ConditionConstants(

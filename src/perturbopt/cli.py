@@ -275,9 +275,24 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _probe_output(path) -> None:
+    """Raise the OSError that writing ``path`` would raise, before the run that fills it.
+
+    Opens ``path`` for appending, which changes no existing file, and removes
+    the file again if the probe created it.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_ao(args) -> int:
     settings = _settings(args)
     cfg = _experiment_config(settings, n_list=(settings["n"],), reps=1)
+    if args.out:
+        _checked(_probe_output, args.out)
     result = ao_replication(cfg, cfg.n_list[0], 0)
     rec = result.record
     if result.trace is None:
@@ -299,6 +314,7 @@ def _cmd_ao(args) -> int:
 def _cmd_study(args, study: Study) -> int:
     settings = _settings(args)
     cfg = _experiment_config(settings)
+    _checked(_probe_output, args.out)
     records = _checked(run_study, study, cfg, threads=settings["threads"])
     _checked(emit, records, settings["format"], args.out, config=cfg)
     for line in study.summary(records):

@@ -359,20 +359,23 @@ def check_linear_sup_expansion(
     upsilon_star,
     fisher=None,
     rho=None,
+    evaluation=None,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
-    unperturbed minimizer; ``fisher`` is that Hessian and ``rho`` its
-    ``rho_dual`` pair in that metric, when the caller holds them.  The Hessian,
-    given or built, passes ``check_symmetric`` before any use, and is the solve's
-    first Newton matrix: f is evaluated at the unperturbed minimizer once.
+    unperturbed minimizer; ``fisher`` is that Hessian, ``rho`` its
+    ``rho_dual`` pair in that metric and ``evaluation`` the value and gradient
+    of f there, when the caller holds them.  The Hessian, given or built,
+    passes ``check_symmetric`` before any use, and is the solve's first Newton
+    matrix: f is evaluated at the unperturbed minimizer once, and zero times
+    when the caller gives the evaluation.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
     fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
-    value, grad, _ = f.evaluate(upsilon_star)
+    value, grad = f.evaluate(upsilon_star)[:2] if evaluation is None else evaluation
     # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
     # Newton factors its matrix in place, and the reports below read fisher
     start = (value + float(a_vec @ upsilon_star), grad + a_vec, lambda: fisher.copy())

@@ -28,11 +28,11 @@ from .btl import (
     BtlObjective,
     BtlObservation,
     PenaltySpec,
+    _noise_from,
     btl_condition_constants,
     btl_objective,
     fit_penalized_mle,
     mle_exists,
-    noise_gradient,
     sample_er_graph,
     sample_outcomes,
 )
@@ -45,7 +45,7 @@ from .expansions import (
     rho_dual,
 )
 from .numkit import BlockSplit, contraction_matrix, spd_solve
-from .objective import QuadraticObjective, newton_minimize
+from .objective import QuadraticObjective, SolveReport, newton_minimize
 
 __all__ = [
     "ExperimentConfig",
@@ -187,11 +187,11 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
     if not graph.connected:
         return ExpansionRepResult(record=record)
     fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
-    expected, ups_star, fisher = _expected_minimizer(graph, cfg.penalty, truth)
-    noise = noise_gradient(obs, truth)
+    expected, polish, fisher = _expected_minimizer(graph, cfg.penalty, truth)
+    noise = _noise_from(obs, expected.wins)
     fish_lead = spd_solve(fisher, noise)
     diag_lead = noise / np.diag(fisher)
-    err = fit.argmin - ups_star
+    err = fit.argmin - polish.argmin
     record.update(
         lead_fish=float(np.abs(fish_lead).max()),
         lead_diag=float(np.abs(diag_lead).max()),
@@ -201,27 +201,30 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
     )
     if not with_bounds or not fit.converged:
         return ExpansionRepResult(record=record)
-    _, diagnostics, reports = _sup_expansion_bounds(expected, ups_star, fisher, noise)
+    _, diagnostics, reports = _sup_expansion_bounds(expected, polish, fisher, noise)
     return ExpansionRepResult(record=record, diagnostics=diagnostics, reports=tuple(reports))
 
 
 def _expected_minimizer(graph, penalty: PenaltySpec, truth):
-    """Expected-count objective, its exact minimizer and the Fisher matrix there."""
+    """Expected-count objective, the polish solve to its exact minimizer, and the
+    Fisher matrix there.  The solve's report keeps the value and gradient at the
+    minimizer, ``polish.argmin``."""
     expected = btl_objective(graph, penalty, mode="expected", truth=truth)
     # centered scores are the exact minimizer of the expected objective;
     # the polish solve verifies that before any residual is measured
-    ups_star = newton_minimize(expected, truth, tol_grad=tol.JOINT_SOLVE_TOL).argmin
-    return expected, ups_star, expected.hessian(ups_star)
+    polish = newton_minimize(expected, truth, tol_grad=tol.JOINT_SOLVE_TOL)
+    return expected, polish, expected.hessian(polish.argmin)
 
 
 def _sup_expansion_bounds(
-    expected: BtlObjective, ups_star, fisher, noise
+    expected: BtlObjective, polish: SolveReport, fisher, noise
 ) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
     """Sup-norm constants on the radius sqrt(2) a / (1 - rho_dual), then the residual check.
 
     The radius is 0 when rho_dual >= 1: the bounds are void there and the
     constants are taken at the center only.
     """
+    ups_star = polish.argmin
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d)
     a_norm = float(np.abs(noise / d).max())
@@ -229,8 +232,9 @@ def _sup_expansion_bounds(
     # the constants rebuild d from the graph, bit for bit (the Hessian holds no outcomes)
     constants = btl_condition_constants(expected.graph, expected.penalty, ups_star,
                                         radius=radius, norm="linf")
-    diagnostics, reports = check_linear_sup_expansion(expected, noise, constants, ups_star,
-                                                      fisher=fisher, rho=rho)
+    diagnostics, reports = check_linear_sup_expansion(
+        expected, noise, constants, ups_star, fisher=fisher, rho=rho,
+        evaluation=(polish.value, polish.gradient))
     return constants, diagnostics, reports
 
 
@@ -245,8 +249,8 @@ def diagnose_expansion(
     """
     if penalty.kind != "ridge" and not obs.graph.connected:
         raise ValueError(DISCONNECTED)
-    expected, ups_star, fisher = _expected_minimizer(obs.graph, penalty, truth)
-    return _sup_expansion_bounds(expected, ups_star, fisher, noise_gradient(obs, truth))
+    expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
+    return _sup_expansion_bounds(expected, polish, fisher, _noise_from(obs, expected.wins))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,9 @@ def _format_cell(value) -> str:
 
 def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentConfig] = None) -> None:
     """Write one study's records as CSV (its registered columns) or JSON, plus a
-    metadata sidecar.  No records write the one-column header ``study``."""
+    metadata sidecar.  No records write the one-column header ``study``.  The
+    sidecar's ``config`` leaves out the ``own_fields`` of the other studies, which
+    this one never reads."""
     records = list(records)
     study = records[0]["study"] if records else None
     if records and study not in STUDIES:
@@ -436,7 +442,9 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
         "created_unix": time.time(),
     }
     if config is not None:
-        meta["config"] = asdict(config)
+        foreign = {key for other in STUDIES.values() if other.name != study
+                   for key in other.own_fields}
+        meta["config"] = {k: v for k, v in asdict(config).items() if k not in foreign}
         meta["seed"] = config.seed
     with open(f"{path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, default=str)

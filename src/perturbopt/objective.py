@@ -11,7 +11,7 @@ see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,13 +202,22 @@ class SeparablePerturbation(SmoothObjective):
 
 @dataclass
 class SolveReport:
-    """Outcome of a minimization: argmin, effort, and an honest convergence flag."""
+    """Outcome of a minimization: argmin, effort, and an honest convergence flag.
+
+    A Newton solve also keeps ``value`` and ``gradient``, the first two parts
+    of the ``evaluate`` call at its last point (``argmin``, embedded with the
+    held values on a block), so a caller need not evaluate there again.  On a
+    block they are the block's value and gradient.  Other solvers leave them
+    None.
+    """
 
     argmin: np.ndarray
     iterations: int
     final_grad_supnorm: float
     converged: bool
     note: str = ""
+    value: Optional[float] = field(default=None, repr=False, compare=False)
+    gradient: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 # the Armijo test's allowance for rounding, per unit of 1 + |f(x)|
@@ -284,7 +293,8 @@ def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=Non
     converged = gnorm <= tol_grad
     return SolveReport(argmin=x, iterations=iterations, final_grad_supnorm=gnorm,
                        converged=converged,
-                       note="" if converged else note or "iteration cap reached")
+                       note="" if converged else note or "iteration cap reached",
+                       value=fx, gradient=grad)
 
 
 def partial_minimize(

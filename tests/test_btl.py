@@ -477,6 +477,26 @@ class TestDerivativeExactness:
         assert _same_bits(hessian(), shifted.hessian(x)[np.ix_(idx, idx)])
 
 
+# arguments where the sign test, exp(-|t|) or 1 + e is at an edge of the float range
+_LOGISTIC_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   1e-310, -1e-310, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308)
+
+
+class TestSigmoidFrom:
+    """The branch-free numerator has the bits of the np.where form, on t and on -t
+    (the MM fit reads both).  Compared by bytes, so -0.0 and NaN count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_LOGISTIC_EDGES), st.floats(-800.0, 800.0),
+                              st.floats()), min_size=1, max_size=40).map(np.array))
+    @example(np.array(_LOGISTIC_EDGES))
+    def test_the_where_form(self, t):
+        for arg in (t, -t):
+            e = np.exp(-np.abs(arg))
+            where = np.where(arg >= 0, 1.0, e) / (1.0 + e)
+            assert btl._sigmoid_from(arg, e).tobytes() == where.tobytes()
+
+
 def _parent_sigmoid(t, e):
     one_e = 1.0 + e
     return np.where(t >= 0, 1.0 / one_e, e / one_e)
@@ -602,6 +622,16 @@ class TestLeanPassPinned:
 
 
 class TestNoiseGradient:
+    @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
+    def test_from_the_expected_wins(self, penalty):
+        """The noise built from the expected-mode objective's wins has noise_gradient's bits."""
+        rng = np.random.default_rng(8)
+        g = sample_er_graph(40, 0.3, 3, rng)
+        truth = rng.uniform(-3, 3, 40)
+        obs = sample_outcomes(g, truth, rng)
+        expected = btl_objective(g, penalty, mode="expected", truth=truth)
+        assert btl._noise_from(obs, expected.wins).tobytes() == noise_gradient(obs, truth).tobytes()
+
     def test_zero_at_expectation_plug_in(self):
         g = _complete_graph(3, L=4)
         truth = np.array([0.5, 0.0, -0.5])

@@ -286,7 +286,14 @@ class TestInputErrors:
         ["study-ao", "--format", "json", "--n-list", "12", "--reps", "1", "--L", "3",
          "--gsq", "5", "--threads", "1"],
     ], ids=lambda command: command[0])
-    def test_unwritable_output_exit_1(self, command, sampled_instance, tmp_path, capsys):
+    def test_unwritable_output_exit_1(self, command, sampled_instance, tmp_path, capsys,
+                                      monkeypatch):
+        """The study and ``ao`` commands find the fault before any replication runs."""
+        def replication(*args):
+            raise AssertionError("a replication ran before the output path was checked")
+
+        monkeypatch.setattr(experiments, "_replicate", replication)
+        monkeypatch.setattr(cli, "ao_replication", replication)
         obs_path, truth_path = sampled_instance
         out = tmp_path / "missing" / "out.csv"
         argv = [*command, "--out", str(out)]

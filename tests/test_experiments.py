@@ -200,7 +200,8 @@ class TestExpansionStudy:
         _, truth, obs = _sample_instance(cfg, 30, 0)
         constants, _, _ = diagnose_expansion(obs, truth, cfg.penalty)
         (args, kwargs), = seen
-        _, ups_star, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
+        _, polish, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
+        ups_star = polish.argmin
         assert np.array_equal(args[2], ups_star)
         # the metric the constants rebuild from the graph is the Fisher diagonal, bit for bit
         assert constants == btl._linf_constants(obs.graph, ups_star, kwargs["radius"],
@@ -208,13 +209,15 @@ class TestExpansionStudy:
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
     def test_diagnose_report_bytes_match_the_plain_check(self, penalty, tmp_path):
-        """The residual check solves from its one evaluation at the minimizer, with the
-        given Fisher matrix as the first Newton matrix; its report has the bits of the
-        check run from nothing given, and of a plain Newton solve of the perturbed model."""
+        """The residual check solves from the polish solve's evaluation at the minimizer,
+        with the given Fisher matrix as the first Newton matrix; its report has the bits
+        of the check run from nothing given, and of a plain Newton solve of the perturbed
+        model."""
         cfg = ExperimentConfig(n_list=(40,), reps=1, seed=9)
         _, truth, obs = _sample_instance(cfg, 40, 0)
         constants, _, reports = diagnose_expansion(obs, truth, penalty)
-        expected, ups_star, fisher = experiments._expected_minimizer(obs.graph, penalty, truth)
+        expected, polish, fisher = experiments._expected_minimizer(obs.graph, penalty, truth)
+        ups_star = polish.argmin
         noise = noise_gradient(obs, truth)
         _, plain = expansions.check_linear_sup_expansion(expected, noise, constants, ups_star)
         # the parent's solve: Newton from the perturbed model's own evaluation
@@ -240,6 +243,19 @@ class TestExpansionStudy:
         _, truth, obs = _sample_instance(cfg, 30, 0)
         diagnose_expansion(obs, truth, cfg.penalty)
         assert len(points) == 1
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
+    def test_one_evaluation_at_the_minimizer_per_diagnose(self, penalty, monkeypatch):
+        """The residual check starts from the polish solve's last evaluation."""
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3)
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        _, polish, _ = experiments._expected_minimizer(obs.graph, penalty, truth)
+        points = []
+        evaluate = btl.BtlObjective.evaluate
+        monkeypatch.setattr(btl.BtlObjective, "evaluate", lambda self, x, block=None:
+                            points.append(np.array(x)) or evaluate(self, x, block))
+        diagnose_expansion(obs, truth, penalty)
+        assert sum(x.tobytes() == polish.argmin.tobytes() for x in points) == 1
 
     @pytest.mark.parametrize("p, gsq, radius_zero", [(0.3, 1.0, True), (1.0, 6.0, False)])
     def test_one_dual_value_at_either_radius(self, p, gsq, radius_zero, monkeypatch):
@@ -396,6 +412,16 @@ class TestEmit:
         assert meta["seed"] == 11
         assert meta["config"]["n_list"] == [20]
         assert meta["records"] == 2
+
+    @pytest.mark.parametrize("name", ["rho", "expansion", "ao"])
+    def test_sidecar_config_holds_the_fields_its_study_reads(self, name, tmp_path):
+        cfg = ExperimentConfig(n_list=(12,), reps=1, seed=7, L=3, gsq=5.0)
+        path = tmp_path / f"{name}.csv"
+        emit(run_study(STUDIES[name], cfg), "csv", path, config=cfg)
+        config = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())["config"]
+        ao_fields = {"gap", "steps", "surrogate"}
+        assert ao_fields <= config.keys() if name == "ao" else not ao_fields & config.keys()
+        assert config["n_list"] == [12] and config["gsq"] == 5.0
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig(n_list=(25,), reps=4, seed=12)

@@ -132,6 +132,18 @@ class TestNewtonMinimize:
         assert not sol.converged
         assert sol.note
 
+    @pytest.mark.parametrize("max_iter", [0, 1, tol.NEWTON_MAX_ITER])
+    @pytest.mark.parametrize("make", [lambda: LogisticSymmetric(4),
+                                      lambda: _btl_instance(12, 3, 5)],
+                             ids=["default_evaluate", "btl"])
+    def test_report_keeps_the_evaluation_at_argmin(self, make, max_iter):
+        f = make()
+        sol = newton_minimize(f, np.linspace(-1.0, 2.0, f.dim), tol_grad=1e-12,
+                              max_iter=max_iter)
+        value, grad = f.evaluate(sol.argmin)[:2]
+        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
+        assert sol.gradient.tobytes() == grad.tobytes()
+
     def test_hessian_not_pd_raised(self):
         indefinite = QuadraticObjective.__new__(QuadraticObjective)
         indefinite.minimizer = np.zeros(2)
@@ -249,6 +261,20 @@ class TestUserHessianSymmetry:
 
 
 class TestPartialMinimize:
+    @pytest.mark.parametrize("fixed", ["nuisance", "target"])
+    def test_report_keeps_the_block_evaluation_at_argmin(self, fixed):
+        f = _btl_instance(12, 3, 5)
+        split = BlockSplit.half(12)
+        held_idx, free_idx = ((split.nuisance_idx, split.target_idx) if fixed == "nuisance"
+                              else (split.target_idx, split.nuisance_idx))
+        held = np.linspace(-0.5, 0.5, held_idx.size)
+        sol = partial_minimize(f, split, fixed, held, tol_grad=1e-12)
+        x = np.zeros(12)
+        x[free_idx], x[held_idx] = sol.argmin, held
+        value, grad = f.evaluate(x, f.block_index(free_idx))[:2]
+        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
+        assert sol.gradient.tobytes() == grad.tobytes()
+
     def test_quadratic_closed_form(self):
         quad = QuadraticObjective(np.zeros(2), np.array([[2.0, 1.0], [1.0, 2.0]]))
         split = BlockSplit(np.array([0]), np.array([1]))
