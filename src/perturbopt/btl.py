@@ -10,6 +10,7 @@ stay overflow-safe.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import stat
@@ -246,6 +247,10 @@ class PenaltySpec:
             return self.gsq * np.eye(size)
         return np.zeros((size, size))
 
+    def off_diagonal(self, n: int) -> float:
+        """G^2's entry off the diagonal for n items, the same in every place."""
+        return self.gsq / n if self.kind == "mean_shift" else 0.0
+
     def diag(self, n: int) -> np.ndarray:
         if self.kind == "mean_shift":
             return np.full(n, self.gsq / n)
@@ -358,16 +363,16 @@ class BtlObjective(SmoothObjective):
         The sub-Laplacian of the inner edges, plus each item's degree over
         all its edges on the diagonal, plus the penalty block.  It is
         symmetric bit for bit: each inner edge's entry is subtracted once from
-        an entry of a symmetric penalty matrix and written to both mirrored
-        places.  So Newton solves it without ``check_symmetric``.
+        the penalty's off-diagonal value, the same in every entry, and written
+        to both mirrored places.  So Newton solves it without
+        ``check_symmetric``.
         """
         size = block.idx.size
         w = block.counts * _phi2_from(e)
         h = self.penalty.matrix(self.dim, size)
         flat = h.reshape(-1)  # a view of h
         upper, lower = block.entries
-        off = flat[upper]
-        off -= w[block.inner]
+        off = self.penalty.off_diagonal(self.dim) - w[block.inner]
         flat[upper] = off  # pairs are unique, so no entry is written twice
         flat[lower] = off
         flat[:: size + 1] += _scatter(block.ends, w, w, size)  # the diagonal
@@ -664,8 +669,9 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
     pure = _edge_scatter(g, pure_j, pure_m)
 
     # items without edges have no terms, and d = 0 there under no penalty
-    degree = np.bincount(g.ends, minlength=g.n)
-    rows = np.flatnonzero(degree)
+    has_edges = np.zeros(g.n, dtype=bool)
+    has_edges[g.ends] = True
+    rows = np.flatnonzero(has_edges)
     d_rows = d[rows]
     return ConditionConstants(
         tau3=float(np.max(pure[rows] / d_rows**3, initial=0.0)),
@@ -718,13 +724,15 @@ def btl_condition_constants(
     norm: str = "linf",
     radii=None,
     geometry: Optional[BlockGeometry] = None,
+    d_scales=None,
 ):
     """Smoothness constants of the likelihood around ``center``.
 
     norm="linf": per-coordinate constants of the sup-norm theory from exact
     per-edge interval sups: exact at radius 0, proven upper bounds at a
     positive radius, in the diagonal metric of the root of the expected
-    penalized Hessian's diagonal at ``center``.
+    penalized Hessian's diagonal at ``center``; ``d_scales`` is that root,
+    when the caller holds it.
     norm="l2": block constants in the square-root Fisher block metrics of
     ``geometry``, the ``contraction_matrix`` of the expected Fisher matrix at
     ``center`` under a target/nuisance split, returned as their rigorous
@@ -739,9 +747,10 @@ def btl_condition_constants(
             raise ValueError("sup-norm constants need a radius")
         if not float(radius) >= 0.0:  # NaN fails too; an infinite radius is a bound
             raise ValueError(f"the radius must be >= 0, got {radius}")
-        # the expected Hessian's diagonal: each item's degree plus the penalty's
-        w = graph.counts * phi2(center[graph.j] - center[graph.m])
-        d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
+        if d_scales is None:
+            # the expected Hessian's diagonal: each item's degree plus the penalty's
+            w = graph.counts * phi2(center[graph.j] - center[graph.m])
+            d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
         return _linf_constants(graph, center, float(radius), d_scales)
     if norm == "l2":
         if geometry is None or radii is None:
@@ -777,15 +786,68 @@ def write_observations(path, obs: BtlObservation) -> None:
 
 
 _OBSERVATION_TYPES = {"j": np.int64, "m": np.int64, "N": np.float64, "S": np.float64}
+_SCORE_TYPES = {"item": np.int64, "score": np.float64}
 # numpy.loadtxt decompresses a file named with one of these suffixes
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parse_observation_rows(source, columns: dict, skiprows: int = 0) -> np.ndarray:
-    """Parse CSV data lines into a record array; ``columns`` maps names to positions.
+def _positions(path, header, required: tuple) -> dict:
+    """Each column's position by its stripped header name; the ``required`` names must be there."""
+    position = {name.strip(): i for i, name in enumerate(header)}
+    missing = set(required) - position.keys()
+    if missing:
+        raise ValueError(f"{path}: missing columns {sorted(missing)}")
+    return position
 
-    ``source`` is a file path, which numpy reads in chunks, an open file or a
-    list of lines; its first ``skiprows`` physical lines are skipped.
+
+def _numbered(lines, first: int) -> list:
+    """(line number, text) of each non-blank line, the first one numbered ``first``."""
+    return [(number, line) for number, line in enumerate(lines, first) if line.strip("\r\n")]
+
+
+class _DataRows:
+    """Where numpy reads the data rows of an open CSV file whose header ``reader`` has read.
+
+    numpy reads a file by its name in chunks, where it takes an open file line
+    by line; but a pipe can be read only once, and numpy decompresses by the
+    suffix.  So a regular file with a plain name is parsed by its name, past
+    the header, and read again only to find a bad row.  Any other source is
+    read once, here: its lines are both the ones parsed and the ones scanned.
+    """
+
+    def __init__(self, path, fh, reader):
+        self.path = path
+        filename = os.fsdecode(path)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not filename.endswith(_COMPRESSED):
+            self.source, self.skiprows = filename, reader.line_num  # a quoted header may span lines
+            self._lines = None
+        else:
+            self.source, self.skiprows = list(fh), 0
+            self._lines = _numbered(self.source, reader.line_num + 1)
+
+    @property
+    def lines(self) -> list:
+        """(line number, text) of each non-blank data line; the header is line 1."""
+        if self._lines is None:  # a file numpy read by its name, past the header
+            with open(self.path, newline="") as fh:
+                self._lines = _numbered(itertools.islice(fh, self.skiprows, None),
+                                        self.skiprows + 1)
+        return self._lines
+
+
+def _fields(line: str, columns: dict) -> str:
+    """``name='text'`` of each of the ``columns`` in ``line``; None past its end."""
+    fields = next(csv.reader([line]))
+    return ", ".join(f"{name}={fields[i] if i < len(fields) else None!r}"
+                     for name, i in columns.items())
+
+
+def _parse_rows(source, types: dict, columns: dict, skiprows: int = 0) -> np.ndarray:
+    """Parse CSV data lines into a record array; ``columns`` maps names to positions,
+    ``types`` names to dtypes.
+
+    ``source`` is a file path, which numpy reads in chunks, or a list of lines;
+    its first ``skiprows`` physical lines are skipped.
     """
     with warnings.catch_warnings():
         # a header-only file has no rows, and that is not worth a warning
@@ -795,19 +857,26 @@ def _parse_observation_rows(source, columns: dict, skiprows: int = 0) -> np.ndar
         # becomes loadtxt's ValueError for that row
         warnings.filterwarnings("error", category=DeprecationWarning)
         return np.loadtxt(
-            source, dtype=[(name, _OBSERVATION_TYPES[name]) for name in columns],
+            source, dtype=[(name, types[name]) for name in columns],
             delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()), ndmin=1,
             skiprows=skiprows,
         )
 
 
-def _data_lines(path) -> list:
-    """(line number, text) of each non-blank line after the header; the header is line 1."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [(number, line) for number, line in enumerate(fh, reader.line_num + 1)
-                if line.strip("\r\n")]
+def _parse_observation_rows(source, columns: dict, skiprows: int = 0) -> np.ndarray:
+    """Observation rows with every column as integers if every field is one, else N and S
+    as floats.
+
+    numpy's integer parser is the faster one.  An integer field's int64 value
+    converts to the float64 that the float parser reads from the same text:
+    both round to nearest, ties to even.  A field beyond the int64 range fails
+    the integer parse with a ValueError, and the float parse reads it.  Only
+    ``-0`` differs: as an integer it is +0.0.
+    """
+    try:
+        return _parse_rows(source, dict.fromkeys(columns, np.int64), columns, skiprows)
+    except ValueError:
+        return _parse_rows(source, _OBSERVATION_TYPES, columns, skiprows)
 
 
 def read_observations(path, n: Optional[int] = None):
@@ -822,35 +891,23 @@ def read_observations(path, n: Optional[int] = None):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        position = {name.strip(): i for i, name in enumerate(header)}
-        missing = {"j", "m", "N"} - position.keys()
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        has_wins = "S" in position
+        position = _positions(path, header, ("j", "m", "N"))
         columns = {name: position[name] for name in ("j", "m", "N", "S") if name in position}
-        # numpy reads a file by its name in chunks, where it takes an open file line by
-        # line; but a pipe can be read only once, and numpy decompresses by the suffix
-        filename = os.fsdecode(path)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not filename.endswith(_COMPRESSED):
-            source, skiprows = filename, reader.line_num  # a quoted header may span lines
-        else:
-            source, skiprows = fh, 0
-        try:
-            rows = _parse_observation_rows(source, columns, skiprows)
-        except ValueError as exc:
-            # only now look for the line: the first one that does not parse on its own
-            for number, line in _data_lines(path):
-                try:
-                    _parse_observation_rows([line], columns)
-                except ValueError:
-                    fields = next(csv.reader([line]))
-                    got = ", ".join(f"{name}={fields[i] if i < len(fields) else None!r}"
-                                    for name, i in columns.items())
-                    raise ValueError(f"{path}, line {number}: j and m must be integers "
-                                     f"and the other fields numbers; got {got}") from None
-            raise ValueError(f"{path}: {exc}") from None
-    j, m, counts = rows["j"], rows["m"], rows["N"].copy()
-    wins = rows["S"].copy() if has_wins else None
+        rows = _DataRows(path, fh, reader)
+    has_wins = "S" in columns
+    try:
+        table = _parse_observation_rows(rows.source, columns, rows.skiprows)
+    except ValueError as exc:
+        # only now look for the line: the first one that does not parse on its own
+        for number, line in rows.lines:
+            try:
+                _parse_observation_rows([line], columns)
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: j and m must be integers and the other "
+                                 f"fields numbers; got {_fields(line, columns)}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    j, m, counts = table["j"], table["m"], table["N"].astype(float)
+    wins = table["S"].astype(float) if has_wins else None
     if n is None:
         n = int(m.max(initial=1))
     try:
@@ -858,11 +915,11 @@ def read_observations(path, n: Optional[int] = None):
         return BtlObservation(graph=graph, wins=wins) if has_wins else graph
     except ValueError:
         # the constructors check every row; only now find the first bad one
-        _raise_bad_row(path, n, j, m, counts, wins)
+        _raise_bad_row(rows, n, j, m, counts, wins)
         raise
 
 
-def _raise_bad_row(path, n: int, j, m, counts, wins) -> None:
+def _raise_bad_row(rows: _DataRows, n: int, j, m, counts, wins) -> None:
     """Raise a ValueError naming the file line of the first row that breaks a rule, if any."""
     _, first, inverse = np.unique(j * (n + 1) + m, return_index=True, return_inverse=True)
     first = first[inverse]
@@ -878,12 +935,12 @@ def _raise_bad_row(path, n: int, j, m, counts, wins) -> None:
     failures = [(np.argmin(ok), reason) for ok, reason in checks if not ok.all()]
     if failures:
         k, reason = min(failures, key=lambda failure: failure[0])
-        lines = [number for number, _ in _data_lines(path)]
+        lines = [number for number, _ in rows.lines]
         got = f"j={j[k]}, m={m[k]}, N={counts[k]:g}"
         if wins is not None:
             got += f", S={wins[k]:g}"
         raise ValueError(
-            f"{path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; got {got}"
+            f"{rows.path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; got {got}"
         ) from None
 
 
@@ -903,29 +960,37 @@ def read_scores(path) -> np.ndarray:
     header is line 1).
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"item", "score"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        rows = []
-        for r in reader:
+        reader = csv.reader(fh)
+        position = _positions(path, next(reader, ()), ("item", "score"))
+        columns = {name: position[name] for name in ("item", "score")}
+        rows = _DataRows(path, fh, reader)
+    try:
+        table = _parse_rows(rows.source, _SCORE_TYPES, columns, rows.skiprows)
+        problem = None if np.isfinite(table["score"]).all() else "a score is not finite"
+    except ValueError as exc:
+        problem = exc
+    if problem is not None:
+        # only now look for the line: the first one that does not parse on its own or
+        # holds a score that is not finite
+        for number, line in rows.lines:
             try:
-                rows.append((int(r["item"]), float(r["score"])))
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}, line {reader.line_num}: item must be an integer and "
-                                 f"score a number; got item={r['item']!r}, "
-                                 f"score={r['score']!r}") from None
-            if not math.isfinite(rows[-1][1]):
-                raise ValueError(f"{path}, line {reader.line_num}: score must be finite; "
-                                 f"got item={r['item']!r}, score={r['score']!r}")
-    rows.sort()
-    expected = range(1, len(rows) + 1)
-    if [i for i, _ in rows] != list(expected):
-        ids = Counter(i for i, _ in rows)
+                score = _parse_rows([line], _SCORE_TYPES, columns)["score"]
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: item must be an integer and score a "
+                                 f"number; got {_fields(line, columns)}") from None
+            if not np.isfinite(score).all():
+                raise ValueError(f"{path}, line {number}: score must be finite; "
+                                 f"got {_fields(line, columns)}")
+        raise ValueError(f"{path}: {problem}")
+    items = table["item"]
+    order = np.argsort(items, kind="stable")
+    expected = range(1, items.size + 1)
+    if not np.array_equal(items[order], expected):
+        ids = Counter(items.tolist())
         raise ValueError(
-            f"{path}: item ids must be exactly 1..{len(rows)}; "
+            f"{path}: item ids must be exactly 1..{items.size}; "
             f"duplicated {sorted(i for i, c in ids.items() if c > 1)}, "
             f"missing {sorted(set(expected) - ids.keys())}, "
             f"out of range {sorted(ids.keys() - set(expected))}"
         )
-    return np.array([s for _, s in rows])
+    return table["score"][order]

@@ -315,13 +315,14 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
     )
 
 
-def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved):
+def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved, f_inv_v=None):
     """Sup-norm displays (i)-(iv) of one perturbed minimizer, variants ``prefix_*``.
 
     ``shift`` is the perturbed minus the unperturbed minimizer, ``v`` the
     perturbation gradient at the unperturbed one, ``fisher`` the Hessian
-    there, ``d`` the diagonal metric and ``rho`` the pair ``rho_dual(fisher,
-    d)``.  Bounds are computed whenever the dual value is below one; the
+    there, ``d`` the diagonal metric, ``rho`` the pair ``rho_dual(fisher,
+    d)`` and ``f_inv_v`` the solve ``spd_solve(fisher, v)``, when the caller
+    holds it.  Bounds are computed whenever the dual value is below one; the
     three prerequisite flags gate their interpretation.
     """
     rho_exact, rho_l2 = rho
@@ -329,7 +330,8 @@ def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved):
     v_norm = float(np.abs(d_inv_v).max())
     diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, v_norm)
 
-    f_inv_v = spd_solve(fisher, v)
+    if f_inv_v is None:
+        f_inv_v = spd_solve(fisher, v)
     dinf, rho = diag.delta_infty, diag.rho_dual
     flags = {**diag.prerequisites_hold,
              "radius_covered": not constants.radii or diag.r_infty <= constants.radii[0]}
@@ -360,14 +362,16 @@ def check_linear_sup_expansion(
     fisher=None,
     rho=None,
     evaluation=None,
+    f_inv_a=None,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
     unperturbed minimizer; ``fisher`` is that Hessian, ``rho`` its
-    ``rho_dual`` pair in that metric and ``evaluation`` the value and gradient
-    of f there, when the caller holds them.  The Hessian, given or built,
-    passes ``check_symmetric`` before any use, and is the solve's first Newton
+    ``rho_dual`` pair in that metric, ``evaluation`` the value and gradient
+    of f there and ``f_inv_a`` the solve ``spd_solve(fisher, a_vec)``, when
+    the caller holds them.  The Hessian, given or built, passes
+    ``check_symmetric`` before any use, and is the solve's first Newton
     matrix: f is evaluated at the unperturbed minimizer once, and zero times
     when the caller gives the evaluation.
     """
@@ -384,7 +388,7 @@ def check_linear_sup_expansion(
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d) if rho is None else rho
     return _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec, constants,
-                             solved)
+                             solved, f_inv_a)
 
 
 def check_separable_sup_expansion(

@@ -201,7 +201,7 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
     )
     if not with_bounds or not fit.converged:
         return ExpansionRepResult(record=record)
-    _, diagnostics, reports = _sup_expansion_bounds(expected, polish, fisher, noise)
+    _, diagnostics, reports = _sup_expansion_bounds(expected, polish, fisher, noise, fish_lead)
     return ExpansionRepResult(record=record, diagnostics=diagnostics, reports=tuple(reports))
 
 
@@ -217,24 +217,26 @@ def _expected_minimizer(graph, penalty: PenaltySpec, truth):
 
 
 def _sup_expansion_bounds(
-    expected: BtlObjective, polish: SolveReport, fisher, noise
+    expected: BtlObjective, polish: SolveReport, fisher, noise, f_inv_noise
 ) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
     """Sup-norm constants on the radius sqrt(2) a / (1 - rho_dual), then the residual check.
 
-    The radius is 0 when rho_dual >= 1: the bounds are void there and the
-    constants are taken at the center only.
+    ``f_inv_noise`` is ``spd_solve(fisher, noise)``.  The radius is 0 when
+    rho_dual >= 1: the bounds are void there and the constants are taken at
+    the center only.
     """
     ups_star = polish.argmin
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d)
     a_norm = float(np.abs(noise / d).max())
     radius = math.sqrt(2.0) * a_norm / (1.0 - rho[0]) if rho[0] < 1.0 else 0.0
-    # the constants rebuild d from the graph, bit for bit (the Hessian holds no outcomes)
+    # d is the metric the constants would build from the graph, bit for bit: the expected
+    # Hessian's diagonal holds no outcomes
     constants = btl_condition_constants(expected.graph, expected.penalty, ups_star,
-                                        radius=radius, norm="linf")
+                                        radius=radius, norm="linf", d_scales=d)
     diagnostics, reports = check_linear_sup_expansion(
         expected, noise, constants, ups_star, fisher=fisher, rho=rho,
-        evaluation=(polish.value, polish.gradient))
+        evaluation=(polish.value, polish.gradient), f_inv_a=f_inv_noise)
     return constants, diagnostics, reports
 
 
@@ -250,7 +252,8 @@ def diagnose_expansion(
     if penalty.kind != "ridge" and not obs.graph.connected:
         raise ValueError(DISCONNECTED)
     expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
-    return _sup_expansion_bounds(expected, polish, fisher, _noise_from(obs, expected.wins))
+    noise = _noise_from(obs, expected.wins)
+    return _sup_expansion_bounds(expected, polish, fisher, noise, spd_solve(fisher, noise))
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,14 @@ class TestPenaltySpec:
         with pytest.raises(ValueError, match="gsq must be finite, got inf"):
             PenaltySpec(kind, float("inf"))
 
+    @pytest.mark.parametrize("penalty", [PenaltySpec.none(), PenaltySpec.mean_shift(3.0),
+                                         PenaltySpec.ridge(3.0)])
+    def test_off_diagonal_is_the_matrix_entry(self, penalty):
+        """The Hessian subtracts its edge weights from this value: every off-diagonal entry."""
+        matrix = penalty.matrix(7)
+        off = matrix[~np.eye(7, dtype=bool)]
+        assert off.tobytes() == np.full(off.size, penalty.off_diagonal(7)).tobytes()
+
 
 class TestFit:
     @pytest.mark.parametrize("solver", ["newton", "mm"])
@@ -1119,7 +1127,63 @@ class TestConditionConstants:
         assert math.isfinite(wide.tau3) and wide.tau3 >= near.tau3
 
 
+def _read_piped(read, data: bytes):
+    """``read`` of a pipe that holds ``data``, opened by its /dev/fd name."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(data)  # less than a pipe buffer: the write does not block
+    try:
+        return read(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+@st.composite
+def _integer_fields(draw):
+    """The text of an integer: any sign it may take, leading zeros, quotes; never ``-0``."""
+    value = draw(st.one_of(
+        st.integers(0, 10**6),
+        st.integers(2**53 - 3, 2**53 + 3),
+        st.integers(2**63 - 2**11, 2**63 + 2**11),  # the last int64s, then beyond
+        st.integers(-2**63 - 2**11, -2**63 + 2**11),
+        st.integers(-2**70, 2**70),
+    ))
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    text = sign + "0" * draw(st.integers(0, 3)) + str(abs(value))
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
 class TestFileFormats:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_integer_fields(), _integer_fields()), min_size=1, max_size=6),
+           st.sampled_from([None, "3.5", "1e3", "nan", "inf"]), st.data())
+    def test_integer_parse_has_the_float_parse_bits(self, fields, other, data):
+        """On integer text, the integer-first parse gives the float64 bytes of the float
+        parse; a field it cannot read as an integer sends every row to the float parse."""
+        lines = [f"1,2,{count},{wins}\n" for count, wins in fields]
+        if other is not None:
+            row = data.draw(st.integers(0, len(lines)))
+            lines.insert(row, f"1,2,{other},{data.draw(_integer_fields())}\n")
+        columns = {"j": 0, "m": 1, "N": 2, "S": 3}
+        got = btl._parse_observation_rows(lines, columns)
+        floats = btl._parse_rows(lines, btl._OBSERVATION_TYPES, columns)
+        for name in ("N", "S"):
+            assert got[name].astype(float).tobytes() == floats[name].tobytes()
+        assert got["j"].tobytes() == floats["j"].tobytes()
+        if other is not None:
+            assert got["N"].dtype == np.float64
+
+    def test_negative_zero_wins(self, tmp_path):
+        """On the integer path an S written -0 reads +0.0; on the float path, -0.0."""
+        path = tmp_path / "obs.csv"
+        path.write_text("j,m,N,S\n1,2,3,-0\n")
+        assert read_observations(path).wins.tobytes() == np.float64(0.0).tobytes()
+        path.write_text("j,m,N,S\n1,2,3,-0\n1,3,2,0.5\n")
+        assert read_observations(path).wins[:1].tobytes() == np.float64(-0.0).tobytes()
+        # scores are always floats
+        path.write_text("item,score\n1,-0\n")
+        assert read_scores(path).tobytes() == np.float64(-0.0).tobytes()
+
     def test_observation_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         g = _complete_graph(4, L=3)
@@ -1165,6 +1229,46 @@ class TestFileFormats:
         for name in ("j", "m", "counts"):
             assert getattr(piped.graph, name).tobytes() == getattr(read.graph, name).tobytes()
         assert piped.wins.tobytes() == read.wins.tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,3,1\n1,2,1,0\n", "line 3: the pair is already on line 2; got j=1, m=2, N=1, S=0"),
+        ("1,2,3,1\n2,x,1,0\n", "line 3: j and m must be integers and the other fields "
+                               "numbers; got j='2', m='x', N='1', S='0'"),
+    ], ids=["duplicate_pair", "non_integer_index"])
+    def test_piped_bad_row_names_its_line(self, body, message):
+        """A pipe is read once: the lines parsed are the lines scanned for the bad row."""
+        with pytest.raises(ValueError) as exc:
+            _read_piped(read_observations, ("j,m,N,S\n" + body).encode())
+        assert str(exc.value).startswith("/dev/fd/")
+        assert message in str(exc.value)
+
+    def test_piped_real_counts_read_like_the_file(self, tmp_path):
+        """A real-valued N sends a pipe's lines, read once, to the float parse too."""
+        text = "j,m,N,S\r\n1,2,3,1\r\n\r\n2,3,2.5,1.25\r\n1,3,1,0\r\n"
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text.encode())
+        piped, read = _read_piped(read_observations, text.encode()), read_observations(path)
+        for name in ("j", "m", "counts"):
+            assert getattr(piped.graph, name).tobytes() == getattr(read.graph, name).tobytes()
+        assert piped.wins.tobytes() == read.wins.tobytes()
+        assert read.graph.counts.tolist() == [3.0, 2.5, 1.0]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,0.5\n\nx,0.1\n", "line 4: item must be an integer and score a number; "
+                              "got item='x', score='0.1'"),
+        ("1,0.5\n2,nan\n", "line 3: score must be finite; got item='2', score='nan'"),
+    ], ids=["non_integer_id", "nan_score"])
+    def test_piped_bad_score_names_its_line(self, body, message):
+        with pytest.raises(ValueError) as exc:
+            _read_piped(read_scores, ("item,score\n" + body).encode())
+        assert str(exc.value).startswith("/dev/fd/")
+        assert message in str(exc.value)
+
+    def test_piped_scores_read_like_the_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores(path, np.array([0.1, -2.5, 1e-300]))
+        assert (_read_piped(read_scores, path.read_bytes()).tobytes()
+                == read_scores(path).tobytes())
 
     @pytest.mark.parametrize("name", ["obs.csv", "obs.csv.gz", "obs.bz2", b"obs.xz"])
     def test_any_file_name(self, name, tmp_path):
@@ -1216,6 +1320,33 @@ class TestFileFormats:
             read_scores(path)
         assert str(exc.value).startswith(f"{path}, line ")
         assert message in str(exc.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+           decimals=st.lists(st.from_regex(
+               r"[+-]?([0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20})([eE][+-]?[0-9]{1,3})?",
+               fullmatch=True,
+           ).filter(lambda t: math.isfinite(float(t))), max_size=8),
+           random=st.randoms(use_true_random=False))
+    def test_scores_have_the_bits_of_float(self, values, decimals, random, tmp_path_factory):
+        """numpy's float parser reads a score as float() does: ``.17g`` text and decimals."""
+        texts = [f"{v:.17g}" for v in values] + decimals
+        items = list(range(1, len(texts) + 1))
+        random.shuffle(items)
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        path.write_text("item,score\n" + "".join(f"{i},{t}\n" for i, t in zip(items, texts)))
+        expected = np.empty(len(texts))
+        expected[np.array(items, dtype=int) - 1] = [float(t) for t in texts]
+        assert read_scores(path).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("row", ["1_0,0.5", "1,0_5", "\u0661,0.5"],
+                             ids=["id", "score", "non_ascii_digit"])
+    def test_scores_refuse_what_write_scores_never_writes(self, tmp_path, row):
+        """Python's int() and float() read these; the score reader does not."""
+        path = tmp_path / "scores.csv"
+        path.write_text(f"item,score\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: item must be an integer and score a number"):
+            read_scores(path)
 
     def test_scores_missing_column(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -203,9 +203,32 @@ class TestExpansionStudy:
         _, polish, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
         ups_star = polish.argmin
         assert np.array_equal(args[2], ups_star)
-        # the metric the constants rebuild from the graph is the Fisher diagonal, bit for bit
+        assert kwargs["d_scales"].tobytes() == np.sqrt(np.diag(fisher)).tobytes()
         assert constants == btl._linf_constants(obs.graph, ups_star, kwargs["radius"],
                                                 np.sqrt(np.diag(fisher)))
+        # the metric the constants would rebuild from the graph is the Fisher diagonal, bit
+        # for bit
+        assert constants == btl.btl_condition_constants(obs.graph, cfg.penalty, ups_star,
+                                                        radius=kwargs["radius"], norm="linf")
+
+    def test_one_solve_of_the_noise_per_bounded_replication(self, monkeypatch, tmp_path):
+        """The record's leading term F^-1 v is the lin_iii row's: solved once, same bits."""
+        solved = []
+        for module in (expansions, experiments):
+            fn = module.spd_solve
+            monkeypatch.setattr(module, "spd_solve", lambda a, b, fn=fn, **kwargs:
+                                solved.append(b) or fn(a, b, **kwargs))
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
+        result = expansion_replication(cfg, 30, 0, with_bounds=True)
+        assert len(solved) == 1 and len(result.reports) == 5
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        _, _, reports = diagnose_expansion(obs, truth, cfg.penalty)
+        assert len(solved) == 2
+        written = []
+        for name, rows in (("replication", result.reports), ("diagnose", reports)):
+            expansions.reports_to_csv(rows, tmp_path / name)
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
     def test_diagnose_report_bytes_match_the_plain_check(self, penalty, tmp_path):
