@@ -430,17 +430,32 @@ class BtlObjective(SmoothObjective):
         return float(np.sum(w3 * (a[gj] - a[gm]) * (b[gj] - b[gm]) * (c[gj] - c[gm])))
 
 
+# pairs drawn per block by sample_er_graph: memory stays bounded at any item count
+_ER_BLOCK_PAIRS = 1 << 20
+
+
 def sample_er_graph(n: int, p: float, L: int, rng: np.random.Generator) -> ComparisonGraph:
-    """Erdos-Renyi comparison design: each pair kept with probability p, L games each."""
+    """Erdos-Renyi comparison design: each pair kept with probability p, L games each.
+
+    The pairs' uniforms come in blocks of at most ``_ER_BLOCK_PAIRS``, so no array
+    covers the whole upper triangle.
+    """
     if n < 2:
         raise ValueError("need at least two items")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     if L < 1:
         raise ValueError("need at least one comparison per edge")
-    iu, im = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < p
-    j, m = iu[keep], im[keep]
+    # the pairs in row-major order: row j holds (j, j+1), ..., (j, n-1) from position start[j]
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=start[1:])
+    total = n * (n - 1) // 2
+    # one uniform per pair, drawn in blocks: the same stream as one draw of all of them
+    kept = [a + np.flatnonzero(rng.random(min(_ER_BLOCK_PAIRS, total - a)) < p)
+            for a in range(0, total, _ER_BLOCK_PAIRS)]
+    k = np.concatenate(kept)
+    j = np.searchsorted(start, k, side="right") - 1
+    m = j + 1 + (k - start[j])
     return ComparisonGraph.from_edges(n, j, m, np.full(j.size, float(L)))
 
 
@@ -768,21 +783,39 @@ def btl_condition_constants(
 # file formats
 
 
-def _exact_text(values: np.ndarray) -> list:
-    """Each value as %g, or as repr where %g does not read back equal."""
-    text = [f"{v:g}" for v in values.tolist()]
-    for i in np.flatnonzero(np.array(text, dtype=float) != values):
-        text[i] = repr(float(values[i]))
-    return text
+# rows that write_observations formats and writes at a time
+_WRITE_ROWS = 1 << 16
+
+
+def _exact_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value's text, %g or repr where %g does not read back equal, and each
+    value's index into those texts.
+
+    Values are told apart by their float64 bits, so -0.0 keeps its own text.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    distinct = values[first]
+    text = [f"{v:g}" for v in distinct.tolist()]
+    for i in np.flatnonzero(np.array(text, dtype=float) != distinct):
+        text[i] = repr(float(distinct[i]))
+    return np.array(text, dtype=object), inverse
 
 
 def write_observations(path, obs: BtlObservation) -> None:
-    """CSV with header j,m,N,S; indices are 1-based and j < m."""
+    """CSV with header j,m,N,S; indices are 1-based and j < m.
+
+    Each item index and each distinct N and S value is formatted once, and rows are
+    written in blocks of ``_WRITE_ROWS``.
+    """
     g = obs.graph
-    rows = zip(g.j.tolist(), g.m.tolist(), _exact_text(g.counts), _exact_text(obs.wins))
+    labels = np.array([str(i) for i in range(1, g.n + 1)], dtype=object)
+    columns = [(labels, g.j), (labels, g.m), _exact_text(g.counts), _exact_text(obs.wins)]
     with open(path, "w", newline="") as fh:
         fh.write("j,m,N,S\r\n")
-        fh.write("".join([f"{a + 1},{b + 1},{c},{s}\r\n" for a, b, c, s in rows]))
+        for a in range(0, g.n_edges, _WRITE_ROWS):
+            rows = zip(*[text[index[a:a + _WRITE_ROWS]].tolist() for text, index in columns])
+            fh.write("".join([f"{j},{m},{c},{s}\r\n" for j, m, c, s in rows]))
 
 
 _OBSERVATION_TYPES = {"j": np.int64, "m": np.int64, "N": np.float64, "S": np.float64}

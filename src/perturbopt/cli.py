@@ -271,8 +271,7 @@ def _cmd_diagnose(args) -> int:
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def _probe_output(path) -> None:

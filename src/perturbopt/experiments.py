@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -387,6 +386,10 @@ def run_study(study: Study, cfg: ExperimentConfig, threads: int = 1) -> list[dic
     if threads == 1 or len(tasks) <= 1:
         records = [_replicate(*t) for t in tasks]
     else:
+        # imported here, not at the top: the pool's modules add about 6 ms to the start-up
+        # of every process, and most never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = [f.result() for f in [pool.submit(_replicate, *t) for t in tasks]]
     records.sort(key=lambda r: (r["n"], r["rep"]))
@@ -434,8 +437,7 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
             for rec in records
         ]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=1) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
     meta = {
@@ -449,9 +451,9 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
                    for key in other.own_fields}
         meta["config"] = {k: v for k, v in asdict(config).items() if k not in foreign}
         meta["seed"] = config.seed
+    # one write: json.dump with an indent writes each token on its own
     with open(f"{path}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(meta, indent=1, default=str) + "\n")
 
 
 def _is_nan(v) -> bool:

@@ -48,6 +48,13 @@ def _complete_graph(n, L=1):
     return ComparisonGraph.from_edges(n, iu, im, np.full(iu.size, float(L)))
 
 
+def _one_shot_er(n, p, rng):
+    """Erdos-Renyi pairs from one uniform draw over the whole upper triangle."""
+    iu, im = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p
+    return iu[keep], im[keep]
+
+
 class TestSampling:
     def test_complete_graph(self):
         g = sample_er_graph(4, 1.0, 1, np.random.default_rng(0))
@@ -56,6 +63,26 @@ class TestSampling:
     def test_empty_graph(self):
         g = sample_er_graph(5, 0.0, 1, np.random.default_rng(0))
         assert g.n_edges == 0 and not g.connected
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 40), p=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), block=st.integers(1, 7))
+    def test_blocks_draw_the_one_shot_graph(self, n, p, seed, block):
+        # blocks of 1-7 pairs cross row ends; the graph and the stream after it are the same
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(btl, "_ER_BLOCK_PAIRS", block):
+            g = sample_er_graph(n, p, 2, rng)
+        j, m = _one_shot_er(n, p, ref_rng)
+        assert g.j.dtype == j.dtype and np.array_equal(g.j, j) and np.array_equal(g.m, m)
+        assert rng.random() == ref_rng.random()
+
+    def test_blocks_of_the_module_size(self):
+        # 1,124,250 pairs: two blocks of 2**20
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        g = sample_er_graph(1500, 0.01, 1, rng)
+        j, m = _one_shot_er(1500, 0.01, ref_rng)
+        assert np.array_equal(g.j, j) and np.array_equal(g.m, m)
+        assert rng.random() == ref_rng.random()
 
     def test_edge_count_binomial(self):
         n = 100
@@ -123,6 +150,33 @@ def _file_observations(draw):
     graph = ComparisonGraph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen],
                                        np.array(counts))
     return BtlObservation(graph=graph, wins=np.array(wins))
+
+
+# counts whose text takes each of the writer's forms: integers, halves, %g's exponent
+# form (1e+06), and values %g rounds (1.23457e+06, 123456), written by repr
+_COUNT_POOL = [1.0, 2.0, 3.0, 1.5, 2.5, 1e6, 2e6, 1234567.0, 123456.5]
+
+
+@st.composite
+def _written_observations(draw):
+    """Designs on 12 items whose N and S columns mix repeated values of every text form
+    (signed zeros and subnormals among the wins) with all-distinct real values."""
+    pairs = list(itertools.combinations(range(12), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40))
+    counts = [draw(st.sampled_from(_COUNT_POOL) | st.floats(1.0, 1e12)) for _ in chosen]
+    wins = [draw(st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 0.5, 1.0, c / 2, c])
+                 | st.floats(0.0, c)) for c in counts]
+    graph = ComparisonGraph.from_edges(12, [a for a, _ in chosen], [b for _, b in chosen],
+                                       np.array(counts))
+    return BtlObservation(graph=graph, wins=np.array(wins))
+
+
+def _per_value_text(values):
+    """Each value as %g, or as repr where %g does not read back equal, formatted row by row."""
+    text = [f"{v:g}" for v in values.tolist()]
+    for i in np.flatnonzero(np.array(text, dtype=float) != values):
+        text[i] = repr(float(values[i]))
+    return text
 
 
 def _observation_layout(header, rows, order, columns, newline="\n", pad=False, blank=False,
@@ -1435,6 +1489,23 @@ class TestFileFormats:
         write_observations(path, BtlObservation(graph=graph, wins=np.array([1.25, 0.0, 1e6])))
         assert path.read_bytes() == (b"j,m,N,S\r\n2,4,2.5,1.25\r\n1,2,3,0\r\n"
                                      b"1,3,1e+06,1e+06\r\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(obs=_written_observations(), block=st.sampled_from([1, 2, 7, 1 << 16]))
+    @example(obs=BtlObservation(
+        graph=ComparisonGraph.from_edges(3, [0, 0, 1], [1, 2, 2], [2.0, 2.0, 2.0]),
+        wins=np.array([0.0, -0.0, 0.0])), block=1 << 16)
+    def test_write_observations_formats_each_value_as_alone(self, obs, block, tmp_path_factory):
+        # each value's text as if formatted alone, -0.0 as -0 next to a 0.0, in blocks of
+        # any size
+        path = tmp_path_factory.mktemp("bytes") / "obs.csv"
+        with mock.patch.object(btl, "_WRITE_ROWS", block):
+            write_observations(path, obs)
+        g = obs.graph
+        rows = zip(g.j.tolist(), g.m.tolist(),
+                   _per_value_text(g.counts), _per_value_text(obs.wins))
+        expected = "j,m,N,S\r\n" + "".join(f"{a + 1},{b + 1},{c},{s}\r\n" for a, b, c, s in rows)
+        assert path.read_bytes() == expected.encode()
 
     @settings(max_examples=60, deadline=None)
     @given(obs=_file_observations(), data=st.data())
