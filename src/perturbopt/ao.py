@@ -20,7 +20,7 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, InnerSolveFailed, InsufficientSteps
 from .expansions import ConditionConstants
 from .numkit import BlockGeometry, BlockSplit, contraction_matrix
-from .objective import QuadraticObjective, SmoothObjective, partial_minimize
+from .objective import QuadraticObjective, SmoothObjective, _newton
 
 __all__ = [
     "AoTrace",
@@ -76,6 +76,8 @@ def ao_run(
     quadratic model at ``upsilon_star``, the exact alternation map applied
     to the current error, and runs until its gradient passes
     ``tol.JOINT_SOLVE_TOL``; ``inner_iterations`` counts its Newton steps.
+    A partial solve is ``partial_minimize``'s block Newton solve, run on the
+    two ``f.block_index`` blocks fetched once per run.
     """
     if n_steps < 1:
         raise ValueError("need at least one alternation step")
@@ -90,9 +92,17 @@ def ao_run(
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
     tt_half, nn_half, p = geometry.tt_half, geometry.nn_half, geometry.p
+    # the blocks, fetched once; each solve runs Newton on the block directly
+    nui_block = f.block_index(split.nuisance_idx)
+    target_block = f.block_index(split.target_idx)
+    x = np.empty(split.dim)  # the solves' start; Newton copies it
+
+    def solve(block, start):
+        x[block.idx] = start
+        return _newton(f, x, tol.JOINT_SOLVE_TOL, block=block)
 
     theta = theta0.copy()
-    thetas = [theta.copy()]
+    thetas = [theta]  # each iterate is a new array, never written after
     nuis: list = []
     e_prev = tt_half @ (theta - theta_star)
     theta_errs = [math.sqrt(e_prev @ e_prev)]
@@ -103,29 +113,29 @@ def ao_run(
 
     for step in range(1, n_steps + 1):
         # to first order the nuisance error is -P'e_prev and the next target error -P e_nui
-        sol_n = partial_minimize(f, split, "target", theta,
-                                 warm_start=nui_star - geometry.nn_inv_half @ (p.T @ e_prev),
-                                 tol_grad=tol.JOINT_SOLVE_TOL)
+        pt_e_prev = p.T @ e_prev
+        x[split.target_idx] = theta
+        sol_n = solve(nui_block, nui_star - geometry.nn_inv_half @ pt_e_prev)
         if not sol_n.converged:
             raise InnerSolveFailed(step, "nuisance")
-        nui = sol_n.argmin
+        nui = sol_n.argmin[split.nuisance_idx]
         e_nui = nn_half @ (nui - nui_star)
-        sol_t = partial_minimize(f, split, "nuisance", nui,
-                                 warm_start=theta_star - geometry.tt_inv_half @ (p @ e_nui),
-                                 tol_grad=tol.JOINT_SOLVE_TOL)
+        p_e_nui = p @ e_nui
+        x[split.nuisance_idx] = nui
+        sol_t = solve(target_block, theta_star - geometry.tt_inv_half @ p_e_nui)
         if not sol_t.converged:
             raise InnerSolveFailed(step, "target")
-        theta = sol_t.argmin
-        thetas.append(theta.copy())
-        nuis.append(nui.copy())
+        theta = sol_t.argmin[split.target_idx]
+        thetas.append(theta)
+        nuis.append(nui)
         inner.append((sol_n.iterations, sol_t.iterations))
         e_theta = tt_half @ (theta - theta_star)
         theta_errs.append(math.sqrt(e_theta @ e_theta))
         nui_errs.append(math.sqrt(e_nui @ e_nui))
         # step residuals relative to the exact quadratic alternation map;
         # both vanish identically when the objective is quadratic
-        eps = e_theta + p @ e_nui
-        alpha = e_nui + p.T @ e_prev
+        eps = e_theta + p_e_nui
+        alpha = e_nui + pt_e_prev
         eps_norms.append(math.sqrt(eps @ eps))
         alpha_norms.append(math.sqrt(alpha @ alpha))
         e_prev = e_theta

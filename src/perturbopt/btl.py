@@ -315,20 +315,7 @@ class BtlObjective(SmoothObjective):
         self.penalty = penalty
         self.dim = graph.n
         self._blocks: dict[bytes, _EdgeBlock] = {}
-
-    @staticmethod
-    def _edge_value(d, e, counts, wins) -> float:
-        """Minus the log-likelihood of edges with differences d and e = exp(-|d|)."""
-        loss = np.maximum(d, 0.0)
-        loss += np.log1p(e)
-        loss *= counts
-        return -float((d * wins - loss).sum())
-
-    def value(self, x) -> float:
-        block = self._whole
-        x, d, e = self._pass(x, block)
-        return (self._edge_value(d, e, block.counts, block.wins)
-                + self.penalty.terms(x, block.idx)[0])
+        self._penalty_blocks: dict[int, np.ndarray] = {}
 
     @cached_property
     def _whole(self) -> _EdgeBlock:
@@ -337,55 +324,86 @@ class BtlObjective(SmoothObjective):
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
                           ends=g.ends, inner=slice(None), rows=g.j, cols=g.m)
 
-    @staticmethod
-    def _pass(x, block: _EdgeBlock):
-        """``x`` as floats, and d and e = exp(-|d|) on the block's edges."""
+    def _penalty_block(self, size: int) -> np.ndarray:
+        """A new copy of G^2's principal block on ``size`` items, where every Hessian starts.
+
+        A block below the item count is copied from a template built once per
+        size.  The whole graph's is built afresh: its template would hold a
+        second n x n matrix beside each Hessian, for a saving only small blocks
+        see.
+        """
+        if size == self.dim:
+            return self.penalty.matrix(self.dim)
+        if size not in self._penalty_blocks:
+            self._penalty_blocks[size] = self.penalty.matrix(self.dim, size)
+        return self._penalty_blocks[size].copy()
+
+    def _point(self, x, block: _EdgeBlock, with_value: bool = True, with_gradient: bool = True):
+        """One pass over the block's edges at ``x``.
+
+        Returns the value and the gradient (each None unless asked for), a
+        thunk that builds the Hessian block, and the edges' differences d and
+        e = exp(-|d|).  d, e and 1 + e are formed once and read by all three.
+        The gradient sums each item's edge terms, j ends first, from one
+        buffer.  The Hessian is the sub-Laplacian of the inner edges, plus each
+        item's degree over all its edges on the diagonal, plus the penalty
+        block.  It is symmetric bit for bit: each inner edge's entry is
+        subtracted once from the penalty's off-diagonal value, the same in
+        every entry, and written to both mirrored places.  So Newton solves it
+        without ``check_symmetric``.
+        """
         x = np.asarray(x, dtype=float)
         d = x[block.j]
         d -= x[block.m]
         e = np.abs(d)
         np.negative(e, out=e)
-        return x, d, np.exp(e, out=e)
+        np.exp(e, out=e)
+        onep = 1.0 + e
+        k, size = d.size, block.idx.size
+        value = grad = None
+        penalty_value, penalty_grad = self.penalty.terms(x, block.idx)
+        if with_value:
+            loss = np.maximum(d, 0.0)
+            loss += np.log1p(e)
+            loss *= block.counts
+            value = -float((d * block.wins - loss).sum()) + penalty_value
+        if with_gradient:
+            terms = np.empty(2 * k)  # each edge's term at its j end, then at its m end
+            base = terms[:k]
+            np.maximum(e, d >= 0, out=base)  # the logistic numerator, as in _sigmoid_from
+            base /= onep
+            base *= block.counts
+            base -= block.wins
+            np.negative(base, out=terms[k:])
+            grad = np.bincount(block.ends, terms, minlength=size + 1)[:size]
+            grad = grad.astype(float, copy=False)  # bincount gives integers without edges
+            grad += penalty_grad
 
-    @staticmethod
-    def _gradient(block: _EdgeBlock, d, e, penalty_grad) -> np.ndarray:
-        """The gradient on the block: each item's edge terms summed, then ``penalty_grad``."""
-        base = _sigmoid_from(d, e)
-        base *= block.counts
-        base -= block.wins
-        grad = _scatter(block.ends, base, -base, block.idx.size)
-        grad += penalty_grad
-        return grad
+        def hessian() -> np.ndarray:
+            w = e / onep**2  # phi''(d), the bits of _phi2_from(e)
+            w *= block.counts
+            h = self._penalty_block(size)  # new: Newton factors each matrix in place
+            flat = h.reshape(-1)  # a view of h
+            upper, lower = block.entries
+            off = self.penalty.off_diagonal(self.dim) - w[block.inner]
+            flat[upper] = off  # pairs are unique, so no entry is written twice
+            flat[lower] = off
+            flat[:: size + 1] += _scatter(block.ends, w, w, size)  # the diagonal
+            return h
 
-    def _hessian(self, block: _EdgeBlock, e) -> np.ndarray:
-        """The Hessian block from e = exp(-|d|) on the block's edges.
+        return value, grad, hessian, d, e
 
-        The sub-Laplacian of the inner edges, plus each item's degree over
-        all its edges on the diagonal, plus the penalty block.  It is
-        symmetric bit for bit: each inner edge's entry is subtracted once from
-        the penalty's off-diagonal value, the same in every entry, and written
-        to both mirrored places.  So Newton solves it without
-        ``check_symmetric``.
-        """
-        size = block.idx.size
-        w = block.counts * _phi2_from(e)
-        h = self.penalty.matrix(self.dim, size)
-        flat = h.reshape(-1)  # a view of h
-        upper, lower = block.entries
-        off = self.penalty.off_diagonal(self.dim) - w[block.inner]
-        flat[upper] = off  # pairs are unique, so no entry is written twice
-        flat[lower] = off
-        flat[:: size + 1] += _scatter(block.ends, w, w, size)  # the diagonal
-        return h
+    def value(self, x) -> float:
+        return self._point(x, self._whole, with_gradient=False)[0]
 
     def gradient(self, x) -> np.ndarray:
-        block = self._whole
-        x, d, e = self._pass(x, block)
-        return self._gradient(block, d, e, self.penalty.terms(x, block.idx)[1])
+        return self._point(x, self._whole, with_value=False)[1]
 
     def hessian(self, x) -> np.ndarray:
-        block = self._whole
-        return self._hessian(block, self._pass(x, block)[2])
+        return self._point(x, self._whole, with_value=False, with_gradient=False)[2]()
+
+    def hessian_diagonal(self, x) -> np.ndarray:
+        return _hessian_diagonal(self.graph, self.penalty, np.asarray(x, dtype=float))
 
     def block_index(self, idx) -> _EdgeBlock:
         """The block ``idx`` and the edges with an end in it, built once per index set."""
@@ -414,11 +432,7 @@ class BtlObjective(SmoothObjective):
         edge order, so the gradient and the Hessian block are the bits of the
         full ones' slices.
         """
-        block = self._whole if block is None else block
-        x, d, e = self._pass(x, block)
-        penalty_value, penalty_grad = self.penalty.terms(x, block.idx)
-        value = self._edge_value(d, e, block.counts, block.wins) + penalty_value
-        return value, self._gradient(block, d, e, penalty_grad), lambda: self._hessian(block, e)
+        return self._point(x, self._whole if block is None else block)[:3]
 
     def third_directional(self, x, a, b, c) -> float:
         x = np.asarray(x, dtype=float)
@@ -575,8 +589,7 @@ def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
     gsq = obj.penalty.gsq if obj.penalty.kind == "ridge" else 0.0
     x = np.asarray(x0, dtype=float).copy()
     for iterations in range(max_iter + 1):
-        x, d, e = obj._pass(x, block)
-        grad = obj._gradient(block, d, e, obj.penalty.terms(x, block.idx)[1])
+        _, grad, _, d, e = obj._point(x, block, with_value=False)
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol_grad or iterations == max_iter:
             break
@@ -649,6 +662,15 @@ def fit_penalized_mle(
         report.converged = False
         report.note = "divergent: a one-sided win/loss pattern has no finite optimum"
     return report
+
+
+def _hessian_diagonal(graph: ComparisonGraph, penalty: PenaltySpec, x: np.ndarray) -> np.ndarray:
+    """The penalized Hessian's diagonal at ``x``: each item's degree plus the penalty's.
+
+    The dense Hessian adds the same two numbers on its diagonal, so the bits are its own.
+    """
+    w = graph.counts * phi2(x[graph.j] - x[graph.m])
+    return _edge_scatter(graph, w, w) + penalty.diag(graph.n)
 
 
 def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionConstants:
@@ -763,9 +785,7 @@ def btl_condition_constants(
         if not float(radius) >= 0.0:  # NaN fails too; an infinite radius is a bound
             raise ValueError(f"the radius must be >= 0, got {radius}")
         if d_scales is None:
-            # the expected Hessian's diagonal: each item's degree plus the penalty's
-            w = graph.counts * phi2(center[graph.j] - center[graph.m])
-            d_scales = np.sqrt(_edge_scatter(graph, w, w) + penalty.diag(graph.n))
+            d_scales = np.sqrt(_hessian_diagonal(graph, penalty, center))
         return _linf_constants(graph, center, float(radius), d_scales)
     if norm == "l2":
         if geometry is None or radii is None:

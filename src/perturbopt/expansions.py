@@ -411,7 +411,7 @@ def check_separable_sup_expansion(
                           tol_grad=tol.JOINT_SOLVE_TOL)
     ups_circ = sol.argmin
     fisher = check_symmetric(f.hessian(upsilon_star))
-    d = np.sqrt(np.diag(f.hessian(ups_circ)) + spec.t2(ups_circ))
+    d = np.sqrt(f.hessian_diagonal(ups_circ) + spec.t2(ups_circ))
     m_vec = spec.t1(upsilon_star)
     shift = ups_circ - upsilon_star
     solved = sol.converged and _stationary(f.gradient(upsilon_star))

@@ -55,6 +55,11 @@ class SmoothObjective:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def hessian_diagonal(self, x) -> np.ndarray:
+        """The Hessian's diagonal, a new array; objectives that can skip the n x n matrix
+        override it."""
+        return np.diag(self.hessian(x)).copy()
+
     def third_directional(self, x, a, b, c) -> float:
         """<third derivative tensor at x, a ⊗ b ⊗ c>."""
         raise NotImplementedError

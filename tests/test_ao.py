@@ -1,5 +1,7 @@
 """Alternating minimization: traces, exactness, certificates, rates."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from perturbopt.ao import (
     quad_ao_identity_check,
     trace_to_csv,
 )
+from perturbopt import btl, experiments
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
+    BtlObjective,
     PenaltySpec,
     btl_condition_constants,
     btl_objective,
@@ -208,6 +212,53 @@ class TestInnerSolveStart:
         result = ao_replication(cfg, 50, 0)
         assert result.reason == "ok"
         assert result.trace.inner_iterations.sum() <= 24
+
+
+class TestOnePassPerNewtonPoint:
+    def test_ao_replication_evaluates_each_point_once(self, monkeypatch):
+        """Each Newton point of the joint and the partial solves is one ``evaluate`` call,
+        and each Newton step one Hessian thunk call; the Fisher matrix is the one direct
+        ``hessian`` call.  The whole graph and each AO block are built once.  The seed's
+        solves take full steps only, so no line search adds points."""
+        counts = Counter()
+        evaluate, hessian, edge_block = BtlObjective.evaluate, BtlObjective.hessian, btl._EdgeBlock
+        joint_solves, builds = [], []
+
+        def spy_evaluate(obj, x, block=None):
+            counts["evaluate"] += 1
+            value, grad, thunk = evaluate(obj, x, block)
+
+            def counted():
+                counts["thunk"] += 1
+                return thunk()
+
+            return value, grad, counted
+
+        def spy_hessian(obj, x):
+            counts["hessian"] += 1
+            return hessian(obj, x)
+
+        class CountedBlock(edge_block):
+            def __init__(self, **fields):
+                builds.append(fields["idx"].size)
+                super().__init__(**fields)
+
+        def spy_joint(*args, **kwargs):
+            joint_solves.append(newton_minimize(*args, **kwargs))
+            return joint_solves[-1]
+
+        monkeypatch.setattr(BtlObjective, "evaluate", spy_evaluate)
+        monkeypatch.setattr(BtlObjective, "hessian", spy_hessian)
+        monkeypatch.setattr(btl, "_EdgeBlock", CountedBlock)
+        monkeypatch.setattr(experiments, "newton_minimize", spy_joint)
+        cfg = ExperimentConfig(n_list=(50,), L=3, gsq=5.0, gap=0.02, steps=8, seed=1, reps=1)
+        result = ao_replication(cfg, 50, 0)
+        assert result.reason == "ok" and len(joint_solves) == 1
+        inner = result.trace.inner_iterations
+        steps = joint_solves[0].iterations + int(inner.sum())
+        points = steps + 1 + inner.size
+        assert (counts["evaluate"], counts["thunk"], counts["hessian"]) == (points, steps, 1)
+        assert sorted(builds) == [25, 25, 50]
 
 
 class TestQuadraticIdentity:

@@ -619,8 +619,18 @@ def _parent_mm(obj, x0, max_iter):
 
 @st.composite
 def _pinned_case(draw):
-    """``_objective_point_block`` with scores at +0 and -0, and score gaps beyond 745."""
+    """``_objective_point_block`` with real-valued wins, an item without edges, scores at +0
+    and -0, and score gaps beyond 745; the block may hold only the item without edges."""
     obj, x, idx = draw(_objective_point_block())
+    g = obj.graph
+    if draw(st.booleans()):  # the expected-mode objective's wins, anywhere in [0, N]
+        wins = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, g.counts)
+        obj = BtlObjective(g, wins, obj.penalty)
+    if draw(st.booleans()):  # one more item, with no edges
+        g = ComparisonGraph.from_edges(g.n + 1, g.j, g.m, g.counts)
+        obj = BtlObjective(g, obj.wins, obj.penalty)
+        x = np.append(x, draw(st.sampled_from([0.0, 0.5])))
+        idx = np.array([g.n - 1]) if draw(st.booleans()) else np.append(idx, g.n - 1)
     x = x * draw(st.sampled_from([1.0, 40.0]))  # 40 * 40: exp(-|d|) underflows to 0
     signed_zeros = draw(st.lists(st.sampled_from([0.0, -0.0, None]), min_size=x.size,
                                  max_size=x.size))
@@ -637,6 +647,28 @@ def _pinned_example():
     return obj, np.array([-0.0, 0.0, 800.0, 0.0]), np.array([2, 0])
 
 
+def _edgeless_examples():
+    """A design without edges, and a block of the one item without edges, per penalty."""
+    cases = []
+    for penalty in (PenaltySpec.none(), PenaltySpec.mean_shift(2.0), PenaltySpec.ridge(0.5)):
+        empty = ComparisonGraph.from_edges(3, [], [], [])
+        cases.append((BtlObjective(empty, np.zeros(0), penalty), np.array([0.5, -0.0, 2.0]),
+                      np.array([1, 2])))
+        lone = ComparisonGraph.from_edges(4, [0, 1], [1, 2], [3.0, 1.0])
+        cases.append((BtlObjective(lone, np.array([1.5, 0.25]), penalty),
+                      np.array([0.0, -0.0, 900.0, 0.25]), np.array([3])))
+    return cases
+
+
+def _examples(cases):
+    """``hypothesis.example`` for each case."""
+    def apply(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return apply
+
+
 class TestLeanPassPinned:
     """The lean edge pass keeps every IEEE operation of the plain formulas, and their order.
 
@@ -646,10 +678,16 @@ class TestLeanPassPinned:
     @settings(max_examples=300, deadline=None)
     @given(_pinned_case())
     @example(_pinned_example())
+    @_examples(_edgeless_examples())
     def test_derivatives_are_the_plain_formulas(self, case):
+        """The whole graph and a block, through evaluate and the three separate calls.
+
+        Gradients stay float64 where a block or the design has no edges, and each
+        Hessian thunk call returns a new matrix (Newton factors it in place)."""
         obj, x, idx = case
         grad, hess = _parent_gradient(obj, x), _parent_hessian(obj, x)
         value = _parent_value(obj, x)
+        assert grad.dtype == np.float64
         assert np.float64(obj.value(x)).tobytes() == np.float64(value).tobytes()
         assert _same_bits(obj.gradient(x), grad) and _same_bits(obj.hessian(x), hess)
         got_value, got_grad, got_hess = obj.evaluate(x)
@@ -661,7 +699,17 @@ class TestLeanPassPinned:
         assert (np.float64(got_value).tobytes()
                 == np.float64(_parent_value(obj, x, edges)).tobytes())
         assert _same_bits(got_grad, grad[idx])
+        first = got_hess()
+        first += 1.0  # as a factorization in place would
         assert _same_bits(got_hess(), hess[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("kind", ["none", "mean_shift", "ridge"])
+    @settings(max_examples=100, deadline=None)
+    @given(case=_pinned_case(), gsq=st.floats(0.01, 20.0))
+    def test_hessian_diagonal_is_the_dense_diagonal(self, kind, case, gsq):
+        obj, x, _ = case
+        obj = BtlObjective(obj.graph, obj.wins, PenaltySpec(kind, 0.0 if kind == "none" else gsq))
+        assert _same_bits(obj.hessian_diagonal(x), np.diag(obj.hessian(x)).copy())
 
     @settings(max_examples=150, deadline=None)
     @given(_pinned_case(), st.integers(0, 4))

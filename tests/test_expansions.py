@@ -9,6 +9,7 @@ import pytest
 
 from conftest import expected_geometry, random_spd
 from perturbopt.btl import (
+    BtlObjective,
     PenaltySpec,
     btl_condition_constants,
     btl_objective,
@@ -40,6 +41,7 @@ from perturbopt.numkit import (
 from perturbopt.objective import (
     QuadraticObjective,
     SeparableSpec,
+    SmoothObjective,
     _newton,
     newton_minimize,
     partial_minimize,
@@ -414,6 +416,25 @@ class TestSeparableSupExpansion:
         slope = np.polyfit(np.log(m_norms), np.log(rems), 1)[0]
         assert slope >= 1.9
 
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(2.0), PenaltySpec.ridge(0.5)])
+    def test_btl_metric_skips_the_dense_hessian(self, monkeypatch, penalty):
+        """The metric refreshed at the perturbed argmin reads ``hessian_diagonal``: one dense
+        Hessian fewer than the dense diagonal's metric, and its reports."""
+        graph, truth, _ = _btl_expected(10, 50, seed=18)
+        f = btl_objective(graph, penalty, mode="expected", truth=truth)
+        ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
+        consts = btl_condition_constants(graph, f.penalty, ups_star, radius=0.5, norm="linf")
+        hessian = BtlObjective.hessian
+        built = []
+        monkeypatch.setattr(BtlObjective, "hessian",
+                            lambda obj, x: built.append(1) or hessian(obj, x))
+        lean = check_separable_sup_expansion(f, ridge_spec(0.05), consts, upsilon_star=ups_star)
+        lean_builds = len(built)  # the Newton solve's and the Fisher matrix
+        monkeypatch.setattr(BtlObjective, "hessian_diagonal", SmoothObjective.hessian_diagonal)
+        dense = check_separable_sup_expansion(f, ridge_spec(0.05), consts, upsilon_star=ups_star)
+        assert len(built) - lean_builds == lean_builds + 1
+        assert repr(lean) == repr(dense)
 
     @pytest.mark.parametrize("instance", ["quadratic", "btl"])
     def test_affine_spec_matches_linear_checker(self, instance):
