@@ -20,7 +20,7 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, InnerSolveFailed, InsufficientSteps
 from .expansions import ConditionConstants
 from .numkit import BlockGeometry, BlockSplit, contraction_matrix
-from .objective import QuadraticObjective, SmoothObjective, _newton
+from .objective import QuadraticObjective, SmoothObjective, partial_minimize
 
 __all__ = [
     "AoTrace",
@@ -45,8 +45,6 @@ class AoTrace:
     eps_norms: np.ndarray  # step residual norms against the exact quadratic map
     alpha_norms: np.ndarray
     inner_iterations: np.ndarray  # Newton iterations per step: nuisance solve, target solve
-    ppt_norm: float
-    upsilon_star: np.ndarray
 
     def __post_init__(self):
         steps = len(self.nui_iterates)
@@ -76,8 +74,7 @@ def ao_run(
     quadratic model at ``upsilon_star``, the exact alternation map applied
     to the current error, and runs until its gradient passes
     ``tol.JOINT_SOLVE_TOL``; ``inner_iterations`` counts its Newton steps.
-    A partial solve is ``partial_minimize``'s block Newton solve, run on the
-    two ``f.block_index`` blocks fetched once per run.
+    Each partial solve is a ``partial_minimize`` call.
     """
     if n_steps < 1:
         raise ValueError("need at least one alternation step")
@@ -92,14 +89,7 @@ def ao_run(
     theta_star = upsilon_star[split.target_idx]
     nui_star = upsilon_star[split.nuisance_idx]
     tt_half, nn_half, p = geometry.tt_half, geometry.nn_half, geometry.p
-    # the blocks, fetched once; each solve runs Newton on the block directly
-    nui_block = f.block_index(split.nuisance_idx)
-    target_block = f.block_index(split.target_idx)
     x = np.empty(split.dim)  # the solves' start; Newton copies it
-
-    def solve(block, start):
-        x[block.idx] = start
-        return _newton(f, x, tol.JOINT_SOLVE_TOL, block=block)
 
     theta = theta0.copy()
     thetas = [theta]  # each iterate is a new array, never written after
@@ -115,17 +105,19 @@ def ao_run(
         # to first order the nuisance error is -P'e_prev and the next target error -P e_nui
         pt_e_prev = p.T @ e_prev
         x[split.target_idx] = theta
-        sol_n = solve(nui_block, nui_star - geometry.nn_inv_half @ pt_e_prev)
+        x[split.nuisance_idx] = nui_star - geometry.nn_inv_half @ pt_e_prev
+        sol_n = partial_minimize(f, x, split.nuisance_idx, tol.JOINT_SOLVE_TOL)
         if not sol_n.converged:
             raise InnerSolveFailed(step, "nuisance")
-        nui = sol_n.argmin[split.nuisance_idx]
+        nui = sol_n.argmin
         e_nui = nn_half @ (nui - nui_star)
         p_e_nui = p @ e_nui
         x[split.nuisance_idx] = nui
-        sol_t = solve(target_block, theta_star - geometry.tt_inv_half @ p_e_nui)
+        x[split.target_idx] = theta_star - geometry.tt_inv_half @ p_e_nui
+        sol_t = partial_minimize(f, x, split.target_idx, tol.JOINT_SOLVE_TOL)
         if not sol_t.converged:
             raise InnerSolveFailed(step, "target")
-        theta = sol_t.argmin[split.target_idx]
+        theta = sol_t.argmin
         thetas.append(theta)
         nuis.append(nui)
         inner.append((sol_n.iterations, sol_t.iterations))
@@ -148,8 +140,6 @@ def ao_run(
         eps_norms=np.asarray(eps_norms),
         alpha_norms=np.asarray(alpha_norms),
         inner_iterations=np.asarray(inner, dtype=int),
-        ppt_norm=geometry.ppt_norm,
-        upsilon_star=upsilon_star,
     )
 
 

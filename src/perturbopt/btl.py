@@ -604,9 +604,10 @@ def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
                        converged=converged, note="" if converged else "iteration cap reached")
 
 
-# why a design without a ridge has no unique fit
+# why a design without a ridge has no unique fit, or no finite one
 DISCONNECTED = ("singular fit: the design is disconnected, so the scores of its components "
                 "are not comparable")
+DIVERGENT = "divergent: a one-sided win/loss pattern has no finite optimum"
 
 
 def fit_penalized_mle(
@@ -660,7 +661,7 @@ def fit_penalized_mle(
             report = unsolved(exc.iteration, f"singular fit: {exc}")
     if not finite_minimizer:
         report.converged = False
-        report.note = "divergent: a one-sided win/loss pattern has no finite optimum"
+        report.note = DIVERGENT
     return report
 
 

@@ -25,7 +25,6 @@ from .objective import (
     SeparablePerturbation,
     SeparableSpec,
     SmoothObjective,
-    _newton,
     newton_minimize,
     partial_minimize,
 )
@@ -255,8 +254,8 @@ def check_partial_bias(
     reports = []
     for nu, (h_norm, flags) in zip(nui_values, rows):
         nu = np.asarray(nu, dtype=float)
-        sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
-                               tol_grad=tol.JOINT_SOLVE_TOL)
+        x_at = split.embed(theta_star, nu)
+        sol = partial_minimize(f, x_at, split.target_idx, tol.JOINT_SOLVE_TOL)
         solved = stationary and sol.converged
         theta_nu = sol.argmin
         linear_term = spd_solve(geometry.f_tt, geometry.f_tn @ (nu - nui_star))
@@ -266,7 +265,6 @@ def check_partial_bias(
         reports.append(_report("partial_bias", leading, remainder, bound, flags, solved))
 
         # optimal-value expansion defect
-        x_at = split.embed(theta_star, nu)
         a_nu = f.gradient(x_at)[split.target_idx]
         f_nu = check_symmetric(f.hessian(x_at)[np.ix_(split.target_idx, split.target_idx)])
         f_nu_inv_a = spd_solve(f_nu, a_nu)
@@ -383,7 +381,8 @@ def check_linear_sup_expansion(
     # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
     # Newton factors its matrix in place, and the reports below read fisher
     start = (value + float(a_vec @ upsilon_star), grad + a_vec, lambda: fisher.copy())
-    sol = _newton(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL, start=start)
+    sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL,
+                          start=start)
     solved = sol.converged and _stationary(grad)
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d) if rho is None else rho
@@ -458,8 +457,8 @@ def check_perturbed_partial(
         nu = np.asarray(nu, dtype=float)
         dltwb_local = constants.d21 * h_norm
         flags = {**flags, "dltwb_le_quarter": dltwb_local <= 0.25}
-        sol = partial_minimize(g, split, "nuisance", nu, warm_start=theta_star,
-                               tol_grad=tol.JOINT_SOLVE_TOL)
+        sol = partial_minimize(g, split.embed(theta_star, nu), split.target_idx,
+                               tol.JOINT_SOLVE_TOL)
         solved = stationary and sol.converged
         theta_circ = sol.argmin
         linear_term = spd_solve(geometry.f_tt, geometry.f_tn @ (nu - nui_star))
@@ -509,8 +508,7 @@ def semi_orthogonality_probe(
         x_at = split.embed(theta_star, nu)
         cross = f.hessian(x_at)[np.ix_(split.target_idx, split.nuisance_idx)]
         cross_vals.append(float(np.abs(cross).max()))
-        sol = partial_minimize(f, split, "nuisance", nu, warm_start=theta_star,
-                               tol_grad=tol.JOINT_SOLVE_TOL)
+        sol = partial_minimize(f, x_at, split.target_idx, tol.JOINT_SOLVE_TOL)
         bias_vals.append(float(np.linalg.norm(sol.argmin - theta_star)))
         converged = converged and sol.converged
     return SemiOrthogonalityReport(

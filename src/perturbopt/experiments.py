@@ -24,6 +24,7 @@ from . import tolerances as tol
 from .ao import AoCertificate, AoTrace, ao_run, certify_convergence, estimate_rate, fixed_point_radii
 from .btl import (
     DISCONNECTED,
+    DIVERGENT,
     BtlObjective,
     BtlObservation,
     PenaltySpec,
@@ -246,10 +247,15 @@ def diagnose_expansion(
 
     The residuals are measured against the exact minimizer of the expected
     objective, which equals ``truth`` when the scores are centered.  Without
-    a ridge, a disconnected design has no such minimizer: a ValueError.
+    a ridge, a disconnected design has no such minimizer, and outcomes without
+    a finite MLE (``mle_exists``) none of the perturbed objective, the
+    empirical one: a ValueError either way.
     """
-    if penalty.kind != "ridge" and not obs.graph.connected:
-        raise ValueError(DISCONNECTED)
+    if penalty.kind != "ridge":
+        if not obs.graph.connected:
+            raise ValueError(DISCONNECTED)
+        if not mle_exists(obs):
+            raise ValueError(DIVERGENT)
     expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
     noise = _noise_from(obs, expected.wins)
     return _sup_expansion_bounds(expected, polish, fisher, noise, spd_solve(fisher, noise))

@@ -100,6 +100,11 @@ class BlockSplit:
         return self.p + self.q
 
     def embed(self, theta, nui) -> np.ndarray:
+        """The full vector of a target and a nuisance block; a block of another shape
+        raises DimensionMismatch."""
+        if np.shape(theta) != (self.p,) or np.shape(nui) != (self.q,):
+            raise DimensionMismatch(f"blocks of shapes {np.shape(theta)} and {np.shape(nui)} "
+                                    f"for a split of {self.p} + {self.q}")
         x = np.empty(self.dim)
         x[self.target_idx] = theta
         x[self.nuisance_idx] = nui

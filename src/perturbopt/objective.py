@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD, NotPositiveDefinite
-from .numkit import BlockSplit, check_symmetric, spd_solve
+from .numkit import check_symmetric, spd_solve
 
 __all__ = [
     "BlockIndex",
@@ -210,10 +210,10 @@ class SolveReport:
     """Outcome of a minimization: argmin, effort, and an honest convergence flag.
 
     A Newton solve also keeps ``value`` and ``gradient``, the first two parts
-    of the ``evaluate`` call at its last point (``argmin``, embedded with the
-    held values on a block), so a caller need not evaluate there again.  On a
-    block they are the block's value and gradient.  Other solvers leave them
-    None.
+    of the ``evaluate`` call at its last point, so a caller need not evaluate
+    there again.  On a block they are the block's value and gradient, and
+    ``partial_minimize`` cuts ``argmin`` to the free block.  Other solvers
+    leave them None.
     """
 
     argmin: np.ndarray
@@ -246,6 +246,8 @@ def newton_minimize(
     tol_grad: float = tol.SOLVER_GRAD_TOL,
     max_iter: int = tol.NEWTON_MAX_ITER,
     block: Optional[BlockIndex] = None,
+    *,
+    start=None,
 ) -> SolveReport:
     """Damped Newton with fixed backtracking (step halving, Armijo 1e-4).
 
@@ -253,16 +255,13 @@ def newton_minimize(
     move.  Each point takes one ``evaluate`` call: the line search's accepted
     evaluation is the next iterate's, and the Hessian is built only at
     iterates that fail the gradient test, so a solve builds ``iterations``
-    Hessians.  Converged means the gradient sup-norm fell to ``tol_grad``.  A
-    non-positive-definite Hessian at an iterate raises HessianNotPD; running
-    out of iterations returns a report with ``converged=False``.  A start
-    with a non-finite entry raises ValueError before any evaluation.
+    Hessians.  ``start``, when given, is the caller's ``f.evaluate(x0,
+    block)``, and ``f`` is then never evaluated at ``x0``.  Converged means
+    the gradient sup-norm fell to ``tol_grad``.  A non-positive-definite
+    Hessian at an iterate raises HessianNotPD; running out of iterations
+    returns a report with ``converged=False``.  A start with a non-finite
+    entry raises ValueError before any evaluation.
     """
-    return _newton(f, x0, tol_grad, max_iter, block)
-
-
-def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=None):
-    """``newton_minimize`` from ``start``, the caller's ``f.evaluate(x0, block)`` if given."""
     x = np.asarray(x0, dtype=float).copy()
     if not np.isfinite(x).all():
         raise ValueError("the Newton start must be finite")
@@ -304,33 +303,19 @@ def _newton(f, x0, tol_grad, max_iter=tol.NEWTON_MAX_ITER, block=None, start=Non
 
 def partial_minimize(
     f: SmoothObjective,
-    split: BlockSplit,
-    fixed_block: str,
-    fixed_value,
-    warm_start=None,
+    x0,
+    free_idx,
     tol_grad: float = tol.SOLVER_GRAD_TOL,
     max_iter: int = tol.NEWTON_MAX_ITER,
 ) -> SolveReport:
-    """Minimize over one block with the other held fixed.
+    """Minimize over the coordinates ``free_idx`` of ``x0``, the others held fixed.
 
-    ``fixed_block`` names the block being *held*: fixing the nuisance solves
-    the target subproblem and vice versa.  The solve is a block Newton solve
-    on the full vector; the report's argmin is the free-block vector.  A
-    ``warm_start`` whose length is not the free block's raises
-    DimensionMismatch.
+    The solve is ``newton_minimize`` on the block ``f.block_index(free_idx)``,
+    started at ``x0``; the report's argmin is the free-block vector.  An
+    ``x0`` whose length is not ``f.dim`` raises DimensionMismatch.
     """
-    if fixed_block not in ("target", "nuisance"):
-        raise ValueError("fixed_block must be 'target' or 'nuisance'")
-    fixed_value = np.asarray(fixed_value, dtype=float)
-    free_target = fixed_block == "nuisance"
-    free_idx, fixed_idx = ((split.target_idx, split.nuisance_idx) if free_target
-                           else (split.nuisance_idx, split.target_idx))
-    if fixed_value.shape != (fixed_idx.size,):
-        raise DimensionMismatch("fixed values do not match fixed index count")
-    free = np.zeros(free_idx.size) if warm_start is None else np.asarray(warm_start, float)
-    if free.shape != (free_idx.size,):
-        raise DimensionMismatch(f"warm start has shape {free.shape}, free block {free_idx.size}")
-    x0 = split.embed(free, fixed_value) if free_target else split.embed(fixed_value, free)
+    if np.shape(x0) != (f.dim,):
+        raise DimensionMismatch(f"start has shape {np.shape(x0)}, the objective {f.dim}")
     report = newton_minimize(f, x0, tol_grad=tol_grad, max_iter=max_iter,
                              block=f.block_index(free_idx))
     report.argmin = report.argmin[free_idx]

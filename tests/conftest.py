@@ -1,7 +1,12 @@
-"""Shared test objectives and generators."""
+"""Shared test objectives, generators and fixtures."""
+
+import sys
 
 import numpy as np
+import pytest
 
+import perturbopt.cli  # noqa: F401  (every module that may bind a solver is loaded)
+from perturbopt import objective
 from perturbopt.btl import btl_objective
 from perturbopt.numkit import check_symmetric, contraction_matrix
 from perturbopt.objective import SmoothObjective
@@ -67,3 +72,23 @@ def expected_geometry(graph, penalty, center, split):
     """Block geometry of the expected Fisher matrix at ``center``, as the l2 constants read it."""
     fisher = btl_objective(graph, penalty, mode="expected", truth=center).hessian(center)
     return contraction_matrix(fisher, split)
+
+
+@pytest.fixture()
+def solver_calls(monkeypatch):
+    """The keyword arguments of each ``newton_minimize`` and ``partial_minimize`` call,
+    by name; each is spied on wherever a perturbopt module binds it."""
+    calls = {"newton_minimize": [], "partial_minimize": []}
+    modules = [m for k, m in sorted(sys.modules.items()) if k.startswith("perturbopt.")]
+    for name in calls:
+        original = getattr(objective, name)
+
+        def spy(*args, _record=calls[name].append, _solve=original, **kwargs):
+            _record(kwargs)
+            return _solve(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    return calls

@@ -63,7 +63,7 @@ class TestAoRun:
         trace = ao_run(quad, geometry, np.array([1.0]), 3, upsilon_star=quad.minimizer)
         iterates = [float(t[0]) for t in trace.theta_iterates]
         np.testing.assert_allclose(iterates, [1.0, 0.25, 0.0625, 0.015625], atol=1e-12)
-        assert trace.ppt_norm == pytest.approx(0.25, abs=1e-10)
+        assert geometry.ppt_norm == pytest.approx(0.25, abs=1e-10)
 
     def test_block_diagonal_converges_in_one_step(self):
         rng = np.random.default_rng(0)
@@ -159,10 +159,10 @@ def _previous_iterate_errors(f, geometry, theta0, n_steps, ups_star):
     theta_errs = [np.linalg.norm(geometry.tt_half @ (theta - theta_star))]
     nui_errs = []
     for _ in range(n_steps):
-        sol_n = partial_minimize(f, split, "target", theta, warm_start=nui,
+        sol_n = partial_minimize(f, split.embed(theta, nui), split.nuisance_idx,
                                  tol_grad=tol.JOINT_SOLVE_TOL)
         nui = sol_n.argmin
-        sol_t = partial_minimize(f, split, "nuisance", nui, warm_start=theta,
+        sol_t = partial_minimize(f, split.embed(theta, nui), split.target_idx,
                                  tol_grad=tol.JOINT_SOLVE_TOL)
         theta = sol_t.argmin
         assert sol_n.converged and sol_t.converged
@@ -259,6 +259,17 @@ class TestOnePassPerNewtonPoint:
         points = steps + 1 + inner.size
         assert (counts["evaluate"], counts["thunk"], counts["hessian"]) == (points, steps, 1)
         assert sorted(builds) == [25, 25, 50]
+
+
+class TestOneSolverPath:
+    def test_ao_replication_solves_through_the_public_solvers(self, solver_calls):
+        """The joint fit is one ``newton_minimize`` call; each of the 8 steps' two block
+        solves is a ``partial_minimize`` call, which runs ``newton_minimize`` on the block."""
+        cfg = ExperimentConfig(n_list=(50,), L=3, gsq=5.0, gap=0.02, steps=8, seed=1, reps=1)
+        assert ao_replication(cfg, 50, 0).reason == "ok"
+        newton = solver_calls["newton_minimize"]
+        assert (len(solver_calls["partial_minimize"]), len(newton)) == (16, 17)
+        assert sum(kwargs.get("block") is not None for kwargs in newton) == 16
 
 
 class TestQuadraticIdentity:

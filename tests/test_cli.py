@@ -278,6 +278,24 @@ class TestInputErrors:
             assert err == "error: singular fit: the design is disconnected, so the scores of " \
                           "its components are not comparable\n"
 
+    @pytest.mark.parametrize("penalty", ["mean_shift", "ridge"])
+    def test_divergent_diagnose(self, penalty, tmp_path, capsys):
+        """Item 1 wins every game: without a ridge the perturbed objective, the empirical
+        likelihood, has no finite minimizer, and its solve once read converged at scores
+        up to 22.7.  Exit 1 with fit's divergent note, and write nothing."""
+        obs_path, truth_path, out = (tmp_path / name for name in ("obs.csv", "truth.csv", "r.csv"))
+        obs_path.write_text("j,m,N,S\n1,2,3,3\n1,3,3,3\n2,3,3,1\n2,4,3,2\n3,4,3,1\n")
+        write_scores(truth_path, np.zeros(4))
+        code = dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(out), "--penalty", penalty])
+        err = capsys.readouterr().err
+        if penalty == "ridge":
+            assert code == 0 and err == "" and out.exists()
+        else:
+            assert code == 1 and not out.exists()
+            assert not (tmp_path / "r.csv.meta.json").exists()
+            assert err == "error: divergent: a one-sided win/loss pattern has no finite optimum\n"
+
     @pytest.mark.parametrize("command", [
         ["fit"],
         ["diagnose"],

@@ -18,7 +18,7 @@ from perturbopt.btl import (
     sample_outcomes,
 )
 from perturbopt import expansions
-from perturbopt.errors import DltwbTooLarge
+from perturbopt.errors import DimensionMismatch, DltwbTooLarge
 from perturbopt.expansions import (
     ConditionConstants,
     check_linear_sup_expansion,
@@ -42,7 +42,6 @@ from perturbopt.objective import (
     QuadraticObjective,
     SeparableSpec,
     SmoothObjective,
-    _newton,
     newton_minimize,
     partial_minimize,
     ridge_spec,
@@ -667,6 +666,23 @@ class TestPartialMetrics:
             assert rep.prerequisite_flags["offset_in_radius"] is inside, rep.variant
 
 
+class TestNuisanceValueShape:
+    def test_scalar_nuisance_value_refused(self):
+        """A nuisance value must have the nuisance block's shape; a scalar is not
+        broadcast over the block."""
+        rng = np.random.default_rng(26)
+        quad = QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4))
+        split = BlockSplit.half(4)
+        consts = ConditionConstants.zeros()
+        for run in (lambda nus: check_partial_bias(quad, split, nus, consts, quad.minimizer),
+                    lambda nus: check_perturbed_partial(quad, split, np.zeros(2), nus, consts,
+                                                        quad.minimizer),
+                    lambda nus: semi_orthogonality_probe(quad, split, nus, quad.minimizer)):
+            run([quad.minimizer[2:]])
+            with pytest.raises(DimensionMismatch):
+                run([0.5])
+
+
 class TestSemiOrthogonality:
     def test_additively_separable(self):
         rng = np.random.default_rng(25)
@@ -761,7 +777,6 @@ class TestConvergenceGate:
         trusted = {name: run(ups_star) for name, run in checkers.items()}
         monkeypatch.setattr(expansions, "newton_minimize",
                             functools.partial(newton_minimize, max_iter=1))
-        monkeypatch.setattr(expansions, "_newton", functools.partial(_newton, max_iter=1))
         monkeypatch.setattr(expansions, "partial_minimize",
                             functools.partial(partial_minimize, max_iter=1))
         for name, run in checkers.items():

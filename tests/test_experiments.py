@@ -267,6 +267,14 @@ class TestExpansionStudy:
         diagnose_expansion(obs, truth, cfg.penalty)
         assert len(points) == 1
 
+    def test_two_newton_solves_per_diagnose(self, solver_calls):
+        """The polish solve, then the linear check's, from the evaluation it is given."""
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3)
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        diagnose_expansion(obs, truth, cfg.penalty)
+        assert ["start" in kwargs for kwargs in solver_calls["newton_minimize"]] == [False, True]
+        assert solver_calls["partial_minimize"] == []
+
     @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
     def test_one_evaluation_at_the_minimizer_per_diagnose(self, penalty, monkeypatch):
         """The residual check starts from the polish solve's last evaluation."""
@@ -328,10 +336,14 @@ class TestAoStudy:
                             counted("geometry", numkit.BlockGeometry.__init__))
         monkeypatch.setattr(numkit, "spectral_norm",
                             counted("spectral_norm", numkit.spectral_norm))
+        joint = []
+        monkeypatch.setattr(experiments, "newton_minimize",
+                            lambda *args, **kwargs: joint.append(
+                                objective.newton_minimize(*args, **kwargs)) or joint[-1])
         cfg = ExperimentConfig(n_list=(50,), reps=1, seed=1, L=3, gsq=5.0, gap=0.02, steps=8)
         result = ao_replication(cfg, 50, 0)
         assert result.trace is not None and np.isfinite(result.record["ppT"])
-        ups_star = result.trace.upsilon_star
+        ups_star = joint[0].argmin
         assert len(calls["hessian"]) == 1
         assert np.array_equal(calls["hessian"][0][1], ups_star)
         assert len(calls["geometry"]) == 1

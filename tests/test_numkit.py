@@ -268,6 +268,9 @@ class TestBlockSplit:
         s = BlockSplit(np.array([2, 0]), np.array([1]))
         x = s.embed([5.0, 6.0], [7.0])
         np.testing.assert_allclose(x, [6.0, 7.0, 5.0])
+        for theta, nui in (([5.0], [7.0]), ([5.0, 6.0], 7.0), ([5.0, 6.0], [7.0, 8.0])):
+            with pytest.raises(DimensionMismatch, match="blocks of shapes"):
+                s.embed(theta, nui)
 
 
 class TestContractionMatrix:

@@ -162,6 +162,22 @@ class TestNewtonMinimize:
         assert rep.converged and rep.iterations >= 3
         assert len(points) == len(set(points))
 
+    def test_given_start_is_not_evaluated_again(self):
+        """``start`` is the caller's evaluation at x0: f is evaluated only where Newton moves,
+        and the solve is the one that evaluates x0 itself."""
+        f = _btl_instance(12, 2, seed=3)
+        x0 = np.linspace(-0.5, 0.5, 12)
+        evaluate = f.evaluate
+        for block in (None, f.block_index(np.arange(6))):
+            start = evaluate(x0, block)
+            points = []
+            f.evaluate = lambda x, block=None: points.append(x.tobytes()) or evaluate(x, block)
+            rep = newton_minimize(f, x0, tol_grad=1e-12, block=block, start=start)
+            assert rep.converged and rep.iterations >= 3
+            assert len(points) >= rep.iterations and x0.tobytes() not in points
+            own = newton_minimize(f, x0, tol_grad=1e-12, block=block)
+            assert rep.argmin.tobytes() == own.argmin.tobytes()
+
     def test_one_hessian_per_iteration(self):
         f = _btl_instance(12, 2, seed=3)
         built = []
@@ -176,7 +192,8 @@ class TestNewtonMinimize:
         assert rep.converged and rep.iterations >= 3
         assert len(built) == rep.iterations
         built.clear()
-        rep = partial_minimize(f, BlockSplit.half(12), "target", np.full(6, 0.3),
+        split = BlockSplit.half(12)
+        rep = partial_minimize(f, split.embed(np.full(6, 0.3), np.zeros(6)), split.nuisance_idx,
                                tol_grad=1e-12)
         assert rep.converged and rep.iterations >= 1
         assert len(built) == rep.iterations
@@ -246,15 +263,16 @@ class TestUserHessianSymmetry:
         with pytest.raises(ValueError, match="not symmetric"):
             newton_minimize(f, np.zeros(5))
         with pytest.raises(ValueError, match="not symmetric"):
-            partial_minimize(f, BlockSplit.half(5), "nuisance", np.zeros(2))
+            partial_minimize(f, np.zeros(5), BlockSplit.half(5).target_idx)
 
     @pytest.mark.parametrize("wrap", _WRAPS.values(), ids=_WRAPS.keys())
     def test_hessian_within_tolerance_is_symmetrized(self, wrap):
         skew = 0.25 * tol.SYMMETRY_RTOL  # entries are above 1, so within the tolerance
         skewed, symmetric = wrap(_SkewedHessian(skew)), wrap(_SkewedHessian(skew, True))
+        split = BlockSplit.half(5)
+        held = split.embed(np.zeros(3), np.full(2, 0.1))
         for solve in (lambda f: newton_minimize(f, np.zeros(5), tol_grad=1e-12),
-                      lambda f: partial_minimize(f, BlockSplit.half(5), "nuisance",
-                                                 np.full(2, 0.1), tol_grad=1e-12)):
+                      lambda f: partial_minimize(f, held, split.target_idx, tol_grad=1e-12)):
             got, want = solve(skewed), solve(symmetric)
             assert got.converged and got.iterations == want.iterations >= 3
             assert got.argmin.tobytes() == want.argmin.tobytes()
@@ -267,33 +285,35 @@ class TestPartialMinimize:
         split = BlockSplit.half(12)
         held_idx, free_idx = ((split.nuisance_idx, split.target_idx) if fixed == "nuisance"
                               else (split.target_idx, split.nuisance_idx))
-        held = np.linspace(-0.5, 0.5, held_idx.size)
-        sol = partial_minimize(f, split, fixed, held, tol_grad=1e-12)
-        x = np.zeros(12)
-        x[free_idx], x[held_idx] = sol.argmin, held
+        x0 = np.zeros(12)
+        x0[held_idx] = np.linspace(-0.5, 0.5, held_idx.size)
+        sol = partial_minimize(f, x0, free_idx, tol_grad=1e-12)
+        x = x0.copy()
+        x[free_idx] = sol.argmin
         value, grad = f.evaluate(x, f.block_index(free_idx))[:2]
         assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
         assert sol.gradient.tobytes() == grad.tobytes()
 
     def test_quadratic_closed_form(self):
         quad = QuadraticObjective(np.zeros(2), np.array([[2.0, 1.0], [1.0, 2.0]]))
-        split = BlockSplit(np.array([0]), np.array([1]))
-        sol = partial_minimize(quad, split, "nuisance", np.array([0.4]))
-        assert sol.argmin[0] == pytest.approx(-0.2, abs=1e-12)
+        sol = partial_minimize(quad, np.array([0.0, 0.4]), np.array([0]))
+        assert sol.argmin.shape == (1,) and sol.argmin[0] == pytest.approx(-0.2, abs=1e-12)
 
     def test_quadratic_block_solution(self):
         """The free block is theta* - F_tt^-1 F_tn (nu - nu*), and likewise the nuisance."""
         rng = np.random.default_rng(11)
         quad = QuadraticObjective(rng.standard_normal(5), random_spd(rng, 5))
         split = BlockSplit(np.array([0, 2, 4]), np.array([3, 1]))
-        for fixed, free_idx, fixed_idx in (("nuisance", split.target_idx, split.nuisance_idx),
-                                           ("target", split.nuisance_idx, split.target_idx)):
+        for free_idx, fixed_idx in ((split.target_idx, split.nuisance_idx),
+                                    (split.nuisance_idx, split.target_idx)):
             held = quad.minimizer[fixed_idx] + rng.standard_normal(fixed_idx.size)
+            x0 = np.zeros(5)
+            x0[fixed_idx] = held
             f_ff = quad.curvature[np.ix_(free_idx, free_idx)]
             f_fh = quad.curvature[np.ix_(free_idx, fixed_idx)]
             expected = (quad.minimizer[free_idx]
                         - np.linalg.solve(f_ff, f_fh @ (held - quad.minimizer[fixed_idx])))
-            sol = partial_minimize(quad, split, fixed, held, tol_grad=1e-12)
+            sol = partial_minimize(quad, x0, free_idx, tol_grad=1e-12)
             assert sol.converged and sol.argmin.shape == (free_idx.size,)
             np.testing.assert_allclose(sol.argmin, expected, atol=1e-10)
 
@@ -305,7 +325,8 @@ class TestPartialMinimize:
         quad = QuadraticObjective(rng.standard_normal(4), curv)
         split = BlockSplit.half(4)
         sols = [
-            partial_minimize(quad, split, "nuisance", quad.minimizer[2:] + off).argmin
+            partial_minimize(quad, split.embed(np.zeros(2), quad.minimizer[2:] + off),
+                             split.target_idx).argmin
             for off in (np.zeros(2), np.array([1.0, -2.0]), np.array([-3.0, 0.5]))
         ]
         for sol in sols[1:]:
@@ -316,7 +337,8 @@ class TestPartialMinimize:
         split = BlockSplit.half(4)
         joint = newton_minimize(obj, np.zeros(4), tol_grad=1e-13)
         nui = joint.argmin[split.nuisance_idx] + np.array([0.2, -0.1])
-        sol = partial_minimize(obj, split, "nuisance", nui, tol_grad=1e-12)
+        sol = partial_minimize(obj, split.embed(np.zeros(2), nui), split.target_idx,
+                               tol_grad=1e-12)
 
         # refine a 2-D grid around a generous window
         center = joint.argmin[split.target_idx]
@@ -329,38 +351,34 @@ class TestPartialMinimize:
             width *= 0.2
         assert np.abs(sol.argmin - center).max() <= 1e-6
 
-    def test_fixed_block_validation(self):
-        quad = QuadraticObjective(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
-            partial_minimize(quad, BlockSplit.half(2), "both", np.zeros(1))
-        with pytest.raises(DimensionMismatch):
-            partial_minimize(quad, BlockSplit.half(2), "nuisance", np.zeros(2))
-        for held in (0.5, np.zeros((1, 1))):
-            with pytest.raises(DimensionMismatch):
-                partial_minimize(quad, BlockSplit.half(2), "nuisance", held)
-
     @pytest.mark.parametrize("fixed", ["target", "nuisance"])
     def test_non_finite_warm_start_or_fixed_values_refused(self, fixed):
-        """Each of these ran all NEWTON_MAX_ITER iterations and reported no convergence."""
+        """A non-finite entry of the start, in the free block or the held one, is refused
+        before any evaluation; each ran all NEWTON_MAX_ITER iterations unconverged once."""
         f = _btl_instance(20, 3, seed=7)
         split = BlockSplit.half(20)
-        held = np.full(10, 0.1)
-        for bad in (np.nan, np.inf, -np.inf):
-            start = np.zeros(10)
-            start[3] = bad
-            with pytest.raises(ValueError, match="finite"):
-                partial_minimize(f, split, fixed, held, warm_start=start)
-        held[3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            partial_minimize(f, split, fixed, held)
+        free_idx, held_idx = ((split.nuisance_idx, split.target_idx) if fixed == "target"
+                              else (split.target_idx, split.nuisance_idx))
+        evaluated = []
+        evaluate = f.evaluate
+        f.evaluate = lambda x, block=None: evaluated.append(x) or evaluate(x, block)
+        for where in (free_idx, held_idx):
+            for bad in (np.nan, np.inf, -np.inf):
+                x0 = np.full(20, 0.1)
+                x0[where[3]] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    partial_minimize(f, x0, free_idx)
+        assert evaluated == []
 
     @pytest.mark.parametrize("length", [9, 11])
     def test_warm_start_of_another_length_refused(self, length):
-        f = _btl_instance(20, 3, seed=7)
-        for fixed in ("target", "nuisance"):
-            with pytest.raises(DimensionMismatch, match="warm start"):
-                partial_minimize(f, BlockSplit.half(20), fixed, np.zeros(10),
-                                 warm_start=np.zeros(length))
+        """The start, the free block's warm start embedded with the held values, must have
+        the objective's length; a scalar or a 2-D start is refused too."""
+        f = _btl_instance(10, 3, seed=7)
+        free_idx = BlockSplit.half(10).target_idx
+        for x0 in (np.zeros(length), 0.5, np.zeros((1, 10))):
+            with pytest.raises(DimensionMismatch, match="start has shape"):
+                partial_minimize(f, x0, free_idx)
 
 
 class TestDerivativeContracts:
