@@ -6,19 +6,21 @@ Outputs (written under --outdir, default ./results):
   expansion_study.csv  leading-term / remainder split of the fitted-score error
   ao_study.csv         alternating-run contraction norms, measured rates, certificates
 
+Each study is one ``perturbopt study-<name>`` command, run in this process.
 Dense eigendecompositions dominate beyond n ~ 500; larger item counts work but
 are not part of the default sweep.
 """
 
 import argparse
 import pathlib
+import sys
 import time
 
-from perturbopt.cli import _keep_freed_heap
-from perturbopt.experiments import STUDIES, ExperimentConfig, emit, run_study
+from perturbopt.cli import dispatch
+from perturbopt.experiments import ExperimentConfig
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--outdir", default="results")
@@ -30,29 +32,24 @@ def main() -> None:
     parser.add_argument("--expansion-reps", type=int, default=50)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
-    _keep_freed_heap()  # this script owns its process, as the console script does
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_list = tuple(int(v) for v in args.n_list.split(","))
-
-    def config(items, seed_offset, reps=args.reps, **knobs) -> ExperimentConfig:
-        """A study's config: the library's defaults but for the given knobs."""
-        return ExperimentConfig(n_list=items, reps=reps, seed=args.seed + seed_offset, **knobs)
-
     t0 = time.time()
-    configs = {  # each study's config; its records go to <study>_study.csv
-        "rho": config(n_list, 0),
-        "expansion": config((args.expansion_n,), 10, reps=args.expansion_reps),
-        "ao": config((20,), 20, L=3, gsq=5.0),
+    studies = {  # each study's item counts, reps, seed offset and own flags
+        "rho": (args.n_list, args.reps, 0, []),
+        "expansion": (str(args.expansion_n), args.expansion_reps, 10, []),
+        "ao": ("20", args.reps, 20, ["--L", "3", "--gsq", "5"]),
     }
-    for name, cfg in configs.items():
-        records = run_study(STUDIES[name], cfg, threads=args.threads)
-        emit(records, "csv", outdir / f"{name}_study.csv", config=cfg)
-        for line in STUDIES[name].summary(records):
-            print(line)
+    for name, (n_list, reps, seed_offset, flags) in studies.items():
+        code = dispatch([f"study-{name}", "--n-list", n_list, "--reps", str(reps),
+                         "--seed", str(args.seed + seed_offset), "--threads", str(args.threads),
+                         "--out", str(outdir / f"{name}_study.csv"), *flags])
+        if code:
+            return code
     print(f"done in {time.time() - t0:.1f} s; CSV files in {outdir}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

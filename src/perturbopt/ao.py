@@ -168,11 +168,11 @@ def quad_ao_identity_check(
 class AoCertificate:
     """Scalar certificate of local linear convergence for one start gap.
 
-    The radii and the derived scalars stay empty or NaN where a failed
-    condition leaves them undefined.
+    The gap is the caller's argument to ``certify_convergence`` and is not
+    kept here.  The radii and the derived scalars stay empty or NaN where a
+    failed condition leaves them undefined.
     """
 
-    start_gap: float
     ppt_norm: float
     rho_star: float
     conditions_hold: dict
@@ -206,7 +206,7 @@ def certify_convergence(
         raise ValueError("certificate needs radii (r_theta, r_nui)")
     r_theta, r_nui = float(constants.radii[0]), float(constants.radii[1])
     ppt, rho_star, gap = geometry.ppt_norm, geometry.rho_star, float(theta0_gap)
-    base = dict(start_gap=gap, ppt_norm=ppt, rho_star=rho_star, radii=(r_theta, r_nui))
+    base = dict(ppt_norm=ppt, rho_star=rho_star, radii=(r_theta, r_nui))
     d_eff = constants.d_effective
     dltwb = d_eff * max(r_theta, r_nui)
     if dltwb >= 1.0:

@@ -315,7 +315,6 @@ class BtlObjective(SmoothObjective):
         self.penalty = penalty
         self.dim = graph.n
         self._blocks: dict[bytes, _EdgeBlock] = {}
-        self._penalty_blocks: dict[int, np.ndarray] = {}
 
     @cached_property
     def _whole(self) -> _EdgeBlock:
@@ -323,20 +322,6 @@ class BtlObjective(SmoothObjective):
         g = self.graph
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
                           ends=g.ends, inner=slice(None), rows=g.j, cols=g.m)
-
-    def _penalty_block(self, size: int) -> np.ndarray:
-        """A new copy of G^2's principal block on ``size`` items, where every Hessian starts.
-
-        A block below the item count is copied from a template built once per
-        size.  The whole graph's is built afresh: its template would hold a
-        second n x n matrix beside each Hessian, for a saving only small blocks
-        see.
-        """
-        if size == self.dim:
-            return self.penalty.matrix(self.dim)
-        if size not in self._penalty_blocks:
-            self._penalty_blocks[size] = self.penalty.matrix(self.dim, size)
-        return self._penalty_blocks[size].copy()
 
     def _point(self, x, block: _EdgeBlock, with_value: bool = True, with_gradient: bool = True):
         """One pass over the block's edges at ``x``.
@@ -382,7 +367,7 @@ class BtlObjective(SmoothObjective):
         def hessian() -> np.ndarray:
             w = e / onep**2  # phi''(d), the bits of _phi2_from(e)
             w *= block.counts
-            h = self._penalty_block(size)  # new: Newton factors each matrix in place
+            h = self.penalty.matrix(self.dim, size)  # new: Newton factors each matrix in place
             flat = h.reshape(-1)  # a view of h
             upper, lower = block.entries
             off = self.penalty.off_diagonal(self.dim) - w[block.inner]
@@ -593,7 +578,9 @@ def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol_grad or iterations == max_iter:
             break
-        s = _edge_scatter(g, g.counts * _sigmoid_from(d, e), g.counts * _sigmoid_from(-d, e))
+        onep = 1.0 + e  # the logistic at d and at -d, as in _sigmoid_from
+        s = _edge_scatter(g, g.counts * (np.maximum(e, d >= 0) / onep),
+                          g.counts * (np.maximum(e, d <= 0) / onep))
         if gsq > 0.0:
             x = _ridge_mm_step(x, s, wins, gsq)
         else:  # an item without edges (a lone item) keeps its score

@@ -37,6 +37,7 @@ from .experiments import (
     diagnose_expansion,
     emit,
     run_study,
+    write_json,
 )
 
 # the settings with no home in the library; every other default is the library's
@@ -246,12 +247,10 @@ def _cmd_diagnose(args) -> int:
     settings = _settings(args)
     obs = _checked(_read_outcomes, args.input)
     truth = _checked(read_scores, args.truth)
-    if truth.shape[0] != obs.graph.n:
-        raise InputError("truth length differs from the item count")
     constants, diagnostics, reports = _checked(diagnose_expansion, obs, truth, _penalty(settings))
     rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2
     _checked(reports_to_csv, reports, args.out)
-    _checked(_write_json, f"{args.out}.meta.json", {
+    _checked(write_json, f"{args.out}.meta.json", {
         "rho_dual": rho_exact,
         "rho_dual_l2": rho_l2,
         "dual_exceeds_l2": rho_exact > rho_l2,
@@ -267,11 +266,6 @@ def _cmd_diagnose(args) -> int:
           f"prerequisites {'hold' if diagnostics.all_prerequisites_hold else 'FAIL'}; "
           f"{len(reports)} residual rows -> {args.out}")
     return 0
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def _probe_output(path) -> None:

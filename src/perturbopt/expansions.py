@@ -277,8 +277,14 @@ def check_partial_bias(
 
 
 def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
-    """Derived sup-norm constants; non-finite bounds when the regime is invalid."""
-    if rho_exact < 1.0 and a_norm > 0.0:
+    """Derived sup-norm constants on the radius sqrt(2) a / (1 - rho); non-finite
+    bounds when the regime is invalid.
+
+    Below rho = 1 there is one path: zero noise takes the constants at radius 0,
+    where every bound is 0 and, with finite constants, every flag holds, and a
+    NaN noise norm carries NaN through, so no flag holds.
+    """
+    if rho_exact < 1.0:
         r_inf = SQRT2 * a_norm / (1.0 - rho_exact)
         try:
             return derived_constants(
@@ -287,22 +293,6 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
             )
         except DltwbTooLarge:
             pass
-    elif rho_exact < 1.0:
-        # zero perturbation: everything degenerates to the unperturbed point
-        return ExpansionDiagnostics(
-            rho_dual=rho_exact,
-            rho_dual_l2=rho_l2,
-            dltwb=0.0,
-            delta_nano=0.0,
-            delta_infty=0.0,
-            r_infty=0.0,
-            a_norm=0.0,
-            prerequisites_hold={
-                "dltwb_le_quarter": True,
-                "d12_r_le_quarter": True,
-                "dinf_a_small": True,
-            },
-        )
     flags = {"dltwb_le_quarter": False, "d12_r_le_quarter": False, "dinf_a_small": False}
     return ExpansionDiagnostics(
         rho_dual=rho_exact,

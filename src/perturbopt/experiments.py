@@ -62,6 +62,7 @@ __all__ = [
     "ExpansionRepResult",
     "AoRepResult",
     "emit",
+    "write_json",
     "parse_records",
     "summarize_by_n",
 ]
@@ -128,14 +129,23 @@ def replication_rng(seed: int, n: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
 
 
-def _sample_instance(cfg: ExperimentConfig, n: int, rep: int):
-    """Graph, centered truth, and outcomes, drawn in a fixed order."""
+def _sample_design(cfg: ExperimentConfig, n: int, rep: int):
+    """The replication's stream, its graph and its centered truth, drawn in that order.
+
+    The outcomes come last in the stream, so a study that reads only the design
+    draws none of them and sees the same graph and truth.
+    """
     rng = replication_rng(cfg.seed, n, rep)
     graph = sample_er_graph(n, edge_probability(cfg, n), cfg.L, rng)
     raw = rng.uniform(cfg.score_range[0], cfg.score_range[1], n)
     truth = raw - raw.mean()  # zero-sum identification; gaps are unchanged
-    obs = sample_outcomes(graph, truth, rng)
-    return graph, truth, obs
+    return rng, graph, truth
+
+
+def _sample_instance(cfg: ExperimentConfig, n: int, rep: int):
+    """Graph, centered truth, and outcomes drawn after them from the same stream."""
+    rng, graph, truth = _sample_design(cfg, n, rep)
+    return graph, truth, sample_outcomes(graph, truth, rng)
 
 
 def _new_record(study: str, cfg: ExperimentConfig, n: int, rep: int, **cells) -> dict:
@@ -159,7 +169,7 @@ def rho_replication(cfg: ExperimentConfig, n: int, rep: int) -> dict:
     tracks 1/(n p) on these designs (the unsquared root is available from
     :func:`perturbopt.expansions.rho_dual`).
     """
-    graph, truth, _ = _sample_instance(cfg, n, rep)
+    _, graph, truth = _sample_design(cfg, n, rep)
     fisher = btl_objective(graph, cfg.penalty, mode="expected", truth=truth).hessian(truth)
     d = np.sqrt(np.diag(fisher))
     exact, l2 = rho_dual(fisher, d)
@@ -306,8 +316,7 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
 
     radii = fixed_point_radii(constants_on((0.0, 0.0)), geometry.rho_star, d_gap)
     if radii is None:  # the radius search left the damping range: nothing to certify on
-        certificate = AoCertificate(start_gap=d_gap, ppt_norm=geometry.ppt_norm,
-                                    rho_star=geometry.rho_star,
+        certificate = AoCertificate(ppt_norm=geometry.ppt_norm, rho_star=geometry.rho_star,
                                     conditions_hold={"radii_feasible": False})
     else:
         constants = constants_on(radii)
@@ -442,8 +451,7 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
             {name: (None if _is_nan(rec[name]) else kind(rec[name])) for name, kind in columns}
             for rec in records
         ]
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload, indent=1) + "\n")
+        write_json(path, payload)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     meta = {
@@ -457,9 +465,14 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
                    for key in other.own_fields}
         meta["config"] = {k: v for k, v in asdict(config).items() if k not in foreign}
         meta["seed"] = config.seed
-    # one write: json.dump with an indent writes each token on its own
-    with open(f"{path}.meta.json", "w") as fh:
-        fh.write(json.dumps(meta, indent=1, default=str) + "\n")
+    write_json(f"{path}.meta.json", meta)
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON and a newline, in one write (``json.dump`` with an
+    indent writes each token on its own).  A value of a type JSON lacks is its ``str``."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=1, default=str) + "\n")
 
 
 def _is_nan(v) -> bool:

@@ -252,7 +252,6 @@ class NeumannReport:
     rho: float
     lhs: tuple  # measured left sides of the three inequalities
     rhs: tuple  # corresponding right sides
-    slack: tuple
     bounds_hold: tuple
 
 
@@ -288,8 +287,7 @@ def neumann_sup_bounds(b, u) -> NeumannReport:
     )
     eps = 1e-12 * max(1.0, u_norm)
     holds = tuple(left <= right + eps for left, right in zip(lhs, rhs))
-    slack = tuple(right - left for left, right in zip(lhs, rhs))
-    return NeumannReport(rho=rho, lhs=lhs, rhs=rhs, slack=slack, bounds_hold=holds)
+    return NeumannReport(rho=rho, lhs=lhs, rhs=rhs, bounds_hold=holds)
 
 
 @dataclass(frozen=True)

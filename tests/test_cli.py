@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import os
+import pathlib
+import runpy
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -296,6 +298,16 @@ class TestInputErrors:
             assert not (tmp_path / "r.csv.meta.json").exists()
             assert err == "error: divergent: a one-sided win/loss pattern has no finite optimum\n"
 
+    def test_truth_of_another_length_exit_1(self, tmp_path, capsys):
+        """The library's check names the fault; nothing is written."""
+        obs_path, truth_path, out = (tmp_path / name for name in ("obs.csv", "truth.csv", "r.csv"))
+        obs_path.write_text("j,m,N,S\n1,2,3,1\n2,3,3,2\n3,4,3,1\n1,4,3,2\n")
+        write_scores(truth_path, np.array([0.1, 0.0, -0.1]))
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: truth length differs from item count\n"
+        assert not out.exists() and not (tmp_path / "r.csv.meta.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["fit"],
         ["diagnose"],
@@ -575,6 +587,47 @@ class TestStudyCommands:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         capsys.readouterr()
+
+
+class TestFigureScript:
+    """``scripts/regenerate_figures.py``: the three study commands, run in its process."""
+
+    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regenerate_figures.py"
+
+    def run_script(self, monkeypatch, *argv) -> int:
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *argv])
+        return runpy.run_path(str(self.SCRIPT))["main"]()
+
+    @staticmethod
+    def sidecar(path) -> list:
+        return [line for line in pathlib.Path(f"{path}.meta.json").read_text().splitlines()
+                if '"created_unix"' not in line]
+
+    def test_writes_what_the_study_commands_write(self, tmp_path, monkeypatch, capsys):
+        assert self.run_script(monkeypatch, "--outdir", str(tmp_path / "script"), "--seed", "3",
+                               "--reps", "2", "--n-list", "20,30", "--expansion-n", "20",
+                               "--expansion-reps", "2") == 0
+        out = capsys.readouterr().out
+        commands = {
+            "rho": ["--n-list", "20,30", "--reps", "2", "--seed", "3"],
+            "expansion": ["--n-list", "20", "--reps", "2", "--seed", "13"],
+            "ao": ["--n-list", "20", "--reps", "2", "--seed", "23", "--L", "3", "--gsq", "5"],
+        }
+        for name, flags in commands.items():
+            script, cli_out = (tmp_path / side / f"{name}_study.csv" for side in ("script", "cli"))
+            cli_out.parent.mkdir(exist_ok=True)
+            assert dispatch([f"study-{name}", *flags, "--threads", "1",
+                             "--out", str(cli_out)]) == 0
+            assert script.read_bytes() == cli_out.read_bytes()
+            assert self.sidecar(script) == self.sidecar(cli_out)
+            records = len(script.read_text().splitlines()) - 1  # less the header
+            assert f"wrote {records} records -> {script}\n" in out
+        capsys.readouterr()
+
+    def test_exits_with_the_first_failing_code(self, tmp_path, monkeypatch, capsys):
+        assert self.run_script(monkeypatch, "--outdir", str(tmp_path), "--n-list", "1") == 1
+        assert capsys.readouterr().err == "error: need at least 2 items in a design, got n=1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,6 +264,38 @@ class TestLinearSupExpansion:
                                                    upsilon_star=quad.minimizer)
         for rep in reports:
             assert rep.remainder <= 1e-12
+
+    @staticmethod
+    def _dominant_quadratic():
+        """A 5x5 quadratic with dual value 0.124, and finite nonzero sup-norm constants."""
+        rng = np.random.default_rng(5)
+        off = 0.02 * rng.standard_normal((5, 5))
+        quad = QuadraticObjective(rng.standard_normal(5), np.eye(5) + off + off.T)
+        consts = ConditionConstants(0.3, 0.2, 0.1, norm_tag="linf")
+        rho = rho_dual(quad.curvature, np.sqrt(np.diag(quad.curvature)))
+        assert rho[0] < 1.0
+        return quad, consts, rho
+
+    def test_zero_noise_takes_the_constants_at_radius_zero(self):
+        quad, consts, rho = self._dominant_quadratic()
+        diag, reports = check_linear_sup_expansion(quad, np.zeros(5), consts, quad.minimizer)
+        assert len(reports) == 5
+        assert all(r.bound == 0.0 and r.holds for r in reports)
+        assert diag.a_norm == 0.0 and diag.r_infty == 0.0 and diag.all_prerequisites_hold
+        at_zero = derived_constants(replace(consts, radii=(0.0,)), rho[0], a_norm=0.0)
+        assert diag.delta_nano == at_zero.delta_nano > 0.0
+        assert diag.delta_infty == at_zero.delta_infty
+
+    def test_nan_noise_holds_nothing(self):
+        """A NaN noise entry once read as zero noise: a_norm 0 and every flag True."""
+        quad, consts, _ = self._dominant_quadratic()
+        a = np.zeros(5)
+        a[0] = np.nan
+        diag, reports = check_linear_sup_expansion(quad, a, consts, quad.minimizer)
+        assert math.isnan(diag.a_norm)
+        assert diag.prerequisites_hold == dict.fromkeys(
+            ("dltwb_le_quarter", "d12_r_le_quarter", "dinf_a_small"), False)
+        assert len(reports) == 5 and not any(r.holds for r in reports)
 
     def test_quadratic_exact_displays(self):
         rng = np.random.default_rng(11)

@@ -132,6 +132,27 @@ class TestRhoStudy:
         np.fill_diagonal(sq, 0.0)
         assert rec["rho_dual_l2"] == pytest.approx(sq.sum(axis=1).max(), abs=1e-12)
 
+    def test_draws_no_outcomes(self, monkeypatch):
+        """The records read only the design.  The outcomes come last in each replication's
+        stream, so drawing them, and dropping them, would change no record; on this config
+        one n=12 replication is disconnected."""
+        cfg = ExperimentConfig(n_list=(12, 30), p_rule=0.2, reps=3, seed=4)
+        design = experiments._sample_design
+
+        def design_then_outcomes(cfg, n, rep):
+            rng, graph, truth = design(cfg, n, rep)
+            btl.sample_outcomes(graph, truth, rng)
+            return rng, graph, truth
+
+        monkeypatch.setattr(experiments, "_sample_design", design_then_outcomes)
+        drawn = run_study(STUDIES["rho"], cfg)
+        monkeypatch.undo()
+        calls = []
+        monkeypatch.setattr(experiments, "sample_outcomes", lambda *args: calls.append(args))
+        records = run_study(STUDIES["rho"], cfg)
+        assert calls == [] and records == drawn
+        assert [r["connected"] for r in records] == [True, True, False, True, True, True]
+
     def test_disconnected_recorded_and_excluded(self):
         cfg = ExperimentConfig(n_list=(12,), p_rule=0.05, reps=10, seed=2)
         records = run_study(STUDIES["rho"], cfg)
