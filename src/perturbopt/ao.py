@@ -9,7 +9,6 @@ geometry, which is what the convergence statements control.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +29,6 @@ __all__ = [
     "certify_convergence",
     "estimate_rate",
     "fixed_point_radii",
-    "trace_to_csv",
 ]
 
 
@@ -268,23 +266,3 @@ def estimate_rate(theta_err_norms, burn_in: int = tol.AO_BURN_IN) -> float:
         raise InsufficientSteps("need at least 3 post-burn-in error norms")
     ratios = tail[1:] / tail[:-1]
     return float(np.exp(np.mean(np.log(ratios))))
-
-
-def trace_to_csv(trace: AoTrace, path) -> None:
-    """Columns step,theta_err,nui_err,eps_norm,alpha_norm; step 0 is the start."""
-    eps = trace.eps_norms
-    alpha = trace.alpha_norms
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "theta_err", "nui_err", "eps_norm", "alpha_norm"])
-        writer.writerow([0, format(trace.theta_err_norms[0], ".17g"), "", "", ""])
-        for t in range(1, trace.steps + 1):
-            writer.writerow(
-                [
-                    t,
-                    format(trace.theta_err_norms[t], ".17g"),
-                    format(trace.nui_err_norms[t - 1], ".17g"),
-                    format(eps[t - 1], ".17g"),
-                    format(alpha[t - 1], ".17g"),
-                ]
-            )

@@ -832,15 +832,6 @@ _SCORE_TYPES = {"item": np.int64, "score": np.float64}
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _positions(path, header, required: tuple) -> dict:
-    """Each column's position by its stripped header name; the ``required`` names must be there."""
-    position = {name.strip(): i for i, name in enumerate(header)}
-    missing = set(required) - position.keys()
-    if missing:
-        raise ValueError(f"{path}: missing columns {sorted(missing)}")
-    return position
-
-
 def _numbered(lines, first: int) -> list:
     """(line number, text) of each non-blank line, the first one numbered ``first``."""
     return [(number, line) for number, line in enumerate(lines, first) if line.strip("\r\n")]
@@ -904,6 +895,54 @@ def _parse_rows(source, types: dict, columns: dict, skiprows: int = 0) -> np.nda
         )
 
 
+def _open_rows(path, required: tuple, optional: tuple = ()):
+    """The columns of the CSV file ``path`` and its ``_DataRows``.
+
+    The columns map each name of ``required``, then of ``optional``, that the
+    header has (names stripped) to its position; a missing ``required`` name
+    or a file with no header raises a ValueError that names the file.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        position = {name.strip(): i for i, name in enumerate(header)}
+        missing = set(required) - position.keys()
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        columns = {name: position[name] for name in required + optional if name in position}
+        return columns, _DataRows(path, fh, reader)
+
+
+def _scan(rows: _DataRows, columns: dict, parse, malformed: str,
+          check=lambda table: True, failure: str = "") -> np.ndarray:
+    """The table ``parse(source, columns, skiprows)`` reads from ``rows``, if it passes
+    ``check``.
+
+    Otherwise raise a ValueError naming the first line, in file order, that
+    does not parse on its own (``malformed``) or whose row fails ``check``
+    (``failure``), with that line's fields.
+    """
+    try:
+        table = parse(rows.source, columns, rows.skiprows)
+        problem = None if check(table) else failure
+    except ValueError as exc:
+        problem = exc
+    if problem is None:
+        return table
+    # only now look for the line
+    for number, line in rows.lines:
+        try:
+            reason = None if check(parse([line], columns)) else failure
+        except ValueError:
+            reason = malformed
+        if reason is not None:
+            raise ValueError(f"{rows.path}, line {number}: {reason}; "
+                             f"got {_fields(line, columns)}")
+    raise ValueError(f"{rows.path}: {problem}")
+
+
 def _parse_observation_rows(source, columns: dict, skiprows: int = 0) -> np.ndarray:
     """Observation rows with every column as integers if every field is one, else N and S
     as floats.
@@ -927,26 +966,10 @@ def read_observations(path, n: Optional[int] = None):
     raises a ValueError that names the file and the row's line number (the
     header is line 1).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        position = _positions(path, header, ("j", "m", "N"))
-        columns = {name: position[name] for name in ("j", "m", "N", "S") if name in position}
-        rows = _DataRows(path, fh, reader)
+    columns, rows = _open_rows(path, ("j", "m", "N"), ("S",))
     has_wins = "S" in columns
-    try:
-        table = _parse_observation_rows(rows.source, columns, rows.skiprows)
-    except ValueError as exc:
-        # only now look for the line: the first one that does not parse on its own
-        for number, line in rows.lines:
-            try:
-                _parse_observation_rows([line], columns)
-            except ValueError:
-                raise ValueError(f"{path}, line {number}: j and m must be integers and the other "
-                                 f"fields numbers; got {_fields(line, columns)}") from None
-        raise ValueError(f"{path}: {exc}") from None
+    table = _scan(rows, columns, _parse_observation_rows,
+                  "j and m must be integers and the other fields numbers")
     j, m, counts = table["j"], table["m"], table["N"].astype(float)
     wins = table["S"].astype(float) if has_wins else None
     if n is None:
@@ -1000,29 +1023,12 @@ def read_scores(path) -> np.ndarray:
     raises a ValueError that names the file and the row's line number (the
     header is line 1).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        position = _positions(path, next(reader, ()), ("item", "score"))
-        columns = {name: position[name] for name in ("item", "score")}
-        rows = _DataRows(path, fh, reader)
-    try:
-        table = _parse_rows(rows.source, _SCORE_TYPES, columns, rows.skiprows)
-        problem = None if np.isfinite(table["score"]).all() else "a score is not finite"
-    except ValueError as exc:
-        problem = exc
-    if problem is not None:
-        # only now look for the line: the first one that does not parse on its own or
-        # holds a score that is not finite
-        for number, line in rows.lines:
-            try:
-                score = _parse_rows([line], _SCORE_TYPES, columns)["score"]
-            except ValueError:
-                raise ValueError(f"{path}, line {number}: item must be an integer and score a "
-                                 f"number; got {_fields(line, columns)}") from None
-            if not np.isfinite(score).all():
-                raise ValueError(f"{path}, line {number}: score must be finite; "
-                                 f"got {_fields(line, columns)}")
-        raise ValueError(f"{path}: {problem}")
+    columns, rows = _open_rows(path, ("item", "score"))
+    table = _scan(
+        rows, columns,
+        lambda source, columns, skiprows=0: _parse_rows(source, _SCORE_TYPES, columns, skiprows),
+        "item must be an integer and score a number",
+        lambda table: np.isfinite(table["score"]).all(), "score must be finite")
     items = table["item"]
     order = np.argsort(items, kind="stable")
     expected = range(1, items.size + 1)

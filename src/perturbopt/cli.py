@@ -19,7 +19,6 @@ import json
 import os
 import sys
 
-from .ao import trace_to_csv
 from .btl import (
     BtlObservation,
     PenaltySpec,
@@ -28,7 +27,6 @@ from .btl import (
     read_scores,
     write_scores,
 )
-from .expansions import reports_to_csv
 from .experiments import (
     STUDIES,
     ExperimentConfig,
@@ -36,7 +34,9 @@ from .experiments import (
     ao_replication,
     diagnose_expansion,
     emit,
+    reports_to_csv,
     run_study,
+    trace_to_csv,
     write_json,
 )
 

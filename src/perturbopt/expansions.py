@@ -10,7 +10,6 @@ stationary to the joint-solve tolerance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -41,7 +40,6 @@ __all__ = [
     "check_perturbed_partial",
     "semi_orthogonality_probe",
     "SemiOrthogonalityReport",
-    "reports_to_csv",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -508,27 +506,3 @@ def semi_orthogonality_probe(
         bias_values=tuple(bias_vals),
         converged=converged,
     )
-
-
-def reports_to_csv(reports: Sequence[ResidualReport], path) -> None:
-    """Write residual reports as CSV with the fixed diagnostic column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["variant", "leading", "remainder", "bound", "holds",
-             "flag_dltwb", "flag_d12r", "flag_dinf"]
-        )
-        for rep in reports:
-            flags = rep.prerequisite_flags
-            writer.writerow(
-                [
-                    rep.variant,
-                    format(rep.leading, ".17g"),
-                    format(rep.remainder, ".17g"),
-                    format(rep.bound, ".17g"),
-                    rep.holds,
-                    flags.get("dltwb_le_quarter", ""),
-                    flags.get("d12_r_le_quarter", ""),
-                    flags.get("dinf_a_small", ""),
-                ]
-            )

@@ -62,7 +62,10 @@ __all__ = [
     "ExpansionRepResult",
     "AoRepResult",
     "emit",
+    "write_csv",
     "write_json",
+    "trace_to_csv",
+    "reports_to_csv",
     "parse_records",
     "summarize_by_n",
 ]
@@ -440,11 +443,8 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
         raise ValueError(f"no registered study {study!r}; the studies are {', '.join(STUDIES)}")
     columns = STUDIES[study].columns if records else (("study", str),)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name for name, _ in columns])
-            for rec in records:
-                writer.writerow([_format_cell(rec[name]) for name, _ in columns])
+        write_csv(path, [name for name, _ in columns],
+                  ([rec[name] for name, _ in columns] for rec in records))
     elif fmt == "json":
         # each cell as its column's plain Python type, NaN as null
         payload = [
@@ -466,6 +466,35 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
         meta["config"] = {k: v for k, v in asdict(config).items() if k not in foreign}
         meta["seed"] = config.seed
     write_json(f"{path}.meta.json", meta)
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A record table: the ``header`` row, then each row of ``rows`` with every cell as
+    ``_format_cell`` writes it (a bool as ``true``/``false``, a float to 17 digits)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+
+
+def trace_to_csv(trace: AoTrace, path) -> None:
+    """Write an AO trace as CSV with columns step,theta_err,nui_err,eps_norm,alpha_norm;
+    step 0 is the start, whose last three cells are empty."""
+    rows = [(0, trace.theta_err_norms[0], "", "", "")]
+    rows += zip(range(1, trace.steps + 1), trace.theta_err_norms[1:], trace.nui_err_norms,
+                trace.eps_norms, trace.alpha_norms)
+    write_csv(path, ["step", "theta_err", "nui_err", "eps_norm", "alpha_norm"], rows)
+
+
+def reports_to_csv(reports: Sequence[ResidualReport], path) -> None:
+    """Write residual reports as CSV, one row each: variant, leading, remainder, bound,
+    then ``holds`` and the prerequisite flags flag_dltwb, flag_d12r and flag_dinf as
+    ``True``/``False``; a flag the report lacks is an empty cell."""
+    flags = ("dltwb_le_quarter", "d12_r_le_quarter", "dinf_a_small")
+    write_csv(path, ["variant", "leading", "remainder", "bound", "holds",
+                     "flag_dltwb", "flag_d12r", "flag_dinf"],
+              ([r.variant, r.leading, r.remainder, r.bound, str(r.holds),
+                *(str(r.prerequisite_flags.get(key, "")) for key in flags)] for r in reports))
 
 
 def write_json(path, payload) -> None:

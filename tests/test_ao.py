@@ -12,9 +12,8 @@ from perturbopt.ao import (
     estimate_rate,
     fixed_point_radii,
     quad_ao_identity_check,
-    trace_to_csv,
 )
-from perturbopt import btl, experiments
+from perturbopt import ao, btl, experiments
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObjective,
@@ -24,9 +23,9 @@ from perturbopt.btl import (
     sample_er_graph,
     sample_outcomes,
 )
-from perturbopt.errors import DimensionMismatch, InsufficientSteps
+from perturbopt.errors import DimensionMismatch, InnerSolveFailed, InsufficientSteps
 from perturbopt.expansions import ConditionConstants
-from perturbopt.experiments import ExperimentConfig, ao_replication
+from perturbopt.experiments import ExperimentConfig, ao_replication, trace_to_csv
 from perturbopt.numkit import (
     BlockSplit,
     contraction_matrix,
@@ -142,6 +141,26 @@ class TestAoRun:
             ao_run(f, geometry, theta0, 3, ups_star[:19])
         with pytest.raises(ValueError, match="finite"):
             ao_run(f, geometry, np.full(split.p, np.nan), 3, ups_star)
+
+    @pytest.mark.parametrize("failing_call, step, block", [(1, 1, "nuisance"), (4, 2, "target")])
+    def test_unconverged_inner_solve_named(self, monkeypatch, failing_call, step, block):
+        """The solves alternate nuisance, target: the one that does not converge stops the
+        run with its step and block."""
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(args)
+            report = partial_minimize(*args, **kwargs)
+            report.converged = len(calls) != failing_call
+            return report
+
+        monkeypatch.setattr(ao, "partial_minimize", solve)
+        quad = _coupled_quadratic()
+        geometry = contraction_matrix(quad.curvature, BlockSplit(np.array([0]), np.array([1])))
+        with pytest.raises(InnerSolveFailed) as failed:
+            ao_run(quad, geometry, np.array([1.0]), 3, upsilon_star=quad.minimizer)
+        assert (failed.value.step, failed.value.block) == (step, block)
+        assert len(calls) == failing_call
 
 
 def _top_direction_start(geometry, theta_star, gap=0.02):

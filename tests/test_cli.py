@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from perturbopt import cli, experiments
+from perturbopt import cli, experiments, objective
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObservation,
@@ -264,6 +265,33 @@ class TestInputErrors:
                                            f"got item='1', score='{score}'\n")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_first_bad_truth_line_named(self, sampled_instance, tmp_path, capsys):
+        """Line 2's score is not finite and line 3's does not parse: line 2 comes first."""
+        obs_path, truth_path = sampled_instance
+        truth_path.write_text("item,score\n1,nan\n2,x\n")
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == (f"error: {truth_path}, line 2: score must be finite; "
+                                           f"got item='1', score='nan'\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--input"), ("diagnose", "--input"), ("diagnose", "--truth"),
+    ])
+    def test_empty_file_exit_1(self, command, flag, sampled_instance, tmp_path, capsys):
+        """An input file without even a header line reads the same for both readers."""
+        obs_path, truth_path = sampled_instance
+        empty, out = tmp_path / "empty.csv", tmp_path / "out.csv"
+        empty.write_text("")
+        argv = [command, "--input", str(obs_path), "--out", str(out)]
+        if command == "diagnose":
+            argv += ["--truth", str(truth_path)]
+        argv[argv.index(flag) + 1] = str(empty)
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: empty file\n" and captured.out == ""
+        assert not out.exists() and not (tmp_path / "out.csv.meta.json").exists()
+
     @pytest.mark.parametrize("penalty", ["mean_shift", "ridge"])
     def test_disconnected_diagnose(self, penalty, tmp_path, capsys):
         """Without a ridge a disconnected design has no expected minimizer: exit 1."""
@@ -437,6 +465,15 @@ class TestAoCommand:
         assert dispatch(["ao", "--n", "12", "--seed", "7", "--L", "3", "--gsq", "5.0",
                          "--steps", "3"]) == 1
         assert capsys.readouterr().out == "ao: replication failed (inner_solve_failed)\n"
+
+    def test_unconverged_joint_solve_named(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(experiments, "newton_minimize",
+                            functools.partial(objective.newton_minimize, max_iter=1))
+        out = tmp_path / "trace.csv"
+        assert dispatch(["ao", "--n", "12", "--seed", "7", "--L", "3", "--gsq", "5.0",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "ao: replication failed (joint_not_converged)\n"
+        assert not out.exists()
 
     def test_zero_penalty_strength_exits_1(self, capsys):
         assert dispatch(["ao", "--n", "12", "--seed", "7", "--gsq", "0"]) == 1

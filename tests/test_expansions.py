@@ -27,11 +27,10 @@ from perturbopt.expansions import (
     check_perturbed_partial,
     check_separable_sup_expansion,
     derived_constants,
-    reports_to_csv,
     rho_dual,
     semi_orthogonality_probe,
 )
-from perturbopt.experiments import diagnose_expansion
+from perturbopt.experiments import diagnose_expansion, reports_to_csv
 from perturbopt.numkit import (
     BlockSplit,
     contraction_matrix,

@@ -1,6 +1,7 @@
 """Seeded studies: determinism, schemas, substream independence."""
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -247,7 +248,7 @@ class TestExpansionStudy:
         assert len(solved) == 2
         written = []
         for name, rows in (("replication", result.reports), ("diagnose", reports)):
-            expansions.reports_to_csv(rows, tmp_path / name)
+            experiments.reports_to_csv(rows, tmp_path / name)
             written.append((tmp_path / name).read_bytes())
         assert written[0] == written[1]
 
@@ -273,7 +274,7 @@ class TestExpansionStudy:
             constants, sol.converged)
         written = []
         for name, rows in (("diagnose", reports), ("plain", plain), ("reference", reference)):
-            expansions.reports_to_csv(rows, tmp_path / name)
+            experiments.reports_to_csv(rows, tmp_path / name)
             written.append((tmp_path / name).read_bytes())
         assert len(reports) == 5
         assert written[0] == written[1] == written[2]
@@ -394,6 +395,17 @@ class TestAoStudy:
         assert result.trace is not None and not result.record["cert_ok"]
         assert result.certificate.conditions_hold == {"radii_feasible": False}
         assert calls == [(0.0, 0.0)]  # no second call at infinite radii
+
+    def test_unconverged_joint_solve_named(self, monkeypatch):
+        monkeypatch.setattr(experiments, "newton_minimize",
+                            functools.partial(objective.newton_minimize, max_iter=1))
+        cfg = ExperimentConfig(n_list=(12,), reps=1, seed=7, L=3, gsq=5.0)
+        result = ao_replication(cfg, 12, 0)
+        assert result.reason == "joint_not_converged"
+        assert result.trace is None and result.certificate is None
+        floats = [name for name, kind in STUDIES["ao"].columns if kind is float]
+        assert floats and all(math.isnan(result.record[name]) for name in floats)
+        assert result.record["cert_ok"] is False
 
 
 class TestEmit:

@@ -112,6 +112,21 @@ class TestSeparablePerturb:
         assert g.third_directional(x, a, b, c) == pytest.approx(float(np.sum(a * b * c)))
 
 
+class _CliffOffStart(SmoothObjective):
+    """x.x at the start ones(3) and x.x + 10 everywhere else: no trial point is accepted."""
+
+    dim = 3
+
+    def value(self, x):
+        return float(x @ x) + (0.0 if np.array_equal(x, np.ones(3)) else 10.0)
+
+    def gradient(self, x):
+        return 2.0 * x
+
+    def hessian(self, x):
+        return 2.0 * np.eye(3)
+
+
 class TestNewtonMinimize:
     def test_quadratic_one_iteration(self):
         rng = np.random.default_rng(9)
@@ -222,6 +237,11 @@ class TestNewtonMinimize:
             with pytest.raises(ValueError, match="finite"):
                 newton_minimize(f, x0, tol_grad=1e-12, block=block)
         assert evaluated == []
+
+    def test_stalled_line_search_keeps_the_start(self):
+        sol = newton_minimize(_CliffOffStart(), np.ones(3))
+        assert not sol.converged and sol.note == "backtracking stalled"
+        assert sol.iterations == 0 and sol.argmin.tobytes() == np.ones(3).tobytes()
 
 
 class _SkewedHessian(SmoothObjective):
@@ -379,6 +399,11 @@ class TestPartialMinimize:
         for x0 in (np.zeros(length), 0.5, np.zeros((1, 10))):
             with pytest.raises(DimensionMismatch, match="start has shape"):
                 partial_minimize(f, x0, free_idx)
+
+    def test_stalled_line_search_keeps_the_start(self):
+        sol = partial_minimize(_CliffOffStart(), np.ones(3), np.array([0, 2]))
+        assert not sol.converged and sol.note == "backtracking stalled"
+        assert sol.iterations == 0 and sol.argmin.tobytes() == np.ones(2).tobytes()
 
 
 class TestDerivativeContracts:
