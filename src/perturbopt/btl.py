@@ -154,11 +154,6 @@ class ComparisonGraph:
     def n_edges(self) -> int:
         return int(self.j.size)
 
-    @cached_property
-    def ends(self) -> np.ndarray:
-        """Each edge's j end, then each edge's m end; built once per graph."""
-        return np.concatenate((self.j, self.m))
-
 
 def _arc_matrix(n: int, tail, head) -> csr_matrix:
     """The n x n CSR pattern of the arcs tail -> head, each row's arcs in input order.
@@ -173,21 +168,22 @@ def _arc_matrix(n: int, tail, head) -> csr_matrix:
     return csr_matrix((np.ones(tail.size), heads, indptr), shape=(n, n))
 
 
-def _scatter(ends, at_j, at_m, size: int) -> np.ndarray:
-    """Per-item sums of ``at_j`` then ``at_m`` over the item numbers ``ends`` below ``size``.
+def _scatter(pj, pm, at_j, at_m, size: int) -> np.ndarray:
+    """Per-item sums of ``at_j`` over the item numbers ``pj``, then of ``at_m`` over ``pm``.
 
-    Accumulates in input order; ends at ``size`` or above are dropped.
+    Accumulates in place, in input order: ``ufunc.at`` applies its updates in
+    index order, so each item's sum goes on over its m ends in edge order.
+    Ends at ``size`` are dropped.  The sums are floats even without edges,
+    where bincount returns integers.
     """
-    sums = np.bincount(ends, np.concatenate((at_j, at_m)), minlength=size + 1)[:size]
-    return sums.astype(float, copy=False)  # bincount returns integers when there are no edges
+    sums = np.bincount(pj, at_j, minlength=size + 1).astype(float, copy=False)
+    np.add.at(sums, pm, at_m)
+    return sums[:size]
 
 
 def _edge_scatter(graph: ComparisonGraph, at_j, at_m) -> np.ndarray:
-    """Per-item sums of ``at_j`` over the j endpoints plus ``at_m`` over the m endpoints.
-
-    Accumulates in edge order, j endpoints first.
-    """
-    return _scatter(graph.ends, at_j, at_m, graph.n)
+    """Per-item sums of ``at_j`` over the j endpoints, then of ``at_m`` over the m endpoints."""
+    return _scatter(graph.j, graph.m, at_j, at_m, graph.n)
 
 
 @dataclass(frozen=True)
@@ -277,27 +273,26 @@ class _EdgeBlock(BlockIndex):
     """A coordinate block of a BTL objective and the edges with an end in it.
 
     The edges keep their edge-list order: endpoints ``j``/``m``, ``counts``
-    and ``wins``.  ``ends`` holds each edge's j end, then each m end, as a
+    and ``wins``.  ``pj``/``pm`` hold each edge's j end and m end as a
     position in ``idx``; a held end is at ``idx.size``.  ``inner`` picks the
-    edges with both ends in the block, whose ends are ``rows``/``cols``.  The
-    other edges of the graph, those between held items, are not kept: a block
-    evaluation leaves them out.
+    edges with both ends in the block.  The other edges of the graph, those
+    between held items, are not kept: a block evaluation leaves them out.
     """
 
     j: np.ndarray
     m: np.ndarray
     counts: np.ndarray
     wins: np.ndarray
-    ends: np.ndarray
+    pj: np.ndarray
+    pm: np.ndarray
     inner: Union[np.ndarray, slice]
-    rows: np.ndarray
-    cols: np.ndarray
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat positions of the inner edges' (j, m) and (m, j) entries in the Hessian block."""
         size = self.idx.size
-        return self.rows * size + self.cols, self.cols * size + self.rows
+        rows, cols = self.pj[self.inner], self.pm[self.inner]
+        return rows * size + cols, cols * size + rows
 
 
 class BtlObjective(SmoothObjective):
@@ -321,7 +316,7 @@ class BtlObjective(SmoothObjective):
         """Every edge, as the block of all items; built once per objective."""
         g = self.graph
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
-                          ends=g.ends, inner=slice(None), rows=g.j, cols=g.m)
+                          pj=g.j, pm=g.m, inner=slice(None))
 
     def _point(self, x, block: _EdgeBlock, with_value: bool = True, with_gradient: bool = True):
         """One pass over the block's edges at ``x``.
@@ -329,13 +324,13 @@ class BtlObjective(SmoothObjective):
         Returns the value and the gradient (each None unless asked for), a
         thunk that builds the Hessian block, and the edges' differences d and
         e = exp(-|d|).  d, e and 1 + e are formed once and read by all three.
-        The gradient sums each item's edge terms, j ends first, from one
-        buffer.  The Hessian is the sub-Laplacian of the inner edges, plus each
-        item's degree over all its edges on the diagonal, plus the penalty
-        block.  It is symmetric bit for bit: each inner edge's entry is
-        subtracted once from the penalty's off-diagonal value, the same in
-        every entry, and written to both mirrored places.  So Newton solves it
-        without ``check_symmetric``.
+        The gradient sums each item's edge terms in place, j ends first.  The
+        Hessian is the sub-Laplacian of the inner edges, plus each item's
+        degree over all its edges on the diagonal, plus the penalty block.  It
+        is symmetric bit for bit: each inner edge's entry is subtracted once
+        from the penalty's off-diagonal value, the same in every entry, and
+        written to both mirrored places.  So Newton solves it without
+        ``check_symmetric``.
         """
         x = np.asarray(x, dtype=float)
         d = x[block.j]
@@ -344,36 +339,39 @@ class BtlObjective(SmoothObjective):
         np.negative(e, out=e)
         np.exp(e, out=e)
         onep = 1.0 + e
-        k, size = d.size, block.idx.size
+        size = block.idx.size
         value = grad = None
         penalty_value, penalty_grad = self.penalty.terms(x, block.idx)
         if with_value:
             loss = np.maximum(d, 0.0)
             loss += np.log1p(e)
             loss *= block.counts
-            value = -float((d * block.wins - loss).sum()) + penalty_value
+            np.subtract(d * block.wins, loss, out=loss)
+            value = -float(loss.sum()) + penalty_value
+            del loss  # freed before the gradient's buffer is made
         if with_gradient:
-            terms = np.empty(2 * k)  # each edge's term at its j end, then at its m end
-            base = terms[:k]
-            np.maximum(e, d >= 0, out=base)  # the logistic numerator, as in _sigmoid_from
+            base = np.maximum(e, d >= 0)  # the logistic numerator, as in _sigmoid_from
             base /= onep
             base *= block.counts
             base -= block.wins
-            np.negative(base, out=terms[k:])
-            grad = np.bincount(block.ends, terms, minlength=size + 1)[:size]
-            grad = grad.astype(float, copy=False)  # bincount gives integers without edges
+            # each edge's term at its j end, minus it at its m end: x - b is x + (-b)
+            grad = np.bincount(block.pj, base, minlength=size + 1).astype(float, copy=False)
+            np.subtract.at(grad, block.pm, base)
+            grad = grad[:size]
             grad += penalty_grad
 
         def hessian() -> np.ndarray:
-            w = e / onep**2  # phi''(d), the bits of _phi2_from(e)
+            w = onep**2
+            np.divide(e, w, out=w)  # phi''(d), the bits of _phi2_from(e)
             w *= block.counts
             h = self.penalty.matrix(self.dim, size)  # new: Newton factors each matrix in place
             flat = h.reshape(-1)  # a view of h
+            flat[:: size + 1] += _scatter(block.pj, block.pm, w, w, size)  # the diagonal
+            off = w[block.inner]  # on the whole graph w itself, which is not read again
+            np.subtract(self.penalty.off_diagonal(self.dim), off, out=off)
             upper, lower = block.entries
-            off = self.penalty.off_diagonal(self.dim) - w[block.inner]
             flat[upper] = off  # pairs are unique, so no entry is written twice
             flat[lower] = off
-            flat[:: size + 1] += _scatter(block.ends, w, w, size)  # the diagonal
             return h
 
         return value, grad, hessian, d, e
@@ -404,8 +402,7 @@ class BtlObjective(SmoothObjective):
             inner = np.flatnonzero((pj < idx.size) & (pm < idx.size))
             self._blocks[key] = _EdgeBlock(
                 idx=idx, j=g.j[edges], m=g.m[edges], counts=g.counts[edges],
-                wins=self.wins[edges], ends=np.concatenate((pj, pm)), inner=inner,
-                rows=pj[inner], cols=pm[inner])
+                wins=self.wins[edges], pj=pj, pm=pm, inner=inner)
         return self._blocks[key]
 
     def evaluate(self, x, block: Optional[_EdgeBlock] = None):
@@ -523,7 +520,8 @@ def mle_exists(obs: BtlObservation) -> bool:
     """
     g = obs.graph
     won = np.flatnonzero(np.concatenate((obs.wins > 0, obs.wins < g.counts)))  # j won, then m won
-    beats = _arc_matrix(g.n, g.ends.take(won), np.concatenate((g.m, g.j)).take(won))
+    beats = _arc_matrix(g.n, np.concatenate((g.j, g.m)).take(won),
+                        np.concatenate((g.m, g.j)).take(won))
     n_strong = connected_components(beats, directed=True, connection="strong",
                                     return_labels=False)
     return bool(n_strong == g.component_labels.max() + 1)
@@ -695,7 +693,7 @@ def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionCo
 
     # items without edges have no terms, and d = 0 there under no penalty
     has_edges = np.zeros(g.n, dtype=bool)
-    has_edges[g.ends] = True
+    has_edges[g.j] = has_edges[g.m] = True
     rows = np.flatnonzero(has_edges)
     d_rows = d[rows]
     return ConditionConstants(

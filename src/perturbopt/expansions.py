@@ -134,10 +134,11 @@ def rho_dual(f_mat, d_scales) -> tuple[float, float]:
         raise DimensionMismatch("matrix and scale vector dimensions differ")
     if np.any(d <= 0):
         raise ValueError("scales must be positive")
-    scaled = f / np.outer(d, d)  # |f| / dd' is |f / dd'| bit for bit, as dd' > 0
+    scaled = np.outer(d, d)
+    np.divide(f, scaled, out=scaled)  # |f| / dd' is |f / dd'| bit for bit, as dd' > 0
     np.fill_diagonal(scaled, 0.0)
-    l2 = float(np.sqrt((scaled**2).sum(axis=1).max()))
     exact = float(np.abs(scaled, out=scaled).sum(axis=1).max())
+    l2 = float(np.sqrt(np.square(scaled, out=scaled).sum(axis=1).max()))  # |x|^2 is x^2
     return exact, l2
 
 

@@ -53,7 +53,7 @@ def check_symmetric(a, rtol: float = tol.SYMMETRY_RTOL) -> np.ndarray:
     asymmetry exceeds ``rtol`` relative to the matrix scale.
     """
     a = _square(np.asarray(a, dtype=float))
-    if a.tobytes() == a.T.tobytes():  # already symmetric, bit for bit
+    if np.array_equal(a.view(np.int64), a.T.view(np.int64)):  # already symmetric, bit for bit
         return a.copy()
     scale = max(1.0, float(np.abs(a).max()))
     gap = float(np.abs(a - a.T).max())

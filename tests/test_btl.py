@@ -573,10 +573,16 @@ def _parent_value(obj, x, edges=slice(None)):
     return value + (0.5 * gsq * float(x @ x) if obj.penalty.kind == "ridge" else 0.0)
 
 
-def _parent_scatter(g, at_j, at_m):
-    sums = np.bincount(np.concatenate((g.j, g.m)), np.concatenate((at_j, at_m)),
-                       minlength=g.n + 1)[:g.n]
+def _concatenated_scatter(pj, pm, at_j, at_m, size):
+    """One bincount over the j ends, then the m ends, of both weight arrays; ends at
+    ``size`` are dropped."""
+    sums = np.bincount(np.concatenate((pj, pm)), np.concatenate((at_j, at_m)),
+                       minlength=size + 1)[:size]
     return sums.astype(float, copy=False)
+
+
+def _parent_scatter(g, at_j, at_m):
+    return _concatenated_scatter(g.j, g.m, at_j, at_m, g.n)
 
 
 def _parent_gradient(obj, x):
@@ -721,6 +727,54 @@ class TestLeanPassPinned:
             argmin, iterations, gnorm = _parent_mm(obj, x, max_iter)
         assert _same_bits(got.argmin, argmin) and got.iterations == iterations
         assert np.float64(got.final_grad_supnorm).tobytes() == np.float64(gnorm).tobytes()
+
+
+# signed zeros, NaNs and infinities, and magnitudes whose sums depend on their order
+_SPECIAL_WEIGHTS = [0.0, -0.0, 0.1, 1.0, 2.0**53, math.nan, -math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _scatter_case(draw):
+    """Ends in [0, size], where ``size`` is a held end, and weights that are integers, or
+    floats with signed zeros, NaNs and infinities; any of them may be empty."""
+    size = draw(st.integers(0, 6))
+    ends = st.lists(st.integers(0, size), max_size=12)
+    pj, pm = draw(ends), draw(ends)
+
+    def weights(k):
+        if draw(st.booleans()):
+            return np.array(draw(st.lists(st.integers(-2**40, 2**40), min_size=k, max_size=k)),
+                            dtype=np.int64)
+        values = st.one_of(st.sampled_from(_SPECIAL_WEIGHTS), st.floats())
+        return np.array(draw(st.lists(values, min_size=k, max_size=k)), dtype=float)
+
+    return (np.array(pj, dtype=np.intp), np.array(pm, dtype=np.intp), weights(len(pj)),
+            weights(len(pm)), size)
+
+
+class TestInPlaceScatter:
+    """``_scatter`` accumulates in place with the bits of one bincount over the
+    concatenated ends and weights."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_scatter_case())
+    # every item of the block only as an m end: each j end is held
+    @example((np.array([3, 3, 3]), np.array([0, 2, 1]), np.array([1.5, 2.0, -0.0]),
+              np.array([-0.0, math.nan, 0.25]), 3))
+    @example((np.array([], dtype=np.intp), np.array([], dtype=np.intp), np.array([]),
+              np.array([]), 4))
+    # (2^53 + 1) + 1 rounds twice, 2^53 + (1 + 1) once: the m ends continue the j sum
+    @example((np.array([0]), np.array([0, 0]), np.array([2.0**53]), np.array([1.0, 1.0]), 1))
+    # a sum that overflows to inf
+    @example((np.array([0]), np.array([0]), np.array([1e308]), np.array([1e308]), 1))
+    def test_bits_of_the_concatenated_bincount(self, case):
+        pj, pm, at_j, at_m, size = case
+        # ufunc.at raises the floating-point warnings of inf - inf and of an overflow,
+        # which bincount does not; the bits are compared here
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = btl._scatter(pj, pm, at_j, at_m, size)
+            expected = _concatenated_scatter(pj, pm, at_j, at_m, size)
+        assert got.dtype == np.float64 and _same_bits(got, expected)
 
 
 class TestNoiseGradient:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,23 @@ class TestRhoDual:
                     val = sum(s * f[j, m] / (d[j] * d[m]) for s, m in zip(signs, others))
                     brute = max(brute, abs(val))
             assert exact == pytest.approx(brute, abs=1e-12)
+
+    def test_scales_in_one_matrix(self):
+        # n=300 (720 KB): both variants are read from the one scaled matrix
+        rng = np.random.default_rng(3)
+        f = random_spd(rng, 300)
+        d = np.sqrt(np.diag(f))
+        tracemalloc.start()
+        try:
+            exact, l2 = rho_dual(f, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * f.nbytes
+        scaled = f / np.outer(d, d)
+        np.fill_diagonal(scaled, 0.0)
+        assert exact == float(np.abs(scaled).sum(axis=1).max())
+        assert l2 == float(np.sqrt((scaled**2).sum(axis=1).max()))
 
 
 class TestDerivedConstants:

@@ -165,6 +165,19 @@ class TestCheckSymmetric:
         a = np.array([[1.0, -0.0], [0.0, 1.0]])
         assert check_symmetric(a).tobytes() == (0.5 * (a + a.T)).tobytes()
 
+    def test_symmetric_input_holds_one_matrix(self):
+        # n=300 (720 KB): the bit test builds no copy of the matrix, only the returned one
+        r = np.random.default_rng(9).standard_normal((300, 300))
+        a = r + r.T
+        tracemalloc.start()
+        try:
+            out = check_symmetric(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * a.nbytes
+        assert out.tobytes() == a.tobytes()
+
 
 class TestSymEig:
     def test_diagonal(self):
