@@ -24,15 +24,14 @@ from . import tolerances as tol
 from .ao import AoCertificate, AoTrace, ao_run, certify_convergence, estimate_rate, fixed_point_radii
 from .btl import (
     DISCONNECTED,
-    DIVERGENT,
     BtlObjective,
     BtlObservation,
     PenaltySpec,
     _noise_from,
     btl_condition_constants,
     btl_objective,
+    design_status,
     fit_penalized_mle,
-    mle_exists,
     sample_er_graph,
     sample_outcomes,
 )
@@ -261,14 +260,12 @@ def diagnose_expansion(
     The residuals are measured against the exact minimizer of the expected
     objective, which equals ``truth`` when the scores are centered.  Without
     a ridge, a disconnected design has no such minimizer, and outcomes without
-    a finite MLE (``mle_exists``) none of the perturbed objective, the
-    empirical one: a ValueError either way.
+    a finite MLE none of the perturbed objective, the empirical one: a
+    ValueError with the reason ``design_status`` gives either way.
     """
-    if penalty.kind != "ridge":
-        if not obs.graph.connected:
-            raise ValueError(DISCONNECTED)
-        if not mle_exists(obs):
-            raise ValueError(DIVERGENT)
+    status = None if penalty.kind == "ridge" else design_status(obs)
+    if status is not None:
+        raise ValueError(status)
     expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
     noise = _noise_from(obs, expected.wins)
     return _sup_expansion_bounds(expected, polish, fisher, noise, spd_solve(fisher, noise))
@@ -292,10 +289,10 @@ class AoRepResult:
 def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
     record = _new_record("ao", cfg, n, rep, steps=cfg.steps)
-    if not graph.connected:
-        return AoRepResult(record=record, reason="disconnected")
-    if not mle_exists(obs):
-        return AoRepResult(record=record, reason="divergent_mle")
+    status = design_status(obs)
+    if status is not None:
+        reason = "disconnected" if status == DISCONNECTED else "divergent_mle"
+        return AoRepResult(record=record, reason=reason)
     f = btl_objective(obs, cfg.penalty, mode="empirical")
     joint = newton_minimize(f, np.zeros(n), tol_grad=tol.JOINT_SOLVE_TOL)
     if not joint.converged:

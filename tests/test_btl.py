@@ -16,12 +16,15 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import expected_geometry
 from perturbopt.btl import (
+    DISCONNECTED,
+    DIVERGENT,
     BtlObjective,
     BtlObservation,
     ComparisonGraph,
     PenaltySpec,
     btl_condition_constants,
     btl_objective,
+    design_status,
     fit_penalized_mle,
     mle_exists,
     noise_gradient,
@@ -368,6 +371,66 @@ class TestGraphBuild:
             arcs = btl._arc_matrix(g.n, tail, head)
             assert arcs.indices.dtype == arcs.indptr.dtype
             assert arcs.nnz == tail.size and arcs.shape == (g.n, g.n)
+
+
+@st.composite
+def _design_records(draw):
+    """Edge lists on n <= 9 items with integer or real counts N >= 1 and wins S in [0, N]."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    counts = [draw(st.sampled_from([1.0, 2.0, 3.0, draw(st.floats(1.0, 5.0))])) for _ in chosen]
+    # one-sided records (S = 0 or S = N) are the cases that decide existence
+    wins = [draw(st.sampled_from([0.0, c, float(draw(st.integers(0, int(c)))),
+                                  draw(st.floats(0.0, c))])) for c in counts]
+    return (n, np.array([a for a, _ in chosen], dtype=int), np.array([b for _, b in chosen], dtype=int),
+            np.array(counts), np.array(wins))
+
+
+def _two_pass_reference(n, j, m, counts, wins):
+    """Labels and the three answers from two scipy passes: the undirected one over the
+    design, and the strong one over beats arcs gathered from endpoint concatenations."""
+    k, labels = connected_components(btl._arc_matrix(n, j, m), directed=False)
+    won = np.flatnonzero(np.concatenate((wins > 0, wins < counts)))  # j won, then m won
+    beats = btl._arc_matrix(n, np.concatenate((j, m)).take(won), np.concatenate((m, j)).take(won))
+    n_strong = connected_components(beats, directed=True, connection="strong",
+                                    return_labels=False)
+    status = DISCONNECTED if k > 1 else (DIVERGENT if n_strong > 1 else None)
+    return labels, k == 1, n_strong == k, status
+
+
+class TestDesignStatus:
+    @settings(max_examples=300, deadline=None)
+    @given(_design_records())
+    @example((1, np.array([], dtype=int), np.array([], dtype=int), np.array([]), np.array([])))
+    # items 2 and 3 without edges: disconnected, each component strongly connected
+    @example((4, np.array([0]), np.array([1]), np.array([2.0]), np.array([1.0])))
+    # disconnected and one-sided
+    @example((4, np.array([0, 2]), np.array([1, 3]), np.array([3.0, 3.0]), np.array([3.0, 1.0])))
+    # connected, real-valued, one edge one-sided inside a cycle
+    @example((3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([2.5, 1.0, 4.0]),
+              np.array([2.5, 0.5, 1.75])))
+    # connected and divergent
+    @example((3, np.array([0, 1]), np.array([1, 2]), np.array([3.0, 3.0]), np.array([3.0, 1.5])))
+    def test_matches_the_two_pass_definition(self, record):
+        n, j, m, counts, wins = record
+        labels, connected, exists, status = _two_pass_reference(n, j, m, counts, wins)
+        obs = BtlObservation(graph=ComparisonGraph.from_edges(n, j, m, counts), wins=wins)
+        assert design_status(obs) == status
+        assert mle_exists(obs) is exists
+        assert obs.graph.connected is connected
+        assert obs.graph.component_labels.dtype == labels.dtype
+        assert np.array_equal(obs.graph.component_labels, labels)
+
+    def test_beats_arcs_match_the_concatenated_gather(self):
+        rng = np.random.default_rng(8)
+        g = sample_er_graph(40, 0.3, 2, rng)
+        wins = rng.integers(0, 3, g.n_edges).astype(float)
+        won = np.flatnonzero(np.concatenate((wins > 0, wins < g.counts)))
+        tail, head = btl._beats_arcs(g, wins)
+        assert tail.dtype == head.dtype == np.int32
+        assert np.array_equal(tail, np.concatenate((g.j, g.m)).take(won))
+        assert np.array_equal(head, np.concatenate((g.m, g.j)).take(won))
 
 
 class TestObjectiveValues:

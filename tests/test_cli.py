@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from perturbopt import cli, experiments, objective
+from perturbopt import btl, cli, experiments, objective
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObservation,
@@ -441,6 +441,64 @@ class TestDiagnose:
                                             radius=diag.r_infty, norm="linf")
         assert meta["constants"] == {"tau3": constants.tau3, "d12": constants.d12,
                                      "d21": constants.d21}
+
+
+class TestDesignChecks:
+    """One strong-components pass decides connectivity and a finite MLE."""
+
+    # items 1-2 and 3-4 never meet, and item 1 wins every game it plays
+    DISCONNECTED_ONE_SIDED = "j,m,N,S\n1,2,3,3\n3,4,3,1\n"
+
+    def test_disconnected_is_named_before_divergent(self, tmp_path, capsys):
+        obs_path, truth_path, out = (tmp_path / name for name in ("obs.csv", "truth.csv", "r.csv"))
+        obs_path.write_text(self.DISCONNECTED_ONE_SIDED)
+        write_scores(truth_path, np.zeros(4))
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {btl.DISCONNECTED}\n"
+        assert not out.exists() and not (tmp_path / "r.csv.meta.json").exists()
+        assert dispatch(["fit", "--input", str(obs_path), "--out", str(out), "--strict"]) == 1
+        assert capsys.readouterr().out == \
+            f"fit: 4 items, 2 edges, 0 iterations, NOT converged ({btl.DISCONNECTED})\n"
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """The ``connected_components`` calls of ``btl``, by keyword arguments."""
+        calls = []
+        fn = btl.connected_components
+        monkeypatch.setattr(btl, "connected_components",
+                            lambda *args, **kwargs: calls.append(kwargs) or fn(*args, **kwargs))
+        return calls
+
+    def test_one_pass_per_command_on_a_finite_design(self, sampled_instance, tmp_path, passes):
+        obs_path, truth_path = sampled_instance
+        assert dispatch(["fit", "--input", str(obs_path), "--out", str(tmp_path / "s.csv"),
+                         "--strict"]) == 0
+        assert passes == [{"directed": True, "connection": "strong", "return_labels": False}]
+        passes.clear()
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(passes) == 1
+
+    def test_two_passes_per_command_on_a_disconnected_design(self, tmp_path, passes):
+        obs_path, truth_path = tmp_path / "obs.csv", tmp_path / "truth.csv"
+        obs_path.write_text(self.DISCONNECTED_ONE_SIDED)
+        write_scores(truth_path, np.zeros(4))
+        assert dispatch(["fit", "--input", str(obs_path), "--out", str(tmp_path / "s.csv")]) == 0
+        assert [kwargs.get("connection") for kwargs in passes] == ["strong", None]
+        passes.clear()
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "r.csv")]) == 1
+        assert len(passes) == 2
+
+    def test_one_pass_per_ao_replication_and_none_per_graph(self, passes):
+        cfg = ExperimentConfig(n_list=(50,), reps=1, seed=1, L=3, gsq=5.0, gap=0.02, steps=8)
+        assert experiments.ao_replication(cfg, 50, 0).reason == "ok"
+        assert len(passes) == 1
+        passes.clear()
+        graph = sample_er_graph(50, 0.3, 3, np.random.default_rng(2))
+        ComparisonGraph.from_edges(graph.n, graph.j, graph.m, graph.counts)
+        assert passes == []
 
 
 class TestAoCommand:
