@@ -350,7 +350,8 @@ class BtlObjective(SmoothObjective):
 
         Returns the value and the gradient (each None unless asked for), a
         thunk that builds the Hessian block, and the edges' differences d and
-        e = exp(-|d|).  d, e and 1 + e are formed once and read by all three.
+        e = exp(-|d|).  d and e are formed once and read by all three; 1 + e is
+        formed where it is read, so a thunk holds e alone.
         The gradient sums each item's edge terms in place, j ends first.  The
         Hessian is the sub-Laplacian of the inner edges, plus each item's
         degree over all its edges on the diagonal, plus the penalty block.  It
@@ -365,7 +366,6 @@ class BtlObjective(SmoothObjective):
         e = np.abs(d)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        onep = 1.0 + e
         size = block.idx.size
         value = grad = None
         penalty_value, penalty_grad = self.penalty.terms(x, block.idx)
@@ -378,7 +378,7 @@ class BtlObjective(SmoothObjective):
             del loss  # freed before the gradient's buffer is made
         if with_gradient:
             base = np.maximum(e, d >= 0)  # the logistic numerator, as in _sigmoid_from
-            base /= onep
+            base /= 1.0 + e
             base *= block.counts
             base -= block.wins
             # each edge's term at its j end, minus it at its m end: x - b is x + (-b)
@@ -388,7 +388,8 @@ class BtlObjective(SmoothObjective):
             grad += penalty_grad
 
         def hessian() -> np.ndarray:
-            w = onep**2
+            w = 1.0 + e
+            w *= w  # (1 + e)^2: squaring is one product
             np.divide(e, w, out=w)  # phi''(d), the bits of _phi2_from(e)
             w *= block.counts
             h = self.penalty.matrix(self.dim, size)  # new: Newton factors each matrix in place

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, DltwbTooLarge
-from .numkit import BlockSplit, check_symmetric, contraction_matrix, spd_solve
+from .numkit import BlockSplit, Cholesky, check_symmetric, contraction_matrix, spd_solve
 from .objective import (
     LinearPerturbation,
     SeparablePerturbation,
@@ -77,7 +77,11 @@ class ConditionConstants:
 
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
-    """Derived scalars of the sup-norm expansion regime, with prerequisite flags."""
+    """Derived scalars of the sup-norm expansion regime, with prerequisite flags.
+
+    ``f_inv_a`` is the linear check's leading term F^-1 a, kept so that a caller
+    need not solve it again; other diagnostics leave it None.
+    """
 
     rho_dual: float = float("nan")
     rho_dual_l2: float = float("nan")
@@ -87,6 +91,7 @@ class ExpansionDiagnostics:
     r_infty: float = float("nan")
     a_norm: float = float("nan")
     prerequisites_hold: dict = field(default_factory=dict)
+    f_inv_a: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def all_prerequisites_hold(self) -> bool:
@@ -341,6 +346,23 @@ def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved, f_inv
     return diag, [_report(f"{prefix}_{name}", *row, flags, solved) for name, *row in rows]
 
 
+def _perturbed_argmin(f, a_vec, upsilon_star, fisher, value, grad):
+    """Newton's solve of argmin f + <a, .> from ``upsilon_star``, and F^-1 a, from one
+    ``Cholesky`` factor of ``fisher``, f's Hessian there.
+
+    The factor solves F^-1 a, then is the solve's first Newton matrix: its thunk
+    hands the factor over, so it is freed with the first step, before any later
+    Hessian is built.
+    """
+    held = [Cholesky(fisher)]
+    f_inv_a = held[0].solve(a_vec)
+    # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
+    start = (value + float(a_vec @ upsilon_star), grad + a_vec, held.pop)
+    sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL,
+                          start=start)
+    return sol, f_inv_a
+
+
 def check_linear_sup_expansion(
     f: SmoothObjective,
     a_vec,
@@ -349,34 +371,31 @@ def check_linear_sup_expansion(
     fisher=None,
     rho=None,
     evaluation=None,
-    f_inv_a=None,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
     unperturbed minimizer; ``fisher`` is that Hessian, ``rho`` its
-    ``rho_dual`` pair in that metric, ``evaluation`` the value and gradient
-    of f there and ``f_inv_a`` the solve ``spd_solve(fisher, a_vec)``, when
-    the caller holds them.  The Hessian, given or built, passes
-    ``check_symmetric`` before any use, and is the solve's first Newton
-    matrix: f is evaluated at the unperturbed minimizer once, and zero times
-    when the caller gives the evaluation.
+    ``rho_dual`` pair in that metric and ``evaluation`` the value and
+    gradient of f there, when the caller holds them.  The Hessian, given or
+    built, passes ``check_symmetric`` before any use and is factored once:
+    that factor gives the leading term F^-1 a, which the diagnostics keep as
+    ``f_inv_a``, and the solve's first Newton step.  f is evaluated at the
+    unperturbed minimizer once, and zero times when the caller gives the
+    evaluation.  NotPositiveDefinite when the Hessian is not positive definite.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
     fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
     value, grad = f.evaluate(upsilon_star)[:2] if evaluation is None else evaluation
-    # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
-    # Newton factors its matrix in place, and the reports below read fisher
-    start = (value + float(a_vec @ upsilon_star), grad + a_vec, lambda: fisher.copy())
-    sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL,
-                          start=start)
+    sol, f_inv_a = _perturbed_argmin(f, a_vec, upsilon_star, fisher, value, grad)
     solved = sol.converged and _stationary(grad)
     d = np.sqrt(np.diag(fisher))
-    rho = rho_dual(fisher, d) if rho is None else rho
-    return _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec, constants,
-                             solved, f_inv_a)
+    rho = rho_dual(fisher, d) if rho is None else rho  # the factor is freed by now
+    diag, reports = _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec,
+                                      constants, solved, f_inv_a)
+    return replace(diag, f_inv_a=f_inv_a), reports
 
 
 def check_separable_sup_expansion(

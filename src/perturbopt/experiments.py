@@ -201,7 +201,13 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
     fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
     expected, polish, fisher = _expected_minimizer(graph, cfg.penalty, truth)
     noise = _noise_from(obs, expected.wins)
-    fish_lead = spd_solve(fisher, noise)
+    bounds = None
+    if with_bounds and fit.converged:
+        # the linear check's one factor of F gives F^-1 v for its lin_iii row and for this record
+        bounds = _sup_expansion_bounds(expected, polish, fisher, noise)
+        fish_lead = bounds[1].f_inv_a
+    else:
+        fish_lead = spd_solve(fisher, noise)
     diag_lead = noise / np.diag(fisher)
     err = fit.argmin - polish.argmin
     record.update(
@@ -211,9 +217,9 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
         rem_diag=float(np.abs(err + diag_lead).max()),
         converged=bool(fit.converged),
     )
-    if not with_bounds or not fit.converged:
+    if bounds is None:
         return ExpansionRepResult(record=record)
-    _, diagnostics, reports = _sup_expansion_bounds(expected, polish, fisher, noise, fish_lead)
+    _, diagnostics, reports = bounds
     return ExpansionRepResult(record=record, diagnostics=diagnostics, reports=tuple(reports))
 
 
@@ -229,13 +235,12 @@ def _expected_minimizer(graph, penalty: PenaltySpec, truth):
 
 
 def _sup_expansion_bounds(
-    expected: BtlObjective, polish: SolveReport, fisher, noise, f_inv_noise
+    expected: BtlObjective, polish: SolveReport, fisher, noise
 ) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
     """Sup-norm constants on the radius sqrt(2) a / (1 - rho_dual), then the residual check.
 
-    ``f_inv_noise`` is ``spd_solve(fisher, noise)``.  The radius is 0 when
-    rho_dual >= 1: the bounds are void there and the constants are taken at
-    the center only.
+    The radius is 0 when rho_dual >= 1: the bounds are void there and the
+    constants are taken at the center only.
     """
     ups_star = polish.argmin
     d = np.sqrt(np.diag(fisher))
@@ -248,7 +253,7 @@ def _sup_expansion_bounds(
                                         radius=radius, norm="linf", d_scales=d)
     diagnostics, reports = check_linear_sup_expansion(
         expected, noise, constants, ups_star, fisher=fisher, rho=rho,
-        evaluation=(polish.value, polish.gradient), f_inv_a=f_inv_noise)
+        evaluation=(polish.value, polish.gradient))
     return constants, diagnostics, reports
 
 
@@ -268,7 +273,7 @@ def diagnose_expansion(
         raise ValueError(status)
     expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
     noise = _noise_from(obs, expected.wins)
-    return _sup_expansion_bounds(expected, polish, fisher, noise, spd_solve(fisher, noise))
+    return _sup_expansion_bounds(expected, polish, fisher, noise)
 
 
 # ---------------------------------------------------------------------------

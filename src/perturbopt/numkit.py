@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra and norm machinery.
 
 All operations are pure functions of their inputs; nothing here mutates
-its arguments after construction, except ``spd_solve(..., overwrite_a=True)``,
-which factors its matrix in place.
+its arguments after construction, except ``Cholesky(..., overwrite_a=True)``
+and ``spd_solve(..., overwrite_a=True)``, which factor their matrix in place.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "BlockGeometry",
     "NeumannReport",
     "DerivativeCheck",
+    "Cholesky",
     "spd_solve",
     "sym_eig",
     "psd_power",
@@ -47,14 +48,16 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(a, rtol: float = tol.SYMMETRY_RTOL) -> np.ndarray:
-    """Validate that ``a`` is square and symmetric; return a symmetrized copy.
+    """Validate that ``a`` is square and symmetric; return it symmetrized.
 
+    A float array that is already symmetric bit for bit is returned itself,
+    not a copy: a caller that keeps the matrix or writes into it copies it.
     Raises DimensionMismatch for non-square input, ValueError when the
     asymmetry exceeds ``rtol`` relative to the matrix scale.
     """
     a = _square(np.asarray(a, dtype=float))
     if np.array_equal(a.view(np.int64), a.T.view(np.int64)):  # already symmetric, bit for bit
-        return a.copy()
+        return a
     scale = max(1.0, float(np.abs(a).max()))
     gap = float(np.abs(a - a.T).max())
     if gap > rtol * scale:
@@ -111,31 +114,71 @@ class BlockSplit:
         return x
 
 
-def spd_solve(a, b, overwrite_a: bool = False) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky (LAPACK posv).
+def _owned(a, overwrite_a: bool) -> np.ndarray:
+    """The square matrix a factorization may write: ``a`` itself with ``overwrite_a``,
+    else a C-ordered copy."""
+    return _square(np.asarray(a, dtype=float) if overwrite_a
+                   else np.array(a, dtype=float, order="C"))
 
-    Reads one triangle of ``a``, the upper, as ``potrf`` and
-    ``scipy.linalg.cho_factor`` do; symmetry is not checked here.  The library
-    checks a matrix once, where it enters from outside (``check_symmetric``).
-    ``posv`` factors its matrix in place: by default that is a private copy of
-    ``a``.  With ``overwrite_a``, a C-ordered float ``a`` is factored itself and
-    its upper triangle is left garbled; a caller passes it a matrix it never reads
-    again.
-    """
-    a = _square(np.asarray(a, dtype=float) if overwrite_a
-                else np.array(a, dtype=float, order="C"))
+
+def _rhs(b, dim: int) -> np.ndarray:
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != dimension {a.shape[0]}")
-    # posv is potrf then potrs, the bits of cho_factor/cho_solve.  The transpose of a
-    # C-ordered a is Fortran-ordered, so it is factored without a copy; its lower
-    # triangle is the upper triangle of a
-    _, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
+    if b.shape[0] != dim:
+        raise DimensionMismatch(f"rhs length {b.shape[0]} != dimension {dim}")
+    return b
+
+
+def _potrf(a: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of ``a``, a square matrix the caller hands over, in ``a``'s own
+    memory when it is a C-ordered float array.  Reads the upper triangle of ``a``."""
+    # the transpose of a C-ordered a is Fortran-ordered, so it is factored without a copy;
+    # its lower triangle is the upper triangle of a
+    c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info != 0:  # pragma: no cover - only for malformed arguments
-        raise ValueError(f"illegal value in argument {-info} of posv")
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return c
+
+
+def _potrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, _ = lapack.dpotrs(c, b, lower=1)  # info < 0 only for malformed arguments
     return x
+
+
+class Cholesky:
+    """The Cholesky factor of a symmetric positive definite matrix A: ``potrf`` once,
+    then ``potrs`` once for each right-hand side of ``solve``.
+
+    Reads one triangle of ``a``, the upper, as ``scipy.linalg.cho_factor`` does;
+    symmetry is not checked here.  The library checks a matrix once, where it
+    enters from outside (``check_symmetric``).  The factor is held in a private
+    copy of ``a`` by default.  With ``overwrite_a``, a C-ordered float ``a`` holds
+    it, and its upper triangle is left garbled; a caller passes it a matrix it
+    never reads again.  NotPositiveDefinite when a leading minor is not positive.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, a, overwrite_a: bool = False):
+        self._c = _potrf(_owned(a, overwrite_a))
+
+    def solve(self, b) -> np.ndarray:
+        """A^-1 b, a new array; DimensionMismatch when b's length is not A's dimension."""
+        return _potrs(self._c, _rhs(b, self._c.shape[0]))
+
+
+def spd_solve(a, b, overwrite_a: bool = False) -> np.ndarray:
+    """Solve A x = b for symmetric positive definite A: factor, then solve, as
+    ``Cholesky(a, overwrite_a).solve(b)`` does.
+
+    These are the bits of LAPACK ``posv``, which is ``potrf`` then ``potrs``.
+    A ``b`` of the wrong length raises DimensionMismatch before anything is
+    factored.
+    """
+    a = _owned(a, overwrite_a)
+    b = _rhs(b, a.shape[0])
+    return _potrs(_potrf(a), b)
 
 
 def _eigh(a):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, HessianNotPD, NotPositiveDefinite
-from .numkit import check_symmetric, spd_solve
+from .numkit import Cholesky, check_symmetric, spd_solve
 
 __all__ = [
     "BlockIndex",
@@ -81,14 +81,22 @@ class SmoothObjective:
         thunk checks the Hessian with ``check_symmetric``, since ``spd_solve``
         reads one triangle; an override returns a symmetric matrix itself.
         Each call of the thunk returns a new matrix that nothing else holds:
-        Newton factors it in place.
+        Newton factors it in place.  A thunk may instead return the Hessian's
+        ``Cholesky`` factor, which Newton solves with as it is.
         """
         grad = self.gradient(x)
         if block is None:
-            return self.value(x), grad, lambda: check_symmetric(self.hessian(x))
+            return self.value(x), grad, lambda: _owned_symmetric(self.hessian(x))
         idx = block.idx
         return (self.value(x), grad[idx],
                 lambda: check_symmetric(self.hessian(x)[np.ix_(idx, idx)]))
+
+
+def _owned_symmetric(h) -> np.ndarray:
+    """``check_symmetric(h)`` as a matrix nothing else holds: ``h`` may be one its
+    objective keeps, and Newton factors the thunk's matrix in place."""
+    checked = check_symmetric(h)
+    return checked.copy() if checked is h else checked
 
 
 class QuadraticObjective(SmoothObjective):
@@ -96,11 +104,11 @@ class QuadraticObjective(SmoothObjective):
 
     def __init__(self, minimizer, curvature):
         self.minimizer = np.asarray(minimizer, dtype=float)
-        self.curvature = check_symmetric(curvature)
+        # a copy of its own: the caller may write into the matrix it passed
+        self.curvature = check_symmetric(np.array(curvature, dtype=float))
         if self.curvature.shape[0] != self.minimizer.shape[0]:
             raise DimensionMismatch("curvature and minimizer dimensions differ")
-        # fail fast on indefinite curvature
-        spd_solve(self.curvature, np.zeros(self.minimizer.shape[0]))
+        Cholesky(self.curvature)  # fail fast on indefinite curvature
         self.dim = self.minimizer.shape[0]
 
     def value(self, x):
@@ -240,6 +248,14 @@ def _moved(x, t: float, step, block: Optional[BlockIndex]) -> np.ndarray:
     return moved
 
 
+def _newton_step(hessian, grad) -> np.ndarray:
+    """H^-1 grad from a thunk's Hessian or its ``Cholesky`` factor.  Each thunk call
+    builds a new matrix, so the solve factors it in place."""
+    if isinstance(hessian, Cholesky):
+        return hessian.solve(grad)
+    return spd_solve(hessian, grad, overwrite_a=True)
+
+
 def newton_minimize(
     f: SmoothObjective,
     x0,
@@ -256,11 +272,13 @@ def newton_minimize(
     evaluation is the next iterate's, and the Hessian is built only at
     iterates that fail the gradient test, so a solve builds ``iterations``
     Hessians.  ``start``, when given, is the caller's ``f.evaluate(x0,
-    block)``, and ``f`` is then never evaluated at ``x0``.  Converged means
-    the gradient sup-norm fell to ``tol_grad``.  A non-positive-definite
-    Hessian at an iterate raises HessianNotPD; running out of iterations
-    returns a report with ``converged=False``.  A start with a non-finite
-    entry raises ValueError before any evaluation.
+    block)``, and ``f`` is then never evaluated at ``x0``; its thunk may
+    return the Hessian's ``Cholesky`` factor, which the first step solves
+    with instead of factoring.  Converged means the gradient sup-norm fell to
+    ``tol_grad``.  A non-positive-definite Hessian at an iterate raises
+    HessianNotPD; running out of iterations returns a report with
+    ``converged=False``.  A start with a non-finite entry raises ValueError
+    before any evaluation.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not np.isfinite(x).all():
@@ -273,8 +291,7 @@ def newton_minimize(
         if gnorm <= tol_grad:
             break
         try:
-            # each thunk call builds a new matrix, so the solve may factor it in place
-            step = spd_solve(hessian(), grad, overwrite_a=True)
+            step = _newton_step(hessian(), grad)
         except NotPositiveDefinite as exc:
             raise HessianNotPD(it, f"iterate {it}: {exc}") from exc
         slope = float(grad @ step)  # >= 0 for an SPD Hessian

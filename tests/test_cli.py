@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import pathlib
 import runpy
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from perturbopt import btl, cli, experiments, objective
+from perturbopt import btl, cli, experiments, numkit, objective
 from perturbopt import tolerances as tol
 from perturbopt.btl import (
     BtlObservation,
@@ -441,6 +442,34 @@ class TestDiagnose:
                                             radius=diag.r_infty, norm="linf")
         assert meta["constants"] == {"tau3": constants.tau3, "d12": constants.d12,
                                      "d21": constants.d21}
+
+
+    def test_one_factorization_fewer_than_two_per_fisher_matrix(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        """On an n=300 logcube file of the benchmark's kind, fit factors five Hessians and
+        diagnose four: one factor of the Fisher matrix for the linear check's F^-1 v and
+        its first Newton step, and that solve's three later steps.  The polish solve starts
+        at its minimizer."""
+        n = 300
+        rng = np.random.default_rng(21)
+        graph = sample_er_graph(n, math.log(n) ** 3 / n, 1, rng)
+        truth = rng.uniform(0, 2, n)
+        truth -= truth.mean()
+        obs_path, truth_path = tmp_path / "obs.csv", tmp_path / "truth.csv"
+        write_observations(obs_path, sample_outcomes(graph, truth, rng))
+        write_scores(truth_path, truth)
+        factored = []
+        potrf = numkit._potrf
+        monkeypatch.setattr(numkit, "_potrf", lambda a: factored.append(a.shape) or potrf(a))
+        counts = []
+        for command in (["fit", "--input", str(obs_path), "--out", str(tmp_path / "fit.csv")],
+                        ["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(tmp_path / "report.csv")]):
+            factored.clear()
+            assert dispatch(command) == 0
+            counts.append(len(factored))
+        capsys.readouterr()
+        assert counts == [5, 4]
 
 
 class TestDesignChecks:

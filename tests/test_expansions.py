@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import expected_geometry, random_spd
 from perturbopt.btl import (
@@ -19,7 +21,8 @@ from perturbopt.btl import (
     sample_er_graph,
     sample_outcomes,
 )
-from perturbopt import expansions
+from perturbopt import expansions, experiments
+from perturbopt import tolerances as tol
 from perturbopt.errors import DimensionMismatch, DltwbTooLarge
 from perturbopt.expansions import (
     ConditionConstants,
@@ -34,12 +37,14 @@ from perturbopt.expansions import (
 from perturbopt.experiments import diagnose_expansion, reports_to_csv
 from perturbopt.numkit import (
     BlockSplit,
+    check_symmetric,
     contraction_matrix,
     psd_power,
     spd_solve,
     spectral_norm,
 )
 from perturbopt.objective import (
+    LinearPerturbation,
     QuadraticObjective,
     SeparableSpec,
     SmoothObjective,
@@ -338,8 +343,8 @@ class TestLinearSupExpansion:
                                        upsilon_star=quad.minimizer, fisher=skewed)
 
     def test_fisher_survives_the_solve(self, monkeypatch):
-        # Newton factors each Hessian it is handed in place; the given fisher is the
-        # solve's first one, and the reports still read it afterwards
+        # the given fisher is factored once, in a copy, for F^-1 a and the first Newton step;
+        # the reports read that same matrix afterwards, unchanged
         graph, truth, f = _btl_expected(10, 4, seed=16, gsq=2.0)
         ups_star = newton_minimize(f, truth, tol_grad=1e-13).argmin
         a = 0.3 * np.random.default_rng(17).standard_normal(10)
@@ -349,12 +354,12 @@ class TestLinearSupExpansion:
         read = []
         reports = expansions._sup_norm_reports
         monkeypatch.setattr(expansions, "_sup_norm_reports",
-                            lambda prefix, fish, *rest: read.append(fish.tobytes())
+                            lambda prefix, fish, *rest: read.append(fish)
                             or reports(prefix, fish, *rest))
         _, given = check_linear_sup_expansion(f, a, consts, ups_star, fisher=fisher)
-        assert fisher.tobytes() == before and read == [before]
+        assert fisher.tobytes() == before and read == [fisher] and read[0] is fisher
         _, built = check_linear_sup_expansion(f, a, consts, ups_star)
-        assert given == built and read == [before, before]
+        assert given == built and read[1].tobytes() == before
 
     def test_internal_consistency_iii_from_ii(self):
         # the v-weighted residual is the inverse image of the scaled one
@@ -414,6 +419,77 @@ class TestLinearSupExpansion:
         _, diag, reports = diagnose_expansion(obs, truth, penalty)
         assert all(r.prerequisite_flags["radius_covered"] for r in reports)
         assert diag.r_infty == bounds[0.0]["lin_i"]
+
+
+def _two_factor_check(f, a, constants, ups_star, fisher=None, rho=None, evaluation=None):
+    """The linear check with two factorizations of F: F^-1 a from spd_solve, and Newton
+    started on a copy of F, which it factors again.  Its diagnostics, reports and argmin."""
+    fisher = check_symmetric(f.hessian(ups_star) if fisher is None else fisher)
+    value, grad = f.evaluate(ups_star)[:2] if evaluation is None else evaluation
+    start = (value + float(a @ ups_star), grad + a, lambda: fisher.copy())
+    sol = newton_minimize(LinearPerturbation(f, a), ups_star, tol.JOINT_SOLVE_TOL, start=start)
+    solved = sol.converged and float(np.abs(grad).max()) <= tol.JOINT_SOLVE_TOL
+    d = np.sqrt(np.diag(fisher))
+    rho = rho_dual(fisher, d) if rho is None else rho
+    diag, reports = expansions._sup_norm_reports("lin", fisher, d, rho, sol.argmin - ups_star, a,
+                                                 constants, solved, spd_solve(fisher, a))
+    return diag, reports, sol.argmin
+
+
+def _random_design(n, L, ridge, seed):
+    """An ER design at p=0.6, truth, sampled outcomes and a mean-shift or ridge penalty."""
+    rng = np.random.default_rng(seed)
+    graph = sample_er_graph(n, 0.6, L, rng)
+    truth = rng.uniform(0, 2, n)
+    truth -= truth.mean()
+    obs = sample_outcomes(graph, truth, rng)
+    penalty = PenaltySpec.ridge(2.0) if ridge else PenaltySpec.mean_shift(1.0)
+    return graph, truth, obs, penalty
+
+
+_DESIGNS = dict(n=st.integers(3, 40), L=st.integers(1, 3), ridge=st.booleans(),
+                seed=st.integers(0, 2**32 - 1))
+
+
+class TestOneFactorPerCheck:
+    """The linear check factors F once; its outputs are the bits of two factorizations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(given_fisher=st.booleans(), **_DESIGNS)
+    def test_check_has_the_bits_of_two_factorizations(self, n, L, ridge, seed, given_fisher):
+        graph, truth, obs, penalty = _random_design(n, L, ridge, seed)
+        assume(graph.connected)
+        f = btl_objective(graph, penalty, mode="expected", truth=truth)
+        ups_star = newton_minimize(f, truth, tol_grad=tol.JOINT_SOLVE_TOL).argmin
+        noise = noise_gradient(obs, truth)
+        consts = ConditionConstants(0.3, 0.2, 0.1, norm_tag="linf", radii=(0.5,))
+        fisher = f.hessian(ups_star) if given_fisher else None
+        before = None if fisher is None else fisher.tobytes()
+        solves = []
+        with pytest.MonkeyPatch.context() as patch:
+            newton = expansions.newton_minimize
+            patch.setattr(expansions, "newton_minimize", lambda *args, **kwargs:
+                          solves.append(newton(*args, **kwargs)) or solves[-1])
+            diag, reports = check_linear_sup_expansion(f, noise, consts, ups_star, fisher=fisher)
+        oracle_diag, oracle_reports, oracle_argmin = _two_factor_check(f, noise, consts,
+                                                                       ups_star, fisher=fisher)
+        assert repr(diag) == repr(oracle_diag) and repr(reports) == repr(oracle_reports)
+        assert solves[0].argmin.tobytes() == oracle_argmin.tobytes()
+        fisher = f.hessian(ups_star) if fisher is None else fisher
+        assert diag.f_inv_a.tobytes() == spd_solve(fisher, noise).tobytes()
+        assert before is None or fisher.tobytes() == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_DESIGNS)
+    def test_diagnose_has_the_bits_of_two_factorizations(self, n, L, ridge, seed):
+        graph, truth, obs, penalty = _random_design(n, L, ridge, seed)
+        assume(graph.connected and (ridge or experiments.design_status(obs) is None))
+        got = diagnose_expansion(obs, truth, penalty)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "check_linear_sup_expansion",
+                          lambda *args, **kwargs: _two_factor_check(*args, **kwargs)[:2])
+            oracle = diagnose_expansion(obs, truth, penalty)
+        assert repr(got) == repr(oracle)
 
 
 class TestSeparableSupExpansion:

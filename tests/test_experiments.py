@@ -234,18 +234,25 @@ class TestExpansionStudy:
                                                         radius=kwargs["radius"], norm="linf")
 
     def test_one_solve_of_the_noise_per_bounded_replication(self, monkeypatch, tmp_path):
-        """The record's leading term F^-1 v is the lin_iii row's: solved once, same bits."""
-        solved = []
-        for module in (expansions, experiments):
-            fn = module.spd_solve
-            monkeypatch.setattr(module, "spd_solve", lambda a, b, fn=fn, **kwargs:
-                                solved.append(b) or fn(a, b, **kwargs))
+        """The record's leading term F^-1 v is the lin_iii row's: one factor of the Fisher
+        matrix solves it once, and also gives the check's first Newton step; same bits."""
         cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
-        result = expansion_replication(cfg, 30, 0, with_bounds=True)
-        assert len(solved) == 1 and len(result.reports) == 5
         _, truth, obs = _sample_instance(cfg, 30, 0)
+        expected, _, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
+        noise = experiments._noise_from(obs, expected.wins)
+        lead = float(np.abs(numkit.spd_solve(fisher, noise)).max())
+        factored, solved = [], []
+        potrf, potrs = numkit._potrf, numkit._potrs
+        monkeypatch.setattr(numkit, "_potrf", lambda a: factored.append(a.tobytes()) or potrf(a))
+        monkeypatch.setattr(numkit, "_potrs", lambda c, b: solved.append(b.tobytes())
+                            or potrs(c, b))
+        result = expansion_replication(cfg, 30, 0, with_bounds=True)
+        assert factored.count(fisher.tobytes()) == 1 and solved.count(noise.tobytes()) == 1
+        assert len(result.reports) == 5 and result.record["lead_fish"] == lead
+        factored.clear()
+        solved.clear()
         _, _, reports = diagnose_expansion(obs, truth, cfg.penalty)
-        assert len(solved) == 2
+        assert factored.count(fisher.tobytes()) == 1 and solved.count(noise.tobytes()) == 1
         written = []
         for name, rows in (("replication", result.reports), ("diagnose", reports)):
             experiments.reports_to_csv(rows, tmp_path / name)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from perturbopt.errors import (
 from perturbopt.numkit import (
     BlockGeometry,
     BlockSplit,
+    Cholesky,
     check_symmetric,
     contraction_matrix,
     finite_diff_check,
@@ -28,6 +30,7 @@ from perturbopt.numkit import (
     spectral_norm,
     sym_eig,
 )
+from perturbopt import numkit
 from perturbopt import tolerances as tol
 from perturbopt.objective import QuadraticObjective
 
@@ -135,6 +138,57 @@ class TestSpdSolve:
         spd_solve(a, b)
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
+    def test_short_rhs_refused_before_the_factorization(self):
+        a = random_spd(np.random.default_rng(2), 4)
+        a0 = a.copy()
+        with pytest.raises(DimensionMismatch):
+            spd_solve(a, np.ones(3), overwrite_a=True)
+        assert a.tobytes() == a0.tobytes()
+
+
+class TestCholesky:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+    def test_solves_have_the_bits_of_posv(self, n, rhs_cols, seed, overwrite_a):
+        """Each solve of one factor has the bits of LAPACK posv, and of spd_solve."""
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, n)
+        shape = (n,) if rhs_cols == 0 else (n, rhs_cols)
+        rhs = [rng.standard_normal(shape) for _ in range(3)]
+        factored = a.copy()
+        factor = Cholesky(factored, overwrite_a=overwrite_a)
+        if not overwrite_a:
+            assert factored.tobytes() == a.tobytes()
+        for b in rhs:
+            b0 = b.copy()
+            x = factor.solve(b)
+            _, posv, info = lapack.dposv(a.T.copy(), b, lower=1)
+            assert info == 0 and x.shape == posv.shape == shape
+            assert x.tobytes() == posv.tobytes() == spd_solve(a, b).tobytes()
+            assert b.tobytes() == b0.tobytes()
+
+    def test_overwrite_holds_the_factor_in_the_matrix(self):
+        # n=300 (720 KB): the factor is the caller's matrix, not a copy of it
+        a = random_spd(np.random.default_rng(6), 300)
+        b = np.random.default_rng(7).standard_normal(300)
+        expected = spd_solve(a, b)
+        tracemalloc.start()
+        try:
+            factor = Cholesky(a, overwrite_a=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+        assert factor.solve(b).tobytes() == expected.tobytes()
+
+    def test_refusals(self):
+        with pytest.raises(NotPositiveDefinite):
+            Cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            Cholesky(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            Cholesky(np.eye(2)).solve(np.ones(3))
+
 
 class TestCheckSymmetric:
     def test_quadratic_curvature_exactly_symmetric(self):
@@ -151,7 +205,10 @@ class TestCheckSymmetric:
         a = r + r.T  # exactly symmetric: both triangles are the same sums
         out = check_symmetric(a)
         assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
-        assert out is not a and not np.shares_memory(out, a)
+        # the checked matrix itself: a caller that keeps or writes it makes its own copy
+        assert out is a
+        ints = np.rint(a).astype(int)
+        assert check_symmetric(ints).tobytes() == ints.astype(float).tobytes()
 
     def test_asymmetric_input_still_checked(self):
         a = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
@@ -166,7 +223,7 @@ class TestCheckSymmetric:
         assert check_symmetric(a).tobytes() == (0.5 * (a + a.T)).tobytes()
 
     def test_symmetric_input_holds_one_matrix(self):
-        # n=300 (720 KB): the bit test builds no copy of the matrix, only the returned one
+        # n=300 (720 KB): the bit test builds no copy of the matrix, and none is returned
         r = np.random.default_rng(9).standard_normal((300, 300))
         a = r + r.T
         tracemalloc.start()
@@ -175,8 +232,8 @@ class TestCheckSymmetric:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * a.nbytes
-        assert out.tobytes() == a.tobytes()
+        assert peak < a.nbytes / 4
+        assert out is a
 
 
 class TestSymEig:
@@ -378,6 +435,18 @@ class TestContractionMatrix:
         full = random_spd(rng, 6)
         rep = contraction_matrix(full, BlockSplit.half(6))
         assert rep.ppt_norm == pytest.approx(spectral_norm(rep.p) ** 2, abs=1e-10)
+
+    def test_symmetric_hessian_read_in_place(self, monkeypatch):
+        # the symmetry check hands back the matrix itself, and nothing writes it
+        full = random_spd(np.random.default_rng(12), 6)
+        before = full.tobytes()
+        checked = []
+        check = numkit.check_symmetric
+        monkeypatch.setattr(numkit, "check_symmetric",
+                            lambda a: checked.append(check(a)) or checked[-1])
+        contraction_matrix(full, BlockSplit.half(6))
+        assert len(checked) == 1 and checked[0] is full
+        assert full.tobytes() == before
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.booleans())

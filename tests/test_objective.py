@@ -13,7 +13,7 @@ from perturbopt.btl import (
 )
 from perturbopt import tolerances as tol
 from perturbopt.errors import DimensionMismatch, HessianNotPD
-from perturbopt.numkit import BlockSplit, finite_diff_check
+from perturbopt.numkit import BlockSplit, Cholesky, finite_diff_check
 from perturbopt.objective import (
     LinearPerturbation,
     QuadraticObjective,
@@ -242,6 +242,56 @@ class TestNewtonMinimize:
         sol = newton_minimize(_CliffOffStart(), np.ones(3))
         assert not sol.converged and sol.note == "backtracking stalled"
         assert sol.iterations == 0 and sol.argmin.tobytes() == np.ones(3).tobytes()
+
+    def test_start_thunk_may_give_the_factor(self):
+        """A start thunk's Cholesky factor is solved with as the matrix would be: the
+        Armijo test runs on its step and the iteration count includes it.  A factor of a
+        quarter of the Hessian makes a step four times too long, which must backtrack."""
+        f = _btl_instance(12, 2, seed=3)
+        x0 = np.linspace(-0.5, 0.5, 12)
+        value, grad, hessian = f.evaluate(x0)
+        short = 0.25 * hessian()
+        trials = []
+        evaluate = f.evaluate
+        f.evaluate = lambda x, block=None: trials.append(x.tobytes()) or evaluate(x, block)
+        reports = []
+        for first in (lambda: short.copy(), lambda: Cholesky(short)):
+            trials.clear()
+            reports.append(newton_minimize(f, x0, tol_grad=1e-12,
+                                           start=(value, grad, first)))
+            reports.append(list(trials))
+        (matrix, matrix_trials), (factor, factor_trials) = reports[0:2], reports[2:4]
+        assert factor.converged and factor.iterations == matrix.iterations >= 3
+        assert factor.argmin.tobytes() == matrix.argmin.tobytes()
+        assert factor_trials == matrix_trials
+        backtracked = x0 - tol.BACKTRACK_FACTOR * Cholesky(short).solve(grad)
+        assert backtracked.tobytes() in factor_trials
+
+    def test_kept_hessian_not_factored_in_place(self):
+        """The default evaluate's thunk hands Newton a matrix of its own, even when the
+        objective returns one it keeps."""
+        kept = random_spd(np.random.default_rng(4), 5)
+        before = kept.tobytes()
+
+        class Kept(QuadraticObjective):
+            def hessian(self, x):
+                return kept
+
+        f = Kept(np.arange(5.0), kept)
+        sol = newton_minimize(f, np.zeros(5), tol_grad=1e-12)
+        assert sol.converged and sol.iterations >= 1
+        assert kept.tobytes() == before
+
+
+class TestQuadraticObjective:
+    def test_curvature_is_a_copy(self):
+        rng = np.random.default_rng(8)
+        curvature = random_spd(rng, 4)
+        quad = QuadraticObjective(np.zeros(4), curvature)
+        before = quad.curvature.tobytes()
+        curvature[0, 0] += 1.0
+        curvature[1, 2] = curvature[2, 1] = 0.0
+        assert quad.curvature.tobytes() == before
 
 
 class _SkewedHessian(SmoothObjective):
