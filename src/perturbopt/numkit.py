@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra and norm machinery.
 
 All operations are pure functions of their inputs; nothing here mutates
-its arguments after construction, except ``Cholesky(..., overwrite_a=True)``
-and ``spd_solve(..., overwrite_a=True)``, which factor their matrix in place.
+its arguments after construction, except ``spd_solve(..., overwrite_a=True)``,
+which factors its matrix in place.
 """
 
 from __future__ import annotations
@@ -153,15 +153,14 @@ class Cholesky:
     Reads one triangle of ``a``, the upper, as ``scipy.linalg.cho_factor`` does;
     symmetry is not checked here.  The library checks a matrix once, where it
     enters from outside (``check_symmetric``).  The factor is held in a private
-    copy of ``a`` by default.  With ``overwrite_a``, a C-ordered float ``a`` holds
-    it, and its upper triangle is left garbled; a caller passes it a matrix it
-    never reads again.  NotPositiveDefinite when a leading minor is not positive.
+    C-ordered copy of ``a``, which is left as it was.  NotPositiveDefinite when a
+    leading minor is not positive.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, a, overwrite_a: bool = False):
-        self._c = _potrf(_owned(a, overwrite_a))
+    def __init__(self, a):
+        self._c = _potrf(_owned(a, overwrite_a=False))
 
     def solve(self, b) -> np.ndarray:
         """A^-1 b, a new array; DimensionMismatch when b's length is not A's dimension."""
@@ -170,11 +169,12 @@ class Cholesky:
 
 def spd_solve(a, b, overwrite_a: bool = False) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A: factor, then solve, as
-    ``Cholesky(a, overwrite_a).solve(b)`` does.
+    ``Cholesky(a).solve(b)`` does.
 
     These are the bits of LAPACK ``posv``, which is ``potrf`` then ``potrs``.
-    A ``b`` of the wrong length raises DimensionMismatch before anything is
-    factored.
+    With ``overwrite_a``, a C-ordered float ``a`` holds the factor and is left
+    garbled; a caller passes it a matrix it never reads again.  A ``b`` of the
+    wrong length raises DimensionMismatch before anything is factored.
     """
     a = _owned(a, overwrite_a)
     b = _rhs(b, a.shape[0])

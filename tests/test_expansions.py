@@ -23,7 +23,7 @@ from perturbopt.btl import (
 )
 from perturbopt import expansions, experiments
 from perturbopt import tolerances as tol
-from perturbopt.errors import DimensionMismatch, DltwbTooLarge
+from perturbopt.errors import DimensionMismatch, DltwbTooLarge, NotPositiveDefinite
 from perturbopt.expansions import (
     ConditionConstants,
     check_linear_sup_expansion,
@@ -341,6 +341,21 @@ class TestLinearSupExpansion:
         with pytest.raises(ValueError, match="not symmetric"):
             check_linear_sup_expansion(quad, np.ones(5), ConditionConstants.zeros(norm_tag="linf"),
                                        upsilon_star=quad.minimizer, fisher=skewed)
+
+    def test_indefinite_fisher_refused_before_the_solve(self):
+        # the Fisher matrix, given or built, is factored before Newton runs, so an indefinite
+        # one raises the factorization's NotPositiveDefinite, not Newton's HessianNotPD
+        rng = np.random.default_rng(12)
+        quad = QuadraticObjective(rng.standard_normal(4), random_spd(rng, 4))
+        indefinite = quad.curvature.copy()
+        indefinite[2, 2] = -1.0
+        consts = ConditionConstants.zeros(norm_tag="linf")
+        with pytest.raises(NotPositiveDefinite):
+            check_linear_sup_expansion(quad, np.ones(4), consts, quad.minimizer,
+                                       fisher=indefinite)
+        quad.hessian = lambda x: indefinite.copy()
+        with pytest.raises(NotPositiveDefinite):
+            check_linear_sup_expansion(quad, np.ones(4), consts, quad.minimizer)
 
     def test_fisher_survives_the_solve(self, monkeypatch):
         # the given fisher is factored once, in a copy, for F^-1 a and the first Newton step;
