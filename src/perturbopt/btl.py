@@ -645,9 +645,9 @@ def fit_penalized_mle(
     penalty: PenaltySpec,
     solver: str = "newton",
     tol_grad: float = tol.SOLVER_GRAD_TOL,
-    x0=None,
 ) -> SolveReport:
-    """Fit the penalized maximum-likelihood scores with ``solver`` "newton" or "mm".
+    """Fit the penalized maximum-likelihood scores with ``solver`` "newton" or "mm",
+    started at zero.
 
     Without a ridge the penalty pins only the mean score, so the minimizer
     is finite and unique exactly on a connected design where ``mle_exists``.
@@ -657,8 +657,7 @@ def fit_penalized_mle(
     its iterate, the MM fit does not start.  Where Newton's Hessian stops
     being positive definite, the report holds the start and the iteration it
     stopped at, noted as divergent when there is no finite minimizer and as
-    a singular fit otherwise.  A start ``x0`` of another length raises
-    DimensionMismatch, and one that is not finite ValueError.
+    a singular fit otherwise.
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -667,11 +666,7 @@ def fit_penalized_mle(
     if penalty.kind == "none" and obs.graph.n_edges > 0:
         raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     obj = btl_objective(obs, penalty, mode="empirical")
-    start = np.zeros(obs.graph.n) if x0 is None else np.asarray(x0, dtype=float)
-    if start.shape != (obs.graph.n,):
-        raise DimensionMismatch(f"start of shape {start.shape} for {obs.graph.n} items")
-    if not np.all(np.isfinite(start)):
-        raise ValueError("the start x0 must be finite")
+    start = np.zeros(obs.graph.n)
     pinned = penalty.kind == "ridge"
 
     def unsolved(iterations: int = 0, note: str = "") -> SolveReport:
@@ -939,12 +934,12 @@ def _parse_rows(source, types: dict, columns: dict, skiprows: int = 0) -> np.nda
         )
 
 
-def _open_rows(path, required: tuple, optional: tuple = ()):
+def _open_rows(path, required: tuple):
     """The columns of the CSV file ``path`` and its ``_DataRows``.
 
-    The columns map each name of ``required``, then of ``optional``, that the
-    header has (names stripped) to its position; a missing ``required`` name
-    or a file with no header raises a ValueError that names the file.
+    The columns map each name of ``required`` to its position in the header
+    (names stripped); a missing name or a file with no header raises a
+    ValueError that names the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -955,7 +950,7 @@ def _open_rows(path, required: tuple, optional: tuple = ()):
         missing = set(required) - position.keys()
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        columns = {name: position[name] for name in required + optional if name in position}
+        columns = {name: position[name] for name in required}
         return columns, _DataRows(path, fh, reader)
 
 
@@ -1003,24 +998,21 @@ def _parse_observation_rows(source, columns: dict, skiprows: int = 0) -> np.ndar
         return _parse_rows(source, _OBSERVATION_TYPES, columns, skiprows)
 
 
-def read_observations(path, n: Optional[int] = None):
-    """Read an observation CSV; graph-only files (no S column) yield the graph.
+def read_observations(path) -> BtlObservation:
+    """Read an observation CSV with columns j, m, N and S.
 
-    The item count defaults to the largest index present.  A malformed row
-    raises a ValueError that names the file and the row's line number (the
-    header is line 1).
+    The item count is the largest index present.  A malformed row raises a
+    ValueError that names the file and the row's line number (the header is
+    line 1).
     """
-    columns, rows = _open_rows(path, ("j", "m", "N"), ("S",))
-    has_wins = "S" in columns
+    columns, rows = _open_rows(path, ("j", "m", "N", "S"))
     table = _scan(rows, columns, _parse_observation_rows,
                   "j and m must be integers and the other fields numbers")
-    j, m, counts = table["j"], table["m"], table["N"].astype(float)
-    wins = table["S"].astype(float) if has_wins else None
-    if n is None:
-        n = int(m.max(initial=1))
+    j, m, counts, wins = table["j"], table["m"], table["N"].astype(float), table["S"].astype(float)
+    n = int(m.max(initial=1))
     try:
         graph = ComparisonGraph.from_edges(n, j - 1, m - 1, counts)
-        return BtlObservation(graph=graph, wins=wins) if has_wins else graph
+        return BtlObservation(graph=graph, wins=wins)
     except ValueError:
         # the constructors check every row; only now find the first bad one
         _raise_bad_row(rows, n, j, m, counts, wins)
@@ -1034,21 +1026,17 @@ def _raise_bad_row(rows: _DataRows, n: int, j, m, counts, wins) -> None:
     checks = [
         (np.minimum(j, m) >= 1, "item indices start at 1"),
         (j < m, "need j < m"),
-        (m <= n, f"indices must not exceed the item count {n}"),
         (np.isfinite(counts) & (counts >= 1), "N must be a finite number >= 1"),
         (first == np.arange(j.size), "the pair is already on line {first}"),
+        ((wins >= 0) & (wins <= counts), "S must lie in [0, N]"),
     ]
-    if wins is not None:
-        checks.append(((wins >= 0) & (wins <= counts), "S must lie in [0, N]"))
     failures = [(np.argmin(ok), reason) for ok, reason in checks if not ok.all()]
     if failures:
         k, reason = min(failures, key=lambda failure: failure[0])
         lines = [number for number, _ in rows.lines]
-        got = f"j={j[k]}, m={m[k]}, N={counts[k]:g}"
-        if wins is not None:
-            got += f", S={wins[k]:g}"
         raise ValueError(
-            f"{rows.path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; got {got}"
+            f"{rows.path}, line {lines[k]}: {reason.format(first=lines[first[k]])}; "
+            f"got j={j[k]}, m={m[k]}, N={counts[k]:g}, S={wins[k]:g}"
         ) from None
 
 

@@ -20,7 +20,6 @@ import os
 import sys
 
 from .btl import (
-    BtlObservation,
     PenaltySpec,
     fit_penalized_mle,
     read_observations,
@@ -40,8 +39,10 @@ from .experiments import (
     write_json,
 )
 
-# the settings with no home in the library; every other default is the library's
-DEFAULTS = {"format": "csv", "threads": os.cpu_count() or 1, "n": 20}
+# the settings with no home in the library; every other default is the library's.  The
+# thread count is the CPUs this process may run on, which taskset or a cpuset may narrow
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+DEFAULTS = {"format": "csv", "threads": _CPUS, "n": 20}
 
 _FIT = inspect.signature(fit_penalized_mle).parameters
 
@@ -87,7 +88,7 @@ _FLAGS = {
                         help="freeze the curvature at the optimum (quadratic surrogate)"),
     "--format": dict(choices=["csv", "json"],
                      help=f"records format (default {DEFAULTS['format']})"),
-    "--threads": dict(type=int, help="parallel replications (default: machine parallelism)"),
+    "--threads": dict(type=int, help="parallel replications (default: the CPUs it may run on)"),
 }
 _KEYS = {flag[2:].replace("-", "_"): flag for flag in _FLAGS}
 
@@ -222,16 +223,9 @@ def _penalty(settings: dict) -> PenaltySpec:
     return _checked(PenaltySpec, **_pick(settings, {"kind": "penalty", "gsq": "gsq"}))
 
 
-def _read_outcomes(path) -> BtlObservation:
-    obs = read_observations(path)
-    if not isinstance(obs, BtlObservation):
-        raise ValueError(f"{path}: no outcome column S")
-    return obs
-
-
 def _cmd_fit(args) -> int:
     settings = _settings(args)
-    obs = _checked(_read_outcomes, args.input)
+    obs = _checked(read_observations, args.input)
     report = _checked(fit_penalized_mle, obs, _penalty(settings),
                       **_pick(settings, {"solver": "solver", "tol_grad": "tol"}))
     _checked(write_scores, args.out, report.argmin)
@@ -245,7 +239,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     settings = _settings(args)
-    obs = _checked(_read_outcomes, args.input)
+    obs = _checked(read_observations, args.input)
     truth = _checked(read_scores, args.truth)
     constants, diagnostics, reports = _checked(diagnose_expansion, obs, truth, _penalty(settings))
     rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2

@@ -434,11 +434,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentConfig] = None) -> None:
+def emit(records: Sequence[dict], fmt: str, path, config: ExperimentConfig) -> None:
     """Write one study's records as CSV (its registered columns) or JSON, plus a
-    metadata sidecar.  No records write the one-column header ``study``.  The
-    sidecar's ``config`` leaves out the ``own_fields`` of the other studies, which
-    this one never reads."""
+    metadata sidecar with the run's ``config`` and ``seed``.  No records write the
+    one-column header ``study``.  The sidecar's ``config`` leaves out the
+    ``own_fields`` of the other studies, which this one never reads."""
     records = list(records)
     study = records[0]["study"] if records else None
     if records and study not in STUDIES:
@@ -456,18 +456,16 @@ def emit(records: Sequence[dict], fmt: str, path, config: Optional[ExperimentCon
         write_json(path, payload)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    meta = {
+    foreign = {key for other in STUDIES.values() if other.name != study
+               for key in other.own_fields}
+    write_json(f"{path}.meta.json", {
         "artifact_version": ARTIFACT_VERSION,
         "study": study,
         "records": len(records),
         "created_unix": time.time(),
-    }
-    if config is not None:
-        foreign = {key for other in STUDIES.values() if other.name != study
-                   for key in other.own_fields}
-        meta["config"] = {k: v for k, v in asdict(config).items() if k not in foreign}
-        meta["seed"] = config.seed
-    write_json(f"{path}.meta.json", meta)
+        "config": {k: v for k, v in asdict(config).items() if k not in foreign},
+        "seed": config.seed,
+    })
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:

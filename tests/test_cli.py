@@ -183,7 +183,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["fit", "diagnose"])
     @pytest.mark.parametrize("text, message", [
         ("j,m,N,S\n1,2,3,1\n1,2,3,2\n", ", line 3: the pair is already on line 2"),
-        ("j,m,N\n1,2,3\n", ": no outcome column S"),
+        ("j,m,N\n1,2,3\n", ": missing columns ['S']\n"),
         ("j,m,N,S\n1,2,nan,1\n", ", line 2: N must be a finite number >= 1; got j=1, m=2, "
                                   "N=nan, S=1\n"),
         ("j,m,N,S\n1,2,3,1\n2,3,3,nan\n", ", line 3: S must lie in [0, N]"),
@@ -387,6 +387,17 @@ class TestInputErrors:
         value = threads if threads is not None else config
         assert capsys.readouterr().err == f"error: need at least one thread, got threads={value}\n"
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_default_threads_follow_the_affinity_mask(self):
+        """Pinned to one CPU, as ``taskset -c`` pins it, a study starts one worker."""
+        code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "import perturbopt.cli; print(perturbopt.cli.DEFAULTS['threads'])")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "1"
+        assert cli.DEFAULTS["threads"] == len(os.sched_getaffinity(0))
 
 
 class TestDiagnose:

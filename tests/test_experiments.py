@@ -418,14 +418,16 @@ class TestAoStudy:
 class TestEmit:
     def test_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], "csv", path)
+        emit([], "csv", path, config=ExperimentConfig(seed=4))
         assert path.read_text().strip() == "study"
         assert parse_records(path) == []
+        meta = json.loads((tmp_path / "empty.csv.meta.json").read_text())
+        assert meta["seed"] == 4 and meta["config"]["seed"] == 4
 
     def test_unregistered_study_refused(self, tmp_path):
         path = tmp_path / "other.csv"
         with pytest.raises(ValueError, match="no registered study 'other'"):
-            emit([{"study": "other", "n": 3}], "csv", path)
+            emit([{"study": "other", "n": 3}], "csv", path, config=ExperimentConfig())
         assert not path.exists()
 
     @pytest.mark.parametrize("name", list(STUDIES))
