@@ -195,6 +195,13 @@ def _beats_arcs(g: ComparisonGraph, wins) -> tuple[np.ndarray, np.ndarray]:
     return tail, head
 
 
+def _differences(x: np.ndarray, block) -> np.ndarray:
+    """Each edge's score difference x_j - x_m, over the edges of ``block``."""
+    d = x[block.j]
+    d -= x[block.m]
+    return d
+
+
 def _scatter(pj, pm, at_j, at_m, size: int) -> np.ndarray:
     """Per-item sums of ``at_j`` over the item numbers ``pj``, then of ``at_m`` over ``pm``.
 
@@ -281,18 +288,22 @@ class PenaltySpec:
             return np.full(n, self.gsq)
         return np.zeros(n)
 
-    def terms(self, v: np.ndarray, idx):
-        """The penalty 0.5 ||G v||^2 and its gradient on the items ``idx``.
-
-        Where the gradient is the same on every item (mean_shift, none), it is
-        that one number.
-        """
+    def value(self, v: np.ndarray) -> float:
+        """The penalty 0.5 ||G v||^2."""
         if self.kind == "mean_shift":
-            total = v.sum()
-            return 0.5 * self.gsq * total**2 / v.size, self.gsq * total / v.size
+            return 0.5 * self.gsq * v.sum()**2 / v.size
         if self.kind == "ridge":
-            return 0.5 * self.gsq * float(v @ v), self.gsq * v[idx]
-        return 0.0, 0.0
+            return 0.5 * self.gsq * float(v @ v)
+        return 0.0
+
+    def gradient(self, v: np.ndarray, idx):
+        """The penalty's gradient on the items ``idx``; where it is the same on every
+        item (mean_shift, none), that one number."""
+        if self.kind == "mean_shift":
+            return self.gsq * v.sum() / v.size
+        if self.kind == "ridge":
+            return self.gsq * v[idx]
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -329,6 +340,11 @@ class BtlObjective(SmoothObjective):
     observed win counts by their model expectations.
     """
 
+    # |phi'''| <= phi'' and |u_j - u_m| <= 2 ||u||_inf bound each edge's third derivative
+    # along u by 2 ||u||_inf times its second; the quadratic penalty adds to D^2 and
+    # nothing to D^3, and a block step is zero on the held items
+    third_order_scale = 2.0
+
     def __init__(self, graph: ComparisonGraph, wins, penalty: PenaltySpec):
         self.graph = graph
         self.wins = np.asarray(wins, dtype=float)
@@ -345,37 +361,30 @@ class BtlObjective(SmoothObjective):
         return _EdgeBlock(idx=np.arange(g.n), j=g.j, m=g.m, counts=g.counts, wins=self.wins,
                           pj=g.j, pm=g.m, inner=slice(None))
 
-    def _point(self, x, block: _EdgeBlock, with_value: bool = True, with_gradient: bool = True):
+    def _point(self, x, block: _EdgeBlock, with_gradient: bool = True):
         """One pass over the block's edges at ``x``.
 
-        Returns the value and the gradient (each None unless asked for), a
-        thunk that builds the Hessian block, and the edges' differences d and
-        e = exp(-|d|).  d and e are formed once and read by all three; 1 + e is
-        formed where it is read, so a thunk holds e alone.
-        The gradient sums each item's edge terms in place, j ends first.  The
-        Hessian is the sub-Laplacian of the inner edges, plus each item's
-        degree over all its edges on the diagonal, plus the penalty block.  It
-        is symmetric bit for bit: each inner edge's entry is subtracted once
-        from the penalty's off-diagonal value, the same in every entry, and
-        written to both mirrored places.  So Newton solves it without
-        ``check_symmetric``.
+        Returns a thunk that gives the value, the gradient (None unless asked
+        for), a thunk that builds the Hessian block, and the edges'
+        differences d and e = exp(-|d|).  d and e are formed once and read by
+        the gradient; 1 + e is formed where it is read.  The thunks hold e and
+        a copy of x alone: the value thunk forms d again from the copy, which
+        no caller can write into, so no thunk keeps an edge-length array of
+        its own.  The gradient sums each item's edge terms in place, j ends
+        first.  The Hessian is the sub-Laplacian of the inner edges, plus
+        each item's degree over all its edges on the diagonal, plus the
+        penalty block.  It is symmetric bit for bit: each inner edge's entry
+        is subtracted once from the penalty's off-diagonal value, the same in
+        every entry, and written to both mirrored places.  So Newton solves it
+        without ``check_symmetric``.
         """
         x = np.asarray(x, dtype=float)
-        d = x[block.j]
-        d -= x[block.m]
+        d = _differences(x, block)
         e = np.abs(d)
         np.negative(e, out=e)
         np.exp(e, out=e)
         size = block.idx.size
-        value = grad = None
-        penalty_value, penalty_grad = self.penalty.terms(x, block.idx)
-        if with_value:
-            loss = np.maximum(d, 0.0)
-            loss += np.log1p(e)
-            loss *= block.counts
-            np.subtract(d * block.wins, loss, out=loss)
-            value = -float(loss.sum()) + penalty_value
-            del loss  # freed before the gradient's buffer is made
+        grad = None
         if with_gradient:
             base = np.maximum(e, d >= 0)  # the logistic numerator, as in _sigmoid_from
             base /= 1.0 + e
@@ -385,7 +394,11 @@ class BtlObjective(SmoothObjective):
             grad = np.bincount(block.pj, base, minlength=size + 1).astype(float, copy=False)
             np.subtract.at(grad, block.pm, base)
             grad = grad[:size]
-            grad += penalty_grad
+            grad += self.penalty.gradient(x, block.idx)
+        held = x.copy()
+
+        def value() -> float:
+            return self._value(held, block, _differences(held, block), e)
 
         def hessian() -> np.ndarray:
             w = 1.0 + e
@@ -404,14 +417,24 @@ class BtlObjective(SmoothObjective):
 
         return value, grad, hessian, d, e
 
+    def _value(self, x, block: _EdgeBlock, d, e) -> float:
+        """The block's terms at ``x`` from its edges' d and e = exp(-|d|)."""
+        loss = np.maximum(d, 0.0)
+        loss += np.log1p(e)
+        loss *= block.counts
+        np.subtract(d * block.wins, loss, out=loss)
+        return -float(loss.sum()) + self.penalty.value(x)
+
     def value(self, x) -> float:
-        return self._point(x, self._whole, with_gradient=False)[0]
+        x = np.asarray(x, dtype=float)
+        _, _, _, d, e = self._point(x, self._whole, with_gradient=False)
+        return self._value(x, self._whole, d, e)
 
     def gradient(self, x) -> np.ndarray:
-        return self._point(x, self._whole, with_value=False)[1]
+        return self._point(x, self._whole)[1]
 
     def hessian(self, x) -> np.ndarray:
-        return self._point(x, self._whole, with_value=False, with_gradient=False)[2]()
+        return self._point(x, self._whole, with_gradient=False)[2]()
 
     def hessian_diagonal(self, x) -> np.ndarray:
         return _hessian_diagonal(self.graph, self.penalty, np.asarray(x, dtype=float))
@@ -601,9 +624,10 @@ def _ridge_mm_step(x, s, wins, gsq: float) -> np.ndarray:
     return y
 
 
-def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
+def _mm_minimize(obj: BtlObjective, tol_grad: float,
                  max_iter: int = tol.MM_MAX_ITER) -> SolveReport:
-    """Minorize-maximize fit of the likelihood (Hunter 2004), one edge pass per iteration.
+    """Minorize-maximize fit of the likelihood (Hunter 2004) from zero, one edge pass per
+    iteration.
 
     With ``s`` the expected wins at x and ``W`` the observed ones (the
     likelihood gradient is s - W), Hunter's majorizer of the negative
@@ -621,9 +645,9 @@ def _mm_minimize(obj: BtlObjective, x0, tol_grad: float,
     g, block = obj.graph, obj._whole
     wins = _edge_scatter(g, obj.wins, g.counts - obj.wins)
     gsq = obj.penalty.gsq if obj.penalty.kind == "ridge" else 0.0
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.zeros(g.n)
     for iterations in range(max_iter + 1):
-        _, grad, _, d, e = obj._point(x, block, with_value=False)
+        _, grad, _, d, e = obj._point(x, block)
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol_grad or iterations == max_iter:
             break
@@ -678,7 +702,7 @@ def fit_penalized_mle(
         return unsolved(note=DISCONNECTED)
     finite_minimizer = status is None
     if solver == "mm":
-        report = _mm_minimize(obj, start, tol_grad) if finite_minimizer else unsolved()
+        report = _mm_minimize(obj, tol_grad) if finite_minimizer else unsolved()
     else:
         try:
             report = newton_minimize(obj, start, tol_grad=tol_grad)

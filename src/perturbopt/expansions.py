@@ -346,18 +346,19 @@ def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved, f_inv
     return diag, [_report(f"{prefix}_{name}", *row, flags, solved) for name, *row in rows]
 
 
-def _perturbed_argmin(f, a_vec, upsilon_star, fisher, value, grad):
+def _perturbed_argmin(f, a_vec, upsilon_star, fisher, grad):
     """Newton's solve of argmin f + <a, .> from ``upsilon_star``, and F^-1 a, from one
-    ``Cholesky`` factor of ``fisher``, f's Hessian there.
+    ``Cholesky`` factor of ``fisher``, f's Hessian there, and ``grad``, f's gradient.
 
     The factor solves F^-1 a, then is the solve's first Newton matrix: its thunk
     hands the factor over, so it is freed with the first step, before any later
-    Hessian is built.
+    Hessian is built.  The value there is formed only if the first step is tested.
     """
     held = [Cholesky(fisher)]
     f_inv_a = held[0].solve(a_vec)
     # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
-    start = (value + float(a_vec @ upsilon_star), grad + a_vec, held.pop)
+    start = (lambda: f.value(upsilon_star) + float(a_vec @ upsilon_star), grad + a_vec,
+             held.pop)
     sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL,
                           start=start)
     return sol, f_inv_a
@@ -370,26 +371,27 @@ def check_linear_sup_expansion(
     upsilon_star,
     fisher=None,
     rho=None,
-    evaluation=None,
+    gradient=None,
 ) -> tuple[ExpansionDiagnostics, list[ResidualReport]]:
     """Solve argmin of f + <a, .> and check the sup-norm expansion displays.
 
     The diagonal metric is built from the Hessian diagonal at the
     unperturbed minimizer; ``fisher`` is that Hessian, ``rho`` its
-    ``rho_dual`` pair in that metric and ``evaluation`` the value and
-    gradient of f there, when the caller holds them.  The Hessian, given or
-    built, passes ``check_symmetric`` before any use and is factored once:
-    that factor gives the leading term F^-1 a, which the diagnostics keep as
-    ``f_inv_a``, and the solve's first Newton step.  f is evaluated at the
-    unperturbed minimizer once, and zero times when the caller gives the
-    evaluation.  NotPositiveDefinite when the Hessian is not positive definite.
+    ``rho_dual`` pair in that metric and ``gradient`` the gradient of f
+    there, when the caller holds them.  The Hessian, given or built, passes
+    ``check_symmetric`` before any use and is factored once: that factor
+    gives the leading term F^-1 a, which the diagnostics keep as
+    ``f_inv_a``, and the solve's first Newton step.  f's gradient is taken
+    at the unperturbed minimizer once, and not at all when the caller gives
+    it; f's value there only when the solve's first step needs the line
+    search.  NotPositiveDefinite when the Hessian is not positive definite.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
     fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
-    value, grad = f.evaluate(upsilon_star)[:2] if evaluation is None else evaluation
-    sol, f_inv_a = _perturbed_argmin(f, a_vec, upsilon_star, fisher, value, grad)
+    grad = f.gradient(upsilon_star) if gradient is None else gradient
+    sol, f_inv_a = _perturbed_argmin(f, a_vec, upsilon_star, fisher, grad)
     solved = sol.converged and _stationary(grad)
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d) if rho is None else rho  # the factor is freed by now

@@ -225,8 +225,8 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
 
 def _expected_minimizer(graph, penalty: PenaltySpec, truth):
     """Expected-count objective, the polish solve to its exact minimizer, and the
-    Fisher matrix there.  The solve's report keeps the value and gradient at the
-    minimizer, ``polish.argmin``."""
+    Fisher matrix there.  The solve's report keeps the gradient at the minimizer,
+    ``polish.argmin``."""
     expected = btl_objective(graph, penalty, mode="expected", truth=truth)
     # centered scores are the exact minimizer of the expected objective;
     # the polish solve verifies that before any residual is measured
@@ -253,7 +253,7 @@ def _sup_expansion_bounds(
                                         radius=radius, norm="linf", d_scales=d)
     diagnostics, reports = check_linear_sup_expansion(
         expected, noise, constants, ups_star, fisher=fisher, rho=rho,
-        evaluation=(polish.value, polish.gradient))
+        gradient=polish.gradient)
     return constants, diagnostics, reports
 
 

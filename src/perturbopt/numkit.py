@@ -134,15 +134,29 @@ def _potrf(a: np.ndarray) -> np.ndarray:
     # the transpose of a C-ordered a is Fortran-ordered, so it is factored without a copy;
     # its lower triangle is the upper triangle of a
     c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    _check_factored(info, "potrf")
+    return c
+
+
+def _check_factored(info: int, routine: str) -> None:
+    """NotPositiveDefinite when the LAPACK factorization ``routine`` met a leading minor
+    that is not positive."""
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info != 0:  # pragma: no cover - only for malformed arguments
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    return c
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def _potrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, _ = lapack.dpotrs(c, b, lower=1)  # info < 0 only for malformed arguments
+    return x
+
+
+def _posv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b in one LAPACK call, ``potrf`` then ``potrs``, factoring ``a`` as ``_potrf``
+    does: a square matrix the caller hands over, upper triangle read."""
+    _, x, info = lapack.dposv(a.T, b, lower=1, overwrite_a=1)
+    _check_factored(info, "posv")
     return x
 
 
@@ -171,14 +185,14 @@ def spd_solve(a, b, overwrite_a: bool = False) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A: factor, then solve, as
     ``Cholesky(a).solve(b)`` does.
 
-    These are the bits of LAPACK ``posv``, which is ``potrf`` then ``potrs``.
-    With ``overwrite_a``, a C-ordered float ``a`` holds the factor and is left
-    garbled; a caller passes it a matrix it never reads again.  A ``b`` of the
-    wrong length raises DimensionMismatch before anything is factored.
+    One LAPACK ``posv`` call, which is ``potrf`` then ``potrs``: the bits of
+    the factor's solve.  With ``overwrite_a``, a C-ordered float ``a`` holds
+    the factor and is left garbled; a caller passes it a matrix it never
+    reads again.  A ``b`` of the wrong length raises DimensionMismatch before
+    anything is factored.
     """
     a = _owned(a, overwrite_a)
-    b = _rhs(b, a.shape[0])
-    return _potrs(_potrf(a), b)
+    return _posv(a, _rhs(b, a.shape[0]))
 
 
 def _eigh(a):

@@ -1,8 +1,9 @@
 """Smooth-objective evaluation contract, perturbation wrappers, and convex solvers.
 
 Objectives are immutable evaluation contracts: ``value``, ``gradient``,
-``hessian``, the directional third derivative, and ``evaluate`` on the whole
-vector or one block of it.  A partial minimization is a Newton solve on one
+``hessian``, the directional third derivative, a bound on it
+(``third_order_scale``), and ``evaluate`` on the whole vector or one block of
+it.  A partial minimization is a Newton solve on one
 block, the other held fixed.  The solvers (damped Newton here, and the BTL
 minorize-maximize fit in ``btl``) report convergence as data, never as a
 silent failure; the BTL likelihood can genuinely diverge and callers must
@@ -42,9 +43,16 @@ class BlockIndex:
 
 
 class SmoothObjective:
-    """Evaluation contract for a three-times differentiable function."""
+    """Evaluation contract for a three-times differentiable function.
+
+    ``third_order_scale`` is a constant kappa with
+    |D^3 f(x)[u, u, u]| <= kappa ||u||_inf D^2 f(x)[u, u] for every x and u,
+    or None where none is known; ``newton_minimize`` certifies short steps
+    with it.
+    """
 
     dim: int
+    third_order_scale: Optional[float] = None
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -69,26 +77,28 @@ class SmoothObjective:
         return BlockIndex(np.asarray(idx, dtype=int))
 
     def evaluate(self, x, block: Optional[BlockIndex] = None):
-        """Value, gradient and a thunk that builds the Hessian, at ``x``.
+        """``(value, gradient, hessian)`` at ``x``: the gradient, and thunks that give the
+        value and build the Hessian.
 
         With a ``block_index``, the gradient and the Hessian are the block's
         slices, and the value is the block's own terms: it may differ from
         ``value(x)`` by a constant that depends on the held coordinates only,
         which a minimization over the block never sees.  Newton steps
-        evaluate every point once and run the thunk only where they need a
-        step.  This default takes the full derivatives and slices them, and
-        keeps the full value; objectives that can share work override it.  Its
-        thunk checks the Hessian with ``check_symmetric``, since ``spd_solve``
-        reads one triangle; an override returns a symmetric matrix itself.
-        Each call of the thunk returns a new matrix that nothing else holds:
-        Newton factors it in place.  A thunk may instead return the Hessian's
-        ``Cholesky`` factor, which Newton solves with as it is.
+        evaluate every point once, run the Hessian thunk only where they need
+        a step and the value thunk only where a line search tests one.  This
+        default takes the full derivatives and slices them, and keeps the full
+        value; objectives that can share work override it.  Its Hessian thunk
+        checks the Hessian with ``check_symmetric``, since ``spd_solve`` reads
+        one triangle; an override returns a symmetric matrix itself.  Each
+        call of the Hessian thunk returns a new matrix that nothing else
+        holds: Newton factors it in place.  It may instead return the
+        Hessian's ``Cholesky`` factor, which Newton solves with as it is.
         """
         grad = self.gradient(x)
         if block is None:
-            return self.value(x), grad, lambda: _owned_symmetric(self.hessian(x))
+            return (lambda: self.value(x)), grad, lambda: _owned_symmetric(self.hessian(x))
         idx = block.idx
-        return (self.value(x), grad[idx],
+        return ((lambda: self.value(x)), grad[idx],
                 lambda: check_symmetric(self.hessian(x)[np.ix_(idx, idx)]))
 
 
@@ -101,6 +111,8 @@ def _owned_symmetric(h) -> np.ndarray:
 
 class QuadraticObjective(SmoothObjective):
     """f(x) = 0.5 (x - x*)' F (x - x*) with positive definite curvature F."""
+
+    third_order_scale = 0.0
 
     def __init__(self, minimizer, curvature):
         self.minimizer = np.asarray(minimizer, dtype=float)
@@ -137,6 +149,10 @@ class LinearPerturbation(SmoothObjective):
         self.a = a
         self.dim = base.dim
 
+    @property
+    def third_order_scale(self):
+        return self.base.third_order_scale
+
     def value(self, x):
         return self.base.value(x) + float(self.a @ np.asarray(x, dtype=float))
 
@@ -155,7 +171,11 @@ class LinearPerturbation(SmoothObjective):
     def evaluate(self, x, block=None):
         value, grad, hessian = self.base.evaluate(x, block)
         shift = self.a if block is None else self.a[block.idx]
-        return value + float(self.a @ np.asarray(x, dtype=float)), grad + shift, hessian
+
+        def shifted() -> float:
+            return value() + float(self.a @ np.asarray(x, dtype=float))
+
+        return shifted, grad + shift, hessian
 
 
 @dataclass(frozen=True)
@@ -217,11 +237,11 @@ class SeparablePerturbation(SmoothObjective):
 class SolveReport:
     """Outcome of a minimization: argmin, effort, and an honest convergence flag.
 
-    A Newton solve also keeps ``value`` and ``gradient``, the first two parts
-    of the ``evaluate`` call at its last point, so a caller need not evaluate
-    there again.  On a block they are the block's value and gradient, and
-    ``partial_minimize`` cuts ``argmin`` to the free block.  Other solvers
-    leave them None.
+    A Newton solve also keeps ``gradient``, the gradient of the ``evaluate``
+    call at its last point, so a caller need not evaluate there again; on a
+    block it is the block's gradient, and ``partial_minimize`` cuts
+    ``argmin`` to the free block.  No solver keeps the value there: Newton
+    forms it only for a line search.  Other solvers leave ``gradient`` None.
     """
 
     argmin: np.ndarray
@@ -229,7 +249,6 @@ class SolveReport:
     final_grad_supnorm: float
     converged: bool
     note: str = ""
-    value: Optional[float] = field(default=None, repr=False, compare=False)
     gradient: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
@@ -272,18 +291,34 @@ def newton_minimize(
     evaluation is the next iterate's, and the Hessian is built only at
     iterates that fail the gradient test, so a solve builds ``iterations``
     Hessians.  ``start``, when given, is the caller's ``f.evaluate(x0,
-    block)``, and ``f`` is then never evaluated at ``x0``; its thunk may
-    return the Hessian's ``Cholesky`` factor, which the first step solves
-    with instead of factoring.  Converged means the gradient sup-norm fell to
-    ``tol_grad``.  A non-positive-definite Hessian at an iterate raises
-    HessianNotPD; running out of iterations returns a report with
-    ``converged=False``.  A start with a non-finite entry raises ValueError
-    before any evaluation.
+    block)``, and ``f`` is then never evaluated at ``x0``; its Hessian thunk
+    must give the Hessian at ``x0``, which the step certificate below
+    assumes, or its ``Cholesky`` factor, which the first step solves with
+    instead of factoring.
+
+    A full step s is taken without the value test when kappa ||s||_inf <= 1,
+    kappa being ``f.third_order_scale``.  Along h(t) = f(x - t s),
+    |h'''| <= M h'' with M = kappa ||s||_inf, so h''(t) <= h''(0) e^(M t);
+    integrating twice, with s'Hs = g's, f(x - s) <= f(x) - (1 - psi(M)) g's
+    where psi(M) = (e^M - 1 - M) / M^2 <= psi(1) = e - 2.  So the step lowers
+    f by at least (3 - e) g's ~ 0.28 g's, far beyond the Armijo test's
+    1e-4 g's (the generalized self-concordance of Bach 2010, "Self-concordant
+    analysis for logistic regression"; the damped-Newton argument of Boyd &
+    Vandenberghe, "Convex Optimization", 9.6).  Every other step runs the
+    Armijo test, with an allowance for rounding, and halves the step until
+    it passes: only there are the value thunks run.
+
+    Converged means the gradient sup-norm fell to ``tol_grad``.  A
+    non-positive-definite Hessian at an iterate raises HessianNotPD; running
+    out of iterations returns a report with ``converged=False``.  A start
+    with a non-finite entry raises ValueError before any evaluation.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not np.isfinite(x).all():
         raise ValueError("the Newton start must be finite")
-    fx, grad, hessian = f.evaluate(x, block) if start is None else start
+    value, grad, hessian = f.evaluate(x, block) if start is None else start
+    fx = None  # value(), once a line search has asked for it
+    kappa = f.third_order_scale
     gnorm = float(np.abs(grad).max())
     iterations = 0
     note = ""
@@ -294,28 +329,36 @@ def newton_minimize(
             step = _newton_step(hessian(), grad)
         except NotPositiveDefinite as exc:
             raise HessianNotPD(it, f"iterate {it}: {exc}") from exc
-        slope = float(grad @ step)  # >= 0 for an SPD Hessian
-        # the required decrease can fall below float resolution near the optimum
-        noise = _ROUNDING_SLACK * (1.0 + abs(fx))
-        t = 1.0
-        while (trial := f.evaluate(moved := _moved(x, t, step, block), block))[0] > (
-            fx - tol.ARMIJO_C * t * slope + noise
-        ):
-            t *= tol.BACKTRACK_FACTOR
-            if t < 1e-16:
-                note = "backtracking stalled"
+        if kappa is not None and kappa * np.abs(step).max() <= 1.0:  # a certified decrease
+            trial = f.evaluate(moved := _moved(x, 1.0, step, block), block)
+            f_moved = None
+        else:
+            if fx is None:
+                fx = value()
+            slope = float(grad @ step)  # >= 0 for an SPD Hessian
+            # the required decrease can fall below float resolution near the optimum
+            noise = _ROUNDING_SLACK * (1.0 + abs(fx))
+            t = 1.0
+            while (f_moved := (trial := f.evaluate(moved := _moved(x, t, step, block),
+                                                   block))[0]()) > (
+                fx - tol.ARMIJO_C * t * slope + noise
+            ):
+                t *= tol.BACKTRACK_FACTOR
+                if t < 1e-16:
+                    note = "backtracking stalled"
+                    break
+            if note:
                 break
-        if note:
-            break
         x = moved
-        fx, grad, hessian = trial
+        value, grad, hessian = trial
+        fx = f_moved
         iterations = it
         gnorm = float(np.abs(grad).max())
     converged = gnorm <= tol_grad
     return SolveReport(argmin=x, iterations=iterations, final_grad_supnorm=gnorm,
                        converged=converged,
                        note="" if converged else note or "iteration cap reached",
-                       value=fx, gradient=grad)
+                       gradient=grad)
 
 
 def partial_minimize(

@@ -279,6 +279,34 @@ class TestOnePassPerNewtonPoint:
         assert (counts["evaluate"], counts["thunk"], counts["hessian"]) == (points, steps, 1)
         assert sorted(builds) == [25, 25, 50]
 
+    @pytest.mark.parametrize("rep", [0, 1, 2])
+    def test_no_value_formed_inside_ao_run(self, rep, monkeypatch):
+        """At the benchmark's ao-study settings every block step of ``ao_run`` is short
+        enough to certify, so its solves form no value; only the joint fit's first steps,
+        from zero, do."""
+        formed = Counter()
+        inside = []
+        evaluate, run = BtlObjective.evaluate, experiments.ao_run
+
+        def spy_evaluate(obj, x, block=None):
+            value, grad, thunk = evaluate(obj, x, block)
+            where = "ao_run" if inside else "joint"
+            return (lambda: formed.update([where]) or value()), grad, thunk
+
+        def spy_run(*args, **kwargs):
+            inside.append(True)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(BtlObjective, "evaluate", spy_evaluate)
+        monkeypatch.setattr(experiments, "ao_run", spy_run)
+        cfg = ExperimentConfig(n_list=(50,), L=3, gsq=5.0, gap=0.02, steps=8, seed=1, reps=3)
+        result = ao_replication(cfg, 50, rep)
+        assert result.reason == "ok" and result.trace.inner_iterations.sum() >= 16
+        assert formed["ao_run"] == 0 and formed["joint"] >= 2
+
 
 class TestOneSolverPath:
     def test_ao_replication_solves_through_the_public_solvers(self, solver_calls):

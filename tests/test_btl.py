@@ -571,7 +571,7 @@ class TestDerivativeExactness:
         linear = np.abs(shifted.a) @ (np.abs(x) + np.abs(moved))
         for f, scale in ((obj, 0.0), (shifted, linear)):
             block = f.block_index(idx)
-            change = f.evaluate(moved, block)[0] - f.evaluate(x, block)[0]
+            change = f.evaluate(moved, block)[0]() - f.evaluate(x, block)[0]()
             assert _close(change, f.value(moved) - f.value(x),
                           obj.value(x) + obj.value(moved) + scale)
 
@@ -580,7 +580,7 @@ class TestDerivativeExactness:
     def test_fused_derivatives_are_the_separate_ones(self, case):
         obj, x, _ = case
         value, grad, hessian = obj.evaluate(x)
-        assert value == obj.value(x)
+        assert value() == obj.value(x)
         assert _same_bits(grad, obj.gradient(x))
         assert _same_bits(hessian(), obj.hessian(x))
 
@@ -666,12 +666,13 @@ def _parent_hessian(obj, x):
     return h
 
 
-def _parent_mm(obj, x0, max_iter):
-    """The minorize-maximize fit's iterate, iteration count and gradient sup-norm at tol 0."""
+def _parent_mm(obj, max_iter):
+    """The minorize-maximize fit's iterate, iteration count and gradient sup-norm at tol 0,
+    from zero."""
     g = obj.graph
     wins = _parent_scatter(g, obj.wins, g.counts - obj.wins)
     gsq = obj.penalty.gsq if obj.penalty.kind == "ridge" else 0.0
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.zeros(g.n)
     for iterations in range(max_iter + 1):
         gnorm = float(np.abs(_parent_gradient(obj, x)).max())
         if gnorm <= 0.0 or iterations == max_iter:
@@ -760,12 +761,12 @@ class TestLeanPassPinned:
         assert np.float64(obj.value(x)).tobytes() == np.float64(value).tobytes()
         assert _same_bits(obj.gradient(x), grad) and _same_bits(obj.hessian(x), hess)
         got_value, got_grad, got_hess = obj.evaluate(x)
-        assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+        assert np.float64(got_value()).tobytes() == np.float64(value).tobytes()
         assert _same_bits(got_grad, grad) and _same_bits(got_hess(), hess)
         # a block keeps its edges with an end in it, in edge order, and slices the rest
         edges = np.flatnonzero(np.isin(obj.graph.j, idx) | np.isin(obj.graph.m, idx))
         got_value, got_grad, got_hess = obj.evaluate(x, obj.block_index(idx))
-        assert (np.float64(got_value).tobytes()
+        assert (np.float64(got_value()).tobytes()
                 == np.float64(_parent_value(obj, x, edges)).tobytes())
         assert _same_bits(got_grad, grad[idx])
         first = got_hess()
@@ -784,10 +785,10 @@ class TestLeanPassPinned:
     @given(_pinned_case(), st.integers(0, 4))
     @example(_pinned_example(), 3)
     def test_mm_iterates_are_the_plain_formulas(self, case, max_iter):
-        obj, x, _ = case
+        obj, _, _ = case
         with np.errstate(all="ignore"):  # one-sided records send scores to infinity
-            got = _mm_minimize(obj, x, 0.0, max_iter=max_iter)
-            argmin, iterations, gnorm = _parent_mm(obj, x, max_iter)
+            got = _mm_minimize(obj, 0.0, max_iter=max_iter)
+            argmin, iterations, gnorm = _parent_mm(obj, max_iter)
         assert _same_bits(got.argmin, argmin) and got.iterations == iterations
         assert np.float64(got.final_grad_supnorm).tobytes() == np.float64(gnorm).tobytes()
 
@@ -1025,14 +1026,23 @@ class TestFit:
         assert g.connected and mle_exists(obs)
         pair = BtlObservation(graph=ComparisonGraph.from_edges(2, [0], [1], [10.0]),
                               wins=np.array([9.0]))
-        # starts far from the optimum and not centred; the pair starts with its
-        # winner 30 below, where an uncapped ridge step would overflow
-        for data, start in ((obs, rng.uniform(-10, 10, 15)), (pair, np.array([-15.0, 15.0]))):
+        for data in (obs, pair):
             obj = btl_objective(data, penalty)
-            values = [obj.value(_mm_minimize(obj, start, 0.0, max_iter=k).argmin)
-                      for k in range(40)]
+            values = [obj.value(_mm_minimize(obj, 0.0, max_iter=k).argmin) for k in range(40)]
             assert np.all(np.diff(values) <= 1e-12 * np.abs(values[1:]))
             assert values[-1] < values[0]
+
+    @pytest.mark.parametrize("gsq", [0.01, 20.0])
+    def test_ridge_mm_step_from_far_below_stays_finite(self, gsq):
+        """A pair whose winner (9 of 10 games) sits 30 below its opponent: an uncapped first
+        step would overflow e^(y - x); the capped steps reach each item's root."""
+        x = np.array([-15.0, 15.0])
+        s = 10.0 * sigmoid(np.array([x[0] - x[1], x[1] - x[0]]))
+        wins = np.array([9.0, 1.0])
+        with np.errstate(over="raise", invalid="raise"):
+            y = btl._ridge_mm_step(x, s, wins, gsq)
+        assert np.all(np.isfinite(y))
+        np.testing.assert_allclose(wins - s * np.exp(y - x) - gsq * y, 0.0, atol=1e-9)
 
     def test_mm_ridge_zero_win_and_isolated_items(self):
         # item 0 loses every game, item 3 plays none

@@ -460,7 +460,7 @@ class TestDiagnose:
         """On an n=300 logcube file of the benchmark's kind, fit factors five Hessians and
         diagnose four: one factor of the Fisher matrix for the linear check's F^-1 v and
         its first Newton step, and that solve's three later steps.  The polish solve starts
-        at its minimizer."""
+        at its minimizer.  A ``posv`` call is a factorization too."""
         n = 300
         rng = np.random.default_rng(21)
         graph = sample_er_graph(n, math.log(n) ** 3 / n, 1, rng)
@@ -470,8 +470,9 @@ class TestDiagnose:
         write_observations(obs_path, sample_outcomes(graph, truth, rng))
         write_scores(truth_path, truth)
         factored = []
-        potrf = numkit._potrf
+        potrf, posv = numkit._potrf, numkit._posv
         monkeypatch.setattr(numkit, "_potrf", lambda a: factored.append(a.shape) or potrf(a))
+        monkeypatch.setattr(numkit, "_posv", lambda a, b: factored.append(a.shape) or posv(a, b))
         counts = []
         for command in (["fit", "--input", str(obs_path), "--out", str(tmp_path / "fit.csv")],
                         ["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
@@ -481,6 +482,32 @@ class TestDiagnose:
             counts.append(len(factored))
         capsys.readouterr()
         assert counts == [5, 4]
+
+    def test_fit_forms_values_for_its_first_step_only(self, tmp_path, monkeypatch, capsys):
+        """On an n=300 logcube file of the benchmark's kind, the fit's first step, from
+        zero, is too long to certify and runs the Armijo test on values; every later step
+        is certified and forms none."""
+        n = 300
+        rng = np.random.default_rng(21)
+        graph = sample_er_graph(n, math.log(n) ** 3 / n, 1, rng)
+        truth = rng.uniform(0, 2, n)
+        truth -= truth.mean()
+        obs_path = tmp_path / "obs.csv"
+        write_observations(obs_path, sample_outcomes(graph, truth, rng))
+        steps, formed_at = [], []
+        evaluate = btl.BtlObjective.evaluate
+
+        def spy(obj, x, block=None):
+            value, grad, hessian = evaluate(obj, x, block)
+            return ((lambda: formed_at.append(len(steps)) or value()), grad,
+                    lambda: steps.append(x) or hessian())
+
+        monkeypatch.setattr(btl.BtlObjective, "evaluate", spy)
+        assert dispatch(["fit", "--input", str(obs_path), "--out", str(tmp_path / "fit.csv")]) == 0
+        capsys.readouterr()
+        assert len(steps) >= 4 and not steps[0].any()
+        # each value was formed while the first Newton step was tested: at zero and its trials
+        assert len(formed_at) >= 2 and set(formed_at) == {1}
 
 
 class TestDesignChecks:

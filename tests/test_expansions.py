@@ -436,12 +436,12 @@ class TestLinearSupExpansion:
         assert diag.r_infty == bounds[0.0]["lin_i"]
 
 
-def _two_factor_check(f, a, constants, ups_star, fisher=None, rho=None, evaluation=None):
+def _two_factor_check(f, a, constants, ups_star, fisher=None, rho=None, gradient=None):
     """The linear check with two factorizations of F: F^-1 a from spd_solve, and Newton
     started on a copy of F, which it factors again.  Its diagnostics, reports and argmin."""
     fisher = check_symmetric(f.hessian(ups_star) if fisher is None else fisher)
-    value, grad = f.evaluate(ups_star)[:2] if evaluation is None else evaluation
-    start = (value + float(a @ ups_star), grad + a, lambda: fisher.copy())
+    grad = f.evaluate(ups_star)[1] if gradient is None else gradient
+    start = (lambda: f.value(ups_star) + float(a @ ups_star), grad + a, lambda: fisher.copy())
     sol = newton_minimize(LinearPerturbation(f, a), ups_star, tol.JOINT_SOLVE_TOL, start=start)
     solved = sol.converged and float(np.abs(grad).max()) <= tol.JOINT_SOLVE_TOL
     d = np.sqrt(np.diag(fisher))

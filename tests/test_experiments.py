@@ -235,17 +235,20 @@ class TestExpansionStudy:
 
     def test_one_solve_of_the_noise_per_bounded_replication(self, monkeypatch, tmp_path):
         """The record's leading term F^-1 v is the lin_iii row's: one factor of the Fisher
-        matrix solves it once, and also gives the check's first Newton step; same bits."""
+        matrix solves it once, and also gives the check's first Newton step; same bits.  A
+        ``posv`` call factors and solves."""
         cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
         _, truth, obs = _sample_instance(cfg, 30, 0)
         expected, _, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
         noise = experiments._noise_from(obs, expected.wins)
         lead = float(np.abs(numkit.spd_solve(fisher, noise)).max())
         factored, solved = [], []
-        potrf, potrs = numkit._potrf, numkit._potrs
+        potrf, potrs, posv = numkit._potrf, numkit._potrs, numkit._posv
         monkeypatch.setattr(numkit, "_potrf", lambda a: factored.append(a.tobytes()) or potrf(a))
         monkeypatch.setattr(numkit, "_potrs", lambda c, b: solved.append(b.tobytes())
                             or potrs(c, b))
+        monkeypatch.setattr(numkit, "_posv", lambda a, b: factored.append(a.tobytes())
+                            or solved.append(b.tobytes()) or posv(a, b))
         result = expansion_replication(cfg, 30, 0, with_bounds=True)
         assert factored.count(fisher.tobytes()) == 1 and solved.count(noise.tobytes()) == 1
         assert len(result.reports) == 5 and result.record["lead_fish"] == lead

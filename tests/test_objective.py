@@ -12,13 +12,15 @@ from perturbopt.btl import (
     sample_outcomes,
 )
 from perturbopt import tolerances as tol
-from perturbopt.errors import DimensionMismatch, HessianNotPD
-from perturbopt.numkit import BlockSplit, Cholesky, finite_diff_check
+from perturbopt.errors import DimensionMismatch, HessianNotPD, NotPositiveDefinite
+from perturbopt.numkit import BlockSplit, Cholesky, finite_diff_check, spd_solve
 from perturbopt.objective import (
+    _ROUNDING_SLACK,
     LinearPerturbation,
     QuadraticObjective,
     SeparablePerturbation,
     SmoothObjective,
+    _moved,
     newton_minimize,
     partial_minimize,
     ridge_spec,
@@ -113,11 +115,17 @@ class TestSeparablePerturb:
 
 
 class _CliffOffStart(SmoothObjective):
-    """x.x at the start ones(3) and x.x + 10 everywhere else: no trial point is accepted."""
+    """x.x at the start ones(3) and x.x + 10 everywhere else: no trial point is accepted.
+    It has no third-order scale, so every step is tested; ``values`` counts the values
+    formed."""
 
     dim = 3
 
+    def __init__(self):
+        self.values = 0
+
     def value(self, x):
+        self.values += 1
         return float(x @ x) + (0.0 if np.array_equal(x, np.ones(3)) else 10.0)
 
     def gradient(self, x):
@@ -155,9 +163,7 @@ class TestNewtonMinimize:
         f = make()
         sol = newton_minimize(f, np.linspace(-1.0, 2.0, f.dim), tol_grad=1e-12,
                               max_iter=max_iter)
-        value, grad = f.evaluate(sol.argmin)[:2]
-        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
-        assert sol.gradient.tobytes() == grad.tobytes()
+        assert sol.gradient.tobytes() == f.evaluate(sol.argmin)[1].tobytes()
 
     def test_hessian_not_pd_raised(self):
         indefinite = QuadraticObjective.__new__(QuadraticObjective)
@@ -239,23 +245,30 @@ class TestNewtonMinimize:
         assert evaluated == []
 
     def test_stalled_line_search_keeps_the_start(self):
-        sol = newton_minimize(_CliffOffStart(), np.ones(3))
+        """The line search forms the start's value once and one value per trial: 54 halvings
+        from t = 1 before t falls below 1e-16."""
+        f = _CliffOffStart()
+        sol = newton_minimize(f, np.ones(3))
         assert not sol.converged and sol.note == "backtracking stalled"
         assert sol.iterations == 0 and sol.argmin.tobytes() == np.ones(3).tobytes()
+        assert f.values == 1 + 54
 
     def test_start_thunk_may_give_the_factor(self):
-        """A start thunk's Cholesky factor is solved with as the matrix would be: the
-        Armijo test runs on its step and the iteration count includes it.  A factor of a
-        quarter of the Hessian makes a step four times too long, which must backtrack."""
+        """A start thunk's Cholesky factor of the Hessian at x0 is solved with as the matrix
+        would be: the same trials and iterates, and the iteration count includes its step.
+        From this far start that step is too long to certify and fails the Armijo test,
+        so it backtracks on values."""
         f = _btl_instance(12, 2, seed=3)
-        x0 = np.linspace(-0.5, 0.5, 12)
+        x0 = np.linspace(-3.0, 3.0, 12)
         value, grad, hessian = f.evaluate(x0)
-        short = 0.25 * hessian()
+        h = hessian()
+        step = Cholesky(h).solve(grad)
+        assert f.third_order_scale * np.abs(step).max() > 1.0
         trials = []
         evaluate = f.evaluate
         f.evaluate = lambda x, block=None: trials.append(x.tobytes()) or evaluate(x, block)
         reports = []
-        for first in (lambda: short.copy(), lambda: Cholesky(short)):
+        for first in (lambda: h.copy(), lambda: Cholesky(h)):
             trials.clear()
             reports.append(newton_minimize(f, x0, tol_grad=1e-12,
                                            start=(value, grad, first)))
@@ -264,8 +277,8 @@ class TestNewtonMinimize:
         assert factor.converged and factor.iterations == matrix.iterations >= 3
         assert factor.argmin.tobytes() == matrix.argmin.tobytes()
         assert factor_trials == matrix_trials
-        backtracked = x0 - tol.BACKTRACK_FACTOR * Cholesky(short).solve(grad)
-        assert backtracked.tobytes() in factor_trials
+        assert matrix_trials[0] == (x0 - step).tobytes()
+        assert (x0 - tol.BACKTRACK_FACTOR * step).tobytes() in factor_trials
 
     def test_kept_hessian_not_factored_in_place(self):
         """The default evaluate's thunk hands Newton a matrix of its own, even when the
@@ -348,6 +361,121 @@ class TestUserHessianSymmetry:
             assert got.argmin.tobytes() == want.argmin.tobytes()
 
 
+def _penalized_instance(n, kind, seed):
+    """A seeded ER design at p=0.5 with three games per pair, its truth, and its
+    objective under the penalty ``kind``."""
+    rng = np.random.default_rng(seed)
+    graph = sample_er_graph(n, 0.5, 3, rng)
+    truth = rng.uniform(-1.5, 1.5, n)
+    penalty = PenaltySpec.none() if kind == "none" else PenaltySpec(kind, 2.0)
+    return btl_objective(sample_outcomes(graph, truth, rng), penalty), truth
+
+
+def _values_formed(f) -> list:
+    """Spy on ``f.evaluate``: the points whose value thunk runs, in order."""
+    formed = []
+    evaluate = f.evaluate
+
+    def spy(x, block=None):
+        value, grad, hessian = evaluate(x, block)
+        return (lambda: formed.append(x.tobytes()) or value()), grad, hessian
+
+    f.evaluate = spy
+    return formed
+
+
+class TestStepCertificate:
+    """A full step s with kappa ||s||_inf <= 1 is taken without forming a value."""
+
+    def test_third_order_scales(self):
+        """BTL's kappa = 2 bounds its third derivative along any direction, penalty or
+        not; a quadratic's is 0, a linear perturbation keeps its base's, and an objective
+        that states none has none."""
+        rng = np.random.default_rng(30)
+        quad = QuadraticObjective(np.zeros(3), random_spd(rng, 3))
+        assert quad.third_order_scale == 0.0
+        assert LinearPerturbation(quad, np.ones(3)).third_order_scale == 0.0
+        for kind in ("none", "mean_shift", "ridge"):
+            f, _ = _penalized_instance(8, kind, seed=31)
+            assert f.third_order_scale == 2.0
+            assert LinearPerturbation(f, np.ones(8)).third_order_scale == 2.0
+            assert SeparablePerturbation(f, ridge_spec(0.1)).third_order_scale is None
+            for _ in range(50):
+                x, u = 3.0 * rng.standard_normal((2, 8))
+                third = f.third_directional(x, u, u, u)
+                assert abs(third) <= 2.0 * np.abs(u).max() * (u @ f.hessian(x) @ u) * (1 + 1e-12)
+        assert LogisticSymmetric(3).third_order_scale is None
+
+    @pytest.mark.parametrize("kind", ["none", "mean_shift", "ridge"])
+    def test_certified_steps_lower_the_value(self, kind):
+        """At every point of whole and block solves over seeded instances, from starts near
+        the truth and N(0, 3^2) ones, a step with kappa ||s||_inf <= 1 lowers the computed
+        value by at least (3 - e) g's, less the Armijo test's rounding allowance.  Without
+        a penalty the whole Hessian is singular along shifts: block solves only."""
+        certified = 0
+        for seed in range(10):
+            n = 8 + 4 * seed
+            f, truth = _penalized_instance(n, kind, seed)
+            rng = np.random.default_rng(seed + 100)
+            blocks = [f.block_index(np.arange(0, n, 2)), f.block_index(np.arange(n // 3))]
+            for block in blocks + ([] if kind == "none" else [None]):
+                for x0 in (truth + 0.1 * rng.standard_normal(n), 3.0 * rng.standard_normal(n)):
+                    points = []
+                    evaluate = f.evaluate
+                    f.evaluate = lambda x, block=None: points.append(x) or evaluate(x, block)
+                    try:
+                        newton_minimize(f, x0, tol_grad=1e-12, block=block)
+                    except HessianNotPD:
+                        pass
+                    del f.evaluate
+                    for x in points:
+                        value, grad, hessian = f.evaluate(x, block)
+                        try:
+                            step = spd_solve(hessian(), grad)
+                        except NotPositiveDefinite:
+                            continue
+                        if f.third_order_scale * np.abs(step).max() > 1.0:
+                            continue
+                        certified += 1
+                        fx = value()
+                        moved = f.evaluate(_moved(x, 1.0, step, block), block)[0]()
+                        allowance = _ROUNDING_SLACK * (1.0 + abs(fx))
+                        assert fx - moved >= (3.0 - np.e) * float(grad @ step) - allowance
+        assert certified >= 150
+
+    def test_certified_steps_form_no_value(self):
+        """A quadratic's one step and a BTL solve near its minimizer, whole or on a block,
+        run no value thunk; the BTL solves take several steps."""
+        rng = np.random.default_rng(32)
+        quad = QuadraticObjective(rng.standard_normal(5), random_spd(rng, 5))
+        formed = _values_formed(quad)
+        assert newton_minimize(quad, rng.standard_normal(5), tol_grad=1e-12).converged
+        f = _btl_instance(12, 3, seed=5)
+        near = newton_minimize(f, np.zeros(12), tol_grad=1e-12).argmin
+        formed += _values_formed(f)
+        for block in (None, f.block_index(np.arange(6))):
+            rep = newton_minimize(f, near + 0.1 * rng.standard_normal(12), tol_grad=1e-12,
+                                  block=block)
+            assert rep.converged and rep.iterations >= 2
+        assert formed == []
+
+    def test_uncertified_step_backtracks_on_values(self):
+        """From a far start the first step is too long to certify and fails the Armijo
+        test: values are formed at the start and at each trial, and the step is halved.  Once
+        the steps are short, no more values are formed."""
+        f = _btl_instance(12, 2, seed=3)
+        x0 = np.linspace(-3.0, 3.0, 12)
+        step = spd_solve(f.hessian(x0), f.gradient(x0))
+        assert f.third_order_scale * np.abs(step).max() > 1.0
+        formed = _values_formed(f)
+        rep = newton_minimize(f, x0, tol_grad=1e-12)
+        assert rep.converged
+        assert formed[:3] == [x0.tobytes(), (x0 - step).tobytes(),
+                              (x0 - tol.BACKTRACK_FACTOR * step).tobytes()]
+        assert f.value(x0 - step) > f.value(x0)
+        assert rep.argmin.tobytes() not in formed
+
+
 class TestPartialMinimize:
     @pytest.mark.parametrize("fixed", ["nuisance", "target"])
     def test_report_keeps_the_block_evaluation_at_argmin(self, fixed):
@@ -360,9 +488,7 @@ class TestPartialMinimize:
         sol = partial_minimize(f, x0, free_idx, tol_grad=1e-12)
         x = x0.copy()
         x[free_idx] = sol.argmin
-        value, grad = f.evaluate(x, f.block_index(free_idx))[:2]
-        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
-        assert sol.gradient.tobytes() == grad.tobytes()
+        assert sol.gradient.tobytes() == f.evaluate(x, f.block_index(free_idx))[1].tobytes()
 
     def test_quadratic_closed_form(self):
         quad = QuadraticObjective(np.zeros(2), np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -451,9 +577,11 @@ class TestPartialMinimize:
                 partial_minimize(f, x0, free_idx)
 
     def test_stalled_line_search_keeps_the_start(self):
-        sol = partial_minimize(_CliffOffStart(), np.ones(3), np.array([0, 2]))
+        f = _CliffOffStart()
+        sol = partial_minimize(f, np.ones(3), np.array([0, 2]))
         assert not sol.converged and sol.note == "backtracking stalled"
         assert sol.iterations == 0 and sol.argmin.tobytes() == np.ones(2).tobytes()
+        assert f.values == 1 + 54
 
 
 class TestDerivativeContracts:
@@ -479,7 +607,7 @@ class TestDerivativeContracts:
         minimizers = [  # each objective with its minimizer from another route
             (quad, quad.minimizer),
             (LogisticSymmetric(3), np.zeros(3)),
-            (btl, _mm_minimize(btl, np.zeros(4), tol_grad=1e-12).argmin),
+            (btl, _mm_minimize(btl, tol_grad=1e-12).argmin),
         ]
         for obj, minimizer in minimizers:
             x0 = rng.uniform(-0.5, 0.5, obj.dim)
