@@ -44,6 +44,7 @@ __all__ = [
     "noise_gradient",
     "mle_exists",
     "design_status",
+    "minimizer_status",
     "fit_penalized_mle",
     "btl_condition_constants",
     "read_observations",
@@ -639,8 +640,8 @@ def _mm_minimize(obj: BtlObjective, tol_grad: float,
     with no wins or no edges.  Every step is centred, which leaves the
     likelihood unchanged and does not raise the penalty, so the objective
     never increases.  Stops on the gradient sup-norm test of
-    ``newton_minimize``.  Without a positive ridge the caller checks that the
-    design is connected and the MLE finite.
+    ``newton_minimize``.  ``fit_penalized_mle`` runs it only where
+    ``minimizer_status`` finds a unique finite minimizer.
     """
     g, block = obj.graph, obj._whole
     wins = _edge_scatter(g, obj.wins, g.counts - obj.wins)
@@ -664,6 +665,16 @@ def _mm_minimize(obj: BtlObjective, tol_grad: float,
                        converged=converged, note="" if converged else "iteration cap reached")
 
 
+def minimizer_status(obs: BtlObservation, penalty: PenaltySpec) -> Optional[str]:
+    """Why the ``penalty`` fit of ``obs`` has no unique finite minimizer, or None.
+
+    A ridge makes the objective strictly convex and coercive, so it always
+    has one; any other penalty pins only the mean score, and ``design_status``
+    decides.
+    """
+    return None if penalty.kind == "ridge" else design_status(obs)
+
+
 def fit_penalized_mle(
     obs: BtlObservation,
     penalty: PenaltySpec,
@@ -673,15 +684,13 @@ def fit_penalized_mle(
     """Fit the penalized maximum-likelihood scores with ``solver`` "newton" or "mm",
     started at zero.
 
-    Without a ridge the penalty pins only the mean score, so the minimizer
-    is finite and unique exactly on a connected design where ``mle_exists``.
-    A disconnected design returns the start as a singular fit; a divergent
-    likelihood (some item or group with a perfect win/loss record) is
-    surfaced as a non-converged report, never clamped: Newton's report keeps
-    its iterate, the MM fit does not start.  Where Newton's Hessian stops
+    Neither solver runs where ``minimizer_status`` names no unique finite
+    minimizer (Ford 1957, which Hunter 2004 assumes before an MM fit): a
+    disconnected design, or outcomes where some item or group has a perfect
+    win/loss record.  Both then return the zero start after 0 iterations,
+    not converged, with the status as the note.  Where Newton's Hessian stops
     being positive definite, the report holds the start and the iteration it
-    stopped at, noted as divergent when there is no finite minimizer and as
-    a singular fit otherwise.
+    stopped at, noted as a singular fit.
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -689,30 +698,18 @@ def fit_penalized_mle(
         raise ValueError(f"the gradient tolerance must be finite and > 0, got {tol_grad}")
     if penalty.kind == "none" and obs.graph.n_edges > 0:
         raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
-    obj = btl_objective(obs, penalty, mode="empirical")
     start = np.zeros(obs.graph.n)
-    pinned = penalty.kind == "ridge"
-
-    def unsolved(iterations: int = 0, note: str = "") -> SolveReport:
-        return SolveReport(argmin=start, iterations=iterations, final_grad_supnorm=float("nan"),
-                           converged=False, note=note)
-
-    status = None if pinned else design_status(obs)
-    if status == DISCONNECTED:
-        return unsolved(note=DISCONNECTED)
-    finite_minimizer = status is None
-    if solver == "mm":
-        report = _mm_minimize(obj, tol_grad) if finite_minimizer else unsolved()
-    else:
+    iterations, note = 0, minimizer_status(obs, penalty)
+    if note is None:
+        obj = btl_objective(obs, penalty, mode="empirical")
+        if solver == "mm":
+            return _mm_minimize(obj, tol_grad)
         try:
-            report = newton_minimize(obj, start, tol_grad=tol_grad)
+            return newton_minimize(obj, start, tol_grad=tol_grad)
         except HessianNotPD as exc:
-            # on a divergent likelihood the Hessian can flatten out before the iteration cap
-            report = unsolved(exc.iteration, f"singular fit: {exc}")
-    if not finite_minimizer:
-        report.converged = False
-        report.note = DIVERGENT
-    return report
+            iterations, note = exc.iteration, f"singular fit: {exc}"
+    return SolveReport(argmin=start, iterations=iterations, final_grad_supnorm=float("nan"),
+                       converged=False, note=note)
 
 
 def _hessian_diagonal(graph: ComparisonGraph, penalty: PenaltySpec, x: np.ndarray) -> np.ndarray:

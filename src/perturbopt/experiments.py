@@ -24,14 +24,15 @@ from . import tolerances as tol
 from .ao import AoCertificate, AoTrace, ao_run, certify_convergence, estimate_rate, fixed_point_radii
 from .btl import (
     DISCONNECTED,
+    DIVERGENT,
     BtlObjective,
     BtlObservation,
     PenaltySpec,
     _noise_from,
     btl_condition_constants,
     btl_objective,
-    design_status,
     fit_penalized_mle,
+    minimizer_status,
     sample_er_graph,
     sample_outcomes,
 )
@@ -196,16 +197,16 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
                           with_bounds: bool = False) -> ExpansionRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
     record = _new_record("expansion", cfg, n, rep)
-    if not graph.connected:
-        return ExpansionRepResult(record=record)
     fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
+    if not fit.converged:  # no fitted scores to measure the expansion at
+        return ExpansionRepResult(record=record)
     expected, polish, fisher = _expected_minimizer(graph, cfg.penalty, truth)
     noise = _noise_from(obs, expected.wins)
-    bounds = None
-    if with_bounds and fit.converged:
+    diagnostics, reports = None, ()
+    if with_bounds:
         # the linear check's one factor of F gives F^-1 v for its lin_iii row and for this record
-        bounds = _sup_expansion_bounds(expected, polish, fisher, noise)
-        fish_lead = bounds[1].f_inv_a
+        _, diagnostics, reports = _sup_expansion_bounds(expected, polish, fisher, noise)
+        fish_lead = diagnostics.f_inv_a
     else:
         fish_lead = spd_solve(fisher, noise)
     diag_lead = noise / np.diag(fisher)
@@ -215,11 +216,8 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
         lead_diag=float(np.abs(diag_lead).max()),
         rem_fish=float(np.abs(err + fish_lead).max()),
         rem_diag=float(np.abs(err + diag_lead).max()),
-        converged=bool(fit.converged),
+        converged=True,
     )
-    if bounds is None:
-        return ExpansionRepResult(record=record)
-    _, diagnostics, reports = bounds
     return ExpansionRepResult(record=record, diagnostics=diagnostics, reports=tuple(reports))
 
 
@@ -263,12 +261,12 @@ def diagnose_expansion(
     """Linear sup-norm expansion diagnostics of observed outcomes around ``truth``.
 
     The residuals are measured against the exact minimizer of the expected
-    objective, which equals ``truth`` when the scores are centered.  Without
-    a ridge, a disconnected design has no such minimizer, and outcomes without
-    a finite MLE none of the perturbed objective, the empirical one: a
-    ValueError with the reason ``design_status`` gives either way.
+    objective, which equals ``truth`` when the scores are centered.  Where
+    the fit of ``obs`` has no unique finite minimizer, neither has the linear
+    check's perturbed objective, the empirical one: a ValueError with the
+    reason ``minimizer_status`` gives.
     """
-    status = None if penalty.kind == "ridge" else design_status(obs)
+    status = minimizer_status(obs, penalty)
     if status is not None:
         raise ValueError(status)
     expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
@@ -282,8 +280,10 @@ def diagnose_expansion(
 
 @dataclass
 class AoRepResult:
-    """One AO replication.  Without a trace, ``reason`` says why: ``disconnected``,
-    ``divergent_mle``, ``joint_not_converged`` or ``inner_solve_failed``."""
+    """One AO replication.  Without a trace, ``reason`` says why: ``disconnected`` or
+    ``divergent_mle`` where the joint fit has no unique finite minimizer
+    (``minimizer_status``), ``joint_not_converged`` where its Newton solve ran
+    out of iterations or met a singular Hessian, or ``inner_solve_failed``."""
 
     record: dict
     trace: Optional[AoTrace] = None
@@ -294,15 +294,12 @@ class AoRepResult:
 def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
     record = _new_record("ao", cfg, n, rep, steps=cfg.steps)
-    status = design_status(obs)
-    if status is not None:
-        reason = "disconnected" if status == DISCONNECTED else "divergent_mle"
-        return AoRepResult(record=record, reason=reason)
-    f = btl_objective(obs, cfg.penalty, mode="empirical")
-    joint = newton_minimize(f, np.zeros(n), tol_grad=tol.JOINT_SOLVE_TOL)
+    joint = fit_penalized_mle(obs, cfg.penalty, tol_grad=tol.JOINT_SOLVE_TOL)
     if not joint.converged:
-        return AoRepResult(record=record, reason="joint_not_converged")
+        reason = {DISCONNECTED: "disconnected", DIVERGENT: "divergent_mle"}
+        return AoRepResult(record=record, reason=reason.get(joint.note, "joint_not_converged"))
     ups_star = joint.argmin
+    f = btl_objective(obs, cfg.penalty, mode="empirical")
     fisher = f.hessian(ups_star)
     if cfg.surrogate:
         f = QuadraticObjective(ups_star, fisher)

@@ -293,7 +293,7 @@ def contraction_matrix(hessian, split: BlockSplit) -> BlockGeometry:
         halves.append((_powered(w, v, 0.5), _powered(w, v, -0.5), float(np.sqrt(w[0]))))
     (tt_half, tt_inv_half, tt_smin), (nn_half, nn_inv_half, nn_smin) = halves
     p = tt_inv_half @ f_tn @ nn_inv_half
-    w, v = np.linalg.eigh(p @ p.T)
+    w, v = _eigh(p @ p.T)
     ppt_norm = max(float(w[-1]), 0.0)
     return BlockGeometry(
         split=split, f_tt=f_tt, f_tn=f_tn, f_nn=f_nn, tt_half=tt_half, tt_inv_half=tt_inv_half,

@@ -237,8 +237,10 @@ class TestOnePassPerNewtonPoint:
     def test_ao_replication_evaluates_each_point_once(self, monkeypatch):
         """Each Newton point of the joint and the partial solves is one ``evaluate`` call,
         and each Newton step one Hessian thunk call; the Fisher matrix is the one direct
-        ``hessian`` call.  The whole graph and each AO block are built once.  The seed's
-        solves take full steps only, so no line search adds points."""
+        ``hessian`` call.  Each AO block is built once, and the whole graph once per
+        objective: the joint fit's, inside ``fit_penalized_mle``, and the one the Fisher
+        matrix and the AO run read.  The seed's solves take full steps only, so no line
+        search adds points."""
         counts = Counter()
         evaluate, hessian, edge_block = BtlObjective.evaluate, BtlObjective.hessian, btl._EdgeBlock
         joint_solves, builds = [], []
@@ -269,7 +271,7 @@ class TestOnePassPerNewtonPoint:
         monkeypatch.setattr(BtlObjective, "evaluate", spy_evaluate)
         monkeypatch.setattr(BtlObjective, "hessian", spy_hessian)
         monkeypatch.setattr(btl, "_EdgeBlock", CountedBlock)
-        monkeypatch.setattr(experiments, "newton_minimize", spy_joint)
+        monkeypatch.setattr(btl, "newton_minimize", spy_joint)
         cfg = ExperimentConfig(n_list=(50,), L=3, gsq=5.0, gap=0.02, steps=8, seed=1, reps=1)
         result = ao_replication(cfg, 50, 0)
         assert result.reason == "ok" and len(joint_solves) == 1
@@ -277,7 +279,7 @@ class TestOnePassPerNewtonPoint:
         steps = joint_solves[0].iterations + int(inner.sum())
         points = steps + 1 + inner.size
         assert (counts["evaluate"], counts["thunk"], counts["hessian"]) == (points, steps, 1)
-        assert sorted(builds) == [25, 25, 50]
+        assert sorted(builds) == [25, 25, 50, 50]
 
     @pytest.mark.parametrize("rep", [0, 1, 2])
     def test_no_value_formed_inside_ao_run(self, rep, monkeypatch):

@@ -592,7 +592,7 @@ class TestAoCommand:
         assert capsys.readouterr().out == "ao: replication failed (inner_solve_failed)\n"
 
     def test_unconverged_joint_solve_named(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(experiments, "newton_minimize",
+        monkeypatch.setattr(btl, "newton_minimize",
                             functools.partial(objective.newton_minimize, max_iter=1))
         out = tmp_path / "trace.csv"
         assert dispatch(["ao", "--n", "12", "--seed", "7", "--L", "3", "--gsq", "5.0",

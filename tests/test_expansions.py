@@ -21,7 +21,7 @@ from perturbopt.btl import (
     sample_er_graph,
     sample_outcomes,
 )
-from perturbopt import expansions, experiments
+from perturbopt import btl, expansions, experiments
 from perturbopt import tolerances as tol
 from perturbopt.errors import DimensionMismatch, DltwbTooLarge, NotPositiveDefinite
 from perturbopt.expansions import (
@@ -498,7 +498,7 @@ class TestOneFactorPerCheck:
     @given(**_DESIGNS)
     def test_diagnose_has_the_bits_of_two_factorizations(self, n, L, ridge, seed):
         graph, truth, obs, penalty = _random_design(n, L, ridge, seed)
-        assume(graph.connected and (ridge or experiments.design_status(obs) is None))
+        assume(graph.connected and btl.minimizer_status(obs, penalty) is None)
         got = diagnose_expansion(obs, truth, penalty)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "check_linear_sup_expansion",

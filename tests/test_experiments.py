@@ -187,6 +187,17 @@ class TestExpansionStudy:
             if rec["converged"]:
                 assert rec["rem_fish"] < rec["lead_fish"]
 
+    def test_unconverged_fit_records_nothing(self):
+        """A sparse design where most fits have no finite MLE: no record without a converged
+        fit carries a lead or remainder cell."""
+        cfg = ExperimentConfig(n_list=(8, 10), p_rule=0.5, L=1, reps=20, seed=2)
+        records = run_study(STUDIES["expansion"], cfg)
+        cells = ("lead_fish", "lead_diag", "rem_fish", "rem_diag")
+        failed = [r for r in records if not r["converged"]]
+        assert 0 < len(failed) < len(records)
+        assert all(math.isnan(r[name]) for r in failed for name in cells)
+        assert all(math.isfinite(r[name]) for r in records if r["converged"] for name in cells)
+
     def test_high_precision_cross_check(self):
         # one replication re-derived end to end with an independent solver
         cfg = ExperimentConfig(n_list=(15,), reps=1, seed=6)
@@ -338,6 +349,20 @@ class TestExpansionStudy:
         assert calls["rho_dual"] == 1
 
 
+class TestRidgeFits:
+    def test_disconnected_design_fits_under_a_ridge(self):
+        """A ridge gives every design a unique finite fit: a disconnected one is fitted and
+        recorded by both studies."""
+        cfg = ExperimentConfig(n_list=(12,), p_rule=0.2, L=3, gsq=5.0, penalty_kind="ridge",
+                               reps=4, seed=4)
+        graph, _, obs = _sample_instance(cfg, 12, 2)
+        assert not graph.connected and btl.design_status(obs) == btl.DISCONNECTED
+        record = expansion_replication(cfg, 12, 2).record
+        assert record["converged"] and math.isfinite(record["rem_fish"])
+        result = ao_replication(cfg, 12, 2)
+        assert result.reason == "ok" and result.trace is not None
+
+
 class TestAoStudy:
     def test_surrogate_rate_matches_contraction_norm(self):
         cfg = ExperimentConfig(n_list=(12,), reps=1, seed=7, L=3, gsq=5.0,
@@ -369,7 +394,7 @@ class TestAoStudy:
         monkeypatch.setattr(numkit, "spectral_norm",
                             counted("spectral_norm", numkit.spectral_norm))
         joint = []
-        monkeypatch.setattr(experiments, "newton_minimize",
+        monkeypatch.setattr(btl, "newton_minimize",
                             lambda *args, **kwargs: joint.append(
                                 objective.newton_minimize(*args, **kwargs)) or joint[-1])
         cfg = ExperimentConfig(n_list=(50,), reps=1, seed=1, L=3, gsq=5.0, gap=0.02, steps=8)
@@ -407,7 +432,7 @@ class TestAoStudy:
         assert calls == [(0.0, 0.0)]  # no second call at infinite radii
 
     def test_unconverged_joint_solve_named(self, monkeypatch):
-        monkeypatch.setattr(experiments, "newton_minimize",
+        monkeypatch.setattr(btl, "newton_minimize",
                             functools.partial(objective.newton_minimize, max_iter=1))
         cfg = ExperimentConfig(n_list=(12,), reps=1, seed=7, L=3, gsq=5.0)
         result = ao_replication(cfg, 12, 0)

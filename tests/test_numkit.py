@@ -13,6 +13,7 @@ from conftest import ExpSumObjective, random_spd
 from perturbopt.btl import PenaltySpec, btl_objective, sample_er_graph, sample_outcomes
 from perturbopt.errors import (
     DimensionMismatch,
+    NoConvergence,
     NotPositiveDefinite,
     RhoNotLessThanOne,
     SingularMatrix,
@@ -487,6 +488,22 @@ class TestContractionMatrix:
         full[0, 3] = 1e-3
         with pytest.raises(ValueError, match="not symmetric"):
             contraction_matrix(full, BlockSplit.half(4))
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_decomposition_raises_no_convergence(self, failing, monkeypatch):
+        # the two diagonal blocks are decomposed first, then PP'; each failure is NoConvergence
+        eigh, calls = np.linalg.eigh, []
+
+        def flaky(a):
+            calls.append(a.shape)
+            if len(calls) == failing:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
+        with pytest.raises(NoConvergence, match="eigendecomposition failed: Eigenvalues"):
+            contraction_matrix(random_spd(np.random.default_rng(11), 5), BlockSplit.half(5))
+        assert calls == [(3, 3), (2, 2), (3, 3)][:failing]
 
 
 def _random_unit_diag_contraction(rng, n, rho_target):
