@@ -101,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
         "alternating-minimization runs, and seeded studies.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    study_flags = ["--n-list", "--reps", "--format", "--p-rule", "--L", "--gsq", "--penalty",
-                   "--score-range", "--threads", "--seed"]
+    # the settings that draw one instance, and those that only one study reads
+    instance = ["--p-rule", "--L", "--gsq", "--penalty", "--score-range", "--seed"]
+    own = {name: [_KEYS[field] for field in study.own_fields] for name, study in STUDIES.items()}
     studies = {f"study-{name}": (f"run the {name} study", {"--out": "output path"},
-                                 study_flags + [_KEYS[field] for field in study.own_fields])
-               for name, study in STUDIES.items()}
+                                 ["--n-list", "--reps", *instance, *own[name], "--format",
+                                  "--threads"])
+               for name in STUDIES}
     observations = {"--input": "observation CSV with columns j,m,N,S"}
     commands = {  # name: (help, file flags with their help, setting flags)
         "fit": ("fit penalized scores from an observation CSV",
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "--out": "residual-report CSV path"},
                      ["--penalty", "--gsq"]),
         "ao": ("one traced alternating-minimization instance", {"--out": "trace CSV path"},
-               ["--n", "--gap", "--steps", "--L", "--gsq", "--surrogate", "--seed"]),
+               ["--n", *instance, *own["ao"]]),
         **studies,
         "selftest": ("run the built-in invariant suite", {}, ["--seed"]),
     }
@@ -215,7 +217,6 @@ def _pick(settings: dict, names: dict) -> dict:
 def _experiment_config(settings: dict, **fixed) -> ExperimentConfig:
     """The one builder of a run's ExperimentConfig: the settings naming a field, and ``fixed``."""
     fields = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)}
-    fields["penalty_kind"] = "penalty"
     return _checked(ExperimentConfig, **_pick(settings, fields), **fixed)
 
 

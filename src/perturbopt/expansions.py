@@ -77,11 +77,7 @@ class ConditionConstants:
 
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
-    """Derived scalars of the sup-norm expansion regime, with prerequisite flags.
-
-    ``f_inv_a`` is the linear check's leading term F^-1 a, kept so that a caller
-    need not solve it again; other diagnostics leave it None.
-    """
+    """Derived scalars of the sup-norm expansion regime, with prerequisite flags."""
 
     rho_dual: float = float("nan")
     rho_dual_l2: float = float("nan")
@@ -91,7 +87,6 @@ class ExpansionDiagnostics:
     r_infty: float = float("nan")
     a_norm: float = float("nan")
     prerequisites_hold: dict = field(default_factory=dict)
-    f_inv_a: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def all_prerequisites_hold(self) -> bool:
@@ -307,23 +302,20 @@ def _sup_norm_diag_defensive(constants, rho_exact, rho_l2, a_norm):
     )
 
 
-def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved, f_inv_v=None):
+def _sup_norm_reports(prefix, fisher, d, rho, shift, v, constants, solved, f_inv_v):
     """Sup-norm displays (i)-(iv) of one perturbed minimizer, variants ``prefix_*``.
 
     ``shift`` is the perturbed minus the unperturbed minimizer, ``v`` the
     perturbation gradient at the unperturbed one, ``fisher`` the Hessian
     there, ``d`` the diagonal metric, ``rho`` the pair ``rho_dual(fisher,
-    d)`` and ``f_inv_v`` the solve ``spd_solve(fisher, v)``, when the caller
-    holds it.  Bounds are computed whenever the dual value is below one; the
-    three prerequisite flags gate their interpretation.
+    d)`` and ``f_inv_v`` the solve F^-1 v.  Bounds are computed whenever the
+    dual value is below one; the three prerequisite flags gate their
+    interpretation.
     """
     rho_exact, rho_l2 = rho
     d_inv_v = v / d
     v_norm = float(np.abs(d_inv_v).max())
     diag = _sup_norm_diag_defensive(constants, rho_exact, rho_l2, v_norm)
-
-    if f_inv_v is None:
-        f_inv_v = spd_solve(fisher, v)
     dinf, rho = diag.delta_infty, diag.rho_dual
     flags = {**diag.prerequisites_hold,
              "radius_covered": not constants.radii or diag.r_infty <= constants.radii[0]}
@@ -355,13 +347,13 @@ def _perturbed_argmin(f, a_vec, upsilon_star, fisher, grad):
     Hessian is built.  The value there is formed only if the first step is tested.
     """
     held = [Cholesky(fisher)]
-    f_inv_a = held[0].solve(a_vec)
+    lead = held[0].solve(a_vec)
     # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
     start = (lambda: f.value(upsilon_star) + float(a_vec @ upsilon_star), grad + a_vec,
              held.pop)
     sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL,
                           start=start)
-    return sol, f_inv_a
+    return sol, lead
 
 
 def check_linear_sup_expansion(
@@ -380,24 +372,23 @@ def check_linear_sup_expansion(
     ``rho_dual`` pair in that metric and ``gradient`` the gradient of f
     there, when the caller holds them.  The Hessian, given or built, passes
     ``check_symmetric`` before any use and is factored once: that factor
-    gives the leading term F^-1 a, which the diagnostics keep as
-    ``f_inv_a``, and the solve's first Newton step.  f's gradient is taken
-    at the unperturbed minimizer once, and not at all when the caller gives
-    it; f's value there only when the solve's first step needs the line
-    search.  NotPositiveDefinite when the Hessian is not positive definite.
+    gives the leading term F^-1 a and the solve's first Newton step.  f's
+    gradient is taken at the unperturbed minimizer once, and not at all when
+    the caller gives it; f's value there only when the solve's first step
+    needs the line search.  NotPositiveDefinite when the Hessian is not
+    positive definite.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[0] != f.dim:
         raise DimensionMismatch("perturbation vector length differs from objective dimension")
     fisher = check_symmetric(f.hessian(upsilon_star) if fisher is None else fisher)
     grad = f.gradient(upsilon_star) if gradient is None else gradient
-    sol, f_inv_a = _perturbed_argmin(f, a_vec, upsilon_star, fisher, grad)
+    sol, lead = _perturbed_argmin(f, a_vec, upsilon_star, fisher, grad)
     solved = sol.converged and _stationary(grad)
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d) if rho is None else rho  # the factor is freed by now
-    diag, reports = _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec,
-                                      constants, solved, f_inv_a)
-    return replace(diag, f_inv_a=f_inv_a), reports
+    return _sup_norm_reports("lin", fisher, d, rho, sol.argmin - upsilon_star, a_vec,
+                             constants, solved, lead)
 
 
 def check_separable_sup_expansion(
@@ -425,9 +416,12 @@ def check_separable_sup_expansion(
     shift = ups_circ - upsilon_star
     solved = sol.converged and _stationary(f.gradient(upsilon_star))
     rho = rho_dual(fisher, d)
-    diag, reports = _sup_norm_reports("sep", fisher, d, rho, shift, m_vec, constants, solved)
+    f_inv_m = spd_solve(fisher, m_vec)
+    diag, reports = _sup_norm_reports("sep", fisher, d, rho, shift, m_vec, constants, solved,
+                                      f_inv_m)
     # the printed convention is the same display with the sign of m flipped
-    _, flipped = _sup_norm_reports("sep", fisher, d, rho, shift, -m_vec, constants, solved)
+    _, flipped = _sup_norm_reports("sep", fisher, d, rho, shift, -m_vec, constants, solved,
+                                   -f_inv_m)
     ii_printed, iii_printed = (replace(r, variant=r.variant + "_printed") for r in flipped[1:3])
     return diag, [reports[0], ii_printed, reports[1], iii_printed, *reports[2:]]
 
@@ -458,8 +452,8 @@ def check_perturbed_partial(
     a_full[split.target_idx] = a_target
     g = LinearPerturbation(f, a_full)
 
-    f_inv_a = spd_solve(geometry.f_tt, a_target)
-    d_f_inv_a = float(np.linalg.norm(geometry.tt_half @ f_inv_a))
+    ftt_inv_a = spd_solve(geometry.f_tt, a_target)
+    d_ftt_inv_a = float(np.linalg.norm(geometry.tt_half @ ftt_inv_a))
     d_inv_a = float(np.linalg.norm(geometry.tt_inv_half @ a_target))
 
     reports = []
@@ -472,11 +466,11 @@ def check_perturbed_partial(
         solved = stationary and sol.converged
         theta_circ = sol.argmin
         linear_term = spd_solve(geometry.f_tt, geometry.f_tn @ (nu - nui_star))
-        remainder = float(np.linalg.norm(theta_circ - theta_star + linear_term + f_inv_a))
-        leading = float(np.linalg.norm(linear_term + f_inv_a))
+        remainder = float(np.linalg.norm(theta_circ - theta_star + linear_term + ftt_inv_a))
+        leading = float(np.linalg.norm(linear_term + ftt_inv_a))
         bound = f_inv_d_norm * (
             (delta_nano + constants.d21) * h_norm**2
-            + (2.0 * constants.tau3 + constants.d21 / 2.0) * d_f_inv_a**2
+            + (2.0 * constants.tau3 + constants.d21 / 2.0) * d_ftt_inv_a**2
         )
         reports.append(_report("pp_expansion", leading, remainder, bound, flags, solved))
         loc_left = float(np.linalg.norm(geometry.tt_half @ (theta_circ - theta_star)))

@@ -25,7 +25,6 @@ from .ao import AoCertificate, AoTrace, ao_run, certify_convergence, estimate_ra
 from .btl import (
     DISCONNECTED,
     DIVERGENT,
-    BtlObjective,
     BtlObservation,
     PenaltySpec,
     _noise_from,
@@ -45,7 +44,7 @@ from .expansions import (
     rho_dual,
 )
 from .numkit import BlockSplit, contraction_matrix, spd_solve
-from .objective import QuadraticObjective, SolveReport, newton_minimize
+from .objective import QuadraticObjective, newton_minimize
 
 __all__ = [
     "ExperimentConfig",
@@ -82,7 +81,7 @@ class ExperimentConfig:
     L: int = 1
     score_range: tuple = (0.0, 2.0)
     gsq: float = PenaltySpec.gsq
-    penalty_kind: str = PenaltySpec.kind
+    penalty: str = PenaltySpec.kind
     reps: int = 20
     seed: int = 1
     # alternating-run knobs
@@ -114,11 +113,11 @@ class ExperimentConfig:
             p = edge_probability(self, n)
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"edge probability {p} out of (0, 1] for n={n}")
-        self.penalty  # built here, so a bad penalty kind or strength fails at construction
+        self.penalty_spec  # built here, so a bad penalty kind or strength fails at construction
 
     @cached_property
-    def penalty(self) -> PenaltySpec:
-        return PenaltySpec(self.penalty_kind, self.gsq)
+    def penalty_spec(self) -> PenaltySpec:
+        return PenaltySpec(self.penalty, self.gsq)
 
 
 def edge_probability(cfg: ExperimentConfig, n: int) -> float:
@@ -173,7 +172,7 @@ def rho_replication(cfg: ExperimentConfig, n: int, rep: int) -> dict:
     :func:`perturbopt.expansions.rho_dual`).
     """
     _, graph, truth = _sample_design(cfg, n, rep)
-    fisher = btl_objective(graph, cfg.penalty, mode="expected", truth=truth).hessian(truth)
+    fisher = btl_objective(graph, cfg.penalty_spec, mode="expected", truth=truth).hessian(truth)
     d = np.sqrt(np.diag(fisher))
     exact, l2 = rho_dual(fisher, d)
     off = np.abs(fisher).sum(axis=1) - np.abs(np.diag(fisher))
@@ -189,26 +188,17 @@ def rho_replication(cfg: ExperimentConfig, n: int, rep: int) -> dict:
 @dataclass
 class ExpansionRepResult:
     record: dict
-    diagnostics: Optional[ExpansionDiagnostics] = None
-    reports: tuple = ()
 
 
-def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
-                          with_bounds: bool = False) -> ExpansionRepResult:
+def expansion_replication(cfg: ExperimentConfig, n: int, rep: int) -> ExpansionRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
     record = _new_record("expansion", cfg, n, rep)
-    fit = fit_penalized_mle(obs, cfg.penalty, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
+    fit = fit_penalized_mle(obs, cfg.penalty_spec, solver="newton", tol_grad=tol.SOLVER_GRAD_TOL)
     if not fit.converged:  # no fitted scores to measure the expansion at
         return ExpansionRepResult(record=record)
-    expected, polish, fisher = _expected_minimizer(graph, cfg.penalty, truth)
+    expected, polish, fisher = _expected_minimizer(graph, cfg.penalty_spec, truth)
     noise = _noise_from(obs, expected.wins)
-    diagnostics, reports = None, ()
-    if with_bounds:
-        # the linear check's one factor of F gives F^-1 v for its lin_iii row and for this record
-        _, diagnostics, reports = _sup_expansion_bounds(expected, polish, fisher, noise)
-        fish_lead = diagnostics.f_inv_a
-    else:
-        fish_lead = spd_solve(fisher, noise)
+    fish_lead = spd_solve(fisher, noise)
     diag_lead = noise / np.diag(fisher)
     err = fit.argmin - polish.argmin
     record.update(
@@ -218,7 +208,7 @@ def expansion_replication(cfg: ExperimentConfig, n: int, rep: int,
         rem_diag=float(np.abs(err + diag_lead).max()),
         converged=True,
     )
-    return ExpansionRepResult(record=record, diagnostics=diagnostics, reports=tuple(reports))
+    return ExpansionRepResult(record=record)
 
 
 def _expected_minimizer(graph, penalty: PenaltySpec, truth):
@@ -232,14 +222,24 @@ def _expected_minimizer(graph, penalty: PenaltySpec, truth):
     return expected, polish, expected.hessian(polish.argmin)
 
 
-def _sup_expansion_bounds(
-    expected: BtlObjective, polish: SolveReport, fisher, noise
+def diagnose_expansion(
+    obs: BtlObservation, truth, penalty: PenaltySpec
 ) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
-    """Sup-norm constants on the radius sqrt(2) a / (1 - rho_dual), then the residual check.
+    """Linear sup-norm expansion diagnostics of observed outcomes around ``truth``.
 
-    The radius is 0 when rho_dual >= 1: the bounds are void there and the
-    constants are taken at the center only.
+    The residuals are measured against the exact minimizer of the expected
+    objective, which equals ``truth`` when the scores are centered, with
+    sup-norm constants on the radius sqrt(2) a / (1 - rho_dual).  The radius
+    is 0 when rho_dual >= 1: the bounds are void there and the constants are
+    taken at the center only.  Where the fit of ``obs`` has no unique finite
+    minimizer, neither has the linear check's perturbed objective, the
+    empirical one: a ValueError with the reason ``minimizer_status`` gives.
     """
+    status = minimizer_status(obs, penalty)
+    if status is not None:
+        raise ValueError(status)
+    expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
+    noise = _noise_from(obs, expected.wins)
     ups_star = polish.argmin
     d = np.sqrt(np.diag(fisher))
     rho = rho_dual(fisher, d)
@@ -247,31 +247,11 @@ def _sup_expansion_bounds(
     radius = math.sqrt(2.0) * a_norm / (1.0 - rho[0]) if rho[0] < 1.0 else 0.0
     # d is the metric the constants would build from the graph, bit for bit: the expected
     # Hessian's diagonal holds no outcomes
-    constants = btl_condition_constants(expected.graph, expected.penalty, ups_star,
-                                        radius=radius, norm="linf", d_scales=d)
+    constants = btl_condition_constants(obs.graph, penalty, ups_star, radius=radius,
+                                        norm="linf", d_scales=d)
     diagnostics, reports = check_linear_sup_expansion(
-        expected, noise, constants, ups_star, fisher=fisher, rho=rho,
-        gradient=polish.gradient)
+        expected, noise, constants, ups_star, fisher=fisher, rho=rho, gradient=polish.gradient)
     return constants, diagnostics, reports
-
-
-def diagnose_expansion(
-    obs: BtlObservation, truth, penalty: PenaltySpec
-) -> tuple[ConditionConstants, ExpansionDiagnostics, list[ResidualReport]]:
-    """Linear sup-norm expansion diagnostics of observed outcomes around ``truth``.
-
-    The residuals are measured against the exact minimizer of the expected
-    objective, which equals ``truth`` when the scores are centered.  Where
-    the fit of ``obs`` has no unique finite minimizer, neither has the linear
-    check's perturbed objective, the empirical one: a ValueError with the
-    reason ``minimizer_status`` gives.
-    """
-    status = minimizer_status(obs, penalty)
-    if status is not None:
-        raise ValueError(status)
-    expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
-    noise = _noise_from(obs, expected.wins)
-    return _sup_expansion_bounds(expected, polish, fisher, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +274,12 @@ class AoRepResult:
 def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     graph, truth, obs = _sample_instance(cfg, n, rep)
     record = _new_record("ao", cfg, n, rep, steps=cfg.steps)
-    joint = fit_penalized_mle(obs, cfg.penalty, tol_grad=tol.JOINT_SOLVE_TOL)
+    joint = fit_penalized_mle(obs, cfg.penalty_spec, tol_grad=tol.JOINT_SOLVE_TOL)
     if not joint.converged:
         reason = {DISCONNECTED: "disconnected", DIVERGENT: "divergent_mle"}
         return AoRepResult(record=record, reason=reason.get(joint.note, "joint_not_converged"))
     ups_star = joint.argmin
-    f = btl_objective(obs, cfg.penalty, mode="empirical")
+    f = btl_objective(obs, cfg.penalty_spec, mode="empirical")
     fisher = f.hessian(ups_star)
     if cfg.surrogate:
         f = QuadraticObjective(ups_star, fisher)
@@ -313,7 +293,7 @@ def ao_replication(cfg: ExperimentConfig, n: int, rep: int) -> AoRepResult:
     d_gap = float(np.linalg.norm(geometry.tt_half @ direction))
 
     def constants_on(radii):
-        return btl_condition_constants(graph, cfg.penalty, ups_star, norm="l2", radii=radii,
+        return btl_condition_constants(graph, cfg.penalty_spec, ups_star, norm="l2", radii=radii,
                                        geometry=geometry)
 
     radii = fixed_point_radii(constants_on((0.0, 0.0)), geometry.rho_star, d_gap)
@@ -347,7 +327,8 @@ class Study:
 
     ``record(cfg, n, rep)`` runs one replication and returns its record, whose
     cells are ``columns``, ``(name, type)`` pairs in record order.  ``summary``
-    gives the moments of ``summarised`` over the records that ``keep`` accepts.
+    gives the moments of ``summarised`` over the records that ``keep`` accepts
+    and whose ``summarised`` cell is not NaN.
     ``own_fields`` are the ExperimentConfig fields that only this study reads,
     so only its subcommand takes them as flags.
     """
@@ -356,7 +337,7 @@ class Study:
     record: Callable[[ExperimentConfig, int, int], dict]
     columns: tuple
     summarised: str
-    keep: Callable[[dict], bool]
+    keep: Callable[[dict], bool] = lambda r: True
     own_fields: tuple = ()
 
     @cached_property
@@ -381,10 +362,10 @@ STUDIES = {study.name: study for study in (
     Study("expansion", lambda cfg, n, rep: expansion_replication(cfg, n, rep).record,
           _KEY + (("lead_fish", float), ("lead_diag", float), ("rem_fish", float),
                   ("rem_diag", float), ("converged", bool)),
-          "rem_fish", lambda r: r["converged"]),
+          "rem_fish"),
     Study("ao", lambda cfg, n, rep: ao_replication(cfg, n, rep).record,
           _KEY + (("ppT", float), ("rate", float), ("cert_ok", bool), ("steps", int)),
-          "rate", lambda r: not math.isnan(r["rate"]), own_fields=("gap", "steps", "surrogate")),
+          "rate", own_fields=("gap", "steps", "surrogate")),
 )}
 
 

@@ -32,7 +32,9 @@ from perturbopt.expansions import (
 from perturbopt.experiments import (
     STUDIES,
     ExperimentConfig,
+    _sample_instance,
     ao_replication,
+    diagnose_expansion,
     expansion_replication,
     run_study,
     summarize_by_n,
@@ -102,13 +104,15 @@ def test_criterion_3_supnorm_expansion_split():
         cfg = ExperimentConfig(n_list=(100,), reps=50, seed=11)
         leads, rems = [], []
         for rep in range(cfg.reps):
-            result = expansion_replication(cfg, 100, rep, with_bounds=True)
-            rec = result.record
-            if rec["converged"]:
-                leads.append(rec["lead_fish"])
-                rems.append(rec["rem_fish"])
-            if result.diagnostics is not None and result.diagnostics.all_prerequisites_hold:
-                third = [r for r in result.reports if r.variant == "lin_iii"][0]
+            rec = expansion_replication(cfg, 100, rep).record
+            if not rec["converged"]:
+                continue
+            leads.append(rec["lead_fish"])
+            rems.append(rec["rem_fish"])
+            _, truth, obs = _sample_instance(cfg, 100, rep)
+            _, diagnostics, reports = diagnose_expansion(obs, truth, cfg.penalty_spec)
+            if diagnostics.all_prerequisites_hold:
+                third = [r for r in reports if r.variant == "lin_iii"][0]
                 assert third.holds, f"scaled-residual bound failed on replication {rep}"
         assert len(leads) >= 40, "too many non-converged replications"
         ratio = float(np.median(rems) / np.median(leads))

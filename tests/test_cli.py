@@ -31,7 +31,7 @@ from perturbopt.btl import (
 )
 from perturbopt.cli import dispatch
 from perturbopt.errors import InnerSolveFailed
-from perturbopt.experiments import ExperimentConfig, _sample_instance, expansion_replication
+from perturbopt.experiments import ExperimentConfig, _sample_instance
 from perturbopt.objective import newton_minimize
 
 
@@ -94,9 +94,9 @@ class TestUsage:
                          "--config", "c.json"]) == 0
         assert dispatch(["ao", "--n", "7", "--L", "2", "--surrogate", "--out", "t.csv"]) == 0
         assert dispatch(["fit", "--input", "d.csv", "--out", "e.csv"]) == 0
-        assert seen[1] == {"subcommand": "ao", "n": 7, "gap": None, "steps": None, "L": 2,
-                           "gsq": None, "surrogate": True, "out": "t.csv", "seed": None,
-                           "config": None}
+        assert seen[1] == {"subcommand": "ao", "n": 7, "p_rule": None, "L": 2, "gsq": None,
+                           "penalty": None, "score_range": None, "seed": None, "gap": None,
+                           "steps": None, "surrogate": True, "out": "t.csv", "config": None}
         assert seen[2] == {"subcommand": "fit", "input": "d.csv", "out": "e.csv",
                            "penalty": None, "gsq": None, "solver": None, "tol": None,
                            "strict": False, "config": None}
@@ -416,11 +416,11 @@ class TestDiagnose:
         assert {"rho_dual", "rho_dual_l2", "delta_nano", "prerequisites"} <= meta.keys()
         capsys.readouterr()
 
-    def test_matches_expansion_replication(self, tmp_path, capsys):
+    def test_matches_diagnose_expansion(self, tmp_path, capsys):
         # ridge penalty keeps rho_dual well below one, so every bound is finite
-        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
-        result = expansion_replication(cfg, 30, 0, with_bounds=True)
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty="ridge")
         _, truth, obs = _sample_instance(cfg, 30, 0)
+        _, diag, reports = experiments.diagnose_expansion(obs, truth, cfg.penalty_spec)
         obs_path, truth_path = tmp_path / "obs.csv", tmp_path / "truth.csv"
         write_observations(obs_path, obs)
         write_scores(truth_path, truth)
@@ -433,9 +433,8 @@ class TestDiagnose:
             rows = list(csv.DictReader(fh))
         assert [(r["variant"], float(r["leading"]), float(r["remainder"]), float(r["bound"]),
                  r["holds"] == "True") for r in rows] == [
-            (r.variant, r.leading, r.remainder, r.bound, r.holds) for r in result.reports
+            (r.variant, r.leading, r.remainder, r.bound, r.holds) for r in reports
         ]
-        diag = result.diagnostics
         assert diag.all_prerequisites_hold
         meta = json.loads((tmp_path / "report.csv.meta.json").read_text())
         assert meta["rho_dual"] == diag.rho_dual
@@ -447,9 +446,9 @@ class TestDiagnose:
         assert meta["scaled_noise_supnorm"] == diag.a_norm
         assert meta["prerequisites"] == diag.prerequisites_hold
         # the constants are the sup-norm ones on the radius the diagnostics used
-        expected = btl_objective(obs.graph, cfg.penalty, mode="expected", truth=truth)
+        expected = btl_objective(obs.graph, cfg.penalty_spec, mode="expected", truth=truth)
         ups_star = newton_minimize(expected, truth, tol_grad=tol.JOINT_SOLVE_TOL).argmin
-        constants = btl_condition_constants(obs.graph, cfg.penalty, ups_star,
+        constants = btl_condition_constants(obs.graph, cfg.penalty_spec, ups_star,
                                             radius=diag.r_infty, norm="linf")
         assert meta["constants"] == {"tau3": constants.tau3, "d12": constants.d12,
                                      "d21": constants.d21}
@@ -654,6 +653,11 @@ class TestStudyCommands:
         for name, parser in studies.items():
             options = {opt for action in parser._actions for opt in action.option_strings}
             assert options - {"-h", "--help"} == flags[name], name
+        # ao traces one study-ao instance: its settings, with --n for --n-list and --reps
+        options = {opt for action in sub.choices["ao"]._actions for opt in action.option_strings}
+        assert options - {"-h", "--help"} == {
+            "--n", "--p-rule", "--L", "--gsq", "--penalty", "--score-range", "--seed", "--gap",
+            "--steps", "--surrogate", "--out", "--config"}
 
     def test_rho_study_deterministic(self, tmp_path, capsys):
         args = ["study-rho", "--n-list", "20", "--reps", "5", "--seed", "1",
@@ -820,7 +824,7 @@ class TestConfigFile:
                     "score_range": [0, 1.5], "gsq": 3, "penalty": "ridge", "gap": 0.03,
                     "steps": 4, "surrogate": True, "format": "json", "threads": 1}
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert fields == settings.keys() - {"penalty", "format", "threads"} | {"penalty_kind"}
+        assert fields == settings.keys() - {"format", "threads"}
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(settings))
         flags = ["--n-list", "10,12", "--reps", "2", "--seed", "7", "--p-rule", "0.9",
@@ -836,6 +840,39 @@ class TestConfigFile:
                     for p in (from_config, from_flags)]
         assert sidecars[0] == sidecars[1]
         assert sidecars[0]["n_list"] == [10, 12] and sidecars[0]["surrogate"] is True
+
+    @pytest.mark.parametrize("name", list(experiments.STUDIES))
+    def test_study_reruns_from_its_sidecar_config(self, name, tmp_path, capsys):
+        flags = ["--n-list", "12,15", "--reps", "2", "--seed", "4", "--p-rule", "0.5",
+                 "--L", "2", "--gsq", "5", "--penalty", "ridge", "--score-range", "0,1.5"]
+        if name == "ao":
+            flags += ["--gap", "0.03", "--steps", "5", "--surrogate"]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert dispatch([f"study-{name}", *flags, "--threads", "1", "--out", str(first)]) == 0
+        config = json.loads((tmp_path / "first.csv.meta.json").read_text())["config"]
+        assert config["penalty"] == "ridge"
+        (tmp_path / "back.json").write_text(json.dumps(config))
+        assert dispatch([f"study-{name}", "--config", str(tmp_path / "back.json"),
+                         "--threads", "1", "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert again.read_bytes() == first.read_bytes()
+        assert json.loads((tmp_path / "again.csv.meta.json").read_text())["config"] == config
+
+    def test_ao_traces_the_study_ao_replication_of_a_config(self, tmp_path, capsys):
+        """``ao`` reads every setting that ``study-ao`` reads from one file, so it prints the
+        contraction bound of the study's replication 0."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"penalty": "ridge", "gsq": 5, "L": 3, "seed": 4,
+                                      "p_rule": 0.2}))
+        study = tmp_path / "ao.csv"
+        assert dispatch(["study-ao", "--n-list", "12", "--reps", "1", "--config", str(config),
+                         "--threads", "1", "--out", str(study)]) == 0
+        capsys.readouterr()
+        ppt = experiments.parse_records(study)[0]["ppT"]
+        assert dispatch(["ao", "--n", "12", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert f" contraction-bound={ppt:.6g} " in out
+        assert " contraction-bound=0.0480604 " in out
 
     def test_booleans_from_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -77,7 +77,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="penalty needs gsq > 0"):
             ExperimentConfig(n_list=(10,), gsq=0.0)
         with pytest.raises(ValueError, match="unknown penalty kind"):
-            ExperimentConfig(n_list=(10,), penalty_kind="lasso")
+            ExperimentConfig(n_list=(10,), penalty="lasso")
         with pytest.raises(ValueError, match="at least one comparison per edge"):
             ExperimentConfig(n_list=(10,), L=0)
         for steps in (0, tol.AO_BURN_IN + 1):
@@ -119,7 +119,7 @@ class TestRhoStudy:
         from perturbopt.experiments import _sample_instance
 
         graph, truth, _ = _sample_instance(cfg, 4, 0)
-        fisher = btl_objective(graph, cfg.penalty, mode="expected", truth=truth).hessian(truth)
+        fisher = btl_objective(graph, cfg.penalty_spec, mode="expected", truth=truth).hessian(truth)
         d = np.sqrt(np.diag(fisher))
         brute = 0.0
         for j in range(4):
@@ -208,14 +208,14 @@ class TestExpansionStudy:
         from perturbopt.experiments import _sample_instance
 
         graph, truth, obs = _sample_instance(cfg, 15, 0)
-        obj = btl_objective(obs, cfg.penalty)
+        obj = btl_objective(obs, cfg.penalty_spec)
         x = np.zeros(15)
         for _ in range(80):  # plain full-step Newton at tight tolerance
             step = np.linalg.solve(obj.hessian(x), obj.gradient(x))
             x = x - step
             if np.abs(obj.gradient(x)).max() <= 1e-14:
                 break
-        fisher = btl_objective(graph, cfg.penalty, mode="expected", truth=truth).hessian(truth)
+        fisher = btl_objective(graph, cfg.penalty_spec, mode="expected", truth=truth).hessian(truth)
         noise = noise_gradient(obs, truth)
         lead = np.linalg.solve(fisher, noise)
         assert rec["lead_fish"] == pytest.approx(np.abs(lead).max(), rel=1e-10)
@@ -229,11 +229,11 @@ class TestExpansionStudy:
             return btl.btl_condition_constants(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "btl_condition_constants", spy)
-        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty="ridge")
         _, truth, obs = _sample_instance(cfg, 30, 0)
-        constants, _, _ = diagnose_expansion(obs, truth, cfg.penalty)
+        constants, _, _ = diagnose_expansion(obs, truth, cfg.penalty_spec)
         (args, kwargs), = seen
-        _, polish, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
+        _, polish, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty_spec, truth)
         ups_star = polish.argmin
         assert np.array_equal(args[2], ups_star)
         assert kwargs["d_scales"].tobytes() == np.sqrt(np.diag(fisher)).tobytes()
@@ -241,18 +241,19 @@ class TestExpansionStudy:
                                                 np.sqrt(np.diag(fisher)))
         # the metric the constants would rebuild from the graph is the Fisher diagonal, bit
         # for bit
-        assert constants == btl.btl_condition_constants(obs.graph, cfg.penalty, ups_star,
+        assert constants == btl.btl_condition_constants(obs.graph, cfg.penalty_spec, ups_star,
                                                         radius=kwargs["radius"], norm="linf")
 
-    def test_one_solve_of_the_noise_per_bounded_replication(self, monkeypatch, tmp_path):
-        """The record's leading term F^-1 v is the lin_iii row's: one factor of the Fisher
-        matrix solves it once, and also gives the check's first Newton step; same bits.  A
-        ``posv`` call factors and solves."""
-        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty_kind="ridge")
+    def test_one_solve_of_the_noise_per_diagnose(self, monkeypatch):
+        """The lin_iii row's leading term F^-1 v: one factor of the Fisher matrix solves it
+        once, and also gives the check's first Newton step.  A ``posv`` call factors and
+        solves."""
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3, gsq=20.0, penalty="ridge")
         _, truth, obs = _sample_instance(cfg, 30, 0)
-        expected, _, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty, truth)
+        expected, _, fisher = experiments._expected_minimizer(obs.graph, cfg.penalty_spec, truth)
         noise = experiments._noise_from(obs, expected.wins)
-        lead = float(np.abs(numkit.spd_solve(fisher, noise)).max())
+        d = np.sqrt(np.diag(fisher))
+        lead = float(np.abs(d * numkit.spd_solve(fisher, noise)).max())
         factored, solved = [], []
         potrf, potrs, posv = numkit._potrf, numkit._potrs, numkit._posv
         monkeypatch.setattr(numkit, "_potrf", lambda a: factored.append(a.tobytes()) or potrf(a))
@@ -260,18 +261,10 @@ class TestExpansionStudy:
                             or potrs(c, b))
         monkeypatch.setattr(numkit, "_posv", lambda a, b: factored.append(a.tobytes())
                             or solved.append(b.tobytes()) or posv(a, b))
-        result = expansion_replication(cfg, 30, 0, with_bounds=True)
+        _, _, reports = diagnose_expansion(obs, truth, cfg.penalty_spec)
         assert factored.count(fisher.tobytes()) == 1 and solved.count(noise.tobytes()) == 1
-        assert len(result.reports) == 5 and result.record["lead_fish"] == lead
-        factored.clear()
-        solved.clear()
-        _, _, reports = diagnose_expansion(obs, truth, cfg.penalty)
-        assert factored.count(fisher.tobytes()) == 1 and solved.count(noise.tobytes()) == 1
-        written = []
-        for name, rows in (("replication", result.reports), ("diagnose", reports)):
-            experiments.reports_to_csv(rows, tmp_path / name)
-            written.append((tmp_path / name).read_bytes())
-        assert written[0] == written[1]
+        assert len(reports) == 5 and reports[2].variant == "lin_iii"
+        assert reports[2].leading == lead
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
     def test_diagnose_report_bytes_match_the_plain_check(self, penalty, tmp_path):
@@ -292,7 +285,7 @@ class TestExpansionStudy:
         d = np.sqrt(np.diag(fisher))
         _, reference = expansions._sup_norm_reports(
             "lin", fisher, d, expansions.rho_dual(fisher, d), sol.argmin - ups_star, noise,
-            constants, sol.converged)
+            constants, sol.converged, numkit.spd_solve(fisher, noise))
         written = []
         for name, rows in (("diagnose", reports), ("plain", plain), ("reference", reference)):
             experiments.reports_to_csv(rows, tmp_path / name)
@@ -307,14 +300,14 @@ class TestExpansionStudy:
                             lambda self, x: points.append(x) or hessian(self, x))
         cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3)
         _, truth, obs = _sample_instance(cfg, 30, 0)
-        diagnose_expansion(obs, truth, cfg.penalty)
+        diagnose_expansion(obs, truth, cfg.penalty_spec)
         assert len(points) == 1
 
     def test_two_newton_solves_per_diagnose(self, solver_calls):
         """The polish solve, then the linear check's, from the evaluation it is given."""
         cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3)
         _, truth, obs = _sample_instance(cfg, 30, 0)
-        diagnose_expansion(obs, truth, cfg.penalty)
+        diagnose_expansion(obs, truth, cfg.penalty_spec)
         assert ["start" in kwargs for kwargs in solver_calls["newton_minimize"]] == [False, True]
         assert solver_calls["partial_minimize"] == []
 
@@ -353,7 +346,7 @@ class TestRidgeFits:
     def test_disconnected_design_fits_under_a_ridge(self):
         """A ridge gives every design a unique finite fit: a disconnected one is fitted and
         recorded by both studies."""
-        cfg = ExperimentConfig(n_list=(12,), p_rule=0.2, L=3, gsq=5.0, penalty_kind="ridge",
+        cfg = ExperimentConfig(n_list=(12,), p_rule=0.2, L=3, gsq=5.0, penalty="ridge",
                                reps=4, seed=4)
         graph, _, obs = _sample_instance(cfg, 12, 2)
         assert not graph.connected and btl.design_status(obs) == btl.DISCONNECTED
