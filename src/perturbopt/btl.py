@@ -269,25 +269,13 @@ class PenaltySpec:
     def ridge(cls, gsq: float = 1.0) -> "PenaltySpec":
         return cls("ridge", gsq)
 
-    def matrix(self, n: int, size: Optional[int] = None) -> np.ndarray:
-        """G^2 for n items, or its principal block on ``size`` of them (all are equal)."""
-        size = n if size is None else size
+    def curvature(self, n: int) -> tuple[float, float]:
+        """G^2 for n items as (every, ridge): G^2 = every * 11' + ridge * I."""
         if self.kind == "mean_shift":
-            return np.full((size, size), self.gsq / n)
+            return self.gsq / n, 0.0
         if self.kind == "ridge":
-            return self.gsq * np.eye(size)
-        return np.zeros((size, size))
-
-    def off_diagonal(self, n: int) -> float:
-        """G^2's entry off the diagonal for n items, the same in every place."""
-        return self.gsq / n if self.kind == "mean_shift" else 0.0
-
-    def diag(self, n: int) -> np.ndarray:
-        if self.kind == "mean_shift":
-            return np.full(n, self.gsq / n)
-        if self.kind == "ridge":
-            return np.full(n, self.gsq)
-        return np.zeros(n)
+            return 0.0, self.gsq
+        return 0.0, 0.0
 
     def value(self, v: np.ndarray) -> float:
         """The penalty 0.5 ||G v||^2."""
@@ -406,11 +394,12 @@ class BtlObjective(SmoothObjective):
             w *= w  # (1 + e)^2: squaring is one product
             np.divide(e, w, out=w)  # phi''(d), the bits of _phi2_from(e)
             w *= block.counts
-            h = self.penalty.matrix(self.dim, size)  # new: Newton factors each matrix in place
+            every, ridge = self.penalty.curvature(self.dim)
+            h = np.full((size, size), every)  # new: Newton factors each matrix in place
             flat = h.reshape(-1)  # a view of h
-            flat[:: size + 1] += _scatter(block.pj, block.pm, w, w, size)  # the diagonal
+            flat[:: size + 1] += _scatter(block.pj, block.pm, w, w, size) + ridge  # the diagonal
             off = w[block.inner]  # on the whole graph w itself, which is not read again
-            np.subtract(self.penalty.off_diagonal(self.dim), off, out=off)
+            np.subtract(every, off, out=off)
             upper, lower = block.entries
             flat[upper] = off  # pairs are unique, so no entry is written twice
             flat[lower] = off
@@ -645,7 +634,7 @@ def _mm_minimize(obj: BtlObjective, tol_grad: float,
     """
     g, block = obj.graph, obj._whole
     wins = _edge_scatter(g, obj.wins, g.counts - obj.wins)
-    gsq = obj.penalty.gsq if obj.penalty.kind == "ridge" else 0.0
+    _, ridge = obj.penalty.curvature(g.n)
     x = np.zeros(g.n)
     for iterations in range(max_iter + 1):
         _, grad, _, d, e = obj._point(x, block)
@@ -655,8 +644,8 @@ def _mm_minimize(obj: BtlObjective, tol_grad: float,
         onep = 1.0 + e  # the logistic at d and at -d, as in _sigmoid_from
         s = _edge_scatter(g, g.counts * (np.maximum(e, d >= 0) / onep),
                           g.counts * (np.maximum(e, d <= 0) / onep))
-        if gsq > 0.0:
-            x = _ridge_mm_step(x, s, wins, gsq)
+        if ridge > 0.0:
+            x = _ridge_mm_step(x, s, wins, ridge)
         else:  # an item without edges (a lone item) keeps its score
             x = x + np.log(np.divide(wins, s, out=np.ones(g.n), where=s > 0.0))
         x -= x.mean()
@@ -718,7 +707,7 @@ def _hessian_diagonal(graph: ComparisonGraph, penalty: PenaltySpec, x: np.ndarra
     The dense Hessian adds the same two numbers on its diagonal, so the bits are its own.
     """
     w = graph.counts * phi2(x[graph.j] - x[graph.m])
-    return _edge_scatter(graph, w, w) + penalty.diag(graph.n)
+    return _edge_scatter(graph, w, w) + sum(penalty.curvature(graph.n))
 
 
 def _linf_constants(g: ComparisonGraph, center, radius, d_scales) -> ConditionConstants:

@@ -220,14 +220,10 @@ def _experiment_config(settings: dict, **fixed) -> ExperimentConfig:
     return _checked(ExperimentConfig, **_pick(settings, fields), **fixed)
 
 
-def _penalty(settings: dict) -> PenaltySpec:
-    return _checked(PenaltySpec, **_pick(settings, {"kind": "penalty", "gsq": "gsq"}))
-
-
 def _cmd_fit(args) -> int:
     settings = _settings(args)
     obs = _checked(read_observations, args.input)
-    report = _checked(fit_penalized_mle, obs, _penalty(settings),
+    report = _checked(fit_penalized_mle, obs, _experiment_config(settings).penalty_spec,
                       **_pick(settings, {"solver": "solver", "tol_grad": "tol"}))
     _checked(write_scores, args.out, report.argmin)
     status = "converged" if report.converged else f"NOT converged ({report.note})"
@@ -242,7 +238,8 @@ def _cmd_diagnose(args) -> int:
     settings = _settings(args)
     obs = _checked(read_observations, args.input)
     truth = _checked(read_scores, args.truth)
-    constants, diagnostics, reports = _checked(diagnose_expansion, obs, truth, _penalty(settings))
+    penalty = _experiment_config(settings).penalty_spec
+    constants, diagnostics, reports = _checked(diagnose_expansion, obs, truth, penalty)
     rho_exact, rho_l2 = diagnostics.rho_dual, diagnostics.rho_dual_l2
     _checked(reports_to_csv, reports, args.out)
     _checked(write_json, f"{args.out}.meta.json", {

@@ -104,19 +104,6 @@ class ResidualReport:
     holds: bool
     prerequisite_flags: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, variant, leading, remainder, bound, flags) -> "ResidualReport":
-        # a non-finite bound means the regime is invalid and nothing is claimed
-        holds = bool(np.isfinite(bound) and remainder <= bound)
-        return cls(
-            variant=variant,
-            leading=float(leading),
-            remainder=float(remainder),
-            bound=float(bound),
-            holds=holds,
-            prerequisite_flags=dict(flags),
-        )
-
 
 def rho_dual(f_mat, d_scales) -> tuple[float, float]:
     """Worst per-coordinate scaled off-diagonal row norm, exact and l2 variant.
@@ -192,9 +179,11 @@ def _stationary(grad) -> bool:
 
 
 def _report(variant, leading, remainder, bound, flags, solved: bool) -> ResidualReport:
-    """A residual report; it claims nothing when the solve it measures is not trusted."""
-    report = ResidualReport.build(variant, leading, remainder, bound, flags)
-    return report if solved else replace(report, holds=False)
+    """A residual report; it claims nothing when the solve it measures is not trusted, nor
+    where its bound is not finite: the regime is invalid."""
+    holds = bool(solved and np.isfinite(bound) and remainder <= bound)
+    return ResidualReport(variant=variant, leading=float(leading), remainder=float(remainder),
+                          bound=float(bound), holds=holds, prerequisite_flags=dict(flags))
 
 
 def _marginal_setup(f, split, nui_values, constants, upsilon_star):

@@ -416,7 +416,8 @@ def emit(records: Sequence[dict], fmt: str, path, config: ExperimentConfig) -> N
     """Write one study's records as CSV (its registered columns) or JSON, plus a
     metadata sidecar with the run's ``config`` and ``seed``.  No records write the
     one-column header ``study``.  The sidecar's ``config`` leaves out the
-    ``own_fields`` of the other studies, which this one never reads."""
+    ``own_fields`` of the other studies, which this one never reads, and adds the
+    records' ``format``, so a run from it writes the same file."""
     records = list(records)
     study = records[0]["study"] if records else None
     if records and study not in STUDIES:
@@ -441,7 +442,8 @@ def emit(records: Sequence[dict], fmt: str, path, config: ExperimentConfig) -> N
         "study": study,
         "records": len(records),
         "created_unix": time.time(),
-        "config": {k: v for k, v in asdict(config).items() if k not in foreign},
+        "config": {**{k: v for k, v in asdict(config).items() if k not in foreign},
+                   "format": fmt},
         "seed": config.seed,
     })
 

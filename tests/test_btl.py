@@ -199,6 +199,15 @@ def _penalty_grad(penalty, x):
     return np.zeros_like(x)
 
 
+def _penalty_matrix(penalty, n):
+    """G^2 for n items, written out per penalty kind."""
+    if penalty.kind == "mean_shift":
+        return np.full((n, n), penalty.gsq / n)
+    if penalty.kind == "ridge":
+        return penalty.gsq * np.eye(n)
+    return np.zeros((n, n))
+
+
 class TestGraphOracle:
     @settings(max_examples=300, deadline=None)
     @given(_observations())
@@ -241,7 +250,7 @@ class TestGraphOracle:
                 assert np.array_equal(obj.gradient(x), grad + _penalty_grad(penalty, x))
 
                 w = g.counts * phi2(d)
-                hess = penalty.matrix(n)
+                hess = _penalty_matrix(penalty, n)
                 np.add.at(hess, (g.j, g.m), -w)
                 np.add.at(hess, (g.m, g.j), -w)
                 diag = np.zeros(n)
@@ -658,7 +667,7 @@ def _parent_hessian(obj, x):
     g = obj.graph
     e = _parent_pass(obj, x)[1]
     w = g.counts * (e / (1.0 + e) ** 2)
-    h = obj.penalty.matrix(g.n)
+    h = _penalty_matrix(obj.penalty, g.n)
     flat = h.reshape(-1)
     flat[g.j * g.n + g.m] -= w
     flat[g.m * g.n + g.j] -= w
@@ -920,11 +929,12 @@ class TestPenaltySpec:
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.none(), PenaltySpec.mean_shift(3.0),
                                          PenaltySpec.ridge(3.0)])
-    def test_off_diagonal_is_the_matrix_entry(self, penalty):
-        """The Hessian subtracts its edge weights from this value: every off-diagonal entry."""
-        matrix = penalty.matrix(7)
-        off = matrix[~np.eye(7, dtype=bool)]
-        assert off.tobytes() == np.full(off.size, penalty.off_diagonal(7)).tobytes()
+    def test_curvature_is_the_written_out_matrix(self, penalty):
+        """every * 11' + ridge * I, formed as the Hessian forms it, is G^2 bit for bit."""
+        every, ridge = penalty.curvature(7)
+        matrix = np.full((7, 7), every)
+        matrix[np.diag_indices(7)] += ridge
+        assert matrix.tobytes() == _penalty_matrix(penalty, 7).tobytes()
 
 
 class TestFit:

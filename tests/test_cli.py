@@ -847,16 +847,21 @@ class TestConfigFile:
                  "--L", "2", "--gsq", "5", "--penalty", "ridge", "--score-range", "0,1.5"]
         if name == "ao":
             flags += ["--gap", "0.03", "--steps", "5", "--surrogate"]
-        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-        assert dispatch([f"study-{name}", *flags, "--threads", "1", "--out", str(first)]) == 0
-        config = json.loads((tmp_path / "first.csv.meta.json").read_text())["config"]
-        assert config["penalty"] == "ridge"
-        (tmp_path / "back.json").write_text(json.dumps(config))
-        assert dispatch([f"study-{name}", "--config", str(tmp_path / "back.json"),
-                         "--threads", "1", "--out", str(again)]) == 0
-        capsys.readouterr()
-        assert again.read_bytes() == first.read_bytes()
-        assert json.loads((tmp_path / "again.csv.meta.json").read_text())["config"] == config
+        def config_of(out):
+            return json.loads(out.with_name(f"{out.name}.meta.json").read_text())["config"]
+
+        for fmt in ("csv", "json"):  # a JSON study reruns as JSON
+            first, again = tmp_path / f"first.{fmt}", tmp_path / f"again.{fmt}"
+            assert dispatch([f"study-{name}", *flags, "--format", fmt, "--threads", "1",
+                             "--out", str(first)]) == 0
+            config = config_of(first)
+            assert config["penalty"] == "ridge" and config["format"] == fmt
+            (tmp_path / "back.json").write_text(json.dumps(config))
+            assert dispatch([f"study-{name}", "--config", str(tmp_path / "back.json"),
+                             "--threads", "1", "--out", str(again)]) == 0
+            capsys.readouterr()
+            assert again.read_bytes() == first.read_bytes()
+            assert config_of(again) == config
 
     def test_ao_traces_the_study_ao_replication_of_a_config(self, tmp_path, capsys):
         """``ao`` reads every setting that ``study-ao`` reads from one file, so it prints the

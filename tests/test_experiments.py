@@ -324,6 +324,21 @@ class TestExpansionStudy:
         diagnose_expansion(obs, truth, penalty)
         assert sum(x.tobytes() == polish.argmin.tobytes() for x in points) == 1
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_scaled_residual_clause_is_reached_on_a_ridge_design(self, seed):
+        """Acceptance criterion 3's lin_iii clause runs only where every prerequisite holds,
+        which none of its own replications reach.  On a complete ridge design they all
+        hold, and so does every linear row: the smallest bound / remainder over seeds 0-9
+        is 2.04."""
+        cfg = ExperimentConfig(n_list=(30,), p_rule=1.0, L=3, penalty="ridge", gsq=50.0,
+                               reps=1, seed=seed)
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        _, diagnostics, reports = diagnose_expansion(obs, truth, cfg.penalty_spec)
+        assert diagnostics.all_prerequisites_hold
+        linear = {r.variant: r for r in reports if r.variant.startswith("lin_")}
+        assert len(linear) == 5 and all(r.holds for r in linear.values())  # lin_iii included
+        assert all(r.bound >= 2.0 * r.remainder for r in linear.values())
+
     @pytest.mark.parametrize("p, gsq, radius_zero", [(0.3, 1.0, True), (1.0, 6.0, False)])
     def test_one_dual_value_at_either_radius(self, p, gsq, radius_zero, monkeypatch):
         calls = collections.Counter()
