@@ -496,13 +496,18 @@ def sample_er_graph(n: int, p: float, L: int, rng: np.random.Generator) -> Compa
     return ComparisonGraph.from_edges(n, j, m, np.full(j.size, float(L)))
 
 
-def sample_outcomes(graph: ComparisonGraph, truth, rng: np.random.Generator) -> BtlObservation:
-    """Binomial outcomes: lower-index item wins each game with prob sigma(score gap)."""
+def _win_probability(graph: ComparisonGraph, truth) -> np.ndarray:
+    """Each edge's model probability sigma(truth_j - truth_m) that its j end wins a game."""
     truth = np.asarray(truth, dtype=float)
     if truth.shape[0] != graph.n:
-        raise DimensionMismatch("truth length differs from item count")
-    probs = sigmoid(truth[graph.j] - truth[graph.m])
-    wins = rng.binomial(graph.counts.astype(int), probs).astype(float)
+        raise DimensionMismatch(
+            f"truth has {truth.shape[0]} scores, the design has {graph.n} items")
+    return sigmoid(truth[graph.j] - truth[graph.m])
+
+
+def sample_outcomes(graph: ComparisonGraph, truth, rng: np.random.Generator) -> BtlObservation:
+    """Binomial outcomes: lower-index item wins each game with prob sigma(score gap)."""
+    wins = rng.binomial(graph.counts.astype(int), _win_probability(graph, truth)).astype(float)
     return BtlObservation(graph=graph, wins=wins)
 
 
@@ -521,11 +526,7 @@ def btl_objective(
     if mode == "expected":
         if truth is None:
             raise ValueError("expected mode needs the generative scores")
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape[0] != graph.n:
-            raise DimensionMismatch("truth length differs from item count")
-        wins = graph.counts * sigmoid(truth[graph.j] - truth[graph.m])
-        return BtlObjective(graph, wins, penalty)
+        return BtlObjective(graph, graph.counts * _win_probability(graph, truth), penalty)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -535,11 +536,7 @@ def noise_gradient(obs: BtlObservation, truth) -> np.ndarray:
     The centered part is linear in the scores, so the gradient depends only
     on the outcome deviations from their expectations.
     """
-    truth = np.asarray(truth, dtype=float)
-    g = obs.graph
-    if truth.shape[0] != g.n:
-        raise DimensionMismatch("truth length differs from item count")
-    return _noise_from(obs, g.counts * sigmoid(truth[g.j] - truth[g.m]))
+    return _noise_from(obs, obs.graph.counts * _win_probability(obs.graph, truth))
 
 
 def _noise_from(obs: BtlObservation, expected_wins) -> np.ndarray:
@@ -657,10 +654,13 @@ def _mm_minimize(obj: BtlObjective, tol_grad: float,
 def minimizer_status(obs: BtlObservation, penalty: PenaltySpec) -> Optional[str]:
     """Why the ``penalty`` fit of ``obs`` has no unique finite minimizer, or None.
 
-    A ridge makes the objective strictly convex and coercive, so it always
-    has one; any other penalty pins only the mean score, and ``design_status``
-    decides.
+    Without a penalty, any edge leaves the objective flat along score shifts:
+    a ValueError, before any design count.  A ridge makes the objective
+    strictly convex and coercive, so it always has one; a mean-shift penalty
+    pins only the mean score, and ``design_status`` decides.
     """
+    if penalty.kind == "none" and obs.graph.n_edges > 0:
+        raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     return None if penalty.kind == "ridge" else design_status(obs)
 
 
@@ -677,16 +677,15 @@ def fit_penalized_mle(
     minimizer (Ford 1957, which Hunter 2004 assumes before an MM fit): a
     disconnected design, or outcomes where some item or group has a perfect
     win/loss record.  Both then return the zero start after 0 iterations,
-    not converged, with the status as the note.  Where Newton's Hessian stops
-    being positive definite, the report holds the start and the iteration it
-    stopped at, noted as a singular fit.
+    not converged, with the status as the note.  An unpenalized fit with
+    edges raises the ValueError of ``minimizer_status``.  Where Newton's
+    Hessian stops being positive definite, the report holds the start and
+    the iteration it stopped at, noted as a singular fit.
     """
     if solver not in ("newton", "mm"):
         raise ValueError(f"unknown solver {solver!r}")
     if not (math.isfinite(tol_grad) and tol_grad > 0):
         raise ValueError(f"the gradient tolerance must be finite and > 0, got {tol_grad}")
-    if penalty.kind == "none" and obs.graph.n_edges > 0:
-        raise ValueError("an unpenalized fit is singular along score shifts; pick a penalty")
     start = np.zeros(obs.graph.n)
     iterations, note = 0, minimizer_status(obs, penalty)
     if note is None:

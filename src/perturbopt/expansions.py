@@ -337,11 +337,9 @@ def _perturbed_argmin(f, a_vec, upsilon_star, fisher, grad):
     """
     held = [Cholesky(fisher)]
     lead = held[0].solve(a_vec)
-    # what LinearPerturbation(f, a_vec).evaluate(upsilon_star) returns, bit for bit
-    start = (lambda: f.value(upsilon_star) + float(a_vec @ upsilon_star), grad + a_vec,
-             held.pop)
-    sol = newton_minimize(LinearPerturbation(f, a_vec), upsilon_star, tol.JOINT_SOLVE_TOL,
-                          start=start)
+    g = LinearPerturbation(f, a_vec)
+    start = g.shifted(upsilon_star, (lambda: f.value(upsilon_star), grad, held.pop))
+    sol = newton_minimize(g, upsilon_star, tol.JOINT_SOLVE_TOL, start=start)
     return sol, lead
 
 

@@ -35,7 +35,7 @@ from .btl import (
     sample_er_graph,
     sample_outcomes,
 )
-from .errors import InnerSolveFailed
+from .errors import HessianNotPD, InnerSolveFailed, NotPositiveDefinite
 from .expansions import (
     ConditionConstants,
     ExpansionDiagnostics,
@@ -234,23 +234,31 @@ def diagnose_expansion(
     taken at the center only.  Where the fit of ``obs`` has no unique finite
     minimizer, neither has the linear check's perturbed objective, the
     empirical one: a ValueError with the reason ``minimizer_status`` gives.
+    Where the expected objective's Hessian is not positive definite, at the
+    minimizer or at an iterate of a solve (truth scores so far apart that an
+    edge's curvature is lost to rounding), a ValueError that says so.
     """
     status = minimizer_status(obs, penalty)
     if status is not None:
         raise ValueError(status)
-    expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
-    noise = _noise_from(obs, expected.wins)
-    ups_star = polish.argmin
-    d = np.sqrt(np.diag(fisher))
-    rho = rho_dual(fisher, d)
-    a_norm = float(np.abs(noise / d).max())
-    radius = math.sqrt(2.0) * a_norm / (1.0 - rho[0]) if rho[0] < 1.0 else 0.0
-    # d is the metric the constants would build from the graph, bit for bit: the expected
-    # Hessian's diagonal holds no outcomes
-    constants = btl_condition_constants(obs.graph, penalty, ups_star, radius=radius,
-                                        norm="linf", d_scales=d)
-    diagnostics, reports = check_linear_sup_expansion(
-        expected, noise, constants, ups_star, fisher=fisher, rho=rho, gradient=polish.gradient)
+    try:
+        expected, polish, fisher = _expected_minimizer(obs.graph, penalty, truth)
+        noise = _noise_from(obs, expected.wins)
+        ups_star = polish.argmin
+        d = np.sqrt(np.diag(fisher))
+        rho = rho_dual(fisher, d)
+        a_norm = float(np.abs(noise / d).max())
+        radius = math.sqrt(2.0) * a_norm / (1.0 - rho[0]) if rho[0] < 1.0 else 0.0
+        # d is the metric the constants would build from the graph, bit for bit: the
+        # expected Hessian's diagonal holds no outcomes
+        constants = btl_condition_constants(obs.graph, penalty, ups_star, radius=radius,
+                                            norm="linf", d_scales=d)
+        diagnostics, reports = check_linear_sup_expansion(
+            expected, noise, constants, ups_star, fisher=fisher, rho=rho,
+            gradient=polish.gradient)
+    except (HessianNotPD, NotPositiveDefinite) as exc:
+        raise ValueError("the expected Fisher matrix of the truth scores is not positive "
+                         f"definite: {exc}") from None
     return constants, diagnostics, reports
 
 

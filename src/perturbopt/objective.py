@@ -169,13 +169,18 @@ class LinearPerturbation(SmoothObjective):
         return self.base.block_index(idx)
 
     def evaluate(self, x, block=None):
-        value, grad, hessian = self.base.evaluate(x, block)
-        shift = self.a if block is None else self.a[block.idx]
+        return self.shifted(x, self.base.evaluate(x, block), block)
 
-        def shifted() -> float:
+    def shifted(self, x, evaluation, block: Optional[BlockIndex] = None):
+        """g's ``evaluate(x, block)`` from ``evaluation``, the base's: the value thunk adds
+        <a, x>, the gradient the block's slice of a, and the Hessian thunk is the base's."""
+        value, grad, hessian = evaluation
+        a = self.a if block is None else self.a[block.idx]
+
+        def shifted_value() -> float:
             return value() + float(self.a @ np.asarray(x, dtype=float))
 
-        return shifted, grad + shift, hessian
+        return shifted_value, grad + a, hessian
 
 
 @dataclass(frozen=True)

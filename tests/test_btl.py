@@ -914,6 +914,37 @@ class TestNoiseGradient:
         np.testing.assert_allclose(mean, 0.0, atol=1e-12)
 
 
+class TestWinProbability:
+    """sigma(truth_j - truth_m) is written once; its three readers keep the inline bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_observations(), st.data(), st.integers(0, 2**32 - 1))
+    def test_readers_keep_the_inline_bits(self, obs, data, seed):
+        g = obs.graph
+        truth = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 40.0, -745.0, 800.0]) | st.floats(-800.0, 800.0),
+            min_size=g.n, max_size=g.n)))
+        probs = sigmoid(truth[g.j] - truth[g.m])  # the reference, written out
+        sampled = sample_outcomes(g, truth, np.random.default_rng(seed))
+        reference = np.random.default_rng(seed).binomial(g.counts.astype(int), probs)
+        assert sampled.wins.tobytes() == reference.astype(float).tobytes()
+        expected = btl_objective(g, PenaltySpec.mean_shift(), mode="expected", truth=truth)
+        assert expected.wins.tobytes() == (g.counts * probs).tobytes()
+        r = obs.wins - g.counts * probs
+        reference = btl._edge_scatter(g, -r, r)
+        assert noise_gradient(obs, truth).tobytes() == reference.tobytes()
+
+    def test_truth_of_another_length_names_both_counts(self):
+        g = _complete_graph(4)
+        obs = BtlObservation(graph=g, wins=np.ones(6))
+        message = "truth has 3 scores, the design has 4 items"
+        for read in (lambda t: sample_outcomes(g, t, np.random.default_rng(0)),
+                     lambda t: btl_objective(g, PenaltySpec.mean_shift(), "expected", t),
+                     lambda t: noise_gradient(obs, t)):
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                read(np.zeros(3))
+
+
 class TestPenaltySpec:
     @pytest.mark.parametrize("kind", ["mean_shift", "ridge"])
     @pytest.mark.parametrize("gsq", [0.0, -1.0, float("nan")])
@@ -993,6 +1024,16 @@ class TestFit:
         obs = BtlObservation(graph=g, wins=np.ones(3))
         with pytest.raises(ValueError):
             fit_penalized_mle(obs, PenaltySpec.none())
+
+    def test_unpenalized_refused_before_the_design_count(self):
+        """The one unique-fit rule refuses an unpenalized objective with edges, without
+        counting components; without edges it has nothing to refuse."""
+        obs = BtlObservation(graph=_complete_graph(3), wins=np.ones(3))
+        with mock.patch.object(btl, "_strong_count", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="unpenalized fit is singular along score"):
+                btl.minimizer_status(obs, PenaltySpec.none())
+        lone = BtlObservation(graph=ComparisonGraph.from_edges(1, [], [], []), wins=[])
+        assert btl.minimizer_status(lone, PenaltySpec.none()) is None
 
     def test_coordinate_solver_route(self):
         # the per-item route is the minorize-maximize fit

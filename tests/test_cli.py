@@ -334,7 +334,24 @@ class TestInputErrors:
         write_scores(truth_path, np.array([0.1, 0.0, -0.1]))
         assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
                          "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: truth length differs from item count\n"
+        assert capsys.readouterr().err == "error: truth has 3 scores, the design has 4 items\n"
+        assert not out.exists() and not (tmp_path / "r.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("truth, fault", [
+        ([40.0, -40.0, 0.0], "2-th leading minor"),  # the Fisher matrix at the minimizer
+        ([41.0, -39.0, 1.0], "iterate 1: 2-th leading minor"),  # the polish solve's Hessian
+    ])
+    def test_singular_truth_exit_1(self, truth, fault, tmp_path, capsys):
+        """Gaps of 40 and 80 leave the expected Fisher matrix 1/3 11' to rounding: one error
+        line, exit 1, nothing written.  Uncentered, the polish solve meets that matrix."""
+        obs_path, truth_path, out = (tmp_path / name for name in ("obs.csv", "truth.csv", "r.csv"))
+        obs_path.write_text("j,m,N,S\n1,2,3,1\n2,3,3,2\n1,3,2,1\n")
+        write_scores(truth_path, np.array(truth))
+        assert dispatch(["diagnose", "--input", str(obs_path), "--truth", str(truth_path),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: the expected Fisher matrix of the truth scores is not positive "
+                       f"definite: {fault} of the array is not positive definite\n")
         assert not out.exists() and not (tmp_path / "r.csv.meta.json").exists()
 
     @pytest.mark.parametrize("command", [

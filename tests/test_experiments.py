@@ -311,6 +311,15 @@ class TestExpansionStudy:
         assert ["start" in kwargs for kwargs in solver_calls["newton_minimize"]] == [False, True]
         assert solver_calls["partial_minimize"] == []
 
+    def test_unpenalized_diagnose_refused(self, solver_calls):
+        """minimizer_status refuses the unpenalized objective, flat along score shifts,
+        before any solve; its polish solve used to meet a singular Hessian."""
+        cfg = ExperimentConfig(n_list=(30,), reps=1, seed=3)
+        _, truth, obs = _sample_instance(cfg, 30, 0)
+        with pytest.raises(ValueError, match="unpenalized fit is singular along score shifts"):
+            diagnose_expansion(obs, truth, PenaltySpec.none())
+        assert solver_calls["newton_minimize"] == []
+
     @pytest.mark.parametrize("penalty", [PenaltySpec.mean_shift(1.0), PenaltySpec.ridge(20.0)])
     def test_one_evaluation_at_the_minimizer_per_diagnose(self, penalty, monkeypatch):
         """The residual check starts from the polish solve's last evaluation."""
